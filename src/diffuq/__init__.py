@@ -56,5 +56,52 @@ from .diagnostics import (
     rmse_eval,
     variance_vs_k,
 )
-from .config import ExperimentConfig, load_config
-from .harness import ResultRow, run_experiment, write_report
+from .config import ExperimentConfig, config_from_dict, load_config
+from .harness import ResultRow, experiment_oracle, run_experiment, write_report
+
+__all__ = [
+    "GaussianMixture",
+    "ToyPriorSpec",
+    "build_toy_prior",
+    "exact_posterior",
+    "mixture_logpdf",
+    "mixture_moments",
+    "noisy_marginal",
+    "sample_mixture",
+    "score_and_denoise",
+    "LinearOperatorSVD",
+    "Measurement",
+    "apply_forward",
+    "apply_pinv",
+    "build_operator",
+    "synthesize_measurement",
+    "NoiseSchedule",
+    "ReverseConfig",
+    "ReverseKernel",
+    "build_schedule",
+    "level_index_for_sigma",
+    "reverse_sample",
+    "derive_seed",
+    "SOLVER_NAMES",
+    "SampleBatch",
+    "SamplingContext",
+    "SolverSpec",
+    "resolve_solver",
+    "run_batch",
+    "sample_one",
+    "AccuracyReport",
+    "CoverageReport",
+    "ObsNullReport",
+    "coverage_eval",
+    "obs_null_variance",
+    "oracle_reference",
+    "rmse_eval",
+    "variance_vs_k",
+    "ExperimentConfig",
+    "config_from_dict",
+    "load_config",
+    "ResultRow",
+    "experiment_oracle",
+    "run_experiment",
+    "write_report",
+]

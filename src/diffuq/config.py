@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import yaml
@@ -49,6 +50,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"experiment must be one of {_EXPERIMENTS}, got {self.experiment!r}"
             )
+        if not (math.isfinite(self.sigma_y) and self.sigma_y > 0):
+            raise ValueError(f"sigma_y must be finite and > 0, got {self.sigma_y!r}")
         if self.n_cases < 1:
             raise ValueError("n_cases must be >= 1")
         if self.k_samples < 2:
@@ -94,6 +97,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             raise ValueError(f"config missing required field {req!r}")
 
     experiment = data["experiment"]
+    try:
+        sigma_y = float(data["sigma_y"])
+    except (TypeError, ValueError):
+        raise ValueError(f"sigma_y must be a number, got {data['sigma_y']!r}")
     prior_args = data.get("prior") or {}
     bad = set(prior_args) - {f.name for f in dataclasses.fields(ToyPriorSpec)}
     if bad:
@@ -110,7 +117,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return ExperimentConfig(
         experiment=experiment,
         master_seed=int(data["master_seed"]),
-        sigma_y=float(data["sigma_y"]),
+        sigma_y=sigma_y,
         solvers=_parse_solvers(data["solvers"]),
         n_cases=int(data.get("n_cases", 20)),
         k_samples=int(data.get("k_samples", 100)),

@@ -15,9 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .gmm import GaussianMixture, denoise_batch, noisy_marginal, _component_logpdfs
+from .gmm import (
+    GaussianMixture,
+    noisy_marginal,
+    _cho_factors,
+    _component_logpdfs,
+    _denoise_batch,
+    _logsumexp,
+    _precisions,
+    _score_and_denoise,
+)
 
 __all__ = [
     "NoiseSchedule",
@@ -104,6 +112,21 @@ class ReverseKernel:
     component, the conditional mean is affine in the current iterate and the
     conditional covariance is fixed, so the per-step work is a responsibility
     evaluation plus one matrix-vector product.
+
+    Everything that depends only on the grid level is built once here. Per
+    nonzero level ``i`` and component ``c`` the kernel holds:
+
+    - ``_noisy[i]``: the noisy marginal at ``grid[i]``, a ``GaussianMixture``
+      that keeps each covariance's Cholesky factor and log-determinant for
+      the responsibilities;
+    - ``_cho[i][c]``: ``cho_factor`` of that covariance, for the score;
+    - ``_prec[i][c]``: its inverse, for the denoiser Jacobian;
+    - ``_B[i, c]``, ``_a[i, c]``: slope and offset of the transition mean;
+    - ``_chol[i, c]``: Cholesky factor of the transition covariance (all
+      levels but the last, whose transition is the Tweedie denoise).
+
+    ``denoise`` and ``score_and_denoise`` give the same bits as
+    ``gmm.denoise_batch`` and ``gmm.score_and_denoise`` at ``grid[level]``.
     """
 
     def __init__(self, prior: GaussianMixture, sched: NoiseSchedule):
@@ -112,19 +135,23 @@ class ReverseKernel:
         d, C = prior.dim, prior.n_components
         grid = sched.grid
         self._noisy = [noisy_marginal(prior, s) for s in grid[:-1]]
+        self._cho = [_cho_factors(noisy) for noisy in self._noisy]
+        self._prec = [_precisions(cfs, d) for cfs in self._cho]
         # denoising posterior per (level, component): x0 | x_i, c
         self._B = np.empty((len(grid) - 1, C, d, d))  # mean slope
         self._a = np.empty((len(grid) - 1, C, d))  # mean offset
         self._chol = np.empty((len(grid) - 2, C, d, d))  # transition noise
+        prior_prec = [np.linalg.inv(cov) for cov in prior.covs]
+        prior_nat = [np.linalg.solve(cov, mu) for cov, mu in zip(prior.covs, prior.means)]
         for i, s in enumerate(grid[:-1]):
             lam_next = None
             if i + 1 < len(grid) - 1:
                 lam_next = grid[i + 1] ** 2 / s**2
             for c in range(C):
-                prec = np.linalg.inv(prior.covs[c]) + np.eye(d) / s**2
+                prec = prior_prec[c] + np.eye(d) / s**2
                 cov0 = np.linalg.inv(prec)  # Cov(x0 | x_i, c)
                 B0 = cov0 / s**2
-                a0 = cov0 @ np.linalg.solve(prior.covs[c], prior.means[c])
+                a0 = cov0 @ prior_nat[c]
                 if lam_next is not None:
                     lam = lam_next
                     # x_{i-1} | x_i, c: mean = (1-lam) E[x0|x_i,c] + lam x_i
@@ -140,7 +167,7 @@ class ReverseKernel:
     def log_responsibilities(self, X: np.ndarray, level: int) -> np.ndarray:
         noisy = self._noisy[level]
         lp = _component_logpdfs(noisy, np.atleast_2d(X)) + np.log(noisy.weights)
-        return lp - logsumexp(lp, axis=-1, keepdims=True)
+        return lp - _logsumexp(lp, axis=-1, keepdims=True)
 
     def step(self, X: np.ndarray, level: int, rng: np.random.Generator) -> np.ndarray:
         """One ancestral transition from grid[level] to grid[level+1].
@@ -168,17 +195,16 @@ class ReverseKernel:
 
     def denoise(self, X: np.ndarray, level: int) -> np.ndarray:
         """Tweedie posterior mean E[x0 | x_level] for an (n, d) batch."""
-        _, xhat0 = denoise_batch(self.prior, np.atleast_2d(X), self.sched.grid[level])
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        _, xhat0 = _denoise_batch(self._noisy[level], self._cho[level], X,
+                                  self.sched.grid[level])
         return xhat0
 
-    def conditional_mean(self, X: np.ndarray, level: int) -> np.ndarray:
-        """Mean of the next-level transition, responsibility-averaged."""
-        X = np.atleast_2d(X)
-        r = np.exp(self.log_responsibilities(X, level))  # (n, C)
-        out = np.zeros_like(X)
-        for c in range(self.prior.n_components):
-            out += r[:, c : c + 1] * (X @ self._B[level, c].T + self._a[level, c])
-        return out
+    def score_and_denoise(self, x: np.ndarray, level: int):
+        """``gmm.score_and_denoise`` of the prior at one (d,) point and
+        sigma_t = ``grid[level]``."""
+        return _score_and_denoise(self._noisy[level], self._cho[level], self._prec[level],
+                                  np.asarray(x, dtype=float), self.sched.grid[level])
 
 
 def reverse_sample(prior: GaussianMixture, sched: NoiseSchedule, cfg: ReverseConfig,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +34,7 @@ class LinearOperatorSVD:
     V: np.ndarray  # (d, d)
     kind: str = "custom"
     seed: int | None = None
+    _matrix: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         U = np.asarray(self.U, dtype=float)
@@ -51,6 +52,11 @@ class LinearOperatorSVD:
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "V", V)
+        Sd = np.zeros((U.shape[0], V.shape[0]))
+        Sd[: len(S), : len(S)] = np.diag(S)
+        M = U @ Sd @ V.T
+        M.setflags(write=False)
+        object.__setattr__(self, "_matrix", M)
 
     @property
     def m(self) -> int:
@@ -61,11 +67,8 @@ class LinearOperatorSVD:
         return self.V.shape[0]
 
     def matrix(self) -> np.ndarray:
-        """Dense m x d matrix U diag(S) V^T."""
-        Sd = np.zeros((self.m, self.d))
-        k = len(self.S)
-        Sd[:k, :k] = np.diag(self.S)
-        return self.U @ Sd @ self.V.T
+        """Dense m x d matrix U diag(S) V^T, built once; read-only."""
+        return self._matrix
 
     def spectral_s(self) -> np.ndarray:
         """Singular values padded to length d (zeros beyond min(m, d))."""

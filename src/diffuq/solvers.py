@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
-from scipy.special import logsumexp
 
 from .diffusion import NoiseSchedule, ReverseKernel, level_index_for_sigma
 from .gmm import (
@@ -24,6 +23,7 @@ from .gmm import (
     exact_posterior,
     sample_mixture,
     score_and_denoise,
+    _logsumexp,
 )
 from .operators import (
     LinearOperatorSVD,
@@ -181,11 +181,11 @@ def conjugate_denoising_posterior(prior: GaussianMixture, z, rho: float) -> Gaus
     return exact_posterior(prior, identity, np.asarray(z, dtype=float), rho)
 
 
-def _dps_gradient_parts(prior, x_t, sigma_t, y, A):
-    score, xhat0, jac = score_and_denoise(prior, x_t, sigma_t)
+def _dps_gradient_parts(xhat0, jac, y, A):
+    """(gradient, residual norm) of the DPS loss from the denoiser output."""
     resid = np.asarray(y) - apply_forward(A, xhat0)
     grad = -jac.T @ (A.matrix().T @ resid)
-    return grad, float(np.linalg.norm(resid)), xhat0
+    return grad, float(np.linalg.norm(resid))
 
 
 def dps_guidance_gradient(prior: GaussianMixture, x_t, sigma_t: float, y,
@@ -196,7 +196,8 @@ def dps_guidance_gradient(prior: GaussianMixture, x_t, sigma_t: float, y,
     sub-step signature but the loss is unweighted (the caller folds any
     noise weighting into its guidance scale).
     """
-    grad, _, _ = _dps_gradient_parts(prior, np.asarray(x_t, dtype=float), sigma_t, y, A)
+    _, xhat0, jac = score_and_denoise(prior, x_t, sigma_t)
+    grad, _ = _dps_gradient_parts(xhat0, jac, y, A)
     return grad
 
 
@@ -293,22 +294,21 @@ def daps_langevin_step(x0, anchor, r_t: float, y, A: LinearOperatorSVD,
 
 
 def reddiff_update(mu, y, A: LinearOperatorSVD, sigma_y: float,
-                   prior: GaussianMixture, sched: NoiseSchedule,
-                   lambda_reg: float, step_size: float, seed):
+                   kernel: ReverseKernel, lambda_reg: float, step_size: float, seed):
     """One stochastic descent step of the variational objective.
 
     Data term ||y - A mu||^2 / (2 sigma_y^2) plus a score-matching
-    regularizer evaluated at a uniformly drawn noise level with unit
-    weighting and a detached (analytic) noise prediction.
+    regularizer evaluated at a uniformly drawn level of the kernel's noise
+    grid with unit weighting and a detached (analytic) noise prediction.
     """
     if step_size <= 0:
         raise ValueError("step_size must be > 0")
     rng = _as_rng(seed)
     mu = np.asarray(mu, dtype=float)
-    level = int(rng.integers(0, sched.last_nonzero_index + 1))
-    sigma = sched.grid[level]
+    level = int(rng.integers(0, kernel.sched.last_nonzero_index + 1))
+    sigma = kernel.sched.grid[level]
     eps = rng.standard_normal(len(mu))
-    score, _, _ = score_and_denoise(prior, mu + sigma * eps, sigma)
+    score, _, _ = kernel.score_and_denoise(mu + sigma * eps, level)
     eps_hat = -sigma * score
     data_grad = A.matrix().T @ (apply_forward(A, mu) - np.asarray(y)) / sigma_y**2
     return mu - step_size * (data_grad + lambda_reg * (eps_hat - eps))
@@ -387,9 +387,8 @@ def _sample_dps(spec, m, ctx, rng):
     x = _init_noise(ctx, rng)
     for i in range(len(grid) - 1):
         base = ctx.kernel.step(x, i, rng)
-        grad, resid_norm, _ = _dps_gradient_parts(
-            ctx.prior, x[0], grid[i], m.y, m.operator
-        )
+        _, xhat0, jac = ctx.kernel.score_and_denoise(x[0], i)
+        grad, resid_norm = _dps_gradient_parts(xhat0, jac, m.y, m.operator)
         zeta = scale / (resid_norm + 1e-12)
         x = base - zeta * grad
         if not np.all(np.isfinite(x)):
@@ -473,7 +472,7 @@ def _sample_reddiff(spec, m, ctx, rng):
     mu = apply_pinv(m.operator, m.y)
     for t in range(steps):
         lr = hp["step_size"] * (1.0 - t / steps)
-        mu = reddiff_update(mu, m.y, m.operator, m.sigma_y, ctx.prior, ctx.sched,
+        mu = reddiff_update(mu, m.y, m.operator, m.sigma_y, ctx.kernel,
                             hp["lambda_reg"], lr, rng)
         if not np.all(np.isfinite(mu)):
             return np.full(ctx.prior.dim, np.nan), f"diverged(step={t})"
@@ -604,11 +603,11 @@ def _sample_fps_smc(spec, m, ctx, rng):
             logdet = 2.0 * np.sum(np.log(np.diag(pre.ev_chol[i, c])))
             log_ev[:, c] = -0.5 * (np.sum(sol**2, axis=0) + logdet + d * np.log(2 * np.pi))
         log_joint = log_r + log_ev
-        log_pred = logsumexp(log_joint, axis=1)
+        log_pred = _logsumexp(log_joint, axis=1)
         # auxiliary-filter telescoping: fold in the predictive evidence for
         # the next level's potential and divide out this level's own
         log_w = log_w + log_pred - log_potential(X, i, y_path[i])
-        log_w = log_w - logsumexp(log_w)
+        log_w = log_w - _logsumexp(log_w)
         w = np.exp(log_w)
         if smc_ess(w / w.sum()) < n_p / 2:
             keep = smc_resample(np.arange(n_p), w / w.sum(), rng)
@@ -643,7 +642,7 @@ def _sample_fps_smc(spec, m, ctx, rng):
     resid = m.y[None, :] - apply_forward(A, xhat0)
     log_w = (log_w - 0.5 * np.sum(resid**2, axis=1) / m.sigma_y**2
              - log_potential(X, last, y_path[last]))
-    w = np.exp(log_w - logsumexp(log_w))
+    w = np.exp(log_w - _logsumexp(log_w))
     pick = int(rng.choice(len(w), p=w))
     return xhat0[pick], "ok"
 
@@ -668,7 +667,7 @@ def _sample_mcg_diff(spec, m, ctx, rng):
     X = _init_noise(ctx, rng, n_p)
     log_w = log_potential(X, m.sigma_y**2 + grid[0] ** 2)
     for i in range(len(grid) - 1):
-        w = np.exp(log_w - logsumexp(log_w))
+        w = np.exp(log_w - _logsumexp(log_w))
         if smc_ess(w / w.sum()) < n_p / 2:
             keep = smc_resample(np.arange(n_p), w / w.sum(), rng)
             X = X[keep]
@@ -679,7 +678,7 @@ def _sample_mcg_diff(spec, m, ctx, rng):
         log_w = log_w + g_new - g_old
         if not np.all(np.isfinite(X)):
             return np.full(d, np.nan), f"diverged(step={i})"
-    w = np.exp(log_w - logsumexp(log_w))
+    w = np.exp(log_w - _logsumexp(log_w))
     pick = int(rng.choice(len(w), p=w))
     return X[pick], "ok"
 

@@ -42,6 +42,12 @@ def test_missing_sigma_y_named(tmp_path):
         load_config(write(tmp_path, data))
 
 
+@pytest.mark.parametrize("bad", [0, -1, float("nan"), float("inf"), -float("inf"), "one"])
+def test_sigma_y_must_be_finite_positive(bad):
+    with pytest.raises(ValueError, match="sigma_y"):
+        config_from_dict(dict(MINIMAL, sigma_y=bad))
+
+
 def test_unknown_solver_lists_all_names(tmp_path):
     data = dict(MINIMAL, solvers=["dsp"])
     with pytest.raises(ValueError) as err:

@@ -13,6 +13,7 @@ from diffuq.gmm import (
     GaussianMixture,
     build_toy_prior,
     ToyPriorSpec,
+    denoise_batch,
     mixture_moments,
     score_and_denoise,
 )
@@ -186,3 +187,19 @@ def test_deterministic_mode_pushes_to_modes(toy_prior, sched_small, rng):
                                        start_level=10.0, init=x, seed=0))
     assert np.all(np.isfinite(out))
     assert np.linalg.norm(out) < np.linalg.norm(x)
+
+
+def test_kernel_oracles_bit_identical_to_gmm(toy_prior, sched_small, rng):
+    """The kernel's memoised factors give the same bits as the per-call
+    gmm oracles at every grid level."""
+    kernel = ReverseKernel(toy_prior, sched_small)
+    for level in range(sched_small.last_nonzero_index + 1):
+        sigma = sched_small.grid[level]
+        X = sigma * rng.standard_normal((4, 16)) + rng.standard_normal(16)
+        for batch in (X, X[:1]):
+            _, want = denoise_batch(toy_prior, batch, sigma)
+            assert np.array_equal(kernel.denoise(batch, level), want)
+        got = kernel.score_and_denoise(X[0], level)
+        want = score_and_denoise(toy_prior, X[0], sigma)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)

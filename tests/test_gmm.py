@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
+from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import multivariate_normal
 
 from diffuq.gmm import (
     GaussianMixture,
-    ScorePerturbation,
     ToyPriorSpec,
     build_toy_prior,
     denoise_batch,
@@ -16,6 +18,7 @@ from diffuq.gmm import (
     noisy_marginal,
     sample_mixture,
     score_and_denoise,
+    _logsumexp,
 )
 from diffuq.operators import build_operator
 
@@ -204,15 +207,6 @@ def test_score_jacobian_matches_finite_differences(toy_prior, rng):
     assert np.max(np.abs(jac - fd)) / np.max(np.abs(jac)) < 1e-6
 
 
-def test_score_perturbation_knob(toy_prior):
-    x = np.ones(16)
-    s0, _, _ = score_and_denoise(toy_prior, x, 1.0)
-    s1, xh, _ = score_and_denoise(toy_prior, x, 1.0,
-                                  perturb=ScorePerturbation(mult=2.0, add=0.5))
-    assert np.allclose(s1, 2.0 * s0 + 0.5)
-    assert np.allclose(xh, x + s1)
-
-
 def test_score_requires_positive_sigma(toy_prior):
     with pytest.raises(ValueError, match="sigma_t"):
         score_and_denoise(toy_prior, np.zeros(16), 0.0)
@@ -236,6 +230,65 @@ def test_denoise_batch_matches_single(toy_prior, rng):
         s, xh, _ = score_and_denoise(toy_prior, x, 0.9)
         assert np.allclose(score_b[k], s)
         assert np.allclose(xhat_b[k], xh)
+
+
+def test_kept_factors_match_fresh_cholesky(toy_prior, rng):
+    A = build_operator("binary_svd", 16, obs_count=6,
+                       basis_mode="random_orthogonal", seed=4)
+    mixtures = [
+        toy_prior,
+        noisy_marginal(toy_prior, 0.7),
+        exact_posterior(toy_prior, A, rng.standard_normal(16), 0.5),
+    ]
+    for gmm in mixtures:
+        for c, cov in enumerate(gmm.covs):
+            chol = np.linalg.cholesky(cov)
+            assert np.array_equal(gmm._chols[c], chol)
+            assert gmm._logdets[c] == 2.0 * np.sum(np.log(np.diag(chol)))
+
+
+# ---------------------------------------------------------------------------
+# logsumexp
+# ---------------------------------------------------------------------------
+
+# a small pool of special values makes ties, all -inf rows, +inf and NaN common
+_LSE_ELEMENTS = st.one_of(
+    st.sampled_from([0.0, -1.5, 2.0, 700.0, -np.inf, np.inf, np.nan]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_LSE_ARGS = ({"axis": None}, {"axis": -1}, {"axis": -1, "keepdims": True})
+
+
+def _assert_same_bytes(ours, ref):
+    assert type(ours) is type(ref)
+    assert np.shape(ours) == np.shape(ref)
+    assert np.asarray(ours).tobytes() == np.asarray(ref).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=5),
+                    elements=_LSE_ELEMENTS))
+def test_logsumexp_matches_scipy_bytes(a):
+    for kwargs in _LSE_ARGS:
+        with np.errstate(all="ignore"):
+            ref = scipy_logsumexp(a, **kwargs)
+        _assert_same_bytes(_logsumexp(a, **kwargs), ref)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1.0, 1.0], [-3.0, -3.0]],  # ties
+    [[-np.inf, -np.inf], [0.0, -np.inf]],  # all -inf row
+    [[np.inf, 0.0], [np.inf, np.inf]],  # +inf
+    [[np.nan, 0.0], [np.nan, np.inf]],  # NaN
+    [[-745.0, -746.0], [709.0, 709.5]],  # exp underflow and overflow
+])
+def test_logsumexp_special_rows(rows):
+    a = np.array(rows)
+    for kwargs in _LSE_ARGS:
+        with np.errstate(all="ignore"):
+            ref = scipy_logsumexp(a, **kwargs)
+        _assert_same_bytes(_logsumexp(a, **kwargs), ref)
+    _assert_same_bytes(_logsumexp(a[0, 0]), scipy_logsumexp(a[0, 0]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,3 +190,21 @@ def test_cli_workers_env(tmp_path, monkeypatch):
     out = tmp_path / "env_out"
     assert main(["run", cfg_path, "--out", str(out), "--no-oracle"]) == 0
     assert (out / "results.csv").exists()
+
+
+def test_readme_python_quickstart():
+    """The README's import line works, and its calls run on a tiny config."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    ns = {}
+    exec(re.search(r"^from diffuq import .+$", readme, re.M).group(0), ns)
+    cfg = ns["config_from_dict"]({
+        "experiment": "exp1_identity",
+        "master_seed": 7,
+        "sigma_y": 1.0,
+        "n_cases": 1,
+        "k_samples": 2,
+        "solvers": ["reference_exact"],
+    })
+    rows = ns["run_experiment"](cfg)
+    assert len(rows) == 1 and rows[0].batch.statuses == ["ok", "ok"]
+    assert 0.0 < ns["experiment_oracle"](cfg)["oracle_coverage"] <= 1.0

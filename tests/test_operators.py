@@ -155,3 +155,14 @@ def test_json_round_trip():
     assert np.array_equal(A.S, B.S)
     assert np.array_equal(A.V, B.V)
     assert (A.kind, A.seed) == (B.kind, B.seed)
+
+
+def test_matrix_built_once_read_only():
+    A = build_operator("binary_svd", 16, obs_count=5,
+                       basis_mode="random_orthogonal", seed=3)
+    M = A.matrix()
+    assert M is A.matrix()
+    assert not M.flags.writeable
+    with pytest.raises(ValueError):
+        M[0, 0] = 1.0
+    assert np.array_equal(M, A.U @ np.diag(A.S) @ A.V.T)

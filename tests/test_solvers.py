@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diffuq.diffusion import ReverseConfig, build_schedule, reverse_sample
+from diffuq.diffusion import ReverseConfig, ReverseKernel, build_schedule, reverse_sample
 from diffuq.gmm import (
     GaussianMixture,
     exact_posterior,
@@ -338,30 +338,30 @@ def test_langevin_long_chain_covariance(rng):
 
 
 def test_reddiff_pure_least_squares(toy_prior):
-    sched = build_schedule(0.01, 10.0, 10)
+    kernel = ReverseKernel(toy_prior, build_schedule(0.01, 10.0, 10))
     A = build_operator("identity", 16)
     y = np.linspace(-1, 1, 16)
     mu = np.zeros(16)
     rng_u = np.random.default_rng(4)
     for _ in range(200):
-        mu = reddiff_update(mu, y, A, 1.0, toy_prior, sched, 0.0, 0.5, rng_u)
+        mu = reddiff_update(mu, y, A, 1.0, kernel, 0.0, 0.5, rng_u)
     assert np.max(np.abs(mu - y)) < 1e-3
 
 
 def test_reddiff_zero_data_gradient(toy_prior):
-    sched = build_schedule(0.01, 10.0, 10)
+    kernel = ReverseKernel(toy_prior, build_schedule(0.01, 10.0, 10))
     A = build_operator("identity", 16)
     y = np.ones(16)
-    out = reddiff_update(y.copy(), y, A, 1.0, toy_prior, sched, 0.0, 0.5, 8)
+    out = reddiff_update(y.copy(), y, A, 1.0, kernel, 0.0, 0.5, 8)
     assert np.array_equal(out, y)
 
 
 def test_reddiff_deterministic(toy_prior):
-    sched = build_schedule(0.01, 10.0, 10)
+    kernel = ReverseKernel(toy_prior, build_schedule(0.01, 10.0, 10))
     A = build_operator("identity", 16)
     y = np.linspace(0, 1, 16)
-    a = reddiff_update(np.zeros(16), y, A, 1.0, toy_prior, sched, 0.25, 0.5, 55)
-    b = reddiff_update(np.zeros(16), y, A, 1.0, toy_prior, sched, 0.25, 0.5, 55)
+    a = reddiff_update(np.zeros(16), y, A, 1.0, kernel, 0.25, 0.5, 55)
+    b = reddiff_update(np.zeros(16), y, A, 1.0, kernel, 0.25, 0.5, 55)
     assert np.array_equal(a, b)
 
 
