@@ -195,10 +195,13 @@ class ReverseKernel:
 
     def denoise(self, X: np.ndarray, level: int) -> np.ndarray:
         """Tweedie posterior mean E[x0 | x_level] for an (n, d) batch."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        _, xhat0 = _denoise_batch(self._noisy[level], self._cho[level], X,
-                                  self.sched.grid[level])
-        return xhat0
+        return self._denoise_batch(X, level)[1]
+
+    def _denoise_batch(self, X: np.ndarray, level: int):
+        """``gmm.denoise_batch`` of the prior, (score, x_hat0), for an (n, d)
+        batch at sigma_t = ``grid[level]``."""
+        return _denoise_batch(self._noisy[level], self._cho[level],
+                              np.atleast_2d(np.asarray(X, dtype=float)), self.sched.grid[level])
 
     def score_and_denoise(self, x: np.ndarray, level: int):
         """``gmm.score_and_denoise`` of the prior at one (d,) point and

@@ -33,6 +33,11 @@ _WEIGHT_TOL = 1e-12
 _WEIGHT_FLOOR = 1e-300
 
 
+def _as_rng(seed) -> np.random.Generator:
+    """``seed`` itself if it is a Generator, else a new Generator seeded with it."""
+    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+
+
 def _logsumexp(a, axis=None, keepdims=False):
     """``log(sum(exp(a)))`` over ``axis`` for real float64 input.
 
@@ -200,7 +205,7 @@ def sample_mixture(gmm: GaussianMixture, n: int, seed) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = _as_rng(seed)
     comp = rng.choice(gmm.n_components, size=n, p=gmm.weights)
     out = np.empty((n, gmm.dim))
     noise = rng.standard_normal((n, gmm.dim))

@@ -76,6 +76,12 @@ class LinearOperatorSVD:
         s[: len(self.S)] = self.S
         return s
 
+    def spectral_y(self, y) -> np.ndarray:
+        """An observation in the spectral basis: U^T y cut or zero-padded to length d."""
+        yb = np.zeros(self.d)
+        yb[: len(self.S)] = (self.U.T @ np.asarray(y))[: len(self.S)]
+        return yb
+
     def is_binary(self) -> bool:
         return bool(np.all((self.S == 0.0) | (self.S == 1.0)))
 

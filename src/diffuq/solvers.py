@@ -3,8 +3,9 @@
 Ten solvers: an exact-posterior reference plus nine plug-and-play diffusion
 samplers spanning three families (posterior-targeting, heuristic, MAP-like).
 Each solver is assembled from small sub-steps that are tested on their own
-against independent oracles; ``sample_one`` wires them into full loops and
-``run_batch`` produces the K-sample batches the diagnostics consume.
+against independent oracles. A solver sets up once per measurement and
+returns a row function that runs its full loop; ``run_batch`` draws the
+K-sample batches the diagnostics consume from one setup.
 
 Loop structures are documented in docs/solvers.md and frozen by tests.
 """
@@ -12,7 +13,7 @@ Loop structures are documented in docs/solvers.md and frozen by tests.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
@@ -23,6 +24,7 @@ from .gmm import (
     exact_posterior,
     sample_mixture,
     score_and_denoise,
+    _as_rng,
     _logsumexp,
 )
 from .operators import (
@@ -139,23 +141,15 @@ class SampleBatch:
         return 1.0 - float(np.mean(self.ok_mask()))
 
 
-def _as_rng(seed) -> np.random.Generator:
-    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-
 # ---------------------------------------------------------------------------
 # algorithmic sub-steps
 # ---------------------------------------------------------------------------
 
-def pnpdm_z_step(x, y, A: LinearOperatorSVD, sigma_y: float, rho: float, seed):
-    """Exact Gaussian draw of the likelihood variable in the split target.
-
-    z ~ N(C (A^T y / sigma_y^2 + x / rho^2), C) with
-    C = (A^T A / sigma_y^2 + I / rho^2)^{-1}.
-    """
+def _z_step_sampler(A: LinearOperatorSVD, y, sigma_y: float, rho: float):
+    """``pnpdm_z_step`` as a draw ``(x, rng) -> z``, with the system, which
+    depends only on (A, sigma_y, rho), factored once."""
     if sigma_y <= 0 or rho <= 0:
         raise ValueError("sigma_y and rho must be > 0")
-    rng = _as_rng(seed)
     Amat = A.matrix()
     d = A.d
     prec = Amat.T @ Amat / sigma_y**2 + np.eye(d) / rho**2
@@ -163,10 +157,24 @@ def pnpdm_z_step(x, y, A: LinearOperatorSVD, sigma_y: float, rho: float, seed):
         cf = cho_factor(prec, lower=True)
     except np.linalg.LinAlgError:
         raise ValueError("z-step system is not positive definite")
-    mean = cho_solve(cf, Amat.T @ np.asarray(y) / sigma_y**2 + np.asarray(x) / rho**2)
+    aty = Amat.T @ np.asarray(y) / sigma_y**2
     cov = cho_solve(cf, np.eye(d))
     chol = np.linalg.cholesky(0.5 * (cov + cov.T))
-    return mean + chol @ rng.standard_normal(d)
+
+    def draw(x, rng):
+        mean = cho_solve(cf, aty + np.asarray(x) / rho**2)
+        return mean + chol @ rng.standard_normal(d)
+
+    return draw
+
+
+def pnpdm_z_step(x, y, A: LinearOperatorSVD, sigma_y: float, rho: float, seed):
+    """Exact Gaussian draw of the likelihood variable in the split target.
+
+    z ~ N(C (A^T y / sigma_y^2 + x / rho^2), C) with
+    C = (A^T A / sigma_y^2 + I / rho^2)^{-1}.
+    """
+    return _z_step_sampler(A, y, sigma_y, rho)(x, _as_rng(seed))
 
 
 def conjugate_denoising_posterior(prior: GaussianMixture, z, rho: float) -> GaussianMixture:
@@ -225,8 +233,7 @@ def spectral_consistency_update(kind: str, x_hat0, y, A: LinearOperatorSVD,
     rng = _as_rng(seed)
     s = A.spectral_s()
     xb0 = A.V.T @ x_hat0
-    yb = np.zeros(A.d)
-    yb[: len(A.S)] = (A.U.T @ np.asarray(y))[: len(A.S)]
+    yb = A.spectral_y(y)
     with np.errstate(divide="ignore", invalid="ignore"):
         ob = np.where(s > 0, yb / np.where(s > 0, s, 1.0), 0.0)
         noise_scale = np.where(s > 0, sigma_y / np.where(s > 0, s, 1.0), np.inf)
@@ -268,8 +275,7 @@ def prox_data_step(x_hat0, y, A: LinearOperatorSVD, sigma_y: float, rho_t: float
         raise ValueError("rho_t must be > 0")
     s = A.spectral_s()
     xb0 = A.V.T @ np.asarray(x_hat0, dtype=float)
-    yb = np.zeros(A.d)
-    yb[: len(A.S)] = (A.U.T @ np.asarray(y))[: len(A.S)]
+    yb = A.spectral_y(y)
     zb = (s * yb / sigma_y**2 + rho_t * xb0) / (s**2 / sigma_y**2 + rho_t)
     return A.V @ zb
 
@@ -308,7 +314,7 @@ def reddiff_update(mu, y, A: LinearOperatorSVD, sigma_y: float,
     level = int(rng.integers(0, kernel.sched.last_nonzero_index + 1))
     sigma = kernel.sched.grid[level]
     eps = rng.standard_normal(len(mu))
-    score, _, _ = kernel.score_and_denoise(mu + sigma * eps, level)
+    score = kernel._denoise_batch(mu + sigma * eps, level)[0][0]
     eps_hat = -sigma * score
     data_grad = A.matrix().T @ (apply_forward(A, mu) - np.asarray(y)) / sigma_y**2
     return mu - step_size * (data_grad + lambda_reg * (eps_hat - eps))
@@ -325,362 +331,355 @@ def smc_ess(weights) -> float:
     return float(1.0 / np.sum(w**2))
 
 
-def smc_resample(particles, weights, seed, scheme: str = "systematic") -> np.ndarray:
-    """Resample a particle set; the caller resets weights to uniform."""
+def smc_resample(particles, weights, seed) -> np.ndarray:
+    """Systematic resampling of a particle set; the caller resets weights to
+    uniform."""
     particles = np.asarray(particles)
     w = np.asarray(weights, dtype=float)
     n = len(w)
     rng = _as_rng(seed)
-    if scheme == "systematic":
-        positions = (rng.random() + np.arange(n)) / n
-        idx = np.searchsorted(np.cumsum(w), positions)
-    elif scheme == "multinomial":
-        idx = rng.choice(n, size=n, p=w)
-    else:
-        raise ValueError(f"unknown resampling scheme {scheme!r}")
-    idx = np.minimum(idx, n - 1)
+    positions = (rng.random() + np.arange(n)) / n
+    idx = np.minimum(np.searchsorted(np.cumsum(w), positions), n - 1)
     return particles[idx]
 
 
 # ---------------------------------------------------------------------------
-# shared per-batch context
+# shared per-problem context and the divergence exit
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class SamplingContext:
-    """Precomputation shared across the rows of one batch."""
+    """The (prior, schedule) constants shared by every batch of one problem.
+
+    Immutable, so worker threads can share it. Constants that depend on the
+    measurement are built by each sampler's setup, once per batch.
+    """
 
     prior: GaussianMixture
     sched: NoiseSchedule
     kernel: ReverseKernel
-    _fps_cache: dict = field(default_factory=dict)
-    _posterior_cache: dict = field(default_factory=dict)
 
     @classmethod
     def build(cls, prior: GaussianMixture, sched: NoiseSchedule) -> "SamplingContext":
         return cls(prior=prior, sched=sched, kernel=ReverseKernel(prior, sched))
 
 
-def _exact_posterior_cached(ctx: SamplingContext, m: Measurement) -> GaussianMixture:
-    key = (id(m.operator), m.y.tobytes(), m.sigma_y)
-    if key not in ctx._posterior_cache:
-        ctx._posterior_cache[key] = exact_posterior(ctx.prior, m.operator, m.y, m.sigma_y)
-    return ctx._posterior_cache[key]
+class _Diverged(Exception):
+    """A non-finite iterate; its message is the row's status."""
+
+
+def _finite(x, step: int, why: str = ""):
+    """``x``, or ``_Diverged`` at ``step`` when it has a non-finite entry."""
+    if not np.all(np.isfinite(x)):
+        raise _Diverged(f"diverged(step={step}{'; ' + why if why else ''})")
+    return x
 
 
 # ---------------------------------------------------------------------------
-# solver loops
+# solver loops: ``_sample_<name>(spec, m, ctx)`` does the per-measurement
+# work once and returns ``row(rng) -> x``, one reconstruction per call
 # ---------------------------------------------------------------------------
 
 def _init_noise(ctx: SamplingContext, rng, n=1) -> np.ndarray:
     return ctx.sched.sigma_max * rng.standard_normal((n, ctx.prior.dim))
 
 
-def _sample_reference_exact(spec, m, ctx, rng):
-    post = _exact_posterior_cached(ctx, m)
-    return sample_mixture(post, 1, rng)[0], "ok"
+def _sample_reference_exact(spec, m, ctx):
+    post = exact_posterior(ctx.prior, m.operator, m.y, m.sigma_y)
+    return lambda rng: sample_mixture(post, 1, rng)[0]
 
 
-def _sample_dps(spec, m, ctx, rng):
+def _sample_dps(spec, m, ctx):
     scale = spec.hyperparameters["guidance_scale"]
     grid = ctx.sched.grid
-    x = _init_noise(ctx, rng)
-    for i in range(len(grid) - 1):
-        base = ctx.kernel.step(x, i, rng)
-        _, xhat0, jac = ctx.kernel.score_and_denoise(x[0], i)
-        grad, resid_norm = _dps_gradient_parts(xhat0, jac, m.y, m.operator)
-        zeta = scale / (resid_norm + 1e-12)
-        x = base - zeta * grad
-        if not np.all(np.isfinite(x)):
-            return np.full(ctx.prior.dim, np.nan), f"diverged(step={i})"
-    return x[0], "ok"
+
+    def row(rng):
+        x = _init_noise(ctx, rng)
+        for i in range(len(grid) - 1):
+            base = ctx.kernel.step(x, i, rng)
+            _, xhat0, jac = ctx.kernel.score_and_denoise(x[0], i)
+            grad, resid_norm = _dps_gradient_parts(xhat0, jac, m.y, m.operator)
+            zeta = scale / (resid_norm + 1e-12)
+            x = _finite(base - zeta * grad, i)
+        return x[0]
+
+    return row
 
 
-def _sample_daps(spec, m, ctx, rng):
+def _sample_daps(spec, m, ctx):
     hp = spec.hyperparameters
     grid = ctx.sched.grid
     A = m.operator
     s_max_sq = float(np.max(A.spectral_s()) ** 2)
-    x = _init_noise(ctx, rng)[0]
-    for i in range(len(grid) - 1):
-        r_t = grid[i]
-        anchor = ctx.kernel.denoise(x, i)[0]
-        # stable step: inverse of the stiffest precision of the local target
-        eff_step = hp["step_size"] / (1.0 / r_t**2 + s_max_sq / m.sigma_y**2)
-        x0 = anchor.copy()
-        for _ in range(int(hp["langevin_steps"])):
-            x0 = daps_langevin_step(x0, anchor, r_t, m.y, A, m.sigma_y, eff_step, rng)
-        if not np.all(np.isfinite(x0)):
-            return np.full(ctx.prior.dim, np.nan), f"diverged(step={i})"
-        sig_next = grid[i + 1]
-        x = x0 + sig_next * rng.standard_normal(len(x0)) if sig_next > 0 else x0
-    return x, "ok"
+    # stable step: inverse of the stiffest precision of the local target
+    eff_steps = [hp["step_size"] / (1.0 / r_t**2 + s_max_sq / m.sigma_y**2)
+                 for r_t in grid[:-1]]
+
+    def row(rng):
+        x = _init_noise(ctx, rng)[0]
+        for i, eff_step in enumerate(eff_steps):
+            anchor = ctx.kernel.denoise(x, i)[0]
+            x0 = anchor.copy()
+            for _ in range(int(hp["langevin_steps"])):
+                x0 = daps_langevin_step(x0, anchor, grid[i], m.y, A, m.sigma_y, eff_step, rng)
+            _finite(x0, i)
+            sig_next = grid[i + 1]
+            x = x0 + sig_next * rng.standard_normal(len(x0)) if sig_next > 0 else x0
+        return x
+
+    return row
 
 
-def _sample_diffpir(spec, m, ctx, rng):
+def _sample_diffpir(spec, m, ctx):
     lam_reg = spec.hyperparameters["lambda_reg"]
     grid = ctx.sched.grid
-    x = _init_noise(ctx, rng)
-    for i in range(len(grid) - 1):
-        sigma = grid[i]
-        base = ctx.kernel.step(x, i, rng)
-        xhat0 = ctx.kernel.denoise(x, i)[0]
-        z = prox_data_step(xhat0, m.y, m.operator, m.sigma_y, lam_reg / sigma**2)
-        lam = grid[i + 1] ** 2 / sigma**2
-        x = base + (1 - lam) * (z - xhat0)
-        if not np.all(np.isfinite(x)):
-            return np.full(ctx.prior.dim, np.nan), f"diverged(step={i})"
-    return x[0], "ok"
+
+    def row(rng):
+        x = _init_noise(ctx, rng)
+        for i in range(len(grid) - 1):
+            sigma = grid[i]
+            base = ctx.kernel.step(x, i, rng)
+            xhat0 = ctx.kernel.denoise(x, i)[0]
+            z = prox_data_step(xhat0, m.y, m.operator, m.sigma_y, lam_reg / sigma**2)
+            lam = grid[i + 1] ** 2 / sigma**2
+            x = _finite(base + (1 - lam) * (z - xhat0), i)
+        return x[0]
+
+    return row
 
 
-def _sample_ddnm(spec, m, ctx, rng):
+def _sample_ddnm(spec, m, ctx):
     grid = ctx.sched.grid
-    x = _init_noise(ctx, rng)
-    for i in range(len(grid) - 1):
-        base = ctx.kernel.step(x, i, rng)
-        xhat0 = ctx.kernel.denoise(x, i)[0]
-        proj = spectral_consistency_update(
-            "ddnm_projection", xhat0, m.y, m.operator, m.sigma_y, grid[i]
-        )
-        lam = grid[i + 1] ** 2 / grid[i] ** 2
-        x = base + (1 - lam) * (proj - xhat0)
-        if not np.all(np.isfinite(x)):
-            return np.full(ctx.prior.dim, np.nan), f"diverged(step={i})"
-    return x[0], "ok"
+
+    def row(rng):
+        x = _init_noise(ctx, rng)
+        for i in range(len(grid) - 1):
+            base = ctx.kernel.step(x, i, rng)
+            xhat0 = ctx.kernel.denoise(x, i)[0]
+            proj = spectral_consistency_update(
+                "ddnm_projection", xhat0, m.y, m.operator, m.sigma_y, grid[i]
+            )
+            lam = grid[i + 1] ** 2 / grid[i] ** 2
+            x = _finite(base + (1 - lam) * (proj - xhat0), i)
+        return x[0]
+
+    return row
 
 
-def _sample_ddrm(spec, m, ctx, rng):
+def _sample_ddrm(spec, m, ctx):
     hp = spec.hyperparameters
     grid = ctx.sched.grid
-    x = _init_noise(ctx, rng)[0]
-    for i in range(len(grid) - 1):
-        xhat0 = ctx.kernel.denoise(x, i)[0]
-        x_new = spectral_consistency_update(
-            "ddrm_step", xhat0, m.y, m.operator, m.sigma_y, grid[i + 1],
-            eta=hp["eta"], eta_b=hp["eta_b"], seed=rng,
-            x_t=x, sigma_prev=grid[i],
-        )
-        if not np.all(np.isfinite(x_new)):
-            return np.full(ctx.prior.dim, np.nan), f"diverged(step={i})"
-        x = x_new
-    return x, "ok"
+
+    def row(rng):
+        x = _init_noise(ctx, rng)[0]
+        for i in range(len(grid) - 1):
+            xhat0 = ctx.kernel.denoise(x, i)[0]
+            x = _finite(spectral_consistency_update(
+                "ddrm_step", xhat0, m.y, m.operator, m.sigma_y, grid[i + 1],
+                eta=hp["eta"], eta_b=hp["eta_b"], seed=rng,
+                x_t=x, sigma_prev=grid[i],
+            ), i)
+        return x
+
+    return row
 
 
-def _sample_reddiff(spec, m, ctx, rng):
+def _sample_reddiff(spec, m, ctx):
     hp = spec.hyperparameters
     steps = int(hp["opt_steps"])
-    mu = apply_pinv(m.operator, m.y)
-    for t in range(steps):
-        lr = hp["step_size"] * (1.0 - t / steps)
-        mu = reddiff_update(mu, m.y, m.operator, m.sigma_y, ctx.kernel,
-                            hp["lambda_reg"], lr, rng)
-        if not np.all(np.isfinite(mu)):
-            return np.full(ctx.prior.dim, np.nan), f"diverged(step={t})"
-    return mu, "ok"
+    mu0 = apply_pinv(m.operator, m.y)
+
+    def row(rng):
+        mu = mu0
+        for t in range(steps):
+            lr = hp["step_size"] * (1.0 - t / steps)
+            mu = _finite(reddiff_update(mu, m.y, m.operator, m.sigma_y, ctx.kernel,
+                                        hp["lambda_reg"], lr, rng), t)
+        return mu
+
+    return row
 
 
-def _sample_pnpdm(spec, m, ctx, rng):
+def _sample_pnpdm(spec, m, ctx):
     hp = spec.hyperparameters
     rho = hp["rho_coupling"]
     mode = hp["x_step"]
+    if mode not in ("conjugate", "diffusion"):
+        raise ValueError(f"unknown pnpdm x_step {mode!r}")
+    A = m.operator
     grid = ctx.sched.grid
     start = level_index_for_sigma(ctx.sched, rho)
-    # data-informed start: observed directions from the pseudo-inverse,
-    # unobserved directions from a prior draw; shortens the Gibbs burn-in
-    x0 = sample_mixture(ctx.prior, 1, rng)[0]
-    x = apply_pinv(m.operator, m.y) + x0 - apply_pinv(
-        m.operator, apply_forward(m.operator, x0)
-    )
-    for g in range(int(hp["gibbs_iters"])):
-        z = pnpdm_z_step(x, m.y, m.operator, m.sigma_y, rho, rng)
-        if mode == "conjugate":
-            x = sample_mixture(conjugate_denoising_posterior(ctx.prior, z, rho), 1, rng)[0]
-        elif mode == "diffusion":
-            xx = z[None, :]
-            for i in range(start, len(grid) - 1):
-                xx = ctx.kernel.step(xx, i, rng)
-            x = xx[0]
-        else:
-            raise ValueError(f"unknown pnpdm x_step {mode!r}")
-        if not np.all(np.isfinite(x)):
-            return np.full(ctx.prior.dim, np.nan), f"diverged(step={g})"
-    return x, "ok"
+    z_step = _z_step_sampler(A, m.y, m.sigma_y, rho)
+    pinv_y = apply_pinv(A, m.y)
+
+    def row(rng):
+        # data-informed start: observed directions from the pseudo-inverse,
+        # unobserved directions from a prior draw; shortens the Gibbs burn-in
+        x0 = sample_mixture(ctx.prior, 1, rng)[0]
+        x = pinv_y + x0 - apply_pinv(A, apply_forward(A, x0))
+        for g in range(int(hp["gibbs_iters"])):
+            z = z_step(x, rng)
+            if mode == "conjugate":
+                x = sample_mixture(conjugate_denoising_posterior(ctx.prior, z, rho), 1, rng)[0]
+            else:
+                xx = z[None, :]
+                for i in range(start, len(grid) - 1):
+                    xx = ctx.kernel.step(xx, i, rng)
+                x = xx[0]
+            _finite(x, g)
+        return x
+
+    return row
 
 
-class _FpsPrecomp:
-    """Level- and component-indexed matrices for the FPS conditional updates."""
-
-    def __init__(self, ctx: SamplingContext, A: LinearOperatorSVD, sigma_y: float):
-        kernel, sched = ctx.kernel, ctx.sched
-        prior = ctx.prior
-        d, C = prior.dim, prior.n_components
-        grid = sched.grid
-        s = A.spectral_s()
-        n_trans = len(grid) - 2  # transitions between nonzero levels
-        self.s = s
-        self.post_chol = np.empty((n_trans, C, d, d))
-        self.post_cov = np.empty((n_trans, C, d, d))
-        self.trans_cov_inv = np.empty((n_trans, C, d, d))
-        self.ev_chol = np.empty((n_trans, C, d, d))
-        self.obs_precision = np.empty((n_trans, d))
-        for i in range(n_trans):
-            sig_next = grid[i + 1]
-            # per-spectral-coordinate measurement-noise variance at the
-            # target level: sigma_y^2 I + sigma_{i+1}^2 A A^T
-            w = sigma_y**2 + sig_next**2 * s**2
-            with np.errstate(divide="ignore"):
-                self.obs_precision[i] = s**2 / w
-            for c in range(C):
-                Ccov = kernel._chol[i, c] @ kernel._chol[i, c].T
-                Cinv = np.linalg.inv(Ccov)
-                self.trans_cov_inv[i, c] = Cinv
-                P = Cinv + A.V @ np.diag(self.obs_precision[i]) @ A.V.T
-                cov = np.linalg.inv(P)
-                self.post_cov[i, c] = cov
-                self.post_chol[i, c] = np.linalg.cholesky(0.5 * (cov + cov.T))
-                M = (
-                    np.diag(s) @ (A.V.T @ Ccov @ A.V) @ np.diag(s)
-                    + np.diag(w)
-                )
-                self.ev_chol[i, c] = np.linalg.cholesky(M)
-
-
-def _fps_precomp(ctx: SamplingContext, A: LinearOperatorSVD, sigma_y: float) -> _FpsPrecomp:
-    key = (id(A), sigma_y)
-    if key not in ctx._fps_cache:
-        ctx._fps_cache[key] = _FpsPrecomp(ctx, A, sigma_y)
-    return ctx._fps_cache[key]
-
-
-def _sample_fps_smc(spec, m, ctx, rng):
+def _sample_fps_smc(spec, m, ctx):
     n_p = int(spec.hyperparameters["particles"])
-    prior, sched, kernel = ctx.prior, ctx.sched, ctx.kernel
-    grid = sched.grid
+    kernel, grid = ctx.kernel, ctx.sched.grid
     A = m.operator
-    d, C = prior.dim, prior.n_components
-    pre = _fps_precomp(ctx, A, m.sigma_y)
-    s = pre.s
-
-    # coupled measurement path y_j = y + A eta_j, built from sigma_min up
-    n_levels = len(grid) - 1
-    eta = np.empty((n_levels, d))
-    eta[n_levels - 1] = grid[n_levels - 1] * rng.standard_normal(d)
-    for j in range(n_levels - 2, -1, -1):
-        eta[j] = eta[j + 1] + np.sqrt(grid[j] ** 2 - grid[j + 1] ** 2) * rng.standard_normal(d)
-    y_path = m.y[None, :] + apply_forward(A, eta)
-
+    d, C = ctx.prior.dim, ctx.prior.n_components
+    s = A.spectral_s()
     obs = s > 0
+    n_levels = len(grid) - 1
+
+    # level- and component-indexed matrices of the conditional updates, one
+    # per transition between nonzero levels
+    n_trans = n_levels - 1
+    post_chol = np.empty((n_trans, C, d, d))
+    post_cov = np.empty((n_trans, C, d, d))
+    trans_cov_inv = np.empty((n_trans, C, d, d))
+    ev_chol = np.empty((n_trans, C, d, d))
+    ev_logdet = np.empty((n_trans, C))
+    obs_precision = np.empty((n_trans, d))
+    for i in range(n_trans):
+        sig_next = grid[i + 1]
+        # per-spectral-coordinate measurement-noise variance at the
+        # target level: sigma_y^2 I + sigma_{i+1}^2 A A^T
+        w = m.sigma_y**2 + sig_next**2 * s**2
+        with np.errstate(divide="ignore"):
+            obs_precision[i] = s**2 / w
+        for c in range(C):
+            Ccov = kernel._chol[i, c] @ kernel._chol[i, c].T
+            Cinv = np.linalg.inv(Ccov)
+            trans_cov_inv[i, c] = Cinv
+            P = Cinv + A.V @ np.diag(obs_precision[i]) @ A.V.T
+            cov = np.linalg.inv(P)
+            post_cov[i, c] = cov
+            post_chol[i, c] = np.linalg.cholesky(0.5 * (cov + cov.T))
+            ev_chol[i, c] = np.linalg.cholesky(
+                np.diag(s) @ (A.V.T @ Ccov @ A.V) @ np.diag(s) + np.diag(w)
+            )
+            ev_logdet[i, c] = 2.0 * np.sum(np.log(np.diag(ev_chol[i, c])))
 
     def log_potential(X, level, y_level):
         """Tempered likelihood over observed spectral coordinates:
         N(y_bar_j; s_j x_bar_j, sigma_y^2 + sigma_level^2 s_j^2)."""
-        yb = np.zeros(d)
-        yb[: len(A.S)] = (A.U.T @ y_level)[: len(A.S)]
+        yb = A.spectral_y(y_level)
         w_var = m.sigma_y**2 + grid[level] ** 2 * s**2
         diff = yb[obs] - (np.atleast_2d(X) @ A.V)[:, obs] * s[obs]
         return -0.5 * np.sum(diff**2 / w_var[obs] + np.log(2 * np.pi * w_var[obs]),
                              axis=1)
 
-    X = _init_noise(ctx, rng, n_p)
-    log_w = log_potential(X, 0, y_path[0])
-    for i in range(n_levels - 1):
-        yb = np.zeros(d)
-        yb[: len(A.S)] = (A.U.T @ y_path[i + 1])[: len(A.S)]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # whitened pseudo-observation: literal division by the singular
-            # values; zero singular values poison the update (by design)
-            ob = yb / s
-            p_ob = pre.obs_precision[i] * ob
+    def row(rng):
+        # coupled measurement path y_j = y + A eta_j, built from sigma_min up
+        eta = np.empty((n_levels, d))
+        eta[n_levels - 1] = grid[n_levels - 1] * rng.standard_normal(d)
+        for j in range(n_levels - 2, -1, -1):
+            eta[j] = eta[j + 1] + np.sqrt(grid[j] ** 2 - grid[j + 1] ** 2) * rng.standard_normal(d)
+        y_path = m.y[None, :] + apply_forward(A, eta)
 
-        log_r = kernel.log_responsibilities(X, i)  # (n_p, C)
-        means = np.empty((C, n_p, d))
-        log_ev = np.empty((n_p, C))
-        for c in range(C):
-            means[c] = X @ kernel._B[i, c].T + kernel._a[i, c]
-            mb = means[c] @ A.V * s  # S V^T mean, (n_p, d)
-            diff = yb[None, :] - mb
-            sol = solve_triangular(pre.ev_chol[i, c], diff.T, lower=True)
-            logdet = 2.0 * np.sum(np.log(np.diag(pre.ev_chol[i, c])))
-            log_ev[:, c] = -0.5 * (np.sum(sol**2, axis=0) + logdet + d * np.log(2 * np.pi))
-        log_joint = log_r + log_ev
-        log_pred = _logsumexp(log_joint, axis=1)
-        # auxiliary-filter telescoping: fold in the predictive evidence for
-        # the next level's potential and divide out this level's own
-        log_w = log_w + log_pred - log_potential(X, i, y_path[i])
-        log_w = log_w - _logsumexp(log_w)
-        w = np.exp(log_w)
-        if smc_ess(w / w.sum()) < n_p / 2:
-            keep = smc_resample(np.arange(n_p), w / w.sum(), rng)
-            X, means, log_joint, log_pred = (
-                X[keep], means[:, keep], log_joint[keep], log_pred[keep]
-            )
-            log_w = np.full(n_p, -np.log(n_p))
+        X = _init_noise(ctx, rng, n_p)
+        log_w = log_potential(X, 0, y_path[0])
+        for i in range(n_trans):
+            yb = A.spectral_y(y_path[i + 1])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # whitened pseudo-observation: literal division by the singular
+                # values; zero singular values poison the update (by design)
+                ob = yb / s
+                p_ob = obs_precision[i] * ob
 
-        # propagate from the conditional p(x_{i+1} | x_i, y_{i+1})
-        comp_p = np.exp(log_joint - log_pred[:, None])
-        u = rng.random(n_p)
-        comp = np.sum(u[:, None] >= np.cumsum(comp_p, axis=1), axis=1)
-        comp = np.minimum(comp, C - 1)
-        noise = rng.standard_normal((n_p, d))
-        X_new = np.empty_like(X)
-        for c in range(C):
-            mask = comp == c
-            if not np.any(mask):
-                continue
-            nat = means[c][mask] @ pre.trans_cov_inv[i, c].T + (A.V @ p_ob)[None, :]
-            mean_post = nat @ pre.post_cov[i, c].T
-            X_new[mask] = mean_post + noise[mask] @ pre.post_chol[i, c].T
-        X = X_new
-        if not np.all(np.isfinite(X)):
-            return (
-                np.full(d, np.nan),
-                f"diverged(step={i}; pseudo-inverse of zero singular values)",
-            )
+            log_r = kernel.log_responsibilities(X, i)  # (n_p, C)
+            means = np.empty((C, n_p, d))
+            log_ev = np.empty((n_p, C))
+            for c in range(C):
+                means[c] = X @ kernel._B[i, c].T + kernel._a[i, c]
+                mb = means[c] @ A.V * s  # S V^T mean, (n_p, d)
+                diff = yb[None, :] - mb
+                sol = solve_triangular(ev_chol[i, c], diff.T, lower=True)
+                log_ev[:, c] = -0.5 * (np.sum(sol**2, axis=0) + ev_logdet[i, c]
+                                       + d * np.log(2 * np.pi))
+            log_joint = log_r + log_ev
+            log_pred = _logsumexp(log_joint, axis=1)
+            # auxiliary-filter telescoping: fold in the predictive evidence for
+            # the next level's potential and divide out this level's own
+            log_w = log_w + log_pred - log_potential(X, i, y_path[i])
+            log_w = log_w - _logsumexp(log_w)
+            w = np.exp(log_w)
+            if smc_ess(w / w.sum()) < n_p / 2:
+                keep = smc_resample(np.arange(n_p), w / w.sum(), rng)
+                X, means, log_joint, log_pred = (
+                    X[keep], means[:, keep], log_joint[keep], log_pred[keep]
+                )
+                log_w = np.full(n_p, -np.log(n_p))
 
-    last = n_levels - 1
-    xhat0 = kernel.denoise(X, last)
-    resid = m.y[None, :] - apply_forward(A, xhat0)
-    log_w = (log_w - 0.5 * np.sum(resid**2, axis=1) / m.sigma_y**2
-             - log_potential(X, last, y_path[last]))
-    w = np.exp(log_w - _logsumexp(log_w))
-    pick = int(rng.choice(len(w), p=w))
-    return xhat0[pick], "ok"
+            # propagate from the conditional p(x_{i+1} | x_i, y_{i+1})
+            comp_p = np.exp(log_joint - log_pred[:, None])
+            u = rng.random(n_p)
+            comp = np.sum(u[:, None] >= np.cumsum(comp_p, axis=1), axis=1)
+            comp = np.minimum(comp, C - 1)
+            noise = rng.standard_normal((n_p, d))
+            X_new = np.empty_like(X)
+            for c in range(C):
+                mask = comp == c
+                if not np.any(mask):
+                    continue
+                nat = means[c][mask] @ trans_cov_inv[i, c].T + (A.V @ p_ob)[None, :]
+                mean_post = nat @ post_cov[i, c].T
+                X_new[mask] = mean_post + noise[mask] @ post_chol[i, c].T
+            X = _finite(X_new, i, "pseudo-inverse of zero singular values")
+
+        last = n_levels - 1
+        xhat0 = kernel.denoise(X, last)
+        resid = m.y[None, :] - apply_forward(A, xhat0)
+        log_w = (log_w - 0.5 * np.sum(resid**2, axis=1) / m.sigma_y**2
+                 - log_potential(X, last, y_path[last]))
+        w = np.exp(log_w - _logsumexp(log_w))
+        pick = int(rng.choice(len(w), p=w))
+        return xhat0[pick]
+
+    return row
 
 
-def _sample_mcg_diff(spec, m, ctx, rng):
-    n_p = int(spec.hyperparameters["particles"])
-    prior, sched, kernel = ctx.prior, ctx.sched, ctx.kernel
-    grid = sched.grid
+def _sample_mcg_diff(spec, m, ctx):
     A = m.operator
-    d = prior.dim
-    s = A.spectral_s()
-    obs = s == 1.0
-    yb = np.zeros(d)
-    yb[: len(A.S)] = (A.U.T @ m.y)[: len(A.S)]
+    if not A.is_binary():
+        raise ValueError("mcg_diff requires an operator with binary singular values")
+    n_p = int(spec.hyperparameters["particles"])
+    kernel, grid = ctx.kernel, ctx.sched.grid
+    obs = A.spectral_s() == 1.0
+    k = int(obs.sum())
+    yb_obs = A.spectral_y(m.y)[obs]
 
     def log_potential(X, var):
-        Xb = X @ A.V
-        diff = Xb[:, obs] - yb[obs]
-        k = int(obs.sum())
+        diff = (X @ A.V)[:, obs] - yb_obs
         return -0.5 * (np.sum(diff**2, axis=1) / var + k * np.log(2 * np.pi * var))
 
-    X = _init_noise(ctx, rng, n_p)
-    log_w = log_potential(X, m.sigma_y**2 + grid[0] ** 2)
-    for i in range(len(grid) - 1):
+    def row(rng):
+        X = _init_noise(ctx, rng, n_p)
+        log_w = log_potential(X, m.sigma_y**2 + grid[0] ** 2)
+        for i in range(len(grid) - 1):
+            w = np.exp(log_w - _logsumexp(log_w))
+            if smc_ess(w / w.sum()) < n_p / 2:
+                keep = smc_resample(np.arange(n_p), w / w.sum(), rng)
+                X = X[keep]
+                log_w = np.zeros(n_p)
+            g_old = log_potential(X, m.sigma_y**2 + grid[i] ** 2)
+            X = _finite(kernel.step(X, i, rng), i)
+            log_w = log_w + log_potential(X, m.sigma_y**2 + grid[i + 1] ** 2) - g_old
         w = np.exp(log_w - _logsumexp(log_w))
-        if smc_ess(w / w.sum()) < n_p / 2:
-            keep = smc_resample(np.arange(n_p), w / w.sum(), rng)
-            X = X[keep]
-            log_w = np.zeros(n_p)
-        g_old = log_potential(X, m.sigma_y**2 + grid[i] ** 2)
-        X = kernel.step(X, i, rng)
-        g_new = log_potential(X, m.sigma_y**2 + grid[i + 1] ** 2)
-        log_w = log_w + g_new - g_old
-        if not np.all(np.isfinite(X)):
-            return np.full(d, np.nan), f"diverged(step={i})"
-    w = np.exp(log_w - _logsumexp(log_w))
-    pick = int(rng.choice(len(w), p=w))
-    return X[pick], "ok"
+        pick = int(rng.choice(len(w), p=w))
+        return X[pick]
+
+    return row
 
 
 _SAMPLERS = {
@@ -697,6 +696,24 @@ _SAMPLERS = {
 }
 
 
+def _setup(spec: SolverSpec, m: Measurement, prior: GaussianMixture,
+           sched: NoiseSchedule, ctx: SamplingContext | None):
+    """The solver's ``row(rng) -> x`` for this measurement."""
+    if m.operator.d != prior.dim:
+        raise ValueError("measurement operator dimension does not match prior")
+    if ctx is None:
+        ctx = SamplingContext.build(prior, sched)
+    return _SAMPLERS[spec.name](spec, m, ctx)
+
+
+def _draw(row, seed: int, dim: int):
+    """(vector, status) of one row; a divergence becomes a NaN row."""
+    try:
+        return row(np.random.default_rng(seed)), "ok"
+    except _Diverged as exc:
+        return np.full(dim, np.nan), str(exc)
+
+
 def sample_one(spec: SolverSpec, m: Measurement, prior: GaussianMixture,
                sched: NoiseSchedule, seed: int, ctx: SamplingContext | None = None):
     """One reconstruction; returns (vector, status).
@@ -704,31 +721,25 @@ def sample_one(spec: SolverSpec, m: Measurement, prior: GaussianMixture,
     Divergence is recorded in the status, never raised: a non-finite
     iterate yields a NaN row with status ``diverged(step=...)``.
     """
-    if m.operator.d != prior.dim:
-        raise ValueError("measurement operator dimension does not match prior")
-    if ctx is None:
-        ctx = SamplingContext.build(prior, sched)
-    rng = np.random.default_rng(seed)
-    return _SAMPLERS[spec.name](spec, m, ctx, rng)
+    return _draw(_setup(spec, m, prior, sched, ctx), seed, prior.dim)
 
 
 def run_batch(spec: SolverSpec, m: Measurement, prior: GaussianMixture,
               sched: NoiseSchedule, K: int, base_seed: int,
               ctx: SamplingContext | None = None) -> SampleBatch:
     """K independent reconstructions with per-row seeds derived from
-    (base_seed, row index). Row k always equals a standalone ``sample_one``
-    call with the same derived seed."""
+    (base_seed, row index). The solver sets up for the measurement once and
+    draws every row from that setup, so row k always equals a standalone
+    ``sample_one`` call with the same derived seed."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    if ctx is None:
-        ctx = SamplingContext.build(prior, sched)
     t0 = time.perf_counter()
+    row = _setup(spec, m, prior, sched, ctx)
     seeds = [derive_seed(base_seed, [("row", k)]) for k in range(K)]
     samples = np.empty((K, prior.dim))
     statuses = []
     for k, seed in enumerate(seeds):
-        x, status = sample_one(spec, m, prior, sched, seed, ctx=ctx)
-        samples[k] = x
+        samples[k], status = _draw(row, seed, prior.dim)
         statuses.append(status)
     return SampleBatch(
         solver=spec, measurement=m, samples=samples, seeds=seeds,

@@ -1,0 +1,40 @@
+"""The byte-identity contract: results.csv of both benchmark workloads at the
+default seed must hash to the digests pinned in perfbench/digests.json.
+
+Reads perfbench/workloads.py and perfbench/digests.json; writes only under
+the test's temporary directory.
+"""
+
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from diffuq.config import config_from_dict
+from diffuq.harness import run_experiment, write_report
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SEED = 2024
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _workloads()
+PINNED = json.loads((PERFBENCH / "digests.json").read_text())[str(SEED)]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS.WORKLOADS)
+def test_results_csv_matches_pinned_digest(workload, tmp_path):
+    for label, raw in WORKLOADS.configs(workload, SEED):
+        cfg = config_from_dict(raw)
+        paths = write_report(run_experiment(cfg), tmp_path / label, cfg=cfg)
+        digest = hashlib.sha256(Path(paths["results.csv"]).read_bytes()).hexdigest()
+        assert digest == PINNED[workload][label], f"{workload}/{label}"

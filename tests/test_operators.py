@@ -166,3 +166,15 @@ def test_matrix_built_once_read_only():
     with pytest.raises(ValueError):
         M[0, 0] = 1.0
     assert np.array_equal(M, A.U @ np.diag(A.S) @ A.V.T)
+
+
+@pytest.mark.parametrize("m, d", [(16, 16), (4, 6), (6, 4)])
+def test_spectral_y_matches_inline_block(m, d):
+    rng = np.random.default_rng(m * 10 + d)
+    U = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    V = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    A = LinearOperatorSVD(U, rng.uniform(0.5, 2.0, min(m, d)), V)
+    y = rng.standard_normal(m)
+    yb = np.zeros(A.d)
+    yb[: len(A.S)] = (A.U.T @ y)[: len(A.S)]
+    assert np.array_equal(A.spectral_y(y), yb)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,12 @@ from diffuq.gmm import (
     sample_mixture,
     score_and_denoise,
 )
-from diffuq.operators import apply_forward, build_operator, synthesize_measurement
+from diffuq.operators import (
+    LinearOperatorSVD,
+    apply_forward,
+    build_operator,
+    synthesize_measurement,
+)
 from diffuq.seeding import derive_seed
 from diffuq.solvers import (
     SOLVER_FAMILIES,
@@ -365,6 +372,17 @@ def test_reddiff_deterministic(toy_prior):
     assert np.array_equal(a, b)
 
 
+def test_reddiff_score_from_batch_core_matches_single_point(toy_prior, rng):
+    # reddiff_update takes its score from the kernel's batch core on a (1, d)
+    # row; it must give the bits of the single-point score at every level
+    sched = build_schedule(0.01, 10.0, 40)
+    kernel = ReverseKernel(toy_prior, sched)
+    for level in range(sched.last_nonzero_index + 1):
+        for x in sched.grid[level] * rng.standard_normal((5, 16)):
+            score, _, _ = kernel.score_and_denoise(x, level)
+            assert np.array_equal(kernel._denoise_batch(x, level)[0][0], score), level
+
+
 # ---------------------------------------------------------------------------
 # SMC helpers
 # ---------------------------------------------------------------------------
@@ -385,14 +403,13 @@ def test_ess_validation():
 def test_resample_one_hot(rng):
     P = rng.standard_normal((5, 3))
     w = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
-    for scheme in ("systematic", "multinomial"):
-        out = smc_resample(P, w, 0, scheme=scheme)
-        assert np.all(out == P[2])
+    out = smc_resample(P, w, 0)
+    assert np.all(out == P[2])
 
 
 def test_systematic_uniform_is_permutation(rng):
     P = rng.standard_normal((6, 2))
-    out = smc_resample(P, np.full(6, 1 / 6), 3, scheme="systematic")
+    out = smc_resample(P, np.full(6, 1 / 6), 3)
     # every particle appears exactly once
     assert np.array_equal(np.sort(out, axis=0), np.sort(P, axis=0))
 
@@ -403,17 +420,12 @@ def test_resample_unbiased():
     counts = np.zeros(4)
     trials = 20_000
     for s in range(trials):
-        out = smc_resample(P, w, s, scheme="multinomial")
+        out = smc_resample(P, w, s)
         for i in range(4):
             counts[i] += np.sum(out[:, 0] == i)
     expected = 4 * w * trials
     se = np.sqrt(4 * w * (1 - w) * trials)
     assert np.all(np.abs(counts - expected) < 3 * se)
-
-
-def test_resample_unknown_scheme():
-    with pytest.raises(ValueError, match="scheme"):
-        smc_resample(np.zeros((2, 1)), np.array([0.5, 0.5]), 0, scheme="stratified")
 
 
 # ---------------------------------------------------------------------------
@@ -517,3 +529,60 @@ def test_sample_one_dimension_check(toy_prior, sched_small):
     m = synthesize_measurement(A, np.zeros(8), 1.0, 1)
     with pytest.raises(ValueError, match="dimension"):
         sample_one(resolve_solver("ddrm"), m, toy_prior, sched_small, 0)
+
+
+# ---------------------------------------------------------------------------
+# the driver: setup once per measurement, one row per seed
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def sched12():
+    return build_schedule(0.01, 10.0, 12)
+
+
+@pytest.mark.parametrize("name, overrides, status", [
+    ("reddiff", {"step_size": 1e200}, "diverged(step=1)"),
+    ("dps", {"guidance_scale": 1e300}, "diverged(step=1)"),
+    ("daps", {"step_size": 1e6}, "diverged(step=2)"),
+])
+def test_divergence_status_strings(toy_prior, sched12, name, overrides, status):
+    A = build_operator("identity", 16)
+    m = synthesize_measurement(A, np.zeros(16), 1.0, 1)
+    with np.errstate(all="ignore"):
+        x, got = sample_one(resolve_solver(name, overrides), m, toy_prior, sched12, 5)
+    assert got == status
+    assert np.all(np.isnan(x))
+
+
+def test_fps_divergence_status_string(toy_prior, sched12):
+    A = build_operator("binary_svd", 16, obs_count=8)
+    m = synthesize_measurement(A, np.zeros(16), 1.0, 1)
+    x, status = sample_one(resolve_solver("fps_smc"), m, toy_prior, sched12, 5)
+    assert status == "diverged(step=0; pseudo-inverse of zero singular values)"
+    assert np.all(np.isnan(x))
+
+
+def test_context_reuse_across_operators(toy_prior, sched12):
+    identity = build_operator("identity", 16)
+    binary = build_operator("binary_svd", 16, obs_count=8)
+    ctx = SamplingContext.build(toy_prior, sched12)
+    for n, A in enumerate((identity, binary, identity)):
+        m = synthesize_measurement(A, sample_mixture(toy_prior, 1, n)[0], 1.0, n)
+        for name in SOLVER_NAMES:
+            spec = resolve_solver(name)
+            shared = run_batch(spec, m, toy_prior, sched12, 2, 7, ctx=ctx)
+            fresh = run_batch(spec, m, toy_prior, sched12, 2, 7)
+            assert shared.statuses == fresh.statuses, (n, name)
+            assert np.array_equal(shared.samples, fresh.samples, equal_nan=True), (n, name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctx.kernel = None
+
+
+def test_mcg_diff_rejects_non_binary_operator(toy_prior, sched12):
+    A = LinearOperatorSVD(np.eye(16), 0.5 * np.ones(16), np.eye(16))
+    m = synthesize_measurement(A, np.zeros(16), 1.0, 1)
+    spec = resolve_solver("mcg_diff")
+    with pytest.raises(ValueError, match="binary"):
+        run_batch(spec, m, toy_prior, sched12, 2, 3)
+    with pytest.raises(ValueError, match="binary"):
+        sample_one(spec, m, toy_prior, sched12, 3)
