@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .config import load_config
+from .config import config_from_dict, load_config
 from .harness import experiment_oracle, run_experiment, write_report, reaggregate
 
 __all__ = ["main"]
@@ -26,15 +26,18 @@ def _workers(args) -> int:
     return int(os.environ.get("DIFFUQ_WORKERS", "1"))
 
 
+def _print_paths(paths: dict) -> int:
+    for name, path in paths.items():
+        print(f"{name}: {path}")
+    return 0
+
+
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     rows = run_experiment(cfg, workers=_workers(args))
     oracle = None if args.no_oracle else experiment_oracle(cfg)
-    paths = write_report(rows, args.out, cfg=cfg, oracle=oracle,
-                         save_samples=args.save_samples)
-    for name, path in paths.items():
-        print(f"{name}: {path}")
-    return 0
+    return _print_paths(write_report(rows, args.out, cfg=cfg, oracle=oracle,
+                                     save_samples=args.save_samples))
 
 
 def _cmd_oracle(args) -> int:
@@ -47,22 +50,25 @@ def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     values = [json.loads(v) for v in args.values.split(",")]
     cfg = dataclasses.replace(
-        cfg, experiment=cfg.experiment,
-        sweep_axis={"solver": args.solver, "name": args.param, "values": values},
-    )
+        cfg, sweep_axis={"solver": args.solver, "name": args.param, "values": values})
     rows = run_experiment(cfg, workers=_workers(args))
-    paths = write_report(rows, args.out, cfg=cfg, save_samples=args.save_samples)
-    for name, path in paths.items():
-        print(f"{name}: {path}")
-    return 0
+    return _print_paths(write_report(rows, args.out, cfg=cfg, save_samples=args.save_samples))
+
+
+def _saved(path, key: str):
+    """``key`` of an earlier run's JSON artifact, or None without one."""
+    if not os.path.exists(path):
+        return None
+    with open(path) as fh:
+        return json.load(fh).get(key)
 
 
 def _cmd_report(args) -> int:
     rows = reaggregate(args.dir)
-    paths = write_report(rows, args.out or args.dir)
-    for name, path in paths.items():
-        print(f"{name}: {path}")
-    return 0
+    cfg = _saved(os.path.join(args.dir, "manifest.json"), "config")
+    return _print_paths(write_report(
+        rows, args.out or args.dir, cfg=None if cfg is None else config_from_dict(cfg),
+        oracle=_saved(os.path.join(args.dir, "summary.json"), "oracle")))
 
 
 def main(argv=None) -> int:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .gmm import ToyPriorSpec
-from .solvers import SOLVER_NAMES, SolverSpec, resolve_solver
+from .solvers import resolve_solver
 
 __all__ = ["ExperimentConfig", "load_config", "config_to_dict", "config_from_dict"]
 
@@ -64,8 +64,13 @@ class ExperimentConfig:
             missing = {"solver", "name", "values"} - set(self.sweep_axis)
             if missing:
                 raise ValueError(f"sweep_axis missing keys: {sorted(missing)}")
-            resolve_solver(self.sweep_axis["solver"], {self.sweep_axis["name"]:
-                                                      self.sweep_axis["values"][0]})
+            solver, name, values = (self.sweep_axis[k] for k in ("solver", "name", "values"))
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ValueError(f"sweep_axis values must be a nonempty list, got {values!r}")
+            for value in values:
+                resolve_solver(solver, {name: value})
+            if solver not in {s.name for s in self.solvers}:
+                raise ValueError(f"sweep_axis solver {solver!r} is not one of the config's solvers")
 
 
 def _parse_solvers(raw) -> tuple:

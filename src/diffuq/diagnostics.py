@@ -47,8 +47,6 @@ class ObsNullReport:
     var_obs: float
     var_null: float
     ratio_null_obs: float
-    theory_var_obs: float = float("nan")
-    theory_var_null: float = float("nan")
 
 
 @dataclass

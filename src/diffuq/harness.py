@@ -22,9 +22,10 @@ from .config import ExperimentConfig, config_to_dict
 from .diagnostics import coverage_eval, obs_null_variance, oracle_reference, rmse_eval
 from .diffusion import build_schedule
 from .gmm import build_toy_prior, sample_mixture
-from .operators import build_operator, operator_to_json, operator_from_json, synthesize_measurement
+from .operators import (Measurement, build_operator, operator_from_json, operator_to_json,
+                        synthesize_measurement)
 from .seeding import derive_seed
-from .solvers import SampleBatch, SamplingContext, resolve_solver, run_batch
+from .solvers import SampleBatch, SamplingContext, SolverSpec, resolve_solver, run_batch
 
 __all__ = ["ResultRow", "CSV_HEADER", "run_experiment", "write_report",
            "experiment_oracle", "reaggregate"]
@@ -195,9 +196,9 @@ def _summarize(rows) -> dict:
     return out
 
 
-def _batch_filename(row: ResultRow) -> str:
+def _batch_filename(index: int, row: ResultRow) -> str:
     tag = f"{row.sweep_param}-{row.sweep_value}__" if row.sweep_param else ""
-    return f"{row.solver}__{tag}case{row.case_id}.npz"
+    return f"row{index}__{row.solver}__{tag}case{row.case_id}.npz"
 
 
 def write_report(rows, out_dir, cfg: ExperimentConfig | None = None,
@@ -251,21 +252,21 @@ def write_report(rows, out_dir, cfg: ExperimentConfig | None = None,
     if save_samples:
         sample_dir = os.path.join(out_dir, "samples")
         os.makedirs(sample_dir, exist_ok=True)
-        for r in rows:
+        for index, r in enumerate(rows):
             if r.batch is None:
                 continue
             np.savez(
-                os.path.join(sample_dir, _batch_filename(r)),
+                os.path.join(sample_dir, _batch_filename(index, r)),
                 samples=r.batch.samples,
                 statuses=np.array(r.batch.statuses),
                 x_star=r.x_star,
                 y=r.batch.measurement.y,
                 meta=np.array(json.dumps({
-                    "experiment": r.experiment, "solver": r.solver,
-                    "family": r.family, "case_id": r.case_id,
+                    "experiment": r.experiment, "solver": r.solver, "case_id": r.case_id,
                     "sweep_param": r.sweep_param, "sweep_value": r.sweep_value,
-                    "hyperparameters_digest": r.hyperparameters_digest,
-                    "seed": r.seed,
+                    "seed": r.seed, "row": index,
+                    "sigma_y": r.batch.measurement.sigma_y,
+                    "hyperparameters": r.batch.solver.hyperparameters,
                 })),
                 operator=np.array(operator_to_json(r.batch.measurement.operator)),
             )
@@ -274,30 +275,30 @@ def write_report(rows, out_dir, cfg: ExperimentConfig | None = None,
 
 
 def reaggregate(out_dir) -> list:
-    """Rebuild result rows from persisted sample matrices."""
-    from .operators import Measurement
-    from .solvers import resolve_solver as _resolve
-
+    """Rebuild result rows from persisted sample matrices, in the order
+    ``write_report`` wrote them."""
     sample_dir = os.path.join(out_dir, "samples")
     if not os.path.isdir(sample_dir):
         raise ValueError(f"no persisted samples under {out_dir}")
-    rows = []
+    rows = {}
     for name in sorted(os.listdir(sample_dir)):
         data = np.load(os.path.join(sample_dir, name))
         meta = json.loads(str(data["meta"]))
+        for key in ("row", "sigma_y", "hyperparameters"):
+            if key not in meta:
+                raise ValueError(f"{name}: sample metadata has no {key!r}")
         A = operator_from_json(str(data["operator"]))
-        m = Measurement(y=data["y"], x_star=data["x_star"], sigma_y=1.0,
+        m = Measurement(y=data["y"], x_star=data["x_star"], sigma_y=meta["sigma_y"],
                         operator=A, seed=meta["seed"])
-        batch = SampleBatch(solver=_resolve(meta["solver"]), measurement=m,
-                            samples=data["samples"],
+        spec = SolverSpec(meta["solver"], meta["hyperparameters"])
+        batch = SampleBatch(solver=spec, measurement=m, samples=data["samples"],
                             seeds=[], statuses=[str(s) for s in data["statuses"]])
         metrics = _case_metrics(batch, data["x_star"], A)
-        rows.append(ResultRow(
-            experiment=meta["experiment"], solver=meta["solver"],
-            family=meta["family"], case_id=meta["case_id"],
+        rows[meta["row"]] = ResultRow(
+            experiment=meta["experiment"], solver=spec.name, family=spec.family,
+            case_id=meta["case_id"],
             sweep_param=meta["sweep_param"], sweep_value=meta["sweep_value"],
-            hyperparameters_digest=meta["hyperparameters_digest"],
+            hyperparameters_digest=_digest(spec.hyperparameters),
             seed=meta["seed"], batch=batch, x_star=data["x_star"], **metrics,
-        ))
-    rows.sort(key=lambda r: (r.sweep_param, r.sweep_value, r.solver, r.case_id))
-    return rows
+        )
+    return [rows[k] for k in sorted(rows)]

@@ -12,6 +12,7 @@ Loop structures are documented in docs/solvers.md and frozen by tests.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -55,71 +56,55 @@ __all__ = [
     "smc_resample",
 ]
 
-SOLVER_FAMILIES = {
-    "reference_exact": "posterior_targeting",
-    "pnpdm": "posterior_targeting",
-    "fps_smc": "posterior_targeting",
-    "mcg_diff": "posterior_targeting",
-    "dps": "heuristic",
-    "daps": "heuristic",
-    "ddnm": "heuristic",
-    "ddrm": "heuristic",
-    "diffpir": "heuristic",
-    "reddiff": "map_like",
-}
-
-SOLVER_NAMES = tuple(SOLVER_FAMILIES)
-
-# Defaults tuned on the toy problem by grid search against the analytic
-# oracle; every resolved value is recorded in the run manifest.
-_DEFAULT_HYPERS = {
-    "reference_exact": {},
-    "dps": {"guidance_scale": 0.3},
-    "daps": {"langevin_steps": 20, "step_size": 0.3},
-    "diffpir": {"lambda_reg": 1.0},
-    "ddnm": {},
-    "ddrm": {"eta": 0.85, "eta_b": 1.0},
-    "reddiff": {"lambda_reg": 0.25, "step_size": 0.5, "opt_steps": 300},
-    "pnpdm": {"rho_coupling": 0.3, "gibbs_iters": 40, "x_step": "diffusion"},
-    "fps_smc": {"particles": 20},
-    "mcg_diff": {"particles": 16},
-}
-
 
 @dataclass(frozen=True)
 class SolverSpec:
-    """A solver identifier with fully resolved hyperparameters."""
+    """A solver name with fully resolved hyperparameters."""
 
     name: str
-    family: str
     hyperparameters: dict
 
     def __post_init__(self):
-        if self.name not in SOLVER_FAMILIES:
-            raise ValueError(
-                f"unknown solver {self.name!r}; valid names: {', '.join(SOLVER_NAMES)}"
-            )
-        if self.family != SOLVER_FAMILIES[self.name]:
-            raise ValueError(
-                f"solver {self.name} must have family {SOLVER_FAMILIES[self.name]!r}"
-            )
+        _entry(self.name)
+
+    @property
+    def family(self) -> str:
+        """The solver's family, from the solver table."""
+        return _entry(self.name)[0]
 
 
-def resolve_solver(name: str, overrides: dict | None = None) -> SolverSpec:
-    """Fill in defaults; reject unknown names and hyperparameters."""
-    if name not in SOLVER_FAMILIES:
+def _entry(name: str):
+    """The solver table's ``(family, defaults, sampler)`` for ``name``."""
+    if not isinstance(name, str) or name not in _SOLVERS:
         raise ValueError(
             f"unknown solver {name!r}; valid names: {', '.join(SOLVER_NAMES)}"
         )
-    hp = dict(_DEFAULT_HYPERS[name])
+    return _SOLVERS[name]
+
+
+def resolve_solver(name: str, overrides: dict | None = None) -> SolverSpec:
+    """Fill in defaults; reject unknown names and hyperparameters, and values
+    unlike their default: an int >= 1, a finite number >= 0, a listed choice."""
+    defaults = _entry(name)[1]
+    hp = {k: v[0] if isinstance(v, tuple) else v for k, v in defaults.items()}
     for key, value in (overrides or {}).items():
         if key not in hp:
             raise ValueError(
                 f"solver {name} has no hyperparameter {key!r} "
                 f"(accepts: {sorted(hp) or 'none'})"
             )
+        default = defaults[key]
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if isinstance(default, tuple):
+            ok, want = value in default, f"one of {list(default)}"
+        elif isinstance(default, int):
+            ok, want = number and isinstance(value, int) and value >= 1, "an integer >= 1"
+        else:
+            ok, want = number and 0 <= value < math.inf, "a finite number >= 0"
+        if not ok:
+            raise ValueError(f"solver {name} hyperparameter {key!r} must be {want}, got {value!r}")
         hp[key] = value
-    return SolverSpec(name=name, family=SOLVER_FAMILIES[name], hyperparameters=hp)
+    return SolverSpec(name=name, hyperparameters=hp)
 
 
 @dataclass
@@ -389,21 +374,26 @@ def _sample_reference_exact(spec, m, ctx):
     return lambda rng: sample_mixture(post, 1, rng)[0]
 
 
-def _sample_dps(spec, m, ctx):
-    scale = spec.hyperparameters["guidance_scale"]
-    grid = ctx.sched.grid
-
+def _kernel_guided(ctx, pull):
+    """Rows of a heuristic that adds ``pull(x, i)`` to every exact kernel step."""
     def row(rng):
         x = _init_noise(ctx, rng)
-        for i in range(len(grid) - 1):
-            base = ctx.kernel.step(x, i, rng)
-            _, xhat0, jac = ctx.kernel.score_and_denoise(x[0], i)
-            grad, resid_norm = _dps_gradient_parts(xhat0, jac, m.y, m.operator)
-            zeta = scale / (resid_norm + 1e-12)
-            x = _finite(base - zeta * grad, i)
+        for i in range(len(ctx.sched.grid) - 1):
+            x = _finite(ctx.kernel.step(x, i, rng) + pull(x, i), i)
         return x[0]
 
     return row
+
+
+def _sample_dps(spec, m, ctx):
+    scale = spec.hyperparameters["guidance_scale"]
+
+    def pull(x, i):
+        _, xhat0, jac = ctx.kernel.score_and_denoise(x[0], i)
+        grad, resid_norm = _dps_gradient_parts(xhat0, jac, m.y, m.operator)
+        return -(scale / (resid_norm + 1e-12)) * grad
+
+    return _kernel_guided(ctx, pull)
 
 
 def _sample_daps(spec, m, ctx):
@@ -420,7 +410,7 @@ def _sample_daps(spec, m, ctx):
         for i, eff_step in enumerate(eff_steps):
             anchor = ctx.kernel.denoise(x, i)[0]
             x0 = anchor.copy()
-            for _ in range(int(hp["langevin_steps"])):
+            for _ in range(hp["langevin_steps"]):
                 x0 = daps_langevin_step(x0, anchor, grid[i], m.y, A, m.sigma_y, eff_step, rng)
             _finite(x0, i)
             sig_next = grid[i + 1]
@@ -434,36 +424,27 @@ def _sample_diffpir(spec, m, ctx):
     lam_reg = spec.hyperparameters["lambda_reg"]
     grid = ctx.sched.grid
 
-    def row(rng):
-        x = _init_noise(ctx, rng)
-        for i in range(len(grid) - 1):
-            sigma = grid[i]
-            base = ctx.kernel.step(x, i, rng)
-            xhat0 = ctx.kernel.denoise(x, i)[0]
-            z = prox_data_step(xhat0, m.y, m.operator, m.sigma_y, lam_reg / sigma**2)
-            lam = grid[i + 1] ** 2 / sigma**2
-            x = _finite(base + (1 - lam) * (z - xhat0), i)
-        return x[0]
+    def pull(x, i):
+        xhat0 = ctx.kernel.denoise(x, i)[0]
+        z = prox_data_step(xhat0, m.y, m.operator, m.sigma_y, lam_reg / grid[i] ** 2)
+        lam = grid[i + 1] ** 2 / grid[i] ** 2
+        return (1 - lam) * (z - xhat0)
 
-    return row
+    return _kernel_guided(ctx, pull)
 
 
 def _sample_ddnm(spec, m, ctx):
     grid = ctx.sched.grid
 
-    def row(rng):
-        x = _init_noise(ctx, rng)
-        for i in range(len(grid) - 1):
-            base = ctx.kernel.step(x, i, rng)
-            xhat0 = ctx.kernel.denoise(x, i)[0]
-            proj = spectral_consistency_update(
-                "ddnm_projection", xhat0, m.y, m.operator, m.sigma_y, grid[i]
-            )
-            lam = grid[i + 1] ** 2 / grid[i] ** 2
-            x = _finite(base + (1 - lam) * (proj - xhat0), i)
-        return x[0]
+    def pull(x, i):
+        xhat0 = ctx.kernel.denoise(x, i)[0]
+        proj = spectral_consistency_update(
+            "ddnm_projection", xhat0, m.y, m.operator, m.sigma_y, grid[i]
+        )
+        lam = grid[i + 1] ** 2 / grid[i] ** 2
+        return (1 - lam) * (proj - xhat0)
 
-    return row
+    return _kernel_guided(ctx, pull)
 
 
 def _sample_ddrm(spec, m, ctx):
@@ -486,7 +467,7 @@ def _sample_ddrm(spec, m, ctx):
 
 def _sample_reddiff(spec, m, ctx):
     hp = spec.hyperparameters
-    steps = int(hp["opt_steps"])
+    steps = hp["opt_steps"]
     mu0 = apply_pinv(m.operator, m.y)
 
     def row(rng):
@@ -504,8 +485,6 @@ def _sample_pnpdm(spec, m, ctx):
     hp = spec.hyperparameters
     rho = hp["rho_coupling"]
     mode = hp["x_step"]
-    if mode not in ("conjugate", "diffusion"):
-        raise ValueError(f"unknown pnpdm x_step {mode!r}")
     A = m.operator
     grid = ctx.sched.grid
     start = level_index_for_sigma(ctx.sched, rho)
@@ -517,7 +496,7 @@ def _sample_pnpdm(spec, m, ctx):
         # unobserved directions from a prior draw; shortens the Gibbs burn-in
         x0 = sample_mixture(ctx.prior, 1, rng)[0]
         x = pinv_y + x0 - apply_pinv(A, apply_forward(A, x0))
-        for g in range(int(hp["gibbs_iters"])):
+        for g in range(hp["gibbs_iters"]):
             z = z_step(x, rng)
             if mode == "conjugate":
                 x = sample_mixture(conjugate_denoising_posterior(ctx.prior, z, rho), 1, rng)[0]
@@ -532,8 +511,23 @@ def _sample_pnpdm(spec, m, ctx):
     return row
 
 
+def _degenerate_keep(w, rng):
+    """Systematic-resampling indices when the effective sample size of the
+    weights ``w`` is below half the particle count, else None."""
+    w = w / w.sum()
+    if smc_ess(w) < len(w) / 2:
+        return smc_resample(np.arange(len(w)), w, rng)
+    return None
+
+
+def _pick(log_w, rng) -> int:
+    """Index of the final particle, drawn by the normalised weights."""
+    w = np.exp(log_w - _logsumexp(log_w))
+    return int(rng.choice(len(w), p=w))
+
+
 def _sample_fps_smc(spec, m, ctx):
-    n_p = int(spec.hyperparameters["particles"])
+    n_p = spec.hyperparameters["particles"]
     kernel, grid = ctx.kernel, ctx.sched.grid
     A = m.operator
     d, C = ctx.prior.dim, ctx.prior.n_components
@@ -613,9 +607,8 @@ def _sample_fps_smc(spec, m, ctx):
             # the next level's potential and divide out this level's own
             log_w = log_w + log_pred - log_potential(X, i, y_path[i])
             log_w = log_w - _logsumexp(log_w)
-            w = np.exp(log_w)
-            if smc_ess(w / w.sum()) < n_p / 2:
-                keep = smc_resample(np.arange(n_p), w / w.sum(), rng)
+            keep = _degenerate_keep(np.exp(log_w), rng)
+            if keep is not None:
                 X, means, log_joint, log_pred = (
                     X[keep], means[:, keep], log_joint[keep], log_pred[keep]
                 )
@@ -642,9 +635,7 @@ def _sample_fps_smc(spec, m, ctx):
         resid = m.y[None, :] - apply_forward(A, xhat0)
         log_w = (log_w - 0.5 * np.sum(resid**2, axis=1) / m.sigma_y**2
                  - log_potential(X, last, y_path[last]))
-        w = np.exp(log_w - _logsumexp(log_w))
-        pick = int(rng.choice(len(w), p=w))
-        return xhat0[pick]
+        return xhat0[_pick(log_w, rng)]
 
     return row
 
@@ -653,7 +644,7 @@ def _sample_mcg_diff(spec, m, ctx):
     A = m.operator
     if not A.is_binary():
         raise ValueError("mcg_diff requires an operator with binary singular values")
-    n_p = int(spec.hyperparameters["particles"])
+    n_p = spec.hyperparameters["particles"]
     kernel, grid = ctx.kernel, ctx.sched.grid
     obs = A.spectral_s() == 1.0
     k = int(obs.sum())
@@ -667,33 +658,41 @@ def _sample_mcg_diff(spec, m, ctx):
         X = _init_noise(ctx, rng, n_p)
         log_w = log_potential(X, m.sigma_y**2 + grid[0] ** 2)
         for i in range(len(grid) - 1):
-            w = np.exp(log_w - _logsumexp(log_w))
-            if smc_ess(w / w.sum()) < n_p / 2:
-                keep = smc_resample(np.arange(n_p), w / w.sum(), rng)
+            keep = _degenerate_keep(np.exp(log_w - _logsumexp(log_w)), rng)
+            if keep is not None:
                 X = X[keep]
                 log_w = np.zeros(n_p)
             g_old = log_potential(X, m.sigma_y**2 + grid[i] ** 2)
             X = _finite(kernel.step(X, i, rng), i)
             log_w = log_w + log_potential(X, m.sigma_y**2 + grid[i + 1] ** 2) - g_old
-        w = np.exp(log_w - _logsumexp(log_w))
-        pick = int(rng.choice(len(w), p=w))
-        return X[pick]
+        return X[_pick(log_w, rng)]
 
     return row
 
 
-_SAMPLERS = {
-    "reference_exact": _sample_reference_exact,
-    "dps": _sample_dps,
-    "daps": _sample_daps,
-    "diffpir": _sample_diffpir,
-    "ddnm": _sample_ddnm,
-    "ddrm": _sample_ddrm,
-    "reddiff": _sample_reddiff,
-    "pnpdm": _sample_pnpdm,
-    "fps_smc": _sample_fps_smc,
-    "mcg_diff": _sample_mcg_diff,
+# Every solver is declared here once: name -> (family, default
+# hyperparameters, sampler). A tuple default lists a string's choices, the
+# first being the default; ``resolve_solver`` checks every override against
+# its default's kind. Defaults tuned on the toy problem by grid search
+# against the analytic oracle; every resolved value is recorded in the run
+# manifest.
+_SOLVERS = {
+    "reference_exact": ("posterior_targeting", {}, _sample_reference_exact),
+    "pnpdm": ("posterior_targeting", {"rho_coupling": 0.3, "gibbs_iters": 40,
+                                      "x_step": ("diffusion", "conjugate")}, _sample_pnpdm),
+    "fps_smc": ("posterior_targeting", {"particles": 20}, _sample_fps_smc),
+    "mcg_diff": ("posterior_targeting", {"particles": 16}, _sample_mcg_diff),
+    "dps": ("heuristic", {"guidance_scale": 0.3}, _sample_dps),
+    "daps": ("heuristic", {"langevin_steps": 20, "step_size": 0.3}, _sample_daps),
+    "ddnm": ("heuristic", {}, _sample_ddnm),
+    "ddrm": ("heuristic", {"eta": 0.85, "eta_b": 1.0}, _sample_ddrm),
+    "diffpir": ("heuristic", {"lambda_reg": 1.0}, _sample_diffpir),
+    "reddiff": ("map_like", {"lambda_reg": 0.25, "step_size": 0.5, "opt_steps": 300},
+                _sample_reddiff),
 }
+
+SOLVER_FAMILIES = {name: family for name, (family, _, _) in _SOLVERS.items()}
+SOLVER_NAMES = tuple(_SOLVERS)
 
 
 def _setup(spec: SolverSpec, m: Measurement, prior: GaussianMixture,
@@ -703,7 +702,9 @@ def _setup(spec: SolverSpec, m: Measurement, prior: GaussianMixture,
         raise ValueError("measurement operator dimension does not match prior")
     if ctx is None:
         ctx = SamplingContext.build(prior, sched)
-    return _SAMPLERS[spec.name](spec, m, ctx)
+    elif ctx.prior is not prior or ctx.sched is not sched:
+        raise ValueError("ctx was built for another prior or schedule")
+    return _entry(spec.name)[2](spec, m, ctx)
 
 
 def _draw(row, seed: int, dim: int):

@@ -93,8 +93,9 @@ def test_count_bounds():
 
 
 def test_sweep_axis_validation():
-    good = dict(MINIMAL, sweep_axis={"solver": "mcg_diff", "name": "particles",
-                                     "values": [8, 16]})
+    good = dict(MINIMAL, solvers=["reference_exact", "mcg_diff"],
+                sweep_axis={"solver": "mcg_diff", "name": "particles",
+                            "values": [8, 16]})
     cfg = config_from_dict(good)
     assert cfg.sweep_axis["values"] == [8, 16]
     with pytest.raises(ValueError, match="sweep_axis"):
@@ -109,3 +110,51 @@ def test_sweep_axis_validation():
 def test_bad_experiment_name():
     with pytest.raises(ValueError, match="experiment"):
         config_from_dict(dict(MINIMAL, experiment="exp3"))
+
+
+@pytest.mark.parametrize("axis, match", [
+    ({"values": []}, "values"),
+    ({"values": [8, 0]}, "particles"),
+    ({"solver": "fps_smc"}, "solvers"),
+])
+def test_sweep_axis_checks_every_value_and_the_solver(axis, match):
+    data = dict(MINIMAL, solvers=["reference_exact", "mcg_diff"],
+                sweep_axis={"solver": "mcg_diff", "name": "particles",
+                            "values": [4, 8], **axis})
+    with pytest.raises(ValueError, match=match):
+        config_from_dict(data)
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("fps_smc", "particles", 0),
+    ("fps_smc", "particles", "abc"),
+    ("fps_smc", "particles", 2.7),
+    ("mcg_diff", "particles", True),
+    ("daps", "langevin_steps", -1),
+    ("ddrm", "eta", "x"),
+    ("ddrm", "eta", float("nan")),
+    ("dps", "guidance_scale", None),
+    ("dps", "guidance_scale", -0.1),
+    ("reddiff", "step_size", float("inf")),
+    ("pnpdm", "x_step", "gibbs"),
+])
+def test_hyperparameter_kind_checked_at_config(name, key, value):
+    data = dict(MINIMAL, solvers=[{"name": name, "hyperparameters": {key: value}}])
+    with pytest.raises(ValueError) as err:
+        config_from_dict(data)
+    for part in (name, repr(key), repr(value)):
+        assert part in str(err.value)
+
+
+def test_hyperparameter_values_stored_as_given():
+    cfg = config_from_dict(dict(MINIMAL, solvers=[
+        {"name": "dps", "hyperparameters": {"guidance_scale": 0.0}},
+        {"name": "ddrm", "hyperparameters": {"eta": 1}},
+        {"name": "pnpdm", "hyperparameters": {"x_step": "conjugate"}},
+    ]))
+    dps, ddrm, pnpdm = (s.hyperparameters for s in cfg.solvers)
+    assert dps["guidance_scale"] == 0.0
+    assert type(ddrm["eta"]) is int and ddrm["eta"] == 1
+    assert pnpdm["x_step"] == "conjugate"
+    default = config_from_dict(dict(MINIMAL, solvers=["pnpdm"])).solvers[0]
+    assert default.hyperparameters["x_step"] == "diffusion"

@@ -184,6 +184,37 @@ def test_cli_report(tmp_path):
     assert first  # original artifacts were produced before re-aggregation
 
 
+def test_cli_report_reproduces_run(tmp_path):
+    data = dict(SMALL, experiment="exp2_binary", sigma_y=0.5,
+                solvers=["reference_exact",
+                         {"name": "mcg_diff", "hyperparameters": {"particles": 4}},
+                         {"name": "mcg_diff", "hyperparameters": {"particles": 8}}])
+    out = tmp_path / "out"
+    assert main(["run", write_cfg(tmp_path, data), "--out", str(out), "--save-samples"]) == 0
+    before = {n: (out / n).read_bytes() for n in ("results.csv", "summary.json")}
+    assert main(["report", str(out)]) == 0
+    for name, blob in before.items():
+        assert (out / name).read_bytes() == blob, name
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["solvers"][1]["hyperparameters"] == {"particles": 4}
+    specs = config_from_dict(data).solvers
+    rows = reaggregate(out)
+    assert [r.batch.solver for r in rows] == [s for s in specs for _ in range(2)]
+    assert all(r.batch.measurement.sigma_y == 0.5 for r in rows)
+
+
+@pytest.mark.parametrize("key", ["row", "sigma_y", "hyperparameters"])
+def test_reaggregate_names_missing_metadata(tmp_path, small_rows, key):
+    write_report(small_rows, tmp_path, save_samples=True)
+    path = next((tmp_path / "samples").iterdir())
+    data = dict(np.load(path))
+    meta = json.loads(str(data["meta"]))
+    del meta[key]
+    np.savez(path, **{**data, "meta": np.array(json.dumps(meta))})
+    with pytest.raises(ValueError, match=repr(key)):
+        reaggregate(tmp_path)
+
+
 def test_cli_workers_env(tmp_path, monkeypatch):
     cfg_path = write_cfg(tmp_path, SMALL)
     monkeypatch.setenv("DIFFUQ_WORKERS", "4")

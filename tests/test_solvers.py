@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,20 +77,16 @@ def test_taxonomy_assignment():
 
 
 def test_unknown_solver_lists_names():
-    with pytest.raises(ValueError) as err:
-        resolve_solver("dsp")
-    for name in SOLVER_NAMES:
-        assert name in str(err.value)
+    for build in (resolve_solver, lambda name: SolverSpec(name, {})):
+        with pytest.raises(ValueError) as err:
+            build("dsp")
+        for name in SOLVER_NAMES:
+            assert name in str(err.value)
 
 
 def test_unknown_hyperparameter_rejected():
     with pytest.raises(ValueError, match="hyperparameter"):
         resolve_solver("dps", {"temperature": 1.0})
-
-
-def test_family_mismatch_rejected():
-    with pytest.raises(ValueError, match="family"):
-        SolverSpec(name="dps", family="map_like", hyperparameters={})
 
 
 def test_defaults_fully_resolved():
@@ -578,6 +575,17 @@ def test_context_reuse_across_operators(toy_prior, sched12):
         ctx.kernel = None
 
 
+def test_context_for_another_problem_rejected(toy_prior, sched12):
+    m = synthesize_measurement(build_operator("identity", 16), np.zeros(16), 1.0, 1)
+    ctx = SamplingContext.build(toy_prior, sched12)
+    other_prior = dataclasses.replace(toy_prior)
+    for prior, sched in ((toy_prior, build_schedule(0.01, 10.0, 30)), (other_prior, sched12)):
+        with pytest.raises(ValueError, match="ctx"):
+            run_batch(resolve_solver("ddrm"), m, prior, sched, 3, 7, ctx=ctx)
+        with pytest.raises(ValueError, match="ctx"):
+            sample_one(resolve_solver("ddrm"), m, prior, sched, 7, ctx=ctx)
+
+
 def test_mcg_diff_rejects_non_binary_operator(toy_prior, sched12):
     A = LinearOperatorSVD(np.eye(16), 0.5 * np.ones(16), np.eye(16))
     m = synthesize_measurement(A, np.zeros(16), 1.0, 1)
@@ -586,3 +594,16 @@ def test_mcg_diff_rejects_non_binary_operator(toy_prior, sched12):
         run_batch(spec, m, toy_prior, sched12, 2, 3)
     with pytest.raises(ValueError, match="binary"):
         sample_one(spec, m, toy_prior, sched12, 3)
+
+
+def test_docs_list_each_solver_under_its_family():
+    """docs/solvers.md has a ``### <name>`` section for every solver, under
+    the ``## <Family> family`` heading of its table family."""
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "solvers.md").read_text()
+    family, found = None, {}
+    for line in doc.splitlines():
+        if line.startswith("## "):
+            family = line[3:].removesuffix(" family").lower().replace("-", "_")
+        elif line.startswith("### "):
+            found[line[4:].strip()] = family
+    assert found == SOLVER_FAMILIES
