@@ -71,6 +71,23 @@ class ExperimentConfig:
                 resolve_solver(solver, {name: value})
             if solver not in {s.name for s in self.solvers}:
                 raise ValueError(f"sweep_axis solver {solver!r} is not one of the config's solvers")
+        self._check_rho_coupling()
+
+    def _check_rho_coupling(self):
+        """pnpdm starts its x-step at the grid level of ``rho_coupling``, so
+        every value it runs with must lie within the schedule's range."""
+        sweep = self.sweep_axis or {}
+        if (sweep.get("solver"), sweep.get("name")) == ("pnpdm", "rho_coupling"):
+            rhos = sweep["values"]
+        else:
+            rhos = [s.hyperparameters["rho_coupling"] for s in self.solvers if s.name == "pnpdm"]
+        lo, hi = self.schedule["sigma_min"], self.schedule["sigma_max"]
+        for rho in rhos:
+            if not lo <= rho <= hi:
+                raise ValueError(
+                    f"solver pnpdm hyperparameter 'rho_coupling' must lie within the schedule's"
+                    f" [sigma_min, sigma_max] = [{lo}, {hi}], got {rho!r}"
+                )
 
 
 def _parse_solvers(raw) -> tuple:

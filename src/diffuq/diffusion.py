@@ -19,12 +19,17 @@ import numpy as np
 from .gmm import (
     GaussianMixture,
     noisy_marginal,
+    _check_finite,
     _cho_factors,
+    _cho_solve_vec,
     _component_logpdfs,
+    _component_logpdfs_rows,
     _denoise_batch,
-    _logsumexp,
+    _log_normalised,
+    _normals,
     _precisions,
     _score_and_denoise,
+    _vecmat_rows,
 )
 
 __all__ = [
@@ -127,6 +132,10 @@ class ReverseKernel:
 
     ``denoise`` and ``score_and_denoise`` give the same bits as
     ``gmm.denoise_batch`` and ``gmm.score_and_denoise`` at ``grid[level]``.
+
+    The ``*_rows`` methods advance a (K, d) array of independent rows, each
+    with its own generator where it draws: row k gets the bits of the same
+    call on that row alone, whatever K is.
     """
 
     def __init__(self, prior: GaussianMixture, sched: NoiseSchedule):
@@ -137,6 +146,10 @@ class ReverseKernel:
         self._noisy = [noisy_marginal(prior, s) for s in grid[:-1]]
         self._cho = [_cho_factors(noisy) for noisy in self._noisy]
         self._prec = [_precisions(cfs, d) for cfs in self._cho]
+        # per-level stacks of the responsibilities' factors, for rows that
+        # each sit at their own level
+        self._noisy_chols = np.stack([noisy._chols for noisy in self._noisy])
+        self._noisy_logdets = np.stack([noisy._logdets for noisy in self._noisy])
         # denoising posterior per (level, component): x0 | x_i, c
         self._B = np.empty((len(grid) - 1, C, d, d))  # mean slope
         self._a = np.empty((len(grid) - 1, C, d))  # mean offset
@@ -166,8 +179,14 @@ class ReverseKernel:
 
     def log_responsibilities(self, X: np.ndarray, level: int) -> np.ndarray:
         noisy = self._noisy[level]
-        lp = _component_logpdfs(noisy, np.atleast_2d(X)) + np.log(noisy.weights)
-        return lp - _logsumexp(lp, axis=-1, keepdims=True)
+        return _log_normalised(_component_logpdfs(noisy, np.atleast_2d(X)), noisy.weights)
+
+    def log_responsibilities_rows(self, X: np.ndarray, level: int) -> np.ndarray:
+        """``log_responsibilities`` of each row of the (K, d) array ``X`` on its own."""
+        noisy = self._noisy[level]
+        return _log_normalised(
+            _component_logpdfs_rows(noisy.means, noisy._chols, noisy._logdets, X),
+            noisy.weights)
 
     def step(self, X: np.ndarray, level: int, rng: np.random.Generator) -> np.ndarray:
         """One ancestral transition from grid[level] to grid[level+1].
@@ -179,23 +198,41 @@ class ReverseKernel:
         if level == self.sched.last_nonzero_index:
             return self.denoise(X, level)
         logr = self.log_responsibilities(X, level)
+        return self._transition(X, level, logr, rng.random(X.shape[0]),
+                                rng.standard_normal(X.shape), np.matmul)
+
+    def step_rows(self, X: np.ndarray, level: int, rngs) -> np.ndarray:
+        """``step`` of each row of the (K, d) array ``X`` with its own
+        generator ``rngs[k]``: one uniform, then d normals per row."""
+        if level == self.sched.last_nonzero_index:
+            return self.denoise_rows(X, level)
+        logr = self.log_responsibilities_rows(X, level)
+        u = np.array([rng.random() for rng in rngs])
+        return self._transition(X, level, logr, u, _normals(rngs, X.shape[1]), _vecmat_rows)
+
+    def _transition(self, X, level, logr, u, noise, vecmat):
+        """Draw each row's component by inverse CDF of its responsibilities at
+        ``u``, then its conditional Gaussian; ``vecmat`` is the product."""
         cum = np.cumsum(np.exp(logr), axis=1)
-        u = rng.random(X.shape[0])
         comp = np.sum(u[:, None] >= cum, axis=1)
         comp = np.minimum(comp, self.prior.n_components - 1)
-        noise = rng.standard_normal(X.shape)
         out = np.empty_like(X)
         for c in range(self.prior.n_components):
             mask = comp == c
             if not np.any(mask):
                 continue
-            mean = X[mask] @ self._B[level, c].T + self._a[level, c]
-            out[mask] = mean + noise[mask] @ self._chol[level, c].T
+            mean = vecmat(X[mask], self._B[level, c].T) + self._a[level, c]
+            out[mask] = mean + vecmat(noise[mask], self._chol[level, c].T)
         return out
 
     def denoise(self, X: np.ndarray, level: int) -> np.ndarray:
         """Tweedie posterior mean E[x0 | x_level] for an (n, d) batch."""
         return self._denoise_batch(X, level)[1]
+
+    def denoise_rows(self, X: np.ndarray, level: int) -> np.ndarray:
+        """``denoise`` of each row of the (K, d) array ``X`` on its own."""
+        return _denoise_batch(self._noisy[level], self._cho[level], X,
+                              self.sched.grid[level], rows=True)[1]
 
     def _denoise_batch(self, X: np.ndarray, level: int):
         """``gmm.denoise_batch`` of the prior, (score, x_hat0), for an (n, d)
@@ -203,11 +240,37 @@ class ReverseKernel:
         return _denoise_batch(self._noisy[level], self._cho[level],
                               np.atleast_2d(np.asarray(X, dtype=float)), self.sched.grid[level])
 
+    def score_rows(self, X: np.ndarray, levels: np.ndarray) -> np.ndarray:
+        """Score of the noisy prior at each row of the (K, d) array ``X``, at
+        that row's own level ``levels[k]``: the bits of
+        ``_denoise_batch(X[k], levels[k])[0]``. Each row's solve is one
+        ``potrs`` on its level's factor; a non-finite row raises the
+        ValueError that ``cho_solve`` raises."""
+        means = self.prior.means
+        lp = _component_logpdfs_rows(means, self._noisy_chols[levels],
+                                     self._noisy_logdets[levels], X)
+        resp = np.exp(_log_normalised(lp, self.prior.weights))
+        score = np.zeros_like(X)
+        for c in range(self.prior.n_components):
+            diffs = X - means[c]
+            _check_finite(diffs)
+            g = np.empty_like(X)
+            for k, level in enumerate(levels):
+                g[k] = _cho_solve_vec(self._cho[level][c], diffs[k])
+            score += resp[:, c : c + 1] * -g
+        return score
+
     def score_and_denoise(self, x: np.ndarray, level: int):
         """``gmm.score_and_denoise`` of the prior at one (d,) point and
         sigma_t = ``grid[level]``."""
+        score, x_hat0, jacobian = self.score_and_denoise_rows(
+            np.asarray(x, dtype=float)[None], level)
+        return score[0], x_hat0[0], jacobian[0]
+
+    def score_and_denoise_rows(self, X: np.ndarray, level: int):
+        """``score_and_denoise`` at each row of the (K, d) array ``X``."""
         return _score_and_denoise(self._noisy[level], self._cho[level], self._prec[level],
-                                  np.asarray(x, dtype=float), self.sched.grid[level])
+                                  X, self.sched.grid[level])
 
 
 def reverse_sample(prior: GaussianMixture, sched: NoiseSchedule, cfg: ReverseConfig,

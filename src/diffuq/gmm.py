@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrs
 from scipy.special import ndtr
 
 __all__ = [
@@ -36,6 +37,44 @@ _WEIGHT_FLOOR = 1e-300
 def _as_rng(seed) -> np.random.Generator:
     """``seed`` itself if it is a Generator, else a new Generator seeded with it."""
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+
+
+def _normals(rngs, d: int) -> np.ndarray:
+    """(K, d) standard normals; row k is ``rngs[k].standard_normal(d)``."""
+    out = np.empty((len(rngs), d))
+    for k, rng in enumerate(rngs):
+        out[k] = rng.standard_normal(d)
+    return out
+
+
+# Row-wise products. Each row of a K-row batch gets the bits it would get on
+# its own: a stacked matmul runs one gemv per row, where a K-row ``X @ M``
+# runs one gemm, which differs from gemv in the last ulp.
+
+def _vecmat_rows(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``X[k] @ M`` for each row of the (K, n) array ``X``."""
+    return (X[:, None, :] @ M)[:, 0]
+
+
+def _matvec_rows(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``M @ X[k]`` (or ``M[k] @ X[k]`` for a stack ``M``) for each row of ``X``."""
+    return (M @ X[:, :, None])[:, :, 0]
+
+
+def _cho_solve_vec(cf: tuple, b: np.ndarray) -> np.ndarray:
+    """``cho_solve(cf, b)`` for one right-hand side: the same LAPACK ``potrs``
+    call and bits, without scipy's per-call wrapper. The caller checks that
+    ``b`` is finite."""
+    x, info = dpotrs(cf[0], b, lower=cf[1])
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
+
+
+def _check_finite(b: np.ndarray) -> None:
+    """The ValueError of ``cho_solve``'s ``check_finite`` on a non-finite ``b``."""
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
 
 
 def _logsumexp(a, axis=None, keepdims=False):
@@ -186,6 +225,21 @@ def _component_logpdfs(gmm: GaussianMixture, x: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
+def _component_logpdfs_rows(means, chols, logdets, X: np.ndarray) -> np.ndarray:
+    """(K, C) log N(X[k]; mu_c, Sigma_c) with row k's bits independent of K.
+
+    One single-right-hand-side solve per (row, component) and a pairwise sum
+    per row give each row the bits of ``_component_logpdfs`` on that row
+    alone; a multi-right-hand-side solve and a sum over axis 0 would not.
+    ``chols`` (C, d, d) and ``logdets`` (C,) may also be per row: (K, C, d, d)
+    and (K, C).
+    """
+    d = X.shape[-1]
+    sols = np.linalg.solve(chols, (X[:, None, :] - means)[..., None])[..., 0]
+    maha = np.add.reduce(sols**2, axis=-1)
+    return -0.5 * (maha + logdets + d * np.log(2.0 * np.pi))
+
+
 def mixture_logpdf(gmm: GaussianMixture, x: np.ndarray) -> float | np.ndarray:
     """log-density of the mixture at ``x``, via log-sum-exp.
 
@@ -207,13 +261,28 @@ def sample_mixture(gmm: GaussianMixture, n: int, seed) -> np.ndarray:
         raise ValueError("n must be >= 1")
     rng = _as_rng(seed)
     comp = rng.choice(gmm.n_components, size=n, p=gmm.weights)
-    out = np.empty((n, gmm.dim))
-    noise = rng.standard_normal((n, gmm.dim))
+    return _mixture_draw(gmm, comp, rng.standard_normal((n, gmm.dim)), np.matmul)
+
+
+def _sample_mixture_rows(gmm: GaussianMixture, rngs) -> np.ndarray:
+    """One draw per generator; row k has the bits of
+    ``sample_mixture(gmm, 1, rngs[k])`` at any batch size."""
+    comp = np.empty(len(rngs), dtype=int)
+    noise = np.empty((len(rngs), gmm.dim))
+    for k, rng in enumerate(rngs):
+        comp[k] = rng.choice(gmm.n_components, size=1, p=gmm.weights)[0]
+        noise[k] = rng.standard_normal(gmm.dim)
+    return _mixture_draw(gmm, comp, noise, _vecmat_rows)
+
+
+def _mixture_draw(gmm: GaussianMixture, comp, noise, vecmat) -> np.ndarray:
+    """``means[comp] + L_comp noise`` per row, with ``vecmat`` the product."""
+    out = np.empty(noise.shape)
     for c in range(gmm.n_components):
         mask = comp == c
         if not np.any(mask):
             continue
-        out[mask] = gmm.means[c] + noise[mask] @ gmm._chols[c].T
+        out[mask] = gmm.means[c] + vecmat(noise[mask], gmm._chols[c].T)
     return out
 
 
@@ -227,10 +296,20 @@ def noisy_marginal(gmm: GaussianMixture, sigma_t: float) -> GaussianMixture:
     return GaussianMixture(gmm.weights, gmm.means, gmm.covs + eye)
 
 
-def _responsibilities(noisy: GaussianMixture, x: np.ndarray) -> np.ndarray:
-    lp = _component_logpdfs(noisy, x) + np.log(noisy.weights)
-    lp = lp - _logsumexp(lp, axis=-1, keepdims=True)
-    return np.exp(lp)
+def _log_normalised(lp: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Log responsibilities from component log-densities ``lp`` (..., C)."""
+    lp = lp + np.log(weights)
+    return lp - _logsumexp(lp, axis=-1, keepdims=True)
+
+
+def _responsibilities(noisy: GaussianMixture, x: np.ndarray, rows: bool = False) -> np.ndarray:
+    """Component responsibilities at ``x``; with ``rows``, those of each row of
+    the (K, d) array ``x`` with the bits it has on its own."""
+    if rows:
+        lp = _component_logpdfs_rows(noisy.means, noisy._chols, noisy._logdets, x)
+    else:
+        lp = _component_logpdfs(noisy, x)
+    return np.exp(_log_normalised(lp, noisy.weights))
 
 
 def _cho_factors(noisy: GaussianMixture) -> tuple:
@@ -244,29 +323,33 @@ def _precisions(cfs: tuple, d: int) -> tuple:
 
 
 def _score_and_denoise(noisy: GaussianMixture, cfs: tuple, precs: tuple,
-                       x: np.ndarray, sigma_t: float):
-    """``score_and_denoise`` at one (d,) point of the noisy marginal at
-    ``sigma_t``, given its component factors and precisions."""
-    d = noisy.dim
-    resp = _responsibilities(noisy, x)
-    score = np.zeros(d)
-    hess = np.zeros((d, d))
+                       X: np.ndarray, sigma_t: float):
+    """``score_and_denoise`` at each row of a (K, d) array of points of the
+    noisy marginal at ``sigma_t``, given its component factors and
+    precisions. Row k has the bits of a call on that row alone."""
+    K, d = X.shape
+    resp = _responsibilities(noisy, X, rows=True)
+    score = np.zeros((K, d))
+    hess = np.zeros((K, d, d))
     for c, (cf, prec) in enumerate(zip(cfs, precs)):
-        g = -cho_solve(cf, x - noisy.means[c])
+        g = -cho_solve(cf, (X - noisy.means[c]).T).T
         if not np.all(np.isfinite(g)):
             raise ValueError(f"non-finite score contribution from component {c}")
-        score += resp[c] * g
-        hess += resp[c] * (-prec + np.outer(g, g))
-    hess -= np.outer(score, score)
-    x_hat0 = x + sigma_t**2 * score
+        score += resp[:, c : c + 1] * g
+        hess += resp[:, c, None, None] * (-prec + g[:, :, None] * g[:, None, :])
+    hess -= score[:, :, None] * score[:, None, :]
+    x_hat0 = X + sigma_t**2 * score
     jacobian = np.eye(d) + sigma_t**2 * hess
     return score, x_hat0, jacobian
 
 
-def _denoise_batch(noisy: GaussianMixture, cfs: tuple, X: np.ndarray, sigma_t: float):
+def _denoise_batch(noisy: GaussianMixture, cfs: tuple, X: np.ndarray, sigma_t: float,
+                   rows: bool = False):
     """``denoise_batch`` of an (n, d) batch, given the noisy marginal at
-    ``sigma_t`` and its component factors."""
-    resp = _responsibilities(noisy, X)  # (n, C)
+    ``sigma_t`` and its component factors; with ``rows``, each row has the
+    bits it has on its own. The score's solve already does: the columns of a
+    multi-right-hand-side ``cho_solve`` do not depend on their count."""
+    resp = _responsibilities(noisy, X, rows)  # (n, C)
     score = np.zeros_like(X)
     for c, cf in enumerate(cfs):
         g = -cho_solve(cf, (X - noisy.means[c]).T).T
@@ -286,8 +369,9 @@ def score_and_denoise(gmm: GaussianMixture, x: np.ndarray, sigma_t: float):
         raise ValueError("sigma_t must be > 0")
     noisy = noisy_marginal(gmm, sigma_t)
     cfs = _cho_factors(noisy)
-    return _score_and_denoise(noisy, cfs, _precisions(cfs, gmm.dim),
-                              np.asarray(x, dtype=float), sigma_t)
+    score, x_hat0, jacobian = _score_and_denoise(noisy, cfs, _precisions(cfs, gmm.dim),
+                                                 np.asarray(x, dtype=float)[None], sigma_t)
+    return score[0], x_hat0[0], jacobian[0]
 
 
 def denoise_batch(gmm: GaussianMixture, X: np.ndarray, sigma_t: float):

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gmm import _vecmat_rows
+
 __all__ = [
     "LinearOperatorSVD",
     "Measurement",
@@ -147,11 +149,20 @@ def apply_forward(A: LinearOperatorSVD, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != A.d:
         raise ValueError(f"x has dimension {x.shape[-1]}, operator expects {A.d}")
-    z = x @ A.V  # V^T x, batched on leading axes
+    return _forward(A, x, np.matmul)
+
+
+def _forward_rows(A: LinearOperatorSVD, X: np.ndarray) -> np.ndarray:
+    """``apply_forward`` of each row of the (K, d) array ``X`` on its own."""
+    return _forward(A, X, _vecmat_rows)
+
+
+def _forward(A, x, vecmat):
+    z = vecmat(x, A.V)  # V^T x, batched on leading axes
     z = z[..., : len(A.S)] * A.S
     out = np.zeros(x.shape[:-1] + (A.m,))
     out[..., : len(A.S)] = z
-    return out @ A.U.T
+    return vecmat(out, A.U.T)
 
 
 def apply_pinv(A: LinearOperatorSVD, y: np.ndarray) -> np.ndarray:
@@ -159,13 +170,22 @@ def apply_pinv(A: LinearOperatorSVD, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape[-1] != A.m:
         raise ValueError(f"y has dimension {y.shape[-1]}, operator output is {A.m}")
-    z = y @ A.U
+    return _pinv(A, y, np.matmul)
+
+
+def _pinv_rows(A: LinearOperatorSVD, Y: np.ndarray) -> np.ndarray:
+    """``apply_pinv`` of each row of the (K, m) array ``Y`` on its own."""
+    return _pinv(A, Y, _vecmat_rows)
+
+
+def _pinv(A, y, vecmat):
+    z = vecmat(y, A.U)
     s = A.S
     sinv = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)
     z = z[..., : len(s)] * sinv
     out = np.zeros(y.shape[:-1] + (A.d,))
     out[..., : len(s)] = z
-    return out @ A.V.T
+    return vecmat(out, A.V.T)
 
 
 def synthesize_measurement(A: LinearOperatorSVD, x_star: np.ndarray,

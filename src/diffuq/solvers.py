@@ -4,8 +4,9 @@ Ten solvers: an exact-posterior reference plus nine plug-and-play diffusion
 samplers spanning three families (posterior-targeting, heuristic, MAP-like).
 Each solver is assembled from small sub-steps that are tested on their own
 against independent oracles. A solver sets up once per measurement and
-returns a row function that runs its full loop; ``run_batch`` draws the
-K-sample batches the diagnostics consume from one setup.
+returns ``rows(rngs) -> (X, statuses)``, which advances a batch's K rows
+together, one generator per row; ``run_batch`` draws the K-sample batches
+the diagnostics consume from one setup.
 
 Loop structures are documented in docs/solvers.md and frozen by tests.
 """
@@ -27,6 +28,9 @@ from .gmm import (
     score_and_denoise,
     _as_rng,
     _logsumexp,
+    _matvec_rows,
+    _normals,
+    _sample_mixture_rows,
 )
 from .operators import (
     LinearOperatorSVD,
@@ -34,6 +38,8 @@ from .operators import (
     apply_forward,
     apply_pinv,
     build_operator,
+    _forward_rows,
+    _pinv_rows,
 )
 from .seeding import derive_seed
 
@@ -59,13 +65,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverSpec:
-    """A solver name with fully resolved hyperparameters."""
+    """A solver name with fully resolved hyperparameters.
+
+    Every hyperparameter of the solver must be given, and each value must
+    pass the solver table's check (see ``resolve_solver``); values are kept
+    as given.
+    """
 
     name: str
     hyperparameters: dict
 
     def __post_init__(self):
-        _entry(self.name)
+        defaults = _entry(self.name)[1]
+        hp = self.hyperparameters
+        if not isinstance(hp, dict):
+            raise ValueError(f"solver {self.name} hyperparameters must be a mapping, got {hp!r}")
+        for key, value in hp.items():
+            _check_hyperparameter(self.name, defaults, key, value)
+        missing = [key for key in defaults if key not in hp]
+        if missing:
+            raise ValueError(f"solver {self.name} is missing hyperparameter {missing[0]!r}")
 
     @property
     def family(self) -> str:
@@ -82,29 +101,37 @@ def _entry(name: str):
     return _SOLVERS[name]
 
 
+def _check_hyperparameter(name: str, defaults: dict, key, value) -> None:
+    """Reject a key the solver does not have, and a value unlike its default:
+    an int >= 1, a finite number >= 0 (> 0 for the keys in ``_POSITIVE``), or
+    one of a string's listed choices."""
+    if key not in defaults:
+        raise ValueError(
+            f"solver {name} has no hyperparameter {key!r} "
+            f"(accepts: {sorted(defaults) or 'none'})"
+        )
+    default = defaults[key]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, tuple):
+        ok, want = value in default, f"one of {list(default)}"
+    elif isinstance(default, int):
+        ok, want = number and isinstance(value, int) and value >= 1, "an integer >= 1"
+    elif (name, key) in _POSITIVE:
+        ok, want = number and 0 < value < math.inf, "a finite number > 0"
+    else:
+        ok, want = number and 0 <= value < math.inf, "a finite number >= 0"
+    if not ok:
+        raise ValueError(f"solver {name} hyperparameter {key!r} must be {want}, got {value!r}")
+
+
 def resolve_solver(name: str, overrides: dict | None = None) -> SolverSpec:
-    """Fill in defaults; reject unknown names and hyperparameters, and values
-    unlike their default: an int >= 1, a finite number >= 0, a listed choice."""
+    """Fill in defaults; ``SolverSpec`` rejects unknown names and
+    hyperparameters, and values unlike their default."""
     defaults = _entry(name)[1]
+    if overrides is not None and not isinstance(overrides, dict):
+        raise ValueError(f"solver {name} hyperparameters must be a mapping, got {overrides!r}")
     hp = {k: v[0] if isinstance(v, tuple) else v for k, v in defaults.items()}
-    for key, value in (overrides or {}).items():
-        if key not in hp:
-            raise ValueError(
-                f"solver {name} has no hyperparameter {key!r} "
-                f"(accepts: {sorted(hp) or 'none'})"
-            )
-        default = defaults[key]
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if isinstance(default, tuple):
-            ok, want = value in default, f"one of {list(default)}"
-        elif isinstance(default, int):
-            ok, want = number and isinstance(value, int) and value >= 1, "an integer >= 1"
-        else:
-            ok, want = number and 0 <= value < math.inf, "a finite number >= 0"
-        if not ok:
-            raise ValueError(f"solver {name} hyperparameter {key!r} must be {want}, got {value!r}")
-        hp[key] = value
-    return SolverSpec(name=name, hyperparameters=hp)
+    return SolverSpec(name=name, hyperparameters={**hp, **(overrides or {})})
 
 
 @dataclass
@@ -131,8 +158,8 @@ class SampleBatch:
 # ---------------------------------------------------------------------------
 
 def _z_step_sampler(A: LinearOperatorSVD, y, sigma_y: float, rho: float):
-    """``pnpdm_z_step`` as a draw ``(x, rng) -> z``, with the system, which
-    depends only on (A, sigma_y, rho), factored once."""
+    """``pnpdm_z_step`` as a row-wise draw ``(X, rngs) -> Z``, with the
+    system, which depends only on (A, sigma_y, rho), factored once."""
     if sigma_y <= 0 or rho <= 0:
         raise ValueError("sigma_y and rho must be > 0")
     Amat = A.matrix()
@@ -146,9 +173,10 @@ def _z_step_sampler(A: LinearOperatorSVD, y, sigma_y: float, rho: float):
     cov = cho_solve(cf, np.eye(d))
     chol = np.linalg.cholesky(0.5 * (cov + cov.T))
 
-    def draw(x, rng):
-        mean = cho_solve(cf, aty + np.asarray(x) / rho**2)
-        return mean + chol @ rng.standard_normal(d)
+    def draw(X, rngs):
+        """One z per row of the (K, d) array ``X``, with generator ``rngs[k]``."""
+        mean = cho_solve(cf, (aty + X / rho**2).T).T
+        return mean + _matvec_rows(chol, _normals(rngs, d))
 
     return draw
 
@@ -159,7 +187,7 @@ def pnpdm_z_step(x, y, A: LinearOperatorSVD, sigma_y: float, rho: float, seed):
     z ~ N(C (A^T y / sigma_y^2 + x / rho^2), C) with
     C = (A^T A / sigma_y^2 + I / rho^2)^{-1}.
     """
-    return _z_step_sampler(A, y, sigma_y, rho)(x, _as_rng(seed))
+    return _z_step_sampler(A, y, sigma_y, rho)(np.asarray(x)[None], [_as_rng(seed)])[0]
 
 
 def conjugate_denoising_posterior(prior: GaussianMixture, z, rho: float) -> GaussianMixture:
@@ -175,10 +203,11 @@ def conjugate_denoising_posterior(prior: GaussianMixture, z, rho: float) -> Gaus
 
 
 def _dps_gradient_parts(xhat0, jac, y, A):
-    """(gradient, residual norm) of the DPS loss from the denoiser output."""
-    resid = np.asarray(y) - apply_forward(A, xhat0)
-    grad = -jac.T @ (A.matrix().T @ resid)
-    return grad, float(np.linalg.norm(resid))
+    """(gradient, residual norm) of the DPS loss per row of the denoiser
+    output (K, d) and its Jacobians (K, d, d)."""
+    resid = np.asarray(y) - _forward_rows(A, xhat0)
+    grad = _matvec_rows(-jac.transpose(0, 2, 1), _matvec_rows(A.matrix().T, resid))
+    return grad, np.sqrt((resid[:, None, :] @ resid[:, :, None])[:, 0, 0])
 
 
 def dps_guidance_gradient(prior: GaussianMixture, x_t, sigma_t: float, y,
@@ -190,8 +219,8 @@ def dps_guidance_gradient(prior: GaussianMixture, x_t, sigma_t: float, y,
     noise weighting into its guidance scale).
     """
     _, xhat0, jac = score_and_denoise(prior, x_t, sigma_t)
-    grad, _ = _dps_gradient_parts(xhat0, jac, y, A)
-    return grad
+    grad, _ = _dps_gradient_parts(xhat0[None], jac[None], y, A)
+    return grad[0]
 
 
 def spectral_consistency_update(kind: str, x_hat0, y, A: LinearOperatorSVD,
@@ -209,46 +238,59 @@ def spectral_consistency_update(kind: str, x_hat0, y, A: LinearOperatorSVD,
     feed the unobserved-direction momentum term; without them the
     unobserved update is pure noise injection (eta = 1 behavior).
     """
-    x_hat0 = np.asarray(x_hat0, dtype=float)
+    x_hat0 = np.asarray(x_hat0, dtype=float)[None]
     if kind == "ddnm_projection":
-        return apply_pinv(A, np.asarray(y)) + x_hat0 - apply_pinv(A, apply_forward(A, x_hat0))
+        return _ddnm_rows(x_hat0, apply_pinv(A, np.asarray(y)), A)[0]
     if kind != "ddrm_step":
         raise ValueError(f"unknown spectral update kind {kind!r}")
+    if x_t is not None:
+        x_t = np.asarray(x_t, dtype=float)[None]
+    return _ddrm_rows(x_hat0, A.spectral_y(y), A, sigma_y, sigma_t, eta, eta_b,
+                      [_as_rng(seed)], x_t, sigma_prev)[0]
 
-    rng = _as_rng(seed)
+
+def _ddnm_rows(x_hat0, pinv_y, A):
+    """``ddnm_projection`` of each row of ``x_hat0``, given ``A^+ y``."""
+    return pinv_y + x_hat0 - _pinv_rows(A, _forward_rows(A, x_hat0))
+
+
+def _ddrm_rows(x_hat0, yb, A, sigma_y, sigma_t, eta, eta_b, rngs, x_t=None, sigma_prev=None):
+    """``ddrm_step`` of each row of ``x_hat0`` (and ``x_t``), with the
+    spectral observation ``yb`` and one generator per row."""
     s = A.spectral_s()
-    xb0 = A.V.T @ x_hat0
-    yb = A.spectral_y(y)
+    xb0 = _matvec_rows(A.V.T, x_hat0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ob = np.where(s > 0, yb / np.where(s > 0, s, 1.0), 0.0)
         noise_scale = np.where(s > 0, sigma_y / np.where(s > 0, s, 1.0), np.inf)
 
-    mean = np.empty(A.d)
+    mean = np.empty(xb0.shape)
     std = np.empty(A.d)
     if x_t is not None and sigma_prev is not None and sigma_prev > 0:
-        xb_prev = A.V.T @ np.asarray(x_t, dtype=float)
+        xb_prev = _matvec_rows(A.V.T, x_t)
         momentum = (xb_prev - xb0) / sigma_prev
         eta_null = eta
     else:
-        momentum = np.zeros(A.d)
+        momentum = np.zeros(xb0.shape)
         eta_null = 1.0
 
     null = s == 0
-    mean[null] = xb0[null] + np.sqrt(max(1 - eta_null**2, 0.0)) * sigma_t * momentum[null]
+    mean[:, null] = (xb0[:, null]
+                     + np.sqrt(max(1 - eta_null**2, 0.0)) * sigma_t * momentum[:, null])
     std[null] = eta_null * sigma_t
 
     obs = ~null
     low = obs & (sigma_t < noise_scale)
-    mean[low] = xb0[low] + np.sqrt(max(1 - eta**2, 0.0)) * sigma_t * (ob[low] - xb0[low]) / noise_scale[low]
+    mean[:, low] = (xb0[:, low] + np.sqrt(max(1 - eta**2, 0.0)) * sigma_t
+                    * (ob[low] - xb0[:, low]) / noise_scale[low])
     std[low] = eta * sigma_t
 
     high = obs & (sigma_t >= noise_scale)
-    mean[high] = (1 - eta_b) * xb0[high] + eta_b * ob[high]
+    mean[:, high] = (1 - eta_b) * xb0[:, high] + eta_b * ob[high]
     var_high = sigma_t**2 - noise_scale[high] ** 2 * eta_b**2
     std[high] = np.sqrt(np.maximum(var_high, 0.0))
 
-    xb = mean + std * rng.standard_normal(A.d)
-    return A.V @ xb
+    xb = mean + std * _normals(rngs, A.d)
+    return _matvec_rows(A.V, xb)
 
 
 def prox_data_step(x_hat0, y, A: LinearOperatorSVD, sigma_y: float, rho_t: float):
@@ -258,11 +300,16 @@ def prox_data_step(x_hat0, y, A: LinearOperatorSVD, sigma_y: float, rho_t: float
     """
     if rho_t <= 0:
         raise ValueError("rho_t must be > 0")
+    return _prox_rows(np.asarray(x_hat0, dtype=float)[None], A.spectral_y(y), A,
+                      sigma_y, rho_t)[0]
+
+
+def _prox_rows(x_hat0, yb, A, sigma_y, rho_t):
+    """``prox_data_step`` of each row of ``x_hat0``, given ``A.spectral_y(y)``."""
     s = A.spectral_s()
-    xb0 = A.V.T @ np.asarray(x_hat0, dtype=float)
-    yb = A.spectral_y(y)
+    xb0 = _matvec_rows(A.V.T, x_hat0)
     zb = (s * yb / sigma_y**2 + rho_t * xb0) / (s**2 / sigma_y**2 + rho_t)
-    return A.V @ zb
+    return _matvec_rows(A.V, zb)
 
 
 def daps_langevin_step(x0, anchor, r_t: float, y, A: LinearOperatorSVD,
@@ -275,13 +322,18 @@ def daps_langevin_step(x0, anchor, r_t: float, y, A: LinearOperatorSVD,
         raise ValueError("step_size must be >= 0")
     if r_t <= 0:
         raise ValueError("r_t must be > 0")
-    x0 = np.asarray(x0, dtype=float)
+    x0 = np.asarray(x0, dtype=float)[None]
     if step_size == 0:
-        return x0.copy()
-    rng = _as_rng(seed)
-    resid = np.asarray(y) - apply_forward(A, x0)
-    drift = A.matrix().T @ resid / sigma_y**2 - (x0 - np.asarray(anchor)) / r_t**2
-    return x0 + 0.5 * step_size * drift + np.sqrt(step_size) * rng.standard_normal(len(x0))
+        return x0[0].copy()
+    return _langevin_rows(x0, np.asarray(anchor)[None], r_t, y, A, sigma_y, step_size,
+                          [_as_rng(seed)])[0]
+
+
+def _langevin_rows(x0, anchor, r_t, y, A, sigma_y, step_size, rngs):
+    """``daps_langevin_step`` (step_size > 0) of each row, one generator per row."""
+    resid = np.asarray(y) - _forward_rows(A, x0)
+    drift = _matvec_rows(A.matrix().T, resid) / sigma_y**2 - (x0 - anchor) / r_t**2
+    return x0 + 0.5 * step_size * drift + np.sqrt(step_size) * _normals(rngs, x0.shape[1])
 
 
 def reddiff_update(mu, y, A: LinearOperatorSVD, sigma_y: float,
@@ -294,14 +346,21 @@ def reddiff_update(mu, y, A: LinearOperatorSVD, sigma_y: float,
     """
     if step_size <= 0:
         raise ValueError("step_size must be > 0")
-    rng = _as_rng(seed)
-    mu = np.asarray(mu, dtype=float)
-    level = int(rng.integers(0, kernel.sched.last_nonzero_index + 1))
-    sigma = kernel.sched.grid[level]
-    eps = rng.standard_normal(len(mu))
-    score = kernel._denoise_batch(mu + sigma * eps, level)[0][0]
+    return _reddiff_rows(np.asarray(mu, dtype=float)[None], y, A, sigma_y, kernel,
+                         lambda_reg, step_size, [_as_rng(seed)])[0]
+
+
+def _reddiff_rows(mu, y, A, sigma_y, kernel, lambda_reg, step_size, rngs):
+    """``reddiff_update`` of each row of ``mu``; each row draws its own level
+    and noise from its own generator."""
+    levels = np.empty(len(rngs), dtype=int)
+    for k, rng in enumerate(rngs):
+        levels[k] = rng.integers(0, kernel.sched.last_nonzero_index + 1)
+    eps = _normals(rngs, mu.shape[1])
+    sigma = kernel.sched.grid[levels][:, None]
+    score = kernel.score_rows(mu + sigma * eps, levels)
     eps_hat = -sigma * score
-    data_grad = A.matrix().T @ (apply_forward(A, mu) - np.asarray(y)) / sigma_y**2
+    data_grad = _matvec_rows(A.matrix().T, _forward_rows(A, mu) - np.asarray(y)) / sigma_y**2
     return mu - step_size * (data_grad + lambda_reg * (eps_hat - eps))
 
 
@@ -349,49 +408,116 @@ class SamplingContext:
         return cls(prior=prior, sched=sched, kernel=ReverseKernel(prior, sched))
 
 
+def _status(step: int, why: str = "") -> str:
+    return f"diverged(step={step}{'; ' + why if why else ''})"
+
+
+class _Rows:
+    """The rows of one batch that are still running.
+
+    Holds each running row's generator, and the batch's result rows and
+    statuses. A row whose iterate turns non-finite gets a NaN result row and
+    its ``diverged(step=...)`` status, and leaves; the others keep going.
+    """
+
+    def __init__(self, rngs, dim: int):
+        self.rngs = list(rngs)
+        self.index = np.arange(len(self.rngs))
+        self.samples = np.full((len(self.rngs), dim), np.nan)
+        self.statuses = ["ok"] * len(self.rngs)
+
+    def steps(self, n: int):
+        """``range(n)``, cut short once no row is running."""
+        for i in range(n):
+            if not self.rngs:
+                return
+            yield i
+
+    def finite(self, X: np.ndarray, step: int) -> np.ndarray:
+        """The running rows of ``X`` after the non-finite ones leave at ``step``."""
+        ok = np.isfinite(X).all(axis=1)
+        if ok.all():
+            return X
+        for k in self.index[~ok]:
+            self.statuses[k] = _status(step)
+        self.index = self.index[ok]
+        self.rngs = [rng for rng, keep in zip(self.rngs, ok) if keep]
+        return X[ok]
+
+    def done(self, X: np.ndarray):
+        """(samples, statuses) of the batch, with ``X`` the running rows."""
+        self.samples[self.index] = X
+        return self.samples, self.statuses
+
+
 class _Diverged(Exception):
-    """A non-finite iterate; its message is the row's status."""
+    """A non-finite iterate of a one-row-at-a-time loop; its message is the
+    row's status."""
 
 
 def _finite(x, step: int, why: str = ""):
     """``x``, or ``_Diverged`` at ``step`` when it has a non-finite entry."""
     if not np.all(np.isfinite(x)):
-        raise _Diverged(f"diverged(step={step}{'; ' + why if why else ''})")
+        raise _Diverged(_status(step, why))
     return x
+
+
+def _one_row_at_a_time(row, dim: int):
+    """``rows`` of a sampler that runs ``row(rng) -> x`` once per row; a
+    ``_Diverged`` row becomes a NaN row with that status."""
+    def rows(rngs):
+        samples = np.full((len(rngs), dim), np.nan)
+        statuses = ["ok"] * len(rngs)
+        for k, rng in enumerate(rngs):
+            try:
+                samples[k] = row(rng)
+            except _Diverged as exc:
+                statuses[k] = str(exc)
+        return samples, statuses
+
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # solver loops: ``_sample_<name>(spec, m, ctx)`` does the per-measurement
-# work once and returns ``row(rng) -> x``, one reconstruction per call
+# work once and returns ``rows(rngs) -> (X, statuses)``, which draws row k
+# of the batch from generator ``rngs[k]``
 # ---------------------------------------------------------------------------
 
-def _init_noise(ctx: SamplingContext, rng, n=1) -> np.ndarray:
+def _init_noise(ctx: SamplingContext, rng, n: int) -> np.ndarray:
+    """``n`` particles of one row at ``sigma_max``."""
     return ctx.sched.sigma_max * rng.standard_normal((n, ctx.prior.dim))
+
+
+def _init_rows(ctx: SamplingContext, rngs) -> np.ndarray:
+    """One start at ``sigma_max`` per row, from that row's generator."""
+    return ctx.sched.sigma_max * _normals(rngs, ctx.prior.dim)
 
 
 def _sample_reference_exact(spec, m, ctx):
     post = exact_posterior(ctx.prior, m.operator, m.y, m.sigma_y)
-    return lambda rng: sample_mixture(post, 1, rng)[0]
+    return lambda rngs: (_sample_mixture_rows(post, rngs), ["ok"] * len(rngs))
 
 
 def _kernel_guided(ctx, pull):
-    """Rows of a heuristic that adds ``pull(x, i)`` to every exact kernel step."""
-    def row(rng):
-        x = _init_noise(ctx, rng)
-        for i in range(len(ctx.sched.grid) - 1):
-            x = _finite(ctx.kernel.step(x, i, rng) + pull(x, i), i)
-        return x[0]
+    """Rows of a heuristic that adds ``pull(X, i)`` to every exact kernel step."""
+    def rows(rngs):
+        out = _Rows(rngs, ctx.prior.dim)
+        X = _init_rows(ctx, out.rngs)
+        for i in out.steps(len(ctx.sched.grid) - 1):
+            X = out.finite(ctx.kernel.step_rows(X, i, out.rngs) + pull(X, i), i)
+        return out.done(X)
 
-    return row
+    return rows
 
 
 def _sample_dps(spec, m, ctx):
     scale = spec.hyperparameters["guidance_scale"]
 
-    def pull(x, i):
-        _, xhat0, jac = ctx.kernel.score_and_denoise(x[0], i)
+    def pull(X, i):
+        _, xhat0, jac = ctx.kernel.score_and_denoise_rows(X, i)
         grad, resid_norm = _dps_gradient_parts(xhat0, jac, m.y, m.operator)
-        return -(scale / (resid_norm + 1e-12)) * grad
+        return -(scale / (resid_norm[:, None] + 1e-12)) * grad
 
     return _kernel_guided(ctx, pull)
 
@@ -405,28 +531,32 @@ def _sample_daps(spec, m, ctx):
     eff_steps = [hp["step_size"] / (1.0 / r_t**2 + s_max_sq / m.sigma_y**2)
                  for r_t in grid[:-1]]
 
-    def row(rng):
-        x = _init_noise(ctx, rng)[0]
-        for i, eff_step in enumerate(eff_steps):
-            anchor = ctx.kernel.denoise(x, i)[0]
-            x0 = anchor.copy()
-            for _ in range(hp["langevin_steps"]):
-                x0 = daps_langevin_step(x0, anchor, grid[i], m.y, A, m.sigma_y, eff_step, rng)
-            _finite(x0, i)
+    def rows(rngs):
+        out = _Rows(rngs, ctx.prior.dim)
+        X = _init_rows(ctx, out.rngs)
+        for i in out.steps(len(eff_steps)):
+            anchor = ctx.kernel.denoise_rows(X, i)
+            X0 = anchor.copy()
+            if eff_steps[i] != 0:
+                for _ in range(hp["langevin_steps"]):
+                    X0 = _langevin_rows(X0, anchor, grid[i], m.y, A, m.sigma_y,
+                                        eff_steps[i], out.rngs)
+            X0 = out.finite(X0, i)
             sig_next = grid[i + 1]
-            x = x0 + sig_next * rng.standard_normal(len(x0)) if sig_next > 0 else x0
-        return x
+            X = X0 + sig_next * _normals(out.rngs, ctx.prior.dim) if sig_next > 0 else X0
+        return out.done(X)
 
-    return row
+    return rows
 
 
 def _sample_diffpir(spec, m, ctx):
     lam_reg = spec.hyperparameters["lambda_reg"]
     grid = ctx.sched.grid
+    yb = m.operator.spectral_y(m.y)
 
-    def pull(x, i):
-        xhat0 = ctx.kernel.denoise(x, i)[0]
-        z = prox_data_step(xhat0, m.y, m.operator, m.sigma_y, lam_reg / grid[i] ** 2)
+    def pull(X, i):
+        xhat0 = ctx.kernel.denoise_rows(X, i)
+        z = _prox_rows(xhat0, yb, m.operator, m.sigma_y, lam_reg / grid[i] ** 2)
         lam = grid[i + 1] ** 2 / grid[i] ** 2
         return (1 - lam) * (z - xhat0)
 
@@ -435,12 +565,11 @@ def _sample_diffpir(spec, m, ctx):
 
 def _sample_ddnm(spec, m, ctx):
     grid = ctx.sched.grid
+    pinv_y = apply_pinv(m.operator, m.y)
 
-    def pull(x, i):
-        xhat0 = ctx.kernel.denoise(x, i)[0]
-        proj = spectral_consistency_update(
-            "ddnm_projection", xhat0, m.y, m.operator, m.sigma_y, grid[i]
-        )
+    def pull(X, i):
+        xhat0 = ctx.kernel.denoise_rows(X, i)
+        proj = _ddnm_rows(xhat0, pinv_y, m.operator)
         lam = grid[i + 1] ** 2 / grid[i] ** 2
         return (1 - lam) * (proj - xhat0)
 
@@ -450,19 +579,18 @@ def _sample_ddnm(spec, m, ctx):
 def _sample_ddrm(spec, m, ctx):
     hp = spec.hyperparameters
     grid = ctx.sched.grid
+    yb = m.operator.spectral_y(m.y)
 
-    def row(rng):
-        x = _init_noise(ctx, rng)[0]
-        for i in range(len(grid) - 1):
-            xhat0 = ctx.kernel.denoise(x, i)[0]
-            x = _finite(spectral_consistency_update(
-                "ddrm_step", xhat0, m.y, m.operator, m.sigma_y, grid[i + 1],
-                eta=hp["eta"], eta_b=hp["eta_b"], seed=rng,
-                x_t=x, sigma_prev=grid[i],
-            ), i)
-        return x
+    def rows(rngs):
+        out = _Rows(rngs, ctx.prior.dim)
+        X = _init_rows(ctx, out.rngs)
+        for i in out.steps(len(grid) - 1):
+            xhat0 = ctx.kernel.denoise_rows(X, i)
+            X = out.finite(_ddrm_rows(xhat0, yb, m.operator, m.sigma_y, grid[i + 1],
+                                      hp["eta"], hp["eta_b"], out.rngs, X, grid[i]), i)
+        return out.done(X)
 
-    return row
+    return rows
 
 
 def _sample_reddiff(spec, m, ctx):
@@ -470,15 +598,16 @@ def _sample_reddiff(spec, m, ctx):
     steps = hp["opt_steps"]
     mu0 = apply_pinv(m.operator, m.y)
 
-    def row(rng):
-        mu = mu0
-        for t in range(steps):
+    def rows(rngs):
+        out = _Rows(rngs, ctx.prior.dim)
+        mu = np.repeat(mu0[None], len(rngs), axis=0)
+        for t in out.steps(steps):
             lr = hp["step_size"] * (1.0 - t / steps)
-            mu = _finite(reddiff_update(mu, m.y, m.operator, m.sigma_y, ctx.kernel,
-                                        hp["lambda_reg"], lr, rng), t)
-        return mu
+            mu = out.finite(_reddiff_rows(mu, m.y, m.operator, m.sigma_y, ctx.kernel,
+                                          hp["lambda_reg"], lr, out.rngs), t)
+        return out.done(mu)
 
-    return row
+    return rows
 
 
 def _sample_pnpdm(spec, m, ctx):
@@ -491,24 +620,26 @@ def _sample_pnpdm(spec, m, ctx):
     z_step = _z_step_sampler(A, m.y, m.sigma_y, rho)
     pinv_y = apply_pinv(A, m.y)
 
-    def row(rng):
+    def rows(rngs):
+        out = _Rows(rngs, ctx.prior.dim)
         # data-informed start: observed directions from the pseudo-inverse,
         # unobserved directions from a prior draw; shortens the Gibbs burn-in
-        x0 = sample_mixture(ctx.prior, 1, rng)[0]
-        x = pinv_y + x0 - apply_pinv(A, apply_forward(A, x0))
-        for g in range(hp["gibbs_iters"]):
-            z = z_step(x, rng)
+        X0 = _sample_mixture_rows(ctx.prior, out.rngs)
+        X = pinv_y + X0 - _pinv_rows(A, _forward_rows(A, X0))
+        for g in out.steps(hp["gibbs_iters"]):
+            X = z_step(X, out.rngs)
             if mode == "conjugate":
-                x = sample_mixture(conjugate_denoising_posterior(ctx.prior, z, rho), 1, rng)[0]
+                X = np.array([
+                    sample_mixture(conjugate_denoising_posterior(ctx.prior, z, rho), 1, rng)[0]
+                    for z, rng in zip(X, out.rngs)
+                ])
             else:
-                xx = z[None, :]
                 for i in range(start, len(grid) - 1):
-                    xx = ctx.kernel.step(xx, i, rng)
-                x = xx[0]
-            _finite(x, g)
-        return x
+                    X = ctx.kernel.step_rows(X, i, out.rngs)
+            X = out.finite(X, g)
+        return out.done(X)
 
-    return row
+    return rows
 
 
 def _degenerate_keep(w, rng):
@@ -637,7 +768,7 @@ def _sample_fps_smc(spec, m, ctx):
                  - log_potential(X, last, y_path[last]))
         return xhat0[_pick(log_w, rng)]
 
-    return row
+    return _one_row_at_a_time(row, d)
 
 
 def _sample_mcg_diff(spec, m, ctx):
@@ -667,7 +798,7 @@ def _sample_mcg_diff(spec, m, ctx):
             log_w = log_w + log_potential(X, m.sigma_y**2 + grid[i + 1] ** 2) - g_old
         return X[_pick(log_w, rng)]
 
-    return row
+    return _one_row_at_a_time(row, ctx.prior.dim)
 
 
 # Every solver is declared here once: name -> (family, default
@@ -691,13 +822,16 @@ _SOLVERS = {
                 _sample_reddiff),
 }
 
+# float hyperparameters that must be > 0, not merely >= 0
+_POSITIVE = {("pnpdm", "rho_coupling"), ("reddiff", "step_size"), ("diffpir", "lambda_reg")}
+
 SOLVER_FAMILIES = {name: family for name, (family, _, _) in _SOLVERS.items()}
 SOLVER_NAMES = tuple(_SOLVERS)
 
 
 def _setup(spec: SolverSpec, m: Measurement, prior: GaussianMixture,
            sched: NoiseSchedule, ctx: SamplingContext | None):
-    """The solver's ``row(rng) -> x`` for this measurement."""
+    """The solver's ``rows(rngs) -> (X, statuses)`` for this measurement."""
     if m.operator.d != prior.dim:
         raise ValueError("measurement operator dimension does not match prior")
     if ctx is None:
@@ -707,22 +841,16 @@ def _setup(spec: SolverSpec, m: Measurement, prior: GaussianMixture,
     return _entry(spec.name)[2](spec, m, ctx)
 
 
-def _draw(row, seed: int, dim: int):
-    """(vector, status) of one row; a divergence becomes a NaN row."""
-    try:
-        return row(np.random.default_rng(seed)), "ok"
-    except _Diverged as exc:
-        return np.full(dim, np.nan), str(exc)
-
-
 def sample_one(spec: SolverSpec, m: Measurement, prior: GaussianMixture,
                sched: NoiseSchedule, seed: int, ctx: SamplingContext | None = None):
-    """One reconstruction; returns (vector, status).
+    """One reconstruction; returns (vector, status). The K = 1 case of
+    ``run_batch``.
 
     Divergence is recorded in the status, never raised: a non-finite
     iterate yields a NaN row with status ``diverged(step=...)``.
     """
-    return _draw(_setup(spec, m, prior, sched, ctx), seed, prior.dim)
+    samples, statuses = _setup(spec, m, prior, sched, ctx)([np.random.default_rng(seed)])
+    return samples[0], statuses[0]
 
 
 def run_batch(spec: SolverSpec, m: Measurement, prior: GaussianMixture,
@@ -730,18 +858,15 @@ def run_batch(spec: SolverSpec, m: Measurement, prior: GaussianMixture,
               ctx: SamplingContext | None = None) -> SampleBatch:
     """K independent reconstructions with per-row seeds derived from
     (base_seed, row index). The solver sets up for the measurement once and
-    draws every row from that setup, so row k always equals a standalone
+    advances all K rows together, one generator per row; each row's bits do
+    not depend on the others, so row k always equals a standalone
     ``sample_one`` call with the same derived seed."""
     if K < 1:
         raise ValueError("K must be >= 1")
     t0 = time.perf_counter()
-    row = _setup(spec, m, prior, sched, ctx)
+    rows = _setup(spec, m, prior, sched, ctx)
     seeds = [derive_seed(base_seed, [("row", k)]) for k in range(K)]
-    samples = np.empty((K, prior.dim))
-    statuses = []
-    for k, seed in enumerate(seeds):
-        samples[k], status = _draw(row, seed, prior.dim)
-        statuses.append(status)
+    samples, statuses = rows([np.random.default_rng(seed) for seed in seeds])
     return SampleBatch(
         solver=spec, measurement=m, samples=samples, seeds=seeds,
         statuses=statuses, wall_time=time.perf_counter() - t0,

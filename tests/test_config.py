@@ -158,3 +158,32 @@ def test_hyperparameter_values_stored_as_given():
     assert pnpdm["x_step"] == "conjugate"
     default = config_from_dict(dict(MINIMAL, solvers=["pnpdm"])).solvers[0]
     assert default.hyperparameters["x_step"] == "diffusion"
+
+
+@pytest.mark.parametrize("name, key, value, match", [
+    ("reddiff", "step_size", 0, "must be a finite number > 0"),
+    ("diffpir", "lambda_reg", 0, "must be a finite number > 0"),
+    ("pnpdm", "rho_coupling", 0.0, "must be a finite number > 0"),
+    ("pnpdm", "rho_coupling", 100.0, r"within the schedule's \[sigma_min, sigma_max\]"),
+    ("pnpdm", "rho_coupling", 0.005, r"= \[0.01, 10.0\]"),
+])
+def test_hyperparameter_range_checked_at_config(name, key, value, match):
+    data = dict(MINIMAL, solvers=[{"name": name, "hyperparameters": {key: value}}])
+    with pytest.raises(ValueError, match=match) as err:
+        config_from_dict(data)
+    for part in (name, repr(key), repr(value)):
+        assert part in str(err.value)
+
+
+def test_rho_coupling_checked_against_the_config_schedule():
+    data = dict(MINIMAL, solvers=["pnpdm"])
+    assert config_from_dict(dict(data, schedule={"sigma_min": 0.3})).solvers[0].name == "pnpdm"
+    with pytest.raises(ValueError, match="rho_coupling"):
+        config_from_dict(dict(data, schedule={"sigma_min": 0.5}))
+    sweep = {"solver": "pnpdm", "name": "rho_coupling", "values": [0.2, 20.0]}
+    with pytest.raises(ValueError, match="got 20.0"):
+        config_from_dict(dict(data, sweep_axis=sweep))
+    # the swept values replace the solver's own, so only they are checked
+    cfg = config_from_dict(dict(data, schedule={"sigma_min": 0.5},
+                                sweep_axis=dict(sweep, values=[0.5, 2.0])))
+    assert cfg.sweep_axis["values"] == [0.5, 2.0]

@@ -20,7 +20,7 @@ from diffuq.gmm import (
     score_and_denoise,
     _logsumexp,
 )
-from diffuq.operators import build_operator
+from diffuq.operators import LinearOperatorSVD, _haar_orthogonal, build_operator
 
 
 def single_gaussian(mu, cov):
@@ -301,6 +301,47 @@ def test_posterior_conjugate_gaussian():
     post = exact_posterior(gmm, A, np.zeros(4), 1.0)
     assert np.allclose(post.means[0], 0.0)
     assert np.allclose(post.covs[0], 0.5 * np.eye(4))
+
+
+def _random_mixture(rng, C, d):
+    L = rng.standard_normal((C, d, d))
+    covs = L @ L.transpose(0, 2, 1) + 0.5 * np.eye(d)
+    covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+    return GaussianMixture(rng.dirichlet(np.ones(C)), 2.0 * rng.standard_normal((C, d)), covs)
+
+
+def _random_operator(rng, d, m):
+    """U diag(S) V^T with Haar U and V and singular values that may be zero."""
+    k = min(m, d)
+    S = np.where(rng.random(k) < 0.3, 0.0, rng.uniform(0.1, 3.0, k))
+    return LinearOperatorSVD(_haar_orthogonal(m, rng), S, _haar_orthogonal(d, rng))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), C=st.integers(1, 3), d=st.integers(1, 5),
+       extra_m=st.integers(-2, 2), log_sigma_y=st.floats(-1.0, 1.0))
+def test_posterior_matches_dense_conditioning(seed, C, d, extra_m, log_sigma_y):
+    """Each component is the Gaussian conditional of x given y under the joint
+    of (x, A x + noise); the weights are the prior weights times each
+    component's evidence N(y; A mu_c, A Sigma_c A^T + sigma_y^2 I)."""
+    rng = np.random.default_rng(seed)
+    gmm = _random_mixture(rng, C, d)
+    A = _random_operator(rng, d, max(1, d + extra_m))
+    sigma_y = 10.0**log_sigma_y
+    Am = A.matrix()
+    y = Am @ sample_mixture(gmm, 1, rng)[0] + sigma_y * rng.standard_normal(A.m)
+    post = exact_posterior(gmm, A, y, sigma_y)
+    log_ev = np.empty(C)
+    for c in range(C):
+        cov, mu = gmm.covs[c], gmm.means[c]
+        cov_yy = Am @ cov @ Am.T + sigma_y**2 * np.eye(A.m)
+        gain = np.linalg.solve(cov_yy, Am @ cov).T  # Sigma A^T cov_yy^-1
+        np.testing.assert_allclose(post.means[c], mu + gain @ (y - Am @ mu),
+                                   rtol=1e-7, atol=1e-9)
+        np.testing.assert_allclose(post.covs[c], cov - gain @ Am @ cov, rtol=1e-7, atol=1e-9)
+        log_ev[c] = np.log(gmm.weights[c]) + multivariate_normal.logpdf(y, Am @ mu, cov_yy)
+    np.testing.assert_allclose(post.weights, np.exp(log_ev - scipy_logsumexp(log_ev)),
+                               rtol=1e-7, atol=1e-12)
 
 
 def test_posterior_uninformative_operator(toy_prior):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diffuq.operators import (
     LinearOperatorSVD,
     Measurement,
+    _haar_orthogonal,
     apply_forward,
     apply_pinv,
     build_operator,
@@ -101,6 +103,38 @@ def test_pinv_range_identity(rng):
     A = build_operator("binary_svd", 16, obs_count=6)
     y = apply_forward(A, rng.standard_normal(16))
     assert np.allclose(apply_forward(A, apply_pinv(A, y)), y, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 10),
+       kind=st.sampled_from(["identity", "binary", "random_orthogonal", "general"]))
+def test_pinv_moore_penrose_identities(seed, d, kind):
+    """A A+ A = A, A+ A A+ = A+, and both products symmetric, for the maps
+    ``apply_forward`` and ``apply_pinv`` read off on the unit vectors."""
+    rng = np.random.default_rng(seed)
+    obs = int(rng.integers(0, d + 1))
+    if kind == "identity":
+        A = build_operator("identity", d)
+    elif kind == "binary":
+        A = build_operator("binary_svd", d, obs_count=obs)
+    elif kind == "random_orthogonal":
+        A = build_operator("binary_svd", d, obs_count=obs, basis_mode="random_orthogonal",
+                           seed=int(rng.integers(1000)))
+    else:
+        m = int(rng.integers(1, d + 3))
+        k = min(m, d)
+        S = np.where(rng.random(k) < 0.3, 0.0, rng.uniform(0.1, 3.0, k))
+        A = LinearOperatorSVD(_haar_orthogonal(m, rng), S, _haar_orthogonal(d, rng))
+    F = apply_forward(A, np.eye(A.d)).T  # (m, d), column j is A e_j
+    P = apply_pinv(A, np.eye(A.m)).T  # (d, m)
+    np.testing.assert_allclose(F, A.matrix(), atol=1e-12)
+    np.testing.assert_allclose(F @ P @ F, F, atol=1e-12)
+    np.testing.assert_allclose(P @ F @ P, P, atol=1e-11)
+    np.testing.assert_allclose(F @ P, (F @ P).T, atol=1e-12)
+    np.testing.assert_allclose(P @ F, (P @ F).T, atol=1e-12)
+    x = rng.standard_normal(A.d)
+    np.testing.assert_allclose(apply_forward(A, apply_pinv(A, apply_forward(A, x))),
+                               apply_forward(A, x), atol=1e-11)
 
 
 def test_variance_splits_additively(rng):

@@ -3,10 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diffuq.diffusion import ReverseConfig, ReverseKernel, build_schedule, reverse_sample
 from diffuq.gmm import (
     GaussianMixture,
+    _responsibilities,
     exact_posterior,
     mixture_moments,
     sample_mixture,
@@ -87,6 +89,30 @@ def test_unknown_solver_lists_names():
 def test_unknown_hyperparameter_rejected():
     with pytest.raises(ValueError, match="hyperparameter"):
         resolve_solver("dps", {"temperature": 1.0})
+
+
+@pytest.mark.parametrize("name, hp, match", [
+    ("dps", {}, "missing hyperparameter 'guidance_scale'"),
+    ("pnpdm", {"rho_coupling": 0.3, "gibbs_iters": 40}, "missing hyperparameter 'x_step'"),
+    ("fps_smc", {"particles": 0}, "'particles' must be an integer >= 1, got 0"),
+    ("dps", {"guidance_scale": 0.3, "temperature": 1.0}, "no hyperparameter 'temperature'"),
+    ("reddiff", {"lambda_reg": 0.25, "step_size": 0, "opt_steps": 300},
+     "'step_size' must be a finite number > 0, got 0"),
+    ("diffpir", {"lambda_reg": 0.0}, "'lambda_reg' must be a finite number > 0"),
+    ("dps", [("guidance_scale", 0.3)], "must be a mapping"),
+])
+def test_solver_spec_checks_hyperparameters(name, hp, match):
+    """The Python-API path checks what ``resolve_solver`` checks, before any
+    sampler runs."""
+    with pytest.raises(ValueError, match=match):
+        SolverSpec(name, hp)
+
+
+def test_solver_spec_keeps_values_as_given():
+    hp = {"eta": 1, "eta_b": 0.5}
+    spec = SolverSpec("ddrm", hp)
+    assert spec.hyperparameters is hp and type(hp["eta"]) is int
+    assert resolve_solver("ddrm", {"eta": 1}).hyperparameters == {"eta": 1, "eta_b": 1.0}
 
 
 def test_defaults_fully_resolved():
@@ -370,14 +396,16 @@ def test_reddiff_deterministic(toy_prior):
 
 
 def test_reddiff_score_from_batch_core_matches_single_point(toy_prior, rng):
-    # reddiff_update takes its score from the kernel's batch core on a (1, d)
-    # row; it must give the bits of the single-point score at every level
+    # reddiff scores each row at its own level with ``score_rows``; at every
+    # level it must give the bits of the batch core on that row and of the
+    # single-point score
     sched = build_schedule(0.01, 10.0, 40)
     kernel = ReverseKernel(toy_prior, sched)
     for level in range(sched.last_nonzero_index + 1):
         for x in sched.grid[level] * rng.standard_normal((5, 16)):
             score, _, _ = kernel.score_and_denoise(x, level)
             assert np.array_equal(kernel._denoise_batch(x, level)[0][0], score), level
+            assert np.array_equal(kernel.score_rows(x[None], np.array([level]))[0], score), level
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +622,88 @@ def test_mcg_diff_rejects_non_binary_operator(toy_prior, sched12):
         run_batch(spec, m, toy_prior, sched12, 2, 3)
     with pytest.raises(ValueError, match="binary"):
         sample_one(spec, m, toy_prior, sched12, 3)
+
+
+# ---------------------------------------------------------------------------
+# row batching: each row of a batch has the bits it has on its own
+# ---------------------------------------------------------------------------
+
+_OPERATORS = {
+    "identity": lambda: build_operator("identity", 16),
+    "binary_obs8": lambda: build_operator("binary_svd", 16, obs_count=8),
+}
+
+
+def _standalone_rows(spec, m, prior, sched, base_seed, K, ctx):
+    return [sample_one(spec, m, prior, sched, derive_seed(base_seed, [("row", k)]), ctx=ctx)
+            for k in range(K)]
+
+
+@pytest.mark.parametrize("op", sorted(_OPERATORS))
+@pytest.mark.parametrize("name", SOLVER_NAMES)
+def test_batch_rows_equal_standalone_draws(toy_prior, sched12, name, op):
+    A = _OPERATORS[op]()
+    m = synthesize_measurement(A, sample_mixture(toy_prior, 1, 21)[0], 1.0, 22)
+    ctx = SamplingContext.build(toy_prior, sched12)
+    spec = resolve_solver(name)
+    alone = _standalone_rows(spec, m, toy_prior, sched12, 31, 16, ctx)
+    for K in (1, 3, 16):
+        batch = run_batch(spec, m, toy_prior, sched12, K, 31, ctx=ctx)
+        for k in range(K):
+            x, status = alone[k]
+            assert batch.statuses[k] == status, (K, k)
+            assert np.array_equal(batch.samples[k], x, equal_nan=True), (K, k)
+
+
+def test_diverged_rows_leave_the_batch_alone(toy_prior, sched12):
+    """reddiff at sigma_y = 0.1 with 125 steps sits at its stability edge:
+    some rows overflow near the end and the others finish."""
+    A = build_operator("identity", 16)
+    m = synthesize_measurement(A, sample_mixture(toy_prior, 1, 11)[0], 0.1, 12)
+    ctx = SamplingContext.build(toy_prior, sched12)
+    spec = resolve_solver("reddiff", {"opt_steps": 125})
+    with np.errstate(all="ignore"):
+        batch = run_batch(spec, m, toy_prior, sched12, 16, 5, ctx=ctx)
+        alone = _standalone_rows(spec, m, toy_prior, sched12, 5, 16, ctx)
+    assert set(batch.statuses) == {"ok", "diverged(step=120)", "diverged(step=121)"}
+    for k, (x, status) in enumerate(alone):
+        assert batch.statuses[k] == status
+        if status == "ok":
+            assert np.array_equal(batch.samples[k], x)
+        else:
+            assert np.all(np.isnan(batch.samples[k])) and np.all(np.isnan(x))
+
+
+@pytest.fixture(scope="module")
+def kernel12(toy_prior, sched12):
+    return ReverseKernel(toy_prior, sched12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(1, 24), seed=st.integers(0, 2**32 - 1),
+       log_scale=st.floats(-3.0, 3.0), level=st.integers(0, 12))
+def test_rowwise_primitives_match_single_rows(kernel12, K, seed, log_scale, level):
+    rng = np.random.default_rng(seed)
+    X = 10.0**log_scale * rng.standard_normal((K, 16))
+    seeds = rng.integers(0, 2**32, size=K)
+    noisy = kernel12._noisy[level]
+    resp = _responsibilities(noisy, X, rows=True)
+    logr = kernel12.log_responsibilities_rows(X, level)
+    den = kernel12.denoise_rows(X, level)
+    stepped = kernel12.step_rows(X, level, [np.random.default_rng(s) for s in seeds])
+    levels = rng.integers(0, 13, size=K)
+    scores = kernel12.score_rows(X, levels)
+    score, xhat0, jac = kernel12.score_and_denoise_rows(X, level)
+    for k in range(K):
+        row = X[k : k + 1]
+        assert np.array_equal(resp[k], _responsibilities(noisy, X[k]))
+        assert np.array_equal(logr[k], kernel12.log_responsibilities(row, level)[0])
+        assert np.array_equal(den[k], kernel12.denoise(row, level)[0])
+        assert np.array_equal(stepped[k],
+                              kernel12.step(row, level, np.random.default_rng(seeds[k]))[0])
+        assert np.array_equal(scores[k], kernel12._denoise_batch(row, levels[k])[0][0])
+        for got, want in zip((score, xhat0, jac), kernel12.score_and_denoise(X[k], level)):
+            assert np.array_equal(got[k], want)
 
 
 def test_docs_list_each_solver_under_its_family():
