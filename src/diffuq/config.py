@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import yaml
 
+from .diffusion import build_schedule
 from .gmm import ToyPriorSpec
+from .operators import build_operator
 from .solvers import resolve_solver
 
 __all__ = ["ExperimentConfig", "load_config", "config_to_dict", "config_from_dict"]
@@ -52,6 +55,8 @@ class ExperimentConfig:
             )
         if not (math.isfinite(self.sigma_y) and self.sigma_y > 0):
             raise ValueError(f"sigma_y must be finite and > 0, got {self.sigma_y!r}")
+        for key in ("master_seed", "n_cases", "k_samples"):
+            object.__setattr__(self, key, _integer(key, getattr(self, key)))
         if self.n_cases < 1:
             raise ValueError("n_cases must be >= 1")
         if self.k_samples < 2:
@@ -60,6 +65,11 @@ class ExperimentConfig:
             raise ValueError("at least one solver is required")
         if self.experiment == "exp1_identity" and self.operator.get("kind") != "identity":
             raise ValueError("exp1_identity forces the identity operator")
+        self._check_schedule()
+        try:
+            build_operator(**{"d": self.prior.d, **self.operator})
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"operator {self.operator!r} is invalid: {exc}") from None
         if self.sweep_axis is not None:
             missing = {"solver", "name", "values"} - set(self.sweep_axis)
             if missing:
@@ -72,6 +82,19 @@ class ExperimentConfig:
             if solver not in {s.name for s in self.solvers}:
                 raise ValueError(f"sweep_axis solver {solver!r} is not one of the config's solvers")
         self._check_rho_coupling()
+
+    def _check_schedule(self):
+        """The schedule builds; a value of the wrong kind fails here, naming its key."""
+        sched = self.schedule
+        for key in ("sigma_min", "sigma_max", "exponent"):
+            value = sched.get(key, 1.0)
+            if not (_real(value) and math.isfinite(value)):
+                raise ValueError(f"schedule {key} must be a finite number, got {value!r}")
+        _integer("schedule steps", sched["steps"])
+        try:
+            build_schedule(**sched)
+        except (ValueError, ArithmeticError) as exc:
+            raise ValueError(f"schedule {sched!r} is invalid: {exc}") from None
 
     def _check_rho_coupling(self):
         """pnpdm starts its x-step at the grid level of ``rho_coupling``, so
@@ -88,6 +111,17 @@ class ExperimentConfig:
                     f"solver pnpdm hyperparameter 'rho_coupling' must lie within the schedule's"
                     f" [sigma_min, sigma_max] = [{lo}, {hi}], got {rho!r}"
                 )
+
+
+def _real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _integer(key: str, value) -> int:
+    """``value`` as an int; a value that is not an integral number is rejected."""
+    if not (_real(value) and float(value).is_integer()):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _parse_solvers(raw) -> tuple:
@@ -138,11 +172,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         experiment=experiment,
-        master_seed=int(data["master_seed"]),
+        master_seed=data["master_seed"],
         sigma_y=sigma_y,
         solvers=_parse_solvers(data["solvers"]),
-        n_cases=int(data.get("n_cases", 20)),
-        k_samples=int(data.get("k_samples", 100)),
+        n_cases=data.get("n_cases", 20),
+        k_samples=data.get("k_samples", 100),
         prior=ToyPriorSpec(**prior_args),
         operator=operator,
         schedule=schedule,

@@ -19,6 +19,7 @@ import numpy as np
 from .gmm import (
     GaussianMixture,
     noisy_marginal,
+    _alone,
     _check_finite,
     _cho_factors,
     _cho_solve_vec,
@@ -29,7 +30,7 @@ from .gmm import (
     _normals,
     _precisions,
     _score_and_denoise,
-    _vecmat_rows,
+    _vecmat_sets,
 )
 
 __all__ = [
@@ -135,7 +136,8 @@ class ReverseKernel:
 
     The ``*_rows`` methods advance a (K, d) array of independent rows, each
     with its own generator where it draws: row k gets the bits of the same
-    call on that row alone, whatever K is.
+    call on that row alone, whatever K is. ``step_sets`` does the same for a
+    (K, n, d) array of particle sets, one generator per set.
     """
 
     def __init__(self, prior: GaussianMixture, sched: NoiseSchedule):
@@ -192,14 +194,24 @@ class ReverseKernel:
         """One ancestral transition from grid[level] to grid[level+1].
 
         ``X`` is an (n, d) batch; the final transition to sigma = 0 is the
-        Tweedie denoise. Consumes one uniform and one (n, d) normal block.
+        Tweedie denoise. Consumes n uniforms and one (n, d) normal block.
         """
-        X = np.atleast_2d(X)
+        return self.step_sets(np.atleast_2d(X)[None], level, [rng])[0]
+
+    def step_sets(self, X: np.ndarray, level: int, rngs) -> np.ndarray:
+        """``step`` of each particle set ``X[k]`` of the (K, n, d) array ``X``
+        with its own generator ``rngs[k]``. Set k gets the bits of ``step`` on
+        that set alone when n >= 2 or K == 1: its solves run among all K * n
+        particles, whose column bits do not depend on their count."""
+        K, n, d = X.shape
+        flat = X.reshape(K * n, d)
         if level == self.sched.last_nonzero_index:
-            return self.denoise(X, level)
-        logr = self.log_responsibilities(X, level)
-        return self._transition(X, level, logr, rng.random(X.shape[0]),
-                                rng.standard_normal(X.shape), np.matmul)
+            return self.denoise(flat, level).reshape(X.shape)
+        logr = self.log_responsibilities(flat, level)
+        u = np.concatenate([rng.random(n) for rng in rngs])
+        noise = np.concatenate([rng.standard_normal((n, d)) for rng in rngs])
+        return self._transition(flat, level, logr, u, noise,
+                                np.repeat(np.arange(K), n)).reshape(X.shape)
 
     def step_rows(self, X: np.ndarray, level: int, rngs) -> np.ndarray:
         """``step`` of each row of the (K, d) array ``X`` with its own
@@ -208,21 +220,24 @@ class ReverseKernel:
             return self.denoise_rows(X, level)
         logr = self.log_responsibilities_rows(X, level)
         u = np.array([rng.random() for rng in rngs])
-        return self._transition(X, level, logr, u, _normals(rngs, X.shape[1]), _vecmat_rows)
+        return self._transition(X, level, logr, u, _normals(rngs, X.shape[1]))
 
-    def _transition(self, X, level, logr, u, noise, vecmat):
+    def _transition(self, X, level, logr, u, noise, sets=None):
         """Draw each row's component by inverse CDF of its responsibilities at
-        ``u``, then its conditional Gaussian; ``vecmat`` is the product."""
+        ``u``, then its conditional Gaussian; ``sets`` labels the particle
+        set of each row (see ``_vecmat_sets``), and without it each row is a
+        set of its own."""
         cum = np.cumsum(np.exp(logr), axis=1)
         comp = np.sum(u[:, None] >= cum, axis=1)
         comp = np.minimum(comp, self.prior.n_components - 1)
         out = np.empty_like(X)
         for c in range(self.prior.n_components):
-            mask = comp == c
-            if not np.any(mask):
+            rows = np.flatnonzero(comp == c)
+            if not rows.size:
                 continue
-            mean = vecmat(X[mask], self._B[level, c].T) + self._a[level, c]
-            out[mask] = mean + vecmat(noise[mask], self._chol[level, c].T)
+            alone = True if sets is None else _alone(sets[rows])
+            mean = _vecmat_sets(X[rows], self._B[level, c].T, alone) + self._a[level, c]
+            out[rows] = mean + _vecmat_sets(noise[rows], self._chol[level, c].T, alone)
         return out
 
     def denoise(self, X: np.ndarray, level: int) -> np.ndarray:

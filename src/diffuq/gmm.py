@@ -61,6 +61,27 @@ def _matvec_rows(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     return (M @ X[:, :, None])[:, :, 0]
 
 
+# Particle sets. Rows gathered from several independent sets (one row's
+# particles each) get the bits each set's own ``X @ M`` gives them: for d = 16
+# the row bits of a gemm do not depend on its row count once it has two rows
+# or more, and a set's only row takes the gemv path.
+
+def _alone(sets: np.ndarray) -> np.ndarray:
+    """Whether each entry of the set labels ``sets`` is its set's only one."""
+    return np.bincount(sets)[sets] == 1
+
+
+def _vecmat_sets(X: np.ndarray, M: np.ndarray, alone) -> np.ndarray:
+    """``X @ M`` for rows of independent particle sets, ``alone`` flagging the
+    rows that are the only one of their set (True: every row is)."""
+    if alone is True or alone.all():
+        return _vecmat_rows(X, M)
+    out = X @ M
+    if alone.any():
+        out[alone] = _vecmat_rows(X[alone], M)
+    return out
+
+
 def _cho_solve_vec(cf: tuple, b: np.ndarray) -> np.ndarray:
     """``cho_solve(cf, b)`` for one right-hand side: the same LAPACK ``potrs``
     call and bits, without scipy's per-call wrapper. The caller checks that

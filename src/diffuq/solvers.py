@@ -27,10 +27,12 @@ from .gmm import (
     sample_mixture,
     score_and_denoise,
     _as_rng,
+    _alone,
     _logsumexp,
     _matvec_rows,
     _normals,
     _sample_mixture_rows,
+    _vecmat_sets,
 )
 from .operators import (
     LinearOperatorSVD,
@@ -433,16 +435,18 @@ class _Rows:
                 return
             yield i
 
-    def finite(self, X: np.ndarray, step: int) -> np.ndarray:
-        """The running rows of ``X`` after the non-finite ones leave at ``step``."""
-        ok = np.isfinite(X).all(axis=1)
-        if ok.all():
-            return X
-        for k in self.index[~ok]:
-            self.statuses[k] = _status(step)
-        self.index = self.index[ok]
-        self.rngs = [rng for rng, keep in zip(self.rngs, ok) if keep]
-        return X[ok]
+    def finite(self, X: np.ndarray, step: int, *companions, why: str = ""):
+        """The running rows of ``X`` after the rows with a non-finite entry
+        leave at ``step``. With ``companions``, arrays that hold a value per
+        running row, the tuple of ``X`` and their running rows."""
+        ok = np.isfinite(X).all(axis=tuple(range(1, X.ndim)))
+        if not ok.all():
+            for k in self.index[~ok]:
+                self.statuses[k] = _status(step, why)
+            self.index = self.index[ok]
+            self.rngs = [rng for rng, keep in zip(self.rngs, ok) if keep]
+            X, companions = X[ok], tuple(a[ok] for a in companions)
+        return (X, *companions) if companions else X
 
     def done(self, X: np.ndarray):
         """(samples, statuses) of the batch, with ``X`` the running rows."""
@@ -450,44 +454,11 @@ class _Rows:
         return self.samples, self.statuses
 
 
-class _Diverged(Exception):
-    """A non-finite iterate of a one-row-at-a-time loop; its message is the
-    row's status."""
-
-
-def _finite(x, step: int, why: str = ""):
-    """``x``, or ``_Diverged`` at ``step`` when it has a non-finite entry."""
-    if not np.all(np.isfinite(x)):
-        raise _Diverged(_status(step, why))
-    return x
-
-
-def _one_row_at_a_time(row, dim: int):
-    """``rows`` of a sampler that runs ``row(rng) -> x`` once per row; a
-    ``_Diverged`` row becomes a NaN row with that status."""
-    def rows(rngs):
-        samples = np.full((len(rngs), dim), np.nan)
-        statuses = ["ok"] * len(rngs)
-        for k, rng in enumerate(rngs):
-            try:
-                samples[k] = row(rng)
-            except _Diverged as exc:
-                statuses[k] = str(exc)
-        return samples, statuses
-
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # solver loops: ``_sample_<name>(spec, m, ctx)`` does the per-measurement
 # work once and returns ``rows(rngs) -> (X, statuses)``, which draws row k
 # of the batch from generator ``rngs[k]``
 # ---------------------------------------------------------------------------
-
-def _init_noise(ctx: SamplingContext, rng, n: int) -> np.ndarray:
-    """``n`` particles of one row at ``sigma_max``."""
-    return ctx.sched.sigma_max * rng.standard_normal((n, ctx.prior.dim))
-
 
 def _init_rows(ctx: SamplingContext, rngs) -> np.ndarray:
     """One start at ``sigma_max`` per row, from that row's generator."""
@@ -651,10 +622,37 @@ def _degenerate_keep(w, rng):
     return None
 
 
-def _pick(log_w, rng) -> int:
-    """Index of the final particle, drawn by the normalised weights."""
-    w = np.exp(log_w - _logsumexp(log_w))
-    return int(rng.choice(len(w), p=w))
+def _picks(X, log_w, rngs) -> np.ndarray:
+    """Row j's final particle of the (K, n, d) particles ``X``, drawn by its
+    normalised weights ``exp(log_w[j])`` with generator ``rngs[j]``."""
+    log_norm = _logsumexp(log_w, axis=-1, keepdims=True)
+    picks = np.empty(len(rngs), dtype=int)
+    for j, rng in enumerate(rngs):
+        w = np.exp(log_w[j] - log_norm[j])
+        picks[j] = rng.choice(len(w), p=w)
+    return X[np.arange(len(picks)), picks]
+
+
+def _init_particles(ctx: SamplingContext, rngs, n: int) -> np.ndarray:
+    """(K, n, d): ``n`` particles per row at ``sigma_max``, from that row's generator."""
+    return np.array([ctx.sched.sigma_max * rng.standard_normal((n, ctx.prior.dim))
+                     for rng in rngs])
+
+
+def _particle_rows(batch, n_p: int):
+    """``rows`` of an SMC sampler whose ``batch(rngs)`` advances every row's
+    ``n_p`` particles as one (K, n_p, d) iterate. Its solves run over all
+    K * n_p particles, which gives each row its own bits only when a row has
+    two particles or more (a one-column solve differs), so single-particle
+    rows run one batch each."""
+    if n_p > 1:
+        return batch
+
+    def rows(rngs):
+        runs = [batch([rng]) for rng in rngs]
+        return np.concatenate([X for X, _ in runs]), [s for _, st in runs for s in st]
+
+    return rows
 
 
 def _sample_fps_smc(spec, m, ctx):
@@ -695,80 +693,89 @@ def _sample_fps_smc(spec, m, ctx):
             )
             ev_logdet[i, c] = 2.0 * np.sum(np.log(np.diag(ev_chol[i, c])))
 
-    def log_potential(X, level, y_level):
-        """Tempered likelihood over observed spectral coordinates:
-        N(y_bar_j; s_j x_bar_j, sigma_y^2 + sigma_level^2 s_j^2)."""
-        yb = A.spectral_y(y_level)
+    def log_potential(X, level, yb):
+        """Tempered likelihood of the (K, n_p, d) particles over observed
+        spectral coordinates, given each row's spectral observation ``yb``
+        (K, d) at ``level``: N(y_bar_j; s_j x_bar_j, sigma_y^2 + sigma_level^2 s_j^2)."""
         w_var = m.sigma_y**2 + grid[level] ** 2 * s**2
-        diff = yb[obs] - (np.atleast_2d(X) @ A.V)[:, obs] * s[obs]
+        diff = yb[:, obs][:, None, :] - (X @ A.V)[..., obs] * s[obs]
         return -0.5 * np.sum(diff**2 / w_var[obs] + np.log(2 * np.pi * w_var[obs]),
-                             axis=1)
+                             axis=-1)
 
-    def row(rng):
-        # coupled measurement path y_j = y + A eta_j, built from sigma_min up
+    def spectral_path(rng):
+        """(n_levels, d): the row's coupled measurement path y_j = y + A eta_j,
+        built from sigma_min up, in the spectral basis."""
         eta = np.empty((n_levels, d))
         eta[n_levels - 1] = grid[n_levels - 1] * rng.standard_normal(d)
         for j in range(n_levels - 2, -1, -1):
             eta[j] = eta[j + 1] + np.sqrt(grid[j] ** 2 - grid[j + 1] ** 2) * rng.standard_normal(d)
-        y_path = m.y[None, :] + apply_forward(A, eta)
+        return [A.spectral_y(y) for y in m.y[None, :] + apply_forward(A, eta)]
 
-        X = _init_noise(ctx, rng, n_p)
-        log_w = log_potential(X, 0, y_path[0])
-        for i in range(n_trans):
-            yb = A.spectral_y(y_path[i + 1])
+    def batch(rngs):
+        out = _Rows(rngs, d)
+        yb_path = np.array([spectral_path(rng) for rng in out.rngs])  # (K, n_levels, d)
+        X = _init_particles(ctx, out.rngs, n_p)
+        log_w = log_potential(X, 0, yb_path[:, 0])
+        for i in out.steps(n_trans):
+            K = len(out.rngs)
+            yb = yb_path[:, i + 1]
             with np.errstate(divide="ignore", invalid="ignore"):
                 # whitened pseudo-observation: literal division by the singular
                 # values; zero singular values poison the update (by design)
                 ob = yb / s
                 p_ob = obs_precision[i] * ob
 
-            log_r = kernel.log_responsibilities(X, i)  # (n_p, C)
-            means = np.empty((C, n_p, d))
-            log_ev = np.empty((n_p, C))
+            log_r = kernel.log_responsibilities(X.reshape(K * n_p, d), i)
+            means = np.empty((C, K, n_p, d))
+            log_ev = np.empty((K * n_p, C))
             for c in range(C):
                 means[c] = X @ kernel._B[i, c].T + kernel._a[i, c]
-                mb = means[c] @ A.V * s  # S V^T mean, (n_p, d)
-                diff = yb[None, :] - mb
-                sol = solve_triangular(ev_chol[i, c], diff.T, lower=True)
+                diff = yb[:, None, :] - means[c] @ A.V * s  # y - S V^T mean
+                sol = solve_triangular(ev_chol[i, c], diff.reshape(K * n_p, d).T, lower=True)
                 log_ev[:, c] = -0.5 * (np.sum(sol**2, axis=0) + ev_logdet[i, c]
                                        + d * np.log(2 * np.pi))
-            log_joint = log_r + log_ev
-            log_pred = _logsumexp(log_joint, axis=1)
+            log_joint = (log_r + log_ev).reshape(K, n_p, C)
+            log_pred = _logsumexp(log_joint, axis=-1)
             # auxiliary-filter telescoping: fold in the predictive evidence for
             # the next level's potential and divide out this level's own
-            log_w = log_w + log_pred - log_potential(X, i, y_path[i])
-            log_w = log_w - _logsumexp(log_w)
-            keep = _degenerate_keep(np.exp(log_w), rng)
-            if keep is not None:
-                X, means, log_joint, log_pred = (
-                    X[keep], means[:, keep], log_joint[keep], log_pred[keep]
-                )
-                log_w = np.full(n_p, -np.log(n_p))
+            log_w = log_w + log_pred - log_potential(X, i, yb_path[:, i])
+            log_w = log_w - _logsumexp(log_w, axis=-1, keepdims=True)
+            for j, rng in enumerate(out.rngs):
+                keep = _degenerate_keep(np.exp(log_w[j]), rng)
+                if keep is not None:
+                    X[j], means[:, j] = X[j][keep], means[:, j][:, keep]
+                    log_joint[j], log_pred[j] = log_joint[j][keep], log_pred[j][keep]
+                    log_w[j] = -np.log(n_p)
 
             # propagate from the conditional p(x_{i+1} | x_i, y_{i+1})
-            comp_p = np.exp(log_joint - log_pred[:, None])
-            u = rng.random(n_p)
-            comp = np.sum(u[:, None] >= np.cumsum(comp_p, axis=1), axis=1)
-            comp = np.minimum(comp, C - 1)
-            noise = rng.standard_normal((n_p, d))
-            X_new = np.empty_like(X)
+            comp_p = np.exp(log_joint - log_pred[..., None])
+            u = np.array([rng.random(n_p) for rng in out.rngs])
+            comp = np.sum(u[..., None] >= np.cumsum(comp_p, axis=-1), axis=-1)
+            comp = np.minimum(comp, C - 1).ravel()
+            noise = np.concatenate([rng.standard_normal((n_p, d)) for rng in out.rngs])
+            pull = _matvec_rows(A.V, p_ob)  # V (precision-weighted pseudo-observation)
+            sets = np.repeat(np.arange(K), n_p)
+            X_new = np.empty((K * n_p, d))
             for c in range(C):
-                mask = comp == c
-                if not np.any(mask):
+                rows = np.flatnonzero(comp == c)
+                if not rows.size:
                     continue
-                nat = means[c][mask] @ trans_cov_inv[i, c].T + (A.V @ p_ob)[None, :]
-                mean_post = nat @ post_cov[i, c].T
-                X_new[mask] = mean_post + noise[mask] @ post_chol[i, c].T
-            X = _finite(X_new, i, "pseudo-inverse of zero singular values")
+                alone = _alone(sets[rows])
+                nat = (_vecmat_sets(means[c].reshape(K * n_p, d)[rows], trans_cov_inv[i, c].T,
+                                    alone) + pull[sets[rows]])
+                mean_post = _vecmat_sets(nat, post_cov[i, c].T, alone)
+                X_new[rows] = mean_post + _vecmat_sets(noise[rows], post_chol[i, c].T, alone)
+            X, log_w, yb_path = out.finite(X_new.reshape(K, n_p, d), i, log_w, yb_path,
+                                           why="pseudo-inverse of zero singular values")
 
         last = n_levels - 1
-        xhat0 = kernel.denoise(X, last)
-        resid = m.y[None, :] - apply_forward(A, xhat0)
-        log_w = (log_w - 0.5 * np.sum(resid**2, axis=1) / m.sigma_y**2
-                 - log_potential(X, last, y_path[last]))
-        return xhat0[_pick(log_w, rng)]
+        xhat0 = kernel.denoise(X.reshape(-1, d), last).reshape(X.shape)
+        resid = m.y - apply_forward(A, xhat0)
+        log_w = (log_w - 0.5 * np.sum(resid**2, axis=-1) / m.sigma_y**2
+                 - log_potential(X, last, yb_path[:, last]))
+        return out.done(_picks(xhat0, log_w, out.rngs))
 
-    return _one_row_at_a_time(row, d)
+    return _particle_rows(batch, n_p)
 
 
 def _sample_mcg_diff(spec, m, ctx):
@@ -782,23 +789,26 @@ def _sample_mcg_diff(spec, m, ctx):
     yb_obs = A.spectral_y(m.y)[obs]
 
     def log_potential(X, var):
-        diff = (X @ A.V)[:, obs] - yb_obs
-        return -0.5 * (np.sum(diff**2, axis=1) / var + k * np.log(2 * np.pi * var))
+        """(K, n_p) log potentials of the (K, n_p, d) particles."""
+        diff = (X @ A.V)[..., obs] - yb_obs
+        return -0.5 * (np.sum(diff**2, axis=-1) / var + k * np.log(2 * np.pi * var))
 
-    def row(rng):
-        X = _init_noise(ctx, rng, n_p)
+    def batch(rngs):
+        out = _Rows(rngs, ctx.prior.dim)
+        X = _init_particles(ctx, out.rngs, n_p)
         log_w = log_potential(X, m.sigma_y**2 + grid[0] ** 2)
-        for i in range(len(grid) - 1):
-            keep = _degenerate_keep(np.exp(log_w - _logsumexp(log_w)), rng)
-            if keep is not None:
-                X = X[keep]
-                log_w = np.zeros(n_p)
+        for i in out.steps(len(grid) - 1):
+            log_norm = _logsumexp(log_w, axis=-1, keepdims=True)
+            for j, rng in enumerate(out.rngs):
+                keep = _degenerate_keep(np.exp(log_w[j] - log_norm[j]), rng)
+                if keep is not None:
+                    X[j], log_w[j] = X[j][keep], 0.0
             g_old = log_potential(X, m.sigma_y**2 + grid[i] ** 2)
-            X = _finite(kernel.step(X, i, rng), i)
+            X, log_w, g_old = out.finite(kernel.step_sets(X, i, out.rngs), i, log_w, g_old)
             log_w = log_w + log_potential(X, m.sigma_y**2 + grid[i + 1] ** 2) - g_old
-        return X[_pick(log_w, rng)]
+        return out.done(_picks(X, log_w, out.rngs))
 
-    return _one_row_at_a_time(row, ctx.prior.dim)
+    return _particle_rows(batch, n_p)
 
 
 # Every solver is declared here once: name -> (family, default

@@ -187,3 +187,46 @@ def test_rho_coupling_checked_against_the_config_schedule():
     cfg = config_from_dict(dict(data, schedule={"sigma_min": 0.5},
                                 sweep_axis=dict(sweep, values=[0.5, 2.0])))
     assert cfg.sweep_axis["values"] == [0.5, 2.0]
+
+
+@pytest.mark.parametrize("schedule, solvers, match", [
+    ({"sigma_min": "abc"}, ["reference_exact"], "schedule sigma_min must be a finite number"),
+    ({"sigma_min": "abc"}, ["pnpdm"], "schedule sigma_min must be a finite number"),
+    ({"sigma_max": float("inf")}, ["reference_exact"], "schedule sigma_max"),
+    ({"steps": 0}, ["reference_exact"], "schedule .* is invalid: steps must be >= 1"),
+    ({"steps": 2.5}, ["reference_exact"], "schedule steps must be an integer"),
+    ({"spacing": "cubic"}, ["reference_exact"], "schedule .* is invalid: unknown spacing 'cubic'"),
+    ({"spacing": "polynomial", "exponent": 0}, ["reference_exact"], "is invalid: .*division"),
+    ({"sigma_min": 5.0, "sigma_max": 1.0}, ["reference_exact"], "sigma_min < sigma_max"),
+])
+def test_schedule_checked_at_config(schedule, solvers, match):
+    with pytest.raises(ValueError, match=match):
+        config_from_dict(dict(MINIMAL, solvers=solvers, schedule=schedule))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("k_samples", 2.5), ("n_cases", 1.7), ("master_seed", 7.5), ("k_samples", True),
+    ("master_seed", "7"), ("n_cases", float("nan")),
+])
+def test_counts_must_be_integers(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be an integer"):
+        config_from_dict(dict(MINIMAL, **{key: value}))
+
+
+def test_integral_counts_load_unchanged():
+    as_floats = dict(MINIMAL, master_seed=7.0, n_cases=3.0, k_samples=10.0,
+                     schedule={"steps": 12})
+    as_ints = dict(MINIMAL, n_cases=3, k_samples=10, schedule={"steps": 12})
+    cfg = config_from_dict(as_floats)
+    assert config_to_dict(cfg) == config_to_dict(config_from_dict(as_ints))
+    assert all(type(v) is int for v in (cfg.master_seed, cfg.n_cases, cfg.k_samples))
+
+
+@pytest.mark.parametrize("operator, match", [
+    ({"kind": "blur"}, "unknown operator kind 'blur'"),
+    ({"obs_count": 30}, "obs_count 30 outside"),
+    ({"basis_mode": "sparse"}, "unknown basis_mode"),
+])
+def test_operator_checked_at_config(operator, match):
+    with pytest.raises(ValueError, match=match):
+        config_from_dict(dict(MINIMAL, experiment="exp2_binary", operator=operator))

@@ -291,6 +291,18 @@ def test_logsumexp_special_rows(rows):
     _assert_same_bytes(_logsumexp(a[0, 0]), scipy_logsumexp(a[0, 0]))
 
 
+@settings(max_examples=200, deadline=None)
+@given(a=hnp.arrays(np.float64, st.tuples(st.integers(1, 16), st.integers(1, 70)),
+                    elements=_LSE_ELEMENTS))
+def test_logsumexp_rows_match_each_row_alone(a):
+    """The SMC samplers normalise every row's weights in one call; each row
+    must get the bits of a call on that row alone."""
+    with np.errstate(all="ignore"):
+        rows = _logsumexp(a, axis=-1, keepdims=True)
+        for k in range(len(a)):
+            _assert_same_bytes(rows[k, 0], _logsumexp(a[k]))
+
+
 # ---------------------------------------------------------------------------
 # posterior
 # ---------------------------------------------------------------------------

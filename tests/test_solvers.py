@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import diffuq.gmm
 from diffuq.diffusion import ReverseConfig, ReverseKernel, build_schedule, reverse_sample
 from diffuq.gmm import (
     GaussianMixture,
@@ -32,6 +33,7 @@ from diffuq.solvers import (
     pnpdm_z_step,
     prox_data_step,
     reddiff_update,
+    _Rows,
     resolve_solver,
     run_batch,
     sample_one,
@@ -674,6 +676,55 @@ def test_diverged_rows_leave_the_batch_alone(toy_prior, sched12):
             assert np.all(np.isnan(batch.samples[k])) and np.all(np.isnan(x))
 
 
+@pytest.mark.parametrize("op", sorted(_OPERATORS))
+@pytest.mark.parametrize("particles", [1, 2, 3])
+@pytest.mark.parametrize("name", ["fps_smc", "mcg_diff"])
+def test_smc_rows_equal_standalone_draws_at_few_particles(toy_prior, sched12, monkeypatch,
+                                                          name, particles, op):
+    """With few particles a component is often drawn by one particle of a
+    row; that particle's products take the row-wise (gemv) path, which the
+    batch must run for it while the row's other particles share a gemm."""
+    singletons = []
+    vecmat_rows = diffuq.gmm._vecmat_rows
+
+    def counting_vecmat_rows(X, M):
+        singletons.append(len(X))
+        return vecmat_rows(X, M)
+
+    monkeypatch.setattr(diffuq.gmm, "_vecmat_rows", counting_vecmat_rows)
+    A = _OPERATORS[op]()
+    m = synthesize_measurement(A, sample_mixture(toy_prior, 1, 23)[0], 1.0, 24)
+    ctx = SamplingContext.build(toy_prior, sched12)
+    spec = resolve_solver(name, {"particles": particles})
+    alone = _standalone_rows(spec, m, toy_prior, sched12, 41, 16, ctx)
+    for K in (1, 3, 16):
+        singletons.clear()
+        batch = run_batch(spec, m, toy_prior, sched12, K, 41, ctx=ctx)
+        for k in range(K):
+            x, status = alone[k]
+            assert batch.statuses[k] == status, (K, k)
+            assert np.array_equal(batch.samples[k], x, equal_nan=True), (K, k)
+    if batch.statuses != ["diverged(step=0; pseudo-inverse of zero singular values)"] * 16:
+        assert sum(singletons) > 0, "no (row, level, component) subset of one particle"
+
+
+def test_rows_finite_drops_companions_with_their_row():
+    out = _Rows([np.random.default_rng(k) for k in range(4)], 3)
+    X = np.zeros((4, 2, 3))
+    X[1, 1, 2] = np.nan
+    X[3, 0, 0] = np.inf
+    log_w = np.arange(8.0).reshape(4, 2)
+    path = np.arange(4.0)
+    got, got_w, got_path = out.finite(X, 5, log_w, path, why="because")
+    assert got.shape == (2, 2, 3)
+    assert np.array_equal(got_w, log_w[[0, 2]]) and np.array_equal(got_path, [0.0, 2.0])
+    assert out.statuses == ["ok", "diverged(step=5; because)", "ok", "diverged(step=5; because)"]
+    assert len(out.rngs) == 2
+    assert np.array_equal(out.finite(got[:, 0], 6), got[:, 0])  # no companions: X alone
+    samples, statuses = out.done(np.ones((2, 3)))
+    assert np.array_equal(samples[[0, 2]], np.ones((2, 3))) and np.isnan(samples[[1, 3]]).all()
+
+
 @pytest.fixture(scope="module")
 def kernel12(toy_prior, sched12):
     return ReverseKernel(toy_prior, sched12)
@@ -704,6 +755,21 @@ def test_rowwise_primitives_match_single_rows(kernel12, K, seed, log_scale, leve
         assert np.array_equal(scores[k], kernel12._denoise_batch(row, levels[k])[0][0])
         for got, want in zip((score, xhat0, jac), kernel12.score_and_denoise(X[k], level)):
             assert np.array_equal(got[k], want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(K=st.integers(1, 6), n=st.integers(2, 24), seed=st.integers(0, 2**32 - 1),
+       log_scale=st.floats(-3.0, 3.0), level=st.integers(0, 12))
+def test_step_sets_match_each_set_alone(kernel12, K, n, seed, log_scale, level):
+    rng = np.random.default_rng(seed)
+    X = 10.0**log_scale * rng.standard_normal((K, n, 16))
+    seeds = rng.integers(0, 2**32, size=K)
+    stepped = kernel12.step_sets(X, level, [np.random.default_rng(s) for s in seeds])
+    for k in range(K):
+        assert np.array_equal(stepped[k],
+                              kernel12.step(X[k], level, np.random.default_rng(seeds[k])))
+    one = kernel12.step_sets(X[:1, :1], level, [np.random.default_rng(seeds[0])])
+    assert np.array_equal(one[0], kernel12.step(X[0, :1], level, np.random.default_rng(seeds[0])))
 
 
 def test_docs_list_each_solver_under_its_family():
