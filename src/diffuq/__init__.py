@@ -30,11 +30,9 @@ from .operators import (
 )
 from .diffusion import (
     NoiseSchedule,
-    ReverseConfig,
     ReverseKernel,
     build_schedule,
     level_index_for_sigma,
-    reverse_sample,
 )
 from .seeding import derive_seed
 from .solvers import (
@@ -76,11 +74,9 @@ __all__ = [
     "build_operator",
     "synthesize_measurement",
     "NoiseSchedule",
-    "ReverseConfig",
     "ReverseKernel",
     "build_schedule",
     "level_index_for_sigma",
-    "reverse_sample",
     "derive_seed",
     "SOLVER_NAMES",
     "SampleBatch",

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .diffusion import build_schedule
-from .gmm import ToyPriorSpec
+from .gmm import ToyPriorSpec, build_toy_prior
 from .operators import build_operator
 from .solvers import resolve_solver
 
@@ -66,6 +66,10 @@ class ExperimentConfig:
         if self.experiment == "exp1_identity" and self.operator.get("kind") != "identity":
             raise ValueError("exp1_identity forces the identity operator")
         self._check_schedule()
+        try:
+            build_toy_prior(self.prior)
+        except ValueError as exc:
+            raise ValueError(f"prior {self.prior!r} is invalid: {exc}") from None
         try:
             build_operator(**{"d": self.prior.d, **self.operator})
         except (TypeError, ValueError) as exc:

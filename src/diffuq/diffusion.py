@@ -35,11 +35,9 @@ from .gmm import (
 
 __all__ = [
     "NoiseSchedule",
-    "ReverseConfig",
     "build_schedule",
     "level_index_for_sigma",
     "ReverseKernel",
-    "reverse_sample",
 ]
 
 
@@ -59,14 +57,6 @@ class NoiseSchedule:
     @property
     def last_nonzero_index(self) -> int:
         return len(self.grid) - 2
-
-
-@dataclass(frozen=True)
-class ReverseConfig:
-    mode: str = "ancestral_sde"  # or "deterministic_ode"
-    start_level: float | None = None  # defaults to sigma_max
-    init: np.ndarray | None = None
-    seed: int = 0
 
 
 def build_schedule(sigma_min: float, sigma_max: float, steps: int,
@@ -131,7 +121,7 @@ class ReverseKernel:
     - ``_chol[i, c]``: Cholesky factor of the transition covariance (all
       levels but the last, whose transition is the Tweedie denoise).
 
-    ``denoise`` and ``score_and_denoise`` give the same bits as
+    ``denoise`` and ``score_and_denoise_rows`` give the same bits as
     ``gmm.denoise_batch`` and ``gmm.score_and_denoise`` at ``grid[level]``.
 
     The ``*_rows`` methods advance a (K, d) array of independent rows, each
@@ -159,16 +149,13 @@ class ReverseKernel:
         prior_prec = [np.linalg.inv(cov) for cov in prior.covs]
         prior_nat = [np.linalg.solve(cov, mu) for cov, mu in zip(prior.covs, prior.means)]
         for i, s in enumerate(grid[:-1]):
-            lam_next = None
-            if i + 1 < len(grid) - 1:
-                lam_next = grid[i + 1] ** 2 / s**2
             for c in range(C):
                 prec = prior_prec[c] + np.eye(d) / s**2
                 cov0 = np.linalg.inv(prec)  # Cov(x0 | x_i, c)
                 B0 = cov0 / s**2
                 a0 = cov0 @ prior_nat[c]
-                if lam_next is not None:
-                    lam = lam_next
+                if i < len(grid) - 2:
+                    lam = grid[i + 1] ** 2 / s**2
                     # x_{i-1} | x_i, c: mean = (1-lam) E[x0|x_i,c] + lam x_i
                     self._B[i, c] = (1 - lam) * B0 + lam * np.eye(d)
                     self._a[i, c] = (1 - lam) * a0
@@ -242,25 +229,20 @@ class ReverseKernel:
 
     def denoise(self, X: np.ndarray, level: int) -> np.ndarray:
         """Tweedie posterior mean E[x0 | x_level] for an (n, d) batch."""
-        return self._denoise_batch(X, level)[1]
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        return _denoise_batch(self._noisy[level], self._cho[level], X, self.sched.grid[level])[1]
 
     def denoise_rows(self, X: np.ndarray, level: int) -> np.ndarray:
         """``denoise`` of each row of the (K, d) array ``X`` on its own."""
         return _denoise_batch(self._noisy[level], self._cho[level], X,
                               self.sched.grid[level], rows=True)[1]
 
-    def _denoise_batch(self, X: np.ndarray, level: int):
-        """``gmm.denoise_batch`` of the prior, (score, x_hat0), for an (n, d)
-        batch at sigma_t = ``grid[level]``."""
-        return _denoise_batch(self._noisy[level], self._cho[level],
-                              np.atleast_2d(np.asarray(X, dtype=float)), self.sched.grid[level])
-
     def score_rows(self, X: np.ndarray, levels: np.ndarray) -> np.ndarray:
         """Score of the noisy prior at each row of the (K, d) array ``X``, at
-        that row's own level ``levels[k]``: the bits of
-        ``_denoise_batch(X[k], levels[k])[0]``. Each row's solve is one
-        ``potrs`` on its level's factor; a non-finite row raises the
-        ValueError that ``cho_solve`` raises."""
+        that row's own level ``levels[k]``: the bits of the score of
+        ``gmm.denoise_batch`` at that row alone and ``grid[levels[k]]``.
+        Each row's solve is one ``potrs`` on its level's factor; a
+        non-finite row raises the ValueError that ``cho_solve`` raises."""
         means = self.prior.means
         lp = _component_logpdfs_rows(means, self._noisy_chols[levels],
                                      self._noisy_logdets[levels], X)
@@ -275,50 +257,9 @@ class ReverseKernel:
             score += resp[:, c : c + 1] * -g
         return score
 
-    def score_and_denoise(self, x: np.ndarray, level: int):
-        """``gmm.score_and_denoise`` of the prior at one (d,) point and
-        sigma_t = ``grid[level]``."""
-        score, x_hat0, jacobian = self.score_and_denoise_rows(
-            np.asarray(x, dtype=float)[None], level)
-        return score[0], x_hat0[0], jacobian[0]
-
     def score_and_denoise_rows(self, X: np.ndarray, level: int):
-        """``score_and_denoise`` at each row of the (K, d) array ``X``."""
+        """``gmm.score_and_denoise`` of the prior at each row of the (K, d)
+        array ``X`` and sigma_t = ``grid[level]``."""
         return _score_and_denoise(self._noisy[level], self._cho[level], self._prec[level],
                                   X, self.sched.grid[level])
 
-
-def reverse_sample(prior: GaussianMixture, sched: NoiseSchedule, cfg: ReverseConfig,
-                   kernel: ReverseKernel | None = None) -> np.ndarray:
-    """Run the reverse process to sigma = 0 and return the final iterate.
-
-    Ancestral mode draws the exact per-component reverse transitions;
-    deterministic mode applies the noise-free update
-    ``x_{i-1} = x_hat0 + (sigma_{i-1}/sigma_i) (x_i - x_hat0)``.
-    """
-    if kernel is None:
-        kernel = ReverseKernel(prior, sched)
-    rng = np.random.default_rng(cfg.seed)
-    grid = sched.grid
-    start_level = cfg.start_level if cfg.start_level is not None else sched.sigma_max
-    if cfg.init is None:
-        if start_level != sched.sigma_max:
-            raise ValueError("without init, start_level must equal sigma_max")
-        x = sched.sigma_max * rng.standard_normal((1, prior.dim))
-        start = 0
-    else:
-        x = np.atleast_2d(np.asarray(cfg.init, dtype=float)).copy()
-        start = level_index_for_sigma(sched, start_level)
-
-    for i in range(start, len(grid) - 1):
-        if cfg.mode == "ancestral_sde":
-            x = kernel.step(x, i, rng)
-        elif cfg.mode == "deterministic_ode":
-            xhat0 = kernel.denoise(x, i)
-            ratio = grid[i + 1] / grid[i]
-            x = xhat0 + ratio * (x - xhat0)
-        else:
-            raise ValueError(f"unknown reverse mode {cfg.mode!r}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError(f"non-finite iterate at reverse step {i}")
-    return x[0]

@@ -8,6 +8,8 @@ conjugate posteriors for linear-Gaussian measurements.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,10 +43,7 @@ def _as_rng(seed) -> np.random.Generator:
 
 def _normals(rngs, d: int) -> np.ndarray:
     """(K, d) standard normals; row k is ``rngs[k].standard_normal(d)``."""
-    out = np.empty((len(rngs), d))
-    for k, rng in enumerate(rngs):
-        out[k] = rng.standard_normal(d)
-    return out
+    return np.array([rng.standard_normal(d) for rng in rngs]).reshape(len(rngs), d)
 
 
 # Row-wise products. Each row of a K-row batch gets the bits it would get on
@@ -83,9 +82,9 @@ def _vecmat_sets(X: np.ndarray, M: np.ndarray, alone) -> np.ndarray:
 
 
 def _cho_solve_vec(cf: tuple, b: np.ndarray) -> np.ndarray:
-    """``cho_solve(cf, b)`` for one right-hand side: the same LAPACK ``potrs``
-    call and bits, without scipy's per-call wrapper. The caller checks that
-    ``b`` is finite."""
+    """``cho_solve(cf, b)`` for a (d,) or (d, n) right-hand side: the same
+    LAPACK ``potrs`` call and bits, without scipy's per-call wrapper. The
+    caller checks that ``b`` is finite."""
     x, info = dpotrs(cf[0], b, lower=cf[1])
     if info != 0:
         raise ValueError(f"illegal value in {-info}th argument of internal potrs")
@@ -196,6 +195,13 @@ class ToyPriorSpec:
     bimodal_coord: int = 7
 
     def __post_init__(self):
+        for key, value in vars(self).items():
+            integral = key in ("d", "structured_dim", "bimodal_coord")
+            ok = (isinstance(value, numbers.Integral) if integral
+                  else isinstance(value, numbers.Real) and math.isfinite(value))
+            if isinstance(value, bool) or not ok:
+                want = "an integer" if integral else "a finite number"
+                raise ValueError(f"prior {key} must be {want}, got {value!r}")
         if not (0 <= self.rho_ar < 1):
             raise ValueError("rho_ar must satisfy 0 <= rho_ar < 1")
         if self.sigma_w_sq <= 0:
@@ -326,10 +332,8 @@ def _log_normalised(lp: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def _responsibilities(noisy: GaussianMixture, x: np.ndarray, rows: bool = False) -> np.ndarray:
     """Component responsibilities at ``x``; with ``rows``, those of each row of
     the (K, d) array ``x`` with the bits it has on its own."""
-    if rows:
-        lp = _component_logpdfs_rows(noisy.means, noisy._chols, noisy._logdets, x)
-    else:
-        lp = _component_logpdfs(noisy, x)
+    lp = (_component_logpdfs_rows(noisy.means, noisy._chols, noisy._logdets, x) if rows
+          else _component_logpdfs(noisy, x))
     return np.exp(_log_normalised(lp, noisy.weights))
 
 
@@ -353,7 +357,9 @@ def _score_and_denoise(noisy: GaussianMixture, cfs: tuple, precs: tuple,
     score = np.zeros((K, d))
     hess = np.zeros((K, d, d))
     for c, (cf, prec) in enumerate(zip(cfs, precs)):
-        g = -cho_solve(cf, (X - noisy.means[c]).T).T
+        diffs = X - noisy.means[c]
+        _check_finite(diffs)
+        g = -_cho_solve_vec(cf, diffs.T).T
         if not np.all(np.isfinite(g)):
             raise ValueError(f"non-finite score contribution from component {c}")
         score += resp[:, c : c + 1] * g
@@ -373,7 +379,9 @@ def _denoise_batch(noisy: GaussianMixture, cfs: tuple, X: np.ndarray, sigma_t: f
     resp = _responsibilities(noisy, X, rows)  # (n, C)
     score = np.zeros_like(X)
     for c, cf in enumerate(cfs):
-        g = -cho_solve(cf, (X - noisy.means[c]).T).T
+        diffs = X - noisy.means[c]
+        _check_finite(diffs)
+        g = -_cho_solve_vec(cf, diffs.T).T
         score += resp[:, c : c + 1] * g
     return score, X + sigma_t**2 * score
 

@@ -25,7 +25,6 @@ from .gmm import (
     GaussianMixture,
     exact_posterior,
     sample_mixture,
-    score_and_denoise,
     _as_rng,
     _alone,
     _logsumexp,
@@ -56,7 +55,8 @@ __all__ = [
     "pnpdm_z_step",
     "conjugate_denoising_posterior",
     "dps_guidance_gradient",
-    "spectral_consistency_update",
+    "ddnm_projection",
+    "ddrm_step",
     "prox_data_step",
     "daps_langevin_step",
     "reddiff_update",
@@ -204,72 +204,46 @@ def conjugate_denoising_posterior(prior: GaussianMixture, z, rho: float) -> Gaus
     return exact_posterior(prior, identity, np.asarray(z, dtype=float), rho)
 
 
-def _dps_gradient_parts(xhat0, jac, y, A):
-    """(gradient, residual norm) of the DPS loss per row of the denoiser
-    output (K, d) and its Jacobians (K, d, d)."""
+def dps_guidance_gradient(xhat0, jac, y, A: LinearOperatorSVD):
+    """Gradient of 0.5 ||y - A x_hat0(x_t)||^2 w.r.t. x_t, and the residual
+    norm ||y - A x_hat0||, per row of the denoiser output ``xhat0`` (K, d)
+    and its exact Jacobians ``jac`` (K, d, d).
+
+    The loss is unweighted: the caller folds any noise weighting into its
+    guidance scale.
+    """
     resid = np.asarray(y) - _forward_rows(A, xhat0)
     grad = _matvec_rows(-jac.transpose(0, 2, 1), _matvec_rows(A.matrix().T, resid))
     return grad, np.sqrt((resid[:, None, :] @ resid[:, :, None])[:, 0, 0])
 
 
-def dps_guidance_gradient(prior: GaussianMixture, x_t, sigma_t: float, y,
-                          A: LinearOperatorSVD, sigma_y: float):
-    """Gradient of 0.5 ||y - A x_hat0(x_t)||^2 w.r.t. x_t.
-
-    Uses the exact denoiser Jacobian; ``sigma_y`` is part of the uniform
-    sub-step signature but the loss is unweighted (the caller folds any
-    noise weighting into its guidance scale).
-    """
-    _, xhat0, jac = score_and_denoise(prior, x_t, sigma_t)
-    grad, _ = _dps_gradient_parts(xhat0[None], jac[None], y, A)
-    return grad[0]
-
-
-def spectral_consistency_update(kind: str, x_hat0, y, A: LinearOperatorSVD,
-                                sigma_y: float, sigma_t: float,
-                                eta: float = 0.85, eta_b: float = 1.0,
-                                seed=None, x_t=None, sigma_prev=None):
-    """Measurement-consistency updates performed in the SVD basis.
-
-    ``ddnm_projection``: range-space replacement A^+ y + (I - A^+ A) x_hat0
-    (deterministic; ignores the noise arguments).
-
-    ``ddrm_step``: produce the iterate at noise level ``sigma_t`` by
-    blending x_hat0 with the whitened observation per singular value, with
-    the regime split at sigma_t vs sigma_y / s_j. ``x_t``/``sigma_prev``
-    feed the unobserved-direction momentum term; without them the
-    unobserved update is pure noise injection (eta = 1 behavior).
-    """
-    x_hat0 = np.asarray(x_hat0, dtype=float)[None]
-    if kind == "ddnm_projection":
-        return _ddnm_rows(x_hat0, apply_pinv(A, np.asarray(y)), A)[0]
-    if kind != "ddrm_step":
-        raise ValueError(f"unknown spectral update kind {kind!r}")
-    if x_t is not None:
-        x_t = np.asarray(x_t, dtype=float)[None]
-    return _ddrm_rows(x_hat0, A.spectral_y(y), A, sigma_y, sigma_t, eta, eta_b,
-                      [_as_rng(seed)], x_t, sigma_prev)[0]
-
-
-def _ddnm_rows(x_hat0, pinv_y, A):
-    """``ddnm_projection`` of each row of ``x_hat0``, given ``A^+ y``."""
+def ddnm_projection(x_hat0, pinv_y, A: LinearOperatorSVD):
+    """Range-space replacement A^+ y + (I - A^+ A) x_hat0 of each row of
+    ``x_hat0`` (K, d), given ``pinv_y = A^+ y``."""
     return pinv_y + x_hat0 - _pinv_rows(A, _forward_rows(A, x_hat0))
 
 
-def _ddrm_rows(x_hat0, yb, A, sigma_y, sigma_t, eta, eta_b, rngs, x_t=None, sigma_prev=None):
-    """``ddrm_step`` of each row of ``x_hat0`` (and ``x_t``), with the
-    spectral observation ``yb`` and one generator per row."""
+def ddrm_step(x_hat0, yb, A: LinearOperatorSVD, sigma_y: float, sigma_t: float,
+              eta: float, eta_b: float, rngs, x_t=None, sigma_prev=None):
+    """The iterate at noise level ``sigma_t`` from each row of ``x_hat0``
+    (K, d), one generator per row.
+
+    Blends x_hat0 with the whitened spectral observation
+    ``yb = A.spectral_y(y)`` per singular value, with the regime split at
+    sigma_t vs sigma_y / s_j. ``x_t``/``sigma_prev`` feed the unobserved-direction
+    momentum term; without them the unobserved update is pure noise
+    injection (eta = 1 behavior).
+    """
     s = A.spectral_s()
     xb0 = _matvec_rows(A.V.T, x_hat0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ob = np.where(s > 0, yb / np.where(s > 0, s, 1.0), 0.0)
-        noise_scale = np.where(s > 0, sigma_y / np.where(s > 0, s, 1.0), np.inf)
+    safe_s = np.where(s > 0, s, 1.0)
+    ob = np.where(s > 0, yb / safe_s, 0.0)
+    noise_scale = np.where(s > 0, sigma_y / safe_s, np.inf)
 
     mean = np.empty(xb0.shape)
     std = np.empty(A.d)
     if x_t is not None and sigma_prev is not None and sigma_prev > 0:
-        xb_prev = _matvec_rows(A.V.T, x_t)
-        momentum = (xb_prev - xb0) / sigma_prev
+        momentum = (_matvec_rows(A.V.T, x_t) - xb0) / sigma_prev
         eta_null = eta
     else:
         momentum = np.zeros(xb0.shape)
@@ -295,19 +269,14 @@ def _ddrm_rows(x_hat0, yb, A, sigma_y, sigma_t, eta, eta_b, rngs, x_t=None, sigm
     return _matvec_rows(A.V, xb)
 
 
-def prox_data_step(x_hat0, y, A: LinearOperatorSVD, sigma_y: float, rho_t: float):
-    """argmin_z ||y - A z||^2 / (2 sigma_y^2) + (rho_t / 2) ||z - x_hat0||^2.
+def prox_data_step(x_hat0, yb, A: LinearOperatorSVD, sigma_y: float, rho_t: float):
+    """argmin_z ||y - A z||^2 / (2 sigma_y^2) + (rho_t / 2) ||z - x_hat0||^2
+    for each row of ``x_hat0`` (K, d), given ``yb = A.spectral_y(y)``.
 
     Solved coordinate-wise in the SVD basis.
     """
     if rho_t <= 0:
         raise ValueError("rho_t must be > 0")
-    return _prox_rows(np.asarray(x_hat0, dtype=float)[None], A.spectral_y(y), A,
-                      sigma_y, rho_t)[0]
-
-
-def _prox_rows(x_hat0, yb, A, sigma_y, rho_t):
-    """``prox_data_step`` of each row of ``x_hat0``, given ``A.spectral_y(y)``."""
     s = A.spectral_s()
     xb0 = _matvec_rows(A.V.T, x_hat0)
     zb = (s * yb / sigma_y**2 + rho_t * xb0) / (s**2 / sigma_y**2 + rho_t)
@@ -315,32 +284,29 @@ def _prox_rows(x_hat0, yb, A, sigma_y, rho_t):
 
 
 def daps_langevin_step(x0, anchor, r_t: float, y, A: LinearOperatorSVD,
-                       sigma_y: float, step_size: float, seed):
-    """One unadjusted Langevin step on the anchored data posterior.
+                       sigma_y: float, step_size: float, rngs):
+    """One unadjusted Langevin step on the anchored data posterior for each
+    row of ``x0`` (K, d) and ``anchor``, one generator per row.
 
     Target: log pi(x) = -||y - A x||^2 / (2 sigma_y^2) - ||x - anchor||^2 / (2 r_t^2).
+    A zero step returns a copy of ``x0`` and draws nothing.
     """
     if step_size < 0:
         raise ValueError("step_size must be >= 0")
     if r_t <= 0:
         raise ValueError("r_t must be > 0")
-    x0 = np.asarray(x0, dtype=float)[None]
     if step_size == 0:
-        return x0[0].copy()
-    return _langevin_rows(x0, np.asarray(anchor)[None], r_t, y, A, sigma_y, step_size,
-                          [_as_rng(seed)])[0]
-
-
-def _langevin_rows(x0, anchor, r_t, y, A, sigma_y, step_size, rngs):
-    """``daps_langevin_step`` (step_size > 0) of each row, one generator per row."""
+        return x0.copy()
     resid = np.asarray(y) - _forward_rows(A, x0)
     drift = _matvec_rows(A.matrix().T, resid) / sigma_y**2 - (x0 - anchor) / r_t**2
     return x0 + 0.5 * step_size * drift + np.sqrt(step_size) * _normals(rngs, x0.shape[1])
 
 
 def reddiff_update(mu, y, A: LinearOperatorSVD, sigma_y: float,
-                   kernel: ReverseKernel, lambda_reg: float, step_size: float, seed):
-    """One stochastic descent step of the variational objective.
+                   kernel: ReverseKernel, lambda_reg: float, step_size: float, rngs):
+    """One stochastic descent step of the variational objective for each
+    row of ``mu`` (K, d); each row draws its own level and noise from its
+    own generator.
 
     Data term ||y - A mu||^2 / (2 sigma_y^2) plus a score-matching
     regularizer evaluated at a uniformly drawn level of the kernel's noise
@@ -348,16 +314,8 @@ def reddiff_update(mu, y, A: LinearOperatorSVD, sigma_y: float,
     """
     if step_size <= 0:
         raise ValueError("step_size must be > 0")
-    return _reddiff_rows(np.asarray(mu, dtype=float)[None], y, A, sigma_y, kernel,
-                         lambda_reg, step_size, [_as_rng(seed)])[0]
-
-
-def _reddiff_rows(mu, y, A, sigma_y, kernel, lambda_reg, step_size, rngs):
-    """``reddiff_update`` of each row of ``mu``; each row draws its own level
-    and noise from its own generator."""
-    levels = np.empty(len(rngs), dtype=int)
-    for k, rng in enumerate(rngs):
-        levels[k] = rng.integers(0, kernel.sched.last_nonzero_index + 1)
+    levels = np.array([rng.integers(0, kernel.sched.last_nonzero_index + 1) for rng in rngs],
+                      dtype=int)
     eps = _normals(rngs, mu.shape[1])
     sigma = kernel.sched.grid[levels][:, None]
     score = kernel.score_rows(mu + sigma * eps, levels)
@@ -487,7 +445,7 @@ def _sample_dps(spec, m, ctx):
 
     def pull(X, i):
         _, xhat0, jac = ctx.kernel.score_and_denoise_rows(X, i)
-        grad, resid_norm = _dps_gradient_parts(xhat0, jac, m.y, m.operator)
+        grad, resid_norm = dps_guidance_gradient(xhat0, jac, m.y, m.operator)
         return -(scale / (resid_norm[:, None] + 1e-12)) * grad
 
     return _kernel_guided(ctx, pull)
@@ -507,10 +465,9 @@ def _sample_daps(spec, m, ctx):
         X = _init_rows(ctx, out.rngs)
         for i in out.steps(len(eff_steps)):
             anchor = ctx.kernel.denoise_rows(X, i)
-            X0 = anchor.copy()
-            if eff_steps[i] != 0:
-                for _ in range(hp["langevin_steps"]):
-                    X0 = _langevin_rows(X0, anchor, grid[i], m.y, A, m.sigma_y,
+            X0 = anchor
+            for _ in range(hp["langevin_steps"]):
+                X0 = daps_langevin_step(X0, anchor, grid[i], m.y, A, m.sigma_y,
                                         eff_steps[i], out.rngs)
             X0 = out.finite(X0, i)
             sig_next = grid[i + 1]
@@ -527,7 +484,7 @@ def _sample_diffpir(spec, m, ctx):
 
     def pull(X, i):
         xhat0 = ctx.kernel.denoise_rows(X, i)
-        z = _prox_rows(xhat0, yb, m.operator, m.sigma_y, lam_reg / grid[i] ** 2)
+        z = prox_data_step(xhat0, yb, m.operator, m.sigma_y, lam_reg / grid[i] ** 2)
         lam = grid[i + 1] ** 2 / grid[i] ** 2
         return (1 - lam) * (z - xhat0)
 
@@ -540,7 +497,7 @@ def _sample_ddnm(spec, m, ctx):
 
     def pull(X, i):
         xhat0 = ctx.kernel.denoise_rows(X, i)
-        proj = _ddnm_rows(xhat0, pinv_y, m.operator)
+        proj = ddnm_projection(xhat0, pinv_y, m.operator)
         lam = grid[i + 1] ** 2 / grid[i] ** 2
         return (1 - lam) * (proj - xhat0)
 
@@ -557,8 +514,8 @@ def _sample_ddrm(spec, m, ctx):
         X = _init_rows(ctx, out.rngs)
         for i in out.steps(len(grid) - 1):
             xhat0 = ctx.kernel.denoise_rows(X, i)
-            X = out.finite(_ddrm_rows(xhat0, yb, m.operator, m.sigma_y, grid[i + 1],
-                                      hp["eta"], hp["eta_b"], out.rngs, X, grid[i]), i)
+            X = out.finite(ddrm_step(xhat0, yb, m.operator, m.sigma_y, grid[i + 1],
+                                     hp["eta"], hp["eta_b"], out.rngs, X, grid[i]), i)
         return out.done(X)
 
     return rows
@@ -574,8 +531,8 @@ def _sample_reddiff(spec, m, ctx):
         mu = np.repeat(mu0[None], len(rngs), axis=0)
         for t in out.steps(steps):
             lr = hp["step_size"] * (1.0 - t / steps)
-            mu = out.finite(_reddiff_rows(mu, m.y, m.operator, m.sigma_y, ctx.kernel,
-                                          hp["lambda_reg"], lr, out.rngs), t)
+            mu = out.finite(reddiff_update(mu, m.y, m.operator, m.sigma_y, ctx.kernel,
+                                           hp["lambda_reg"], lr, out.rngs), t)
         return out.done(mu)
 
     return rows
@@ -595,8 +552,7 @@ def _sample_pnpdm(spec, m, ctx):
         out = _Rows(rngs, ctx.prior.dim)
         # data-informed start: observed directions from the pseudo-inverse,
         # unobserved directions from a prior draw; shortens the Gibbs burn-in
-        X0 = _sample_mixture_rows(ctx.prior, out.rngs)
-        X = pinv_y + X0 - _pinv_rows(A, _forward_rows(A, X0))
+        X = ddnm_projection(_sample_mixture_rows(ctx.prior, out.rngs), pinv_y, A)
         for g in out.steps(hp["gibbs_iters"]):
             X = z_step(X, out.rngs)
             if mode == "conjugate":
@@ -665,33 +621,21 @@ def _sample_fps_smc(spec, m, ctx):
     n_levels = len(grid) - 1
 
     # level- and component-indexed matrices of the conditional updates, one
-    # per transition between nonzero levels
+    # per transition between nonzero levels, built as stacks over the
+    # (level, component) axes
     n_trans = n_levels - 1
-    post_chol = np.empty((n_trans, C, d, d))
-    post_cov = np.empty((n_trans, C, d, d))
-    trans_cov_inv = np.empty((n_trans, C, d, d))
-    ev_chol = np.empty((n_trans, C, d, d))
-    ev_logdet = np.empty((n_trans, C))
-    obs_precision = np.empty((n_trans, d))
-    for i in range(n_trans):
-        sig_next = grid[i + 1]
-        # per-spectral-coordinate measurement-noise variance at the
-        # target level: sigma_y^2 I + sigma_{i+1}^2 A A^T
-        w = m.sigma_y**2 + sig_next**2 * s**2
-        with np.errstate(divide="ignore"):
-            obs_precision[i] = s**2 / w
-        for c in range(C):
-            Ccov = kernel._chol[i, c] @ kernel._chol[i, c].T
-            Cinv = np.linalg.inv(Ccov)
-            trans_cov_inv[i, c] = Cinv
-            P = Cinv + A.V @ np.diag(obs_precision[i]) @ A.V.T
-            cov = np.linalg.inv(P)
-            post_cov[i, c] = cov
-            post_chol[i, c] = np.linalg.cholesky(0.5 * (cov + cov.T))
-            ev_chol[i, c] = np.linalg.cholesky(
-                np.diag(s) @ (A.V.T @ Ccov @ A.V) @ np.diag(s) + np.diag(w)
-            )
-            ev_logdet[i, c] = 2.0 * np.sum(np.log(np.diag(ev_chol[i, c])))
+    trans_cov = kernel._chol[:n_trans] @ kernel._chol[:n_trans].swapaxes(-1, -2)
+    trans_cov_inv = np.linalg.inv(trans_cov)
+    # per-spectral-coordinate measurement-noise variance at the target
+    # level: sigma_y^2 I + sigma_{i+1}^2 A A^T
+    w = m.sigma_y**2 + grid[1 : n_trans + 1, None] ** 2 * s**2
+    obs_precision = s**2 / w
+    P = trans_cov_inv + (A.V @ (np.eye(d) * obs_precision[:, None, :]) @ A.V.T)[:, None]
+    post_cov = np.linalg.inv(P)
+    post_chol = np.linalg.cholesky(0.5 * (post_cov + post_cov.swapaxes(-1, -2)))
+    ev_chol = np.linalg.cholesky(np.diag(s) @ (A.V.T @ trans_cov @ A.V) @ np.diag(s)
+                                 + (np.eye(d) * w[:, None, :])[:, None])
+    ev_logdet = 2.0 * np.sum(np.log(np.diagonal(ev_chol, axis1=-2, axis2=-1)), axis=-1)
 
     def log_potential(X, level, yb):
         """Tempered likelihood of the (K, n_p, d) particles over observed

@@ -230,3 +230,23 @@ def test_integral_counts_load_unchanged():
 def test_operator_checked_at_config(operator, match):
     with pytest.raises(ValueError, match=match):
         config_from_dict(dict(MINIMAL, experiment="exp2_binary", operator=operator))
+
+
+@pytest.mark.parametrize("prior, match", [
+    ({"d": "x"}, "prior d must be an integer, got 'x'"),
+    ({"rho_ar": "a"}, "prior rho_ar must be a finite number, got 'a'"),
+    ({"structured_dim": None}, "prior structured_dim must be an integer, got None"),
+    ({"sigma_w_sq": float("nan")}, "prior sigma_w_sq must be a finite number, got nan"),
+    ({"mu_sep": float("inf")}, "prior mu_sep must be a finite number, got inf"),
+])
+def test_prior_checked_at_config(prior, match):
+    with pytest.raises(ValueError, match=match):
+        config_from_dict(dict(MINIMAL, prior=prior))
+
+
+def test_valid_prior_round_trip_unchanged():
+    prior = {"d": 12, "structured_dim": 6, "rho_ar": 0.5, "sigma_w_sq": 3, "mu_sep": 1.5,
+             "bimodal_coord": 2}
+    cfg = config_from_dict(dict(MINIMAL, prior=prior))
+    assert config_to_dict(cfg)["prior"] == prior
+    assert config_to_dict(config_from_dict(config_to_dict(cfg))) == config_to_dict(cfg)

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diffuq.diffusion import (
     NoiseSchedule,
-    ReverseConfig,
     ReverseKernel,
     build_schedule,
     level_index_for_sigma,
-    reverse_sample,
 )
 from diffuq.gmm import (
     GaussianMixture,
@@ -84,42 +83,10 @@ def test_level_index_out_of_range(sched_small):
 
 def test_degenerate_trajectory_is_tweedie(toy_prior, sched_small, rng):
     x = rng.standard_normal(16)
-    out = reverse_sample(toy_prior, sched_small,
-                        ReverseConfig(start_level=sched_small.sigma_min,
-                                      init=x, seed=0))
+    kernel = ReverseKernel(toy_prior, sched_small)
+    out = kernel.step(x[None], sched_small.last_nonzero_index, np.random.default_rng(0))[0]
     _, xhat0, _ = score_and_denoise(toy_prior, x, sched_small.sigma_min)
     assert np.allclose(out, xhat0)
-
-
-def test_reverse_sample_deterministic(toy_prior, sched_small):
-    a = reverse_sample(toy_prior, sched_small, ReverseConfig(seed=5))
-    b = reverse_sample(toy_prior, sched_small, ReverseConfig(seed=5))
-    assert np.array_equal(a, b)
-
-
-def test_deterministic_mode_pure(toy_prior, sched_small, rng):
-    x = rng.standard_normal(16)
-    cfg = ReverseConfig(mode="deterministic_ode", start_level=10.0, init=x, seed=0)
-    a = reverse_sample(toy_prior, sched_small, cfg)
-    b = reverse_sample(toy_prior, sched_small, cfg)
-    assert np.array_equal(a, b)
-
-
-def test_init_requires_max_start_level(toy_prior, sched_small):
-    with pytest.raises(ValueError, match="start_level"):
-        reverse_sample(toy_prior, sched_small, ReverseConfig(start_level=1.0))
-
-
-def test_unknown_mode(toy_prior, sched_small):
-    with pytest.raises(ValueError, match="mode"):
-        reverse_sample(toy_prior, sched_small,
-                       ReverseConfig(mode="sde", seed=0))
-
-
-def test_nonfinite_error_names_step(toy_prior, sched_small):
-    cfg = ReverseConfig(start_level=10.0, init=np.full(16, np.inf), seed=0)
-    with pytest.raises(ValueError, match="step"):
-        reverse_sample(toy_prior, sched_small, cfg)
 
 
 def _ancestral_batch(prior, sched, n, seed):
@@ -166,29 +133,6 @@ def test_ancestral_toy_prior_moments(toy_prior):
     assert np.all(np.abs(emp - dv) < 3 * se)
 
 
-def test_reverse_sample_uses_kernel_path(toy_prior, sched_small):
-    """Single-trajectory sampler equals the batch kernel driven identically."""
-    seed = 99
-    kernel = ReverseKernel(toy_prior, sched_small)
-    rng = np.random.default_rng(seed)
-    X = sched_small.sigma_max * rng.standard_normal((1, 16))
-    for i in range(len(sched_small.grid) - 1):
-        X = kernel.step(X, i, rng)
-    out = reverse_sample(toy_prior, sched_small, ReverseConfig(seed=seed),
-                         kernel=kernel)
-    assert np.array_equal(out, X[0])
-
-
-def test_deterministic_mode_pushes_to_modes(toy_prior, sched_small, rng):
-    """The noise-free flow lands near high-density regions."""
-    x = rng.standard_normal(16) * 10
-    out = reverse_sample(toy_prior, sched_small,
-                         ReverseConfig(mode="deterministic_ode",
-                                       start_level=10.0, init=x, seed=0))
-    assert np.all(np.isfinite(out))
-    assert np.linalg.norm(out) < np.linalg.norm(x)
-
-
 def test_kernel_oracles_bit_identical_to_gmm(toy_prior, sched_small, rng):
     """The kernel's memoised factors give the same bits as the per-call
     gmm oracles at every grid level."""
@@ -199,7 +143,35 @@ def test_kernel_oracles_bit_identical_to_gmm(toy_prior, sched_small, rng):
         for batch in (X, X[:1]):
             _, want = denoise_batch(toy_prior, batch, sigma)
             assert np.array_equal(kernel.denoise(batch, level), want)
-        got = kernel.score_and_denoise(X[0], level)
+        got = kernel.score_and_denoise_rows(X[:1], level)
         want = score_and_denoise(toy_prior, X[0], sigma)
         for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+            assert np.array_equal(g[0], w)
+
+
+@pytest.fixture(scope="module")
+def kernel_small(toy_prior, sched_small):
+    return ReverseKernel(toy_prior, sched_small)
+
+
+@settings(max_examples=40, deadline=None)
+@given(level=st.integers(0, 30), c=st.integers(0, 1))
+def test_kernel_factors_are_the_gaussian_conditional(kernel_small, toy_prior, sched_small,
+                                                     level, c):
+    """``_B``, ``_a`` and ``_chol`` of a level and component are the mean
+    slope, mean offset and covariance factor of x_{i+1} | x_i, c, conditioned
+    densely from the joint of x_{i+1} = x0 + sigma_{i+1} z and
+    x_i = x_{i+1} + sqrt(sigma_i^2 - sigma_{i+1}^2) z' with x0 ~ N(mu_c, Sigma_c).
+    At the last level sigma_{i+1} = 0 and the conditional is x0 | x_i, c."""
+    mu, cov = toy_prior.means[c], toy_prior.covs[c]
+    s_i, s_next = sched_small.grid[level], sched_small.grid[level + 1]
+    eye = np.eye(16)
+    cross = cov + s_next**2 * eye  # Cov(x_{i+1}) = Cov(x_{i+1}, x_i)
+    slope = np.linalg.solve(cov + s_i**2 * eye, cross).T  # cross (Sigma + s_i^2 I)^-1
+    assert np.allclose(kernel_small._B[level, c], slope, rtol=0, atol=1e-12)
+    assert np.allclose(kernel_small._a[level, c], mu - slope @ mu, rtol=0, atol=1e-12)
+    if level < sched_small.last_nonzero_index:
+        cond_cov = cross - slope @ cross
+        chol = kernel_small._chol[level, c]
+        assert np.allclose(chol @ chol.T, cond_cov, rtol=0, atol=1e-12)
+        assert np.array_equal(chol, np.tril(chol))

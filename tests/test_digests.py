@@ -1,13 +1,16 @@
 """The byte-identity contract: results.csv of both benchmark workloads at the
-default seed must hash to the digests pinned in perfbench/digests.json.
+default seed must hash to the digests pinned in perfbench/digests.json. Also
+keeps the package entry points the benchmark calls beyond ``run_experiment``
+working.
 
-Reads perfbench/workloads.py and perfbench/digests.json; writes only under
-the test's temporary directory.
+Reads perfbench/workloads.py, perfbench/layers.py and perfbench/digests.json;
+writes only under the test's temporary directory.
 """
 
 import hashlib
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -19,15 +22,14 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SEED = 2024
 
 
-def _workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  PERFBENCH / "workloads.py")
+def _perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-WORKLOADS = _workloads()
+WORKLOADS = _perfbench("workloads")
 PINNED = json.loads((PERFBENCH / "digests.json").read_text())[str(SEED)]
 
 
@@ -38,3 +40,15 @@ def test_results_csv_matches_pinned_digest(workload, tmp_path):
         paths = write_report(run_experiment(cfg), tmp_path / label, cfg=cfg)
         digest = hashlib.sha256(Path(paths["results.csv"]).read_bytes()).hexdigest()
         assert digest == PINNED[workload][label], f"{workload}/{label}"
+
+
+def test_benchmark_entry_points(tmp_path):
+    """``layers.microtimings`` runs on the exp1_all config, and
+    ``run_experiment`` takes ``workers=2`` with the pinned digest."""
+    (label, raw), = WORKLOADS.configs("exp1_all", SEED)
+    cfg = config_from_dict(raw)
+    timings = _perfbench("layers").microtimings(cfg, SEED)
+    assert timings and all(math.isfinite(us) and us > 0 for us in timings.values())
+    paths = write_report(run_experiment(cfg, workers=2), tmp_path / label, cfg=cfg)
+    digest = hashlib.sha256(Path(paths["results.csv"]).read_bytes()).hexdigest()
+    assert digest == PINNED["exp1_all"][label]

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import diffuq.gmm
-from diffuq.diffusion import ReverseConfig, ReverseKernel, build_schedule, reverse_sample
+from diffuq.diffusion import ReverseKernel, build_schedule
 from diffuq.gmm import (
     GaussianMixture,
     _responsibilities,
+    denoise_batch,
     exact_posterior,
     mixture_moments,
     sample_mixture,
@@ -18,6 +19,7 @@ from diffuq.gmm import (
 from diffuq.operators import (
     LinearOperatorSVD,
     apply_forward,
+    apply_pinv,
     build_operator,
     synthesize_measurement,
 )
@@ -29,6 +31,8 @@ from diffuq.solvers import (
     SolverSpec,
     conjugate_denoising_posterior,
     daps_langevin_step,
+    ddnm_projection,
+    ddrm_step,
     dps_guidance_gradient,
     pnpdm_z_step,
     prox_data_step,
@@ -39,7 +43,6 @@ from diffuq.solvers import (
     sample_one,
     smc_ess,
     smc_resample,
-    spectral_consistency_update,
 )
 
 
@@ -199,9 +202,9 @@ def test_conjugate_denoising_weights_match_importance_sampling(toy_prior):
 def test_dps_gradient_zero_residual(toy_prior):
     A = build_operator("identity", 16)
     x = np.ones(16)
-    _, xhat0, _ = score_and_denoise(toy_prior, x, 0.8)
-    g = dps_guidance_gradient(toy_prior, x, 0.8, xhat0, A, 1.0)
-    assert np.max(np.abs(g)) < 1e-10
+    _, xhat0, jac = score_and_denoise(toy_prior, x, 0.8)
+    g, _ = dps_guidance_gradient(xhat0[None], jac[None], xhat0, A)
+    assert np.max(np.abs(g[0])) < 1e-10
 
 
 def test_dps_gradient_matches_finite_differences(toy_prior, rng):
@@ -216,7 +219,10 @@ def test_dps_gradient_matches_finite_differences(toy_prior, rng):
         r = y - apply_forward(A, xhat0)
         return 0.5 * r @ r
 
-    g = dps_guidance_gradient(toy_prior, x, sigma, y, A, 1.0)
+    _, xhat0, jac = score_and_denoise(toy_prior, x, sigma)
+    grad, resid_norm = dps_guidance_gradient(xhat0[None], jac[None], y, A)
+    g = grad[0]
+    assert resid_norm[0] == pytest.approx(np.sqrt(2 * loss(x)), rel=1e-12)
     h = 1e-5
     fd = np.empty(16)
     for j in range(16):
@@ -237,8 +243,9 @@ def test_dps_gradient_gaussian_closed_form(rng):
     C = cov @ np.linalg.inv(cov + sigma**2 * np.eye(2))
     xhat0 = prior.means[0] + C @ (x - prior.means[0])
     expected = -C.T @ (y - xhat0)
-    g = dps_guidance_gradient(prior, x, sigma, y, A, 1.0)
-    assert np.allclose(g, expected, atol=1e-10)
+    _, denoised, jac = score_and_denoise(prior, x, sigma)
+    g, _ = dps_guidance_gradient(denoised[None], jac[None], y, A)
+    assert np.allclose(g[0], expected, atol=1e-10)
 
 
 def test_ddnm_projection_observed_coords(rng):
@@ -246,7 +253,7 @@ def test_ddnm_projection_observed_coords(rng):
     x_star = rng.standard_normal(16)
     y = apply_forward(A, x_star)  # noiseless
     xhat0 = rng.standard_normal(16)
-    out = spectral_consistency_update("ddnm_projection", xhat0, y, A, 0.0, 1.0)
+    out = ddnm_projection(xhat0[None], apply_pinv(A, y), A)[0]
     zb = A.V.T @ out
     yb = A.U.T @ y
     assert np.allclose(zb[:8], yb[:8], atol=1e-12)
@@ -257,7 +264,7 @@ def test_ddnm_projection_null_coords_unchanged(rng):
                        basis_mode="random_orthogonal", seed=13)
     xhat0 = rng.standard_normal(16)
     y = rng.standard_normal(16)
-    out = spectral_consistency_update("ddnm_projection", xhat0, y, A, 1.0, 1.0)
+    out = ddnm_projection(xhat0[None], apply_pinv(A, y), A)[0]
     _, null = A.obs_null_split()
     assert np.allclose((A.V.T @ out)[null], (A.V.T @ xhat0)[null], atol=1e-12)
 
@@ -266,15 +273,9 @@ def test_ddnm_projection_idempotent(rng):
     A = build_operator("binary_svd", 16, obs_count=5)
     xhat0 = rng.standard_normal(16)
     y = rng.standard_normal(16)
-    once = spectral_consistency_update("ddnm_projection", xhat0, y, A, 1.0, 1.0)
-    twice = spectral_consistency_update("ddnm_projection", once, y, A, 1.0, 1.0)
+    once = ddnm_projection(xhat0[None], apply_pinv(A, y), A)
+    twice = ddnm_projection(once, apply_pinv(A, y), A)
     assert np.allclose(once, twice, atol=1e-12)
-
-
-def test_spectral_update_unknown_kind():
-    A = build_operator("identity", 2)
-    with pytest.raises(ValueError, match="kind"):
-        spectral_consistency_update("dps_step", np.zeros(2), np.zeros(2), A, 1.0, 1.0)
 
 
 def test_ddrm_step_observed_pull(rng):
@@ -282,8 +283,8 @@ def test_ddrm_step_observed_pull(rng):
     A = build_operator("identity", 4)
     xhat0 = np.zeros(4)
     y = np.array([3.0, -1.0, 0.5, 2.0])
-    out = spectral_consistency_update("ddrm_step", xhat0, y, A, sigma_y=0.1,
-                                      sigma_t=5.0, eta=0.85, eta_b=1.0, seed=1)
+    out = ddrm_step(xhat0[None], A.spectral_y(y), A, sigma_y=0.1, sigma_t=5.0, eta=0.85,
+                    eta_b=1.0, rngs=[np.random.default_rng(1)])[0]
     # mean is exactly y (eta_b = 1); noise std sqrt(25 - 0.01)
     assert np.all(np.abs(out - y) < 5 * np.sqrt(25.0))
 
@@ -292,7 +293,7 @@ def test_prox_prior_dominated_limit(rng):
     A = build_operator("binary_svd", 8, obs_count=4)
     xhat0 = rng.standard_normal(8)
     y = rng.standard_normal(8)
-    out = prox_data_step(xhat0, y, A, 1.0, 1e12)
+    out = prox_data_step(xhat0[None], A.spectral_y(y), A, 1.0, 1e12)[0]
     assert np.max(np.abs(out - xhat0)) < 1e-6
 
 
@@ -300,7 +301,7 @@ def test_prox_data_dominated_limit(rng):
     A = build_operator("identity", 8)
     xhat0 = rng.standard_normal(8)
     y = rng.standard_normal(8)
-    out = prox_data_step(xhat0, y, A, 1e-6, 1.0)
+    out = prox_data_step(xhat0[None], A.spectral_y(y), A, 1e-6, 1.0)[0]
     assert np.max(np.abs(out - y)) < 1e-4
 
 
@@ -310,7 +311,7 @@ def test_prox_matches_dense_solve(rng):
     xhat0 = rng.standard_normal(8)
     y = rng.standard_normal(8)
     sigma_y, rho_t = 0.7, 2.3
-    out = prox_data_step(xhat0, y, A, sigma_y, rho_t)
+    out = prox_data_step(xhat0[None], A.spectral_y(y), A, sigma_y, rho_t)[0]
     Am = A.matrix()
     lhs = Am.T @ Am / sigma_y**2 + rho_t * np.eye(8)
     rhs = Am.T @ y / sigma_y**2 + rho_t * xhat0
@@ -320,8 +321,9 @@ def test_prox_matches_dense_solve(rng):
 def test_langevin_zero_step(rng):
     A = build_operator("identity", 4)
     x0 = rng.standard_normal(4)
-    out = daps_langevin_step(x0, np.zeros(4), 1.0, np.zeros(4), A, 1.0, 0.0, 3)
-    assert np.array_equal(out, x0)
+    out = daps_langevin_step(x0[None], np.zeros((1, 4)), 1.0, np.zeros(4), A, 1.0, 0.0,
+                             [np.random.default_rng(3)])
+    assert np.array_equal(out[0], x0)
 
 
 def test_langevin_drift_matches_finite_differences(rng):
@@ -341,7 +343,8 @@ def test_langevin_drift_matches_finite_differences(rng):
     # extract the drift by differencing against the no-noise update
     rng_probe = np.random.default_rng(9)
     noise = np.sqrt(step) * rng_probe.standard_normal(6)
-    out = daps_langevin_step(x0, anchor, r_t, y, A, sigma_y, step, 9)
+    out = daps_langevin_step(x0[None], anchor[None], r_t, y, A, sigma_y, step,
+                             [np.random.default_rng(9)])[0]
     drift = (out - noise - x0) / (0.5 * step)
     h = 1e-6
     fd = np.empty(6)
@@ -359,12 +362,12 @@ def test_langevin_long_chain_covariance(rng):
     r_t = sigma_y = 1.0
     # target precision 2 I -> covariance 0.5 I
     step = 0.05
-    x = anchor.copy()
+    x = anchor[None].copy()
     chain = np.empty((30_000, 2))
     chain_rng = np.random.default_rng(10)
     for t in range(len(chain)):
-        x = daps_langevin_step(x, anchor, r_t, y, A, sigma_y, step, chain_rng)
-        chain[t] = x
+        x = daps_langevin_step(x, anchor[None], r_t, y, A, sigma_y, step, [chain_rng])
+        chain[t] = x[0]
     emp = np.cov(chain[2000:].T)
     assert np.max(np.abs(emp - 0.5 * np.eye(2))) < 0.05
 
@@ -373,40 +376,42 @@ def test_reddiff_pure_least_squares(toy_prior):
     kernel = ReverseKernel(toy_prior, build_schedule(0.01, 10.0, 10))
     A = build_operator("identity", 16)
     y = np.linspace(-1, 1, 16)
-    mu = np.zeros(16)
+    mu = np.zeros((1, 16))
     rng_u = np.random.default_rng(4)
     for _ in range(200):
-        mu = reddiff_update(mu, y, A, 1.0, kernel, 0.0, 0.5, rng_u)
-    assert np.max(np.abs(mu - y)) < 1e-3
+        mu = reddiff_update(mu, y, A, 1.0, kernel, 0.0, 0.5, [rng_u])
+    assert np.max(np.abs(mu[0] - y)) < 1e-3
 
 
 def test_reddiff_zero_data_gradient(toy_prior):
     kernel = ReverseKernel(toy_prior, build_schedule(0.01, 10.0, 10))
     A = build_operator("identity", 16)
     y = np.ones(16)
-    out = reddiff_update(y.copy(), y, A, 1.0, kernel, 0.0, 0.5, 8)
-    assert np.array_equal(out, y)
+    out = reddiff_update(y[None].copy(), y, A, 1.0, kernel, 0.0, 0.5,
+                         [np.random.default_rng(8)])
+    assert np.array_equal(out[0], y)
 
 
 def test_reddiff_deterministic(toy_prior):
     kernel = ReverseKernel(toy_prior, build_schedule(0.01, 10.0, 10))
     A = build_operator("identity", 16)
     y = np.linspace(0, 1, 16)
-    a = reddiff_update(np.zeros(16), y, A, 1.0, kernel, 0.25, 0.5, 55)
-    b = reddiff_update(np.zeros(16), y, A, 1.0, kernel, 0.25, 0.5, 55)
+    a, b = (reddiff_update(np.zeros((1, 16)), y, A, 1.0, kernel, 0.25, 0.5,
+                           [np.random.default_rng(55)]) for _ in range(2))
     assert np.array_equal(a, b)
 
 
 def test_reddiff_score_from_batch_core_matches_single_point(toy_prior, rng):
     # reddiff scores each row at its own level with ``score_rows``; at every
-    # level it must give the bits of the batch core on that row and of the
-    # single-point score
+    # level it must give the bits of the batch denoiser on that row and of
+    # the single-point score
     sched = build_schedule(0.01, 10.0, 40)
     kernel = ReverseKernel(toy_prior, sched)
     for level in range(sched.last_nonzero_index + 1):
-        for x in sched.grid[level] * rng.standard_normal((5, 16)):
-            score, _, _ = kernel.score_and_denoise(x, level)
-            assert np.array_equal(kernel._denoise_batch(x, level)[0][0], score), level
+        sigma = sched.grid[level]
+        for x in sigma * rng.standard_normal((5, 16)):
+            score, _, _ = score_and_denoise(toy_prior, x, sigma)
+            assert np.array_equal(denoise_batch(toy_prior, x, sigma)[0][0], score), level
             assert np.array_equal(kernel.score_rows(x[None], np.array([level]))[0], score), level
 
 
@@ -472,13 +477,23 @@ def test_reference_exact_matches_posterior_moments(problem):
     assert np.all(np.abs(emp - dv) < 3 * dv * np.sqrt(3.0 / n))
 
 
+def _unconditional_draw(ctx, seed):
+    """One ancestral draw of the exact kernel from ``sigma_max`` to 0, all
+    from one generator seeded with ``seed``: the draws a sampler makes when
+    its measurement pull vanishes."""
+    rng = np.random.default_rng(seed)
+    X = ctx.sched.sigma_max * rng.standard_normal((1, ctx.prior.dim))
+    for i in range(len(ctx.sched.grid) - 1):
+        X = ctx.kernel.step(X, i, rng)
+    return X[0]
+
+
 def test_dps_guidance_off_reduces_to_unconditional(problem):
     prior, sched, m, ctx = problem
     spec = resolve_solver("dps", {"guidance_scale": 0.0})
     for seed in (1, 2, 3):
         x, status = sample_one(spec, m, prior, sched, seed, ctx=ctx)
-        ref = reverse_sample(prior, sched, ReverseConfig(seed=seed),
-                             kernel=ctx.kernel)
+        ref = _unconditional_draw(ctx, seed)
         assert status == "ok"
         assert np.array_equal(x, ref)
 
@@ -490,8 +505,7 @@ def test_ddnm_zero_operator_reduces_to_unconditional(toy_prior, sched_small):
     spec = resolve_solver("ddnm")
     for seed in (4, 5):
         x, status = sample_one(spec, m, toy_prior, sched_small, seed, ctx=ctx)
-        ref = reverse_sample(toy_prior, sched_small, ReverseConfig(seed=seed),
-                             kernel=ctx.kernel)
+        ref = _unconditional_draw(ctx, seed)
         assert status == "ok"
         assert np.allclose(x, ref, atol=1e-12)
 
@@ -503,8 +517,7 @@ def test_diffpir_infinite_noise_reduces_to_unconditional(toy_prior, sched_small)
     spec = resolve_solver("diffpir")
     for seed in (6, 7):
         x, status = sample_one(spec, m, toy_prior, sched_small, seed, ctx=ctx)
-        ref = reverse_sample(toy_prior, sched_small, ReverseConfig(seed=seed),
-                             kernel=ctx.kernel)
+        ref = _unconditional_draw(ctx, seed)
         assert status == "ok"
         assert np.max(np.abs(x - ref)) < 1e-6
 
@@ -745,6 +758,7 @@ def test_rowwise_primitives_match_single_rows(kernel12, K, seed, log_scale, leve
     levels = rng.integers(0, 13, size=K)
     scores = kernel12.score_rows(X, levels)
     score, xhat0, jac = kernel12.score_and_denoise_rows(X, level)
+    grid = kernel12.sched.grid
     for k in range(K):
         row = X[k : k + 1]
         assert np.array_equal(resp[k], _responsibilities(noisy, X[k]))
@@ -752,8 +766,9 @@ def test_rowwise_primitives_match_single_rows(kernel12, K, seed, log_scale, leve
         assert np.array_equal(den[k], kernel12.denoise(row, level)[0])
         assert np.array_equal(stepped[k],
                               kernel12.step(row, level, np.random.default_rng(seeds[k]))[0])
-        assert np.array_equal(scores[k], kernel12._denoise_batch(row, levels[k])[0][0])
-        for got, want in zip((score, xhat0, jac), kernel12.score_and_denoise(X[k], level)):
+        assert np.array_equal(scores[k], denoise_batch(kernel12.prior, row, grid[levels[k]])[0][0])
+        for got, want in zip((score, xhat0, jac),
+                             score_and_denoise(kernel12.prior, X[k], grid[level])):
             assert np.array_equal(got[k], want)
 
 
