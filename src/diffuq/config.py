@@ -12,7 +12,7 @@ import yaml
 from .diffusion import build_schedule
 from .gmm import ToyPriorSpec, build_toy_prior
 from .operators import build_operator
-from .solvers import resolve_solver
+from .solvers import SolverSpec, resolve_solver
 
 __all__ = ["ExperimentConfig", "load_config", "config_to_dict", "config_from_dict"]
 
@@ -49,6 +49,7 @@ class ExperimentConfig:
     sweep_axis: dict | None = None  # {"solver": name, "name": hp, "values": [...]}
 
     def __post_init__(self):
+        self._check_kinds()
         if self.experiment not in _EXPERIMENTS:
             raise ValueError(
                 f"experiment must be one of {_EXPERIMENTS}, got {self.experiment!r}"
@@ -87,6 +88,22 @@ class ExperimentConfig:
                 raise ValueError(f"sweep_axis solver {solver!r} is not one of the config's solvers")
         self._check_rho_coupling()
 
+    def _check_kinds(self):
+        """Each field built by hand has the kind the checks below read; a
+        value of another kind fails here, naming its key."""
+        if not _real(self.sigma_y):
+            raise ValueError(f"sigma_y must be a finite number > 0, got {self.sigma_y!r}")
+        if not isinstance(self.prior, ToyPriorSpec):
+            raise ValueError(f"prior must be a ToyPriorSpec, got {self.prior!r}")
+        for key in ("operator", "schedule"):
+            if not isinstance(getattr(self, key), dict):
+                raise ValueError(f"{key} must be a mapping, got {getattr(self, key)!r}")
+        if not (isinstance(self.solvers, tuple)
+                and all(isinstance(s, SolverSpec) for s in self.solvers)):
+            raise ValueError(f"solvers must be a tuple of SolverSpec, got {self.solvers!r}")
+        if not (self.sweep_axis is None or isinstance(self.sweep_axis, dict)):
+            raise ValueError(f"sweep_axis must be a mapping or None, got {self.sweep_axis!r}")
+
     def _check_schedule(self):
         """The schedule builds; a value of the wrong kind fails here, naming its key."""
         sched = self.schedule
@@ -94,10 +111,10 @@ class ExperimentConfig:
             value = sched.get(key, 1.0)
             if not (_real(value) and math.isfinite(value)):
                 raise ValueError(f"schedule {key} must be a finite number, got {value!r}")
-        _integer("schedule steps", sched["steps"])
+        _integer("schedule steps", sched.get("steps"))
         try:
             build_schedule(**sched)
-        except (ValueError, ArithmeticError) as exc:
+        except (TypeError, ValueError, ArithmeticError) as exc:
             raise ValueError(f"schedule {sched!r} is invalid: {exc}") from None
 
     def _check_rho_coupling(self):

@@ -113,8 +113,8 @@ class ReverseKernel:
     nonzero level ``i`` and component ``c`` the kernel holds:
 
     - ``_noisy[i]``: the noisy marginal at ``grid[i]``, a ``GaussianMixture``
-      that keeps each covariance's Cholesky factor and log-determinant for
-      the responsibilities;
+      that keeps each covariance's log-determinant and the LU factors of its
+      Cholesky factor for the responsibilities;
     - ``_cho[i][c]``: ``cho_factor`` of that covariance, for the score;
     - ``_prec[i][c]``: its inverse, for the denoiser Jacobian;
     - ``_B[i, c]``, ``_a[i, c]``: slope and offset of the transition mean;
@@ -138,9 +138,8 @@ class ReverseKernel:
         self._noisy = [noisy_marginal(prior, s) for s in grid[:-1]]
         self._cho = [_cho_factors(noisy) for noisy in self._noisy]
         self._prec = [_precisions(cfs, d) for cfs in self._cho]
-        # per-level stacks of the responsibilities' factors, for rows that
-        # each sit at their own level
-        self._noisy_chols = np.stack([noisy._chols for noisy in self._noisy])
+        # per-level stack of the responsibilities' log-determinants, for rows
+        # that each sit at their own level
         self._noisy_logdets = np.stack([noisy._logdets for noisy in self._noisy])
         # denoising posterior per (level, component): x0 | x_i, c
         self._B = np.empty((len(grid) - 1, C, d, d))  # mean slope
@@ -174,7 +173,7 @@ class ReverseKernel:
         """``log_responsibilities`` of each row of the (K, d) array ``X`` on its own."""
         noisy = self._noisy[level]
         return _log_normalised(
-            _component_logpdfs_rows(noisy.means, noisy._chols, noisy._logdets, X),
+            _component_logpdfs_rows(noisy.means, noisy._getrf * len(X), noisy._logdets, X),
             noisy.weights)
 
     def step(self, X: np.ndarray, level: int, rng: np.random.Generator) -> np.ndarray:
@@ -244,8 +243,8 @@ class ReverseKernel:
         Each row's solve is one ``potrs`` on its level's factor; a
         non-finite row raises the ValueError that ``cho_solve`` raises."""
         means = self.prior.means
-        lp = _component_logpdfs_rows(means, self._noisy_chols[levels],
-                                     self._noisy_logdets[levels], X)
+        getrf = [f for level in levels for f in self._noisy[level]._getrf]
+        lp = _component_logpdfs_rows(means, getrf, self._noisy_logdets[levels], X)
         resp = np.exp(_log_normalised(lp, self.prior.weights))
         score = np.zeros_like(X)
         for c in range(self.prior.n_components):

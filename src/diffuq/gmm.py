@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dgetrf, dgetrs, dpotrs
 from scipy.special import ndtr
 
 __all__ = [
@@ -34,6 +35,10 @@ _SYM_TOL = 1e-12
 _WEIGHT_TOL = 1e-12
 # posterior weights below this clamp to zero before renormalization
 _WEIGHT_FLOOR = 1e-300
+# scipy's dgetrs can return wrong bits while another thread runs it (seen in
+# a two-thread loop over ``_component_logpdfs_rows``) and ``run_experiment``
+# may sample on worker threads, so every dgetrf/dgetrs call holds this lock
+_GETRS_LOCK = threading.Lock()
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -43,7 +48,10 @@ def _as_rng(seed) -> np.random.Generator:
 
 def _normals(rngs, d: int) -> np.ndarray:
     """(K, d) standard normals; row k is ``rngs[k].standard_normal(d)``."""
-    return np.array([rng.standard_normal(d) for rng in rngs]).reshape(len(rngs), d)
+    out = np.empty((len(rngs), d))
+    for row, rng in zip(out, rngs):
+        rng.standard_normal(out=row)
+    return out
 
 
 # Row-wise products. Each row of a K-row batch gets the bits it would get on
@@ -140,9 +148,14 @@ class GaussianMixture:
     means: np.ndarray  # (C, d)
     covs: np.ndarray  # (C, d, d)
     # lower Cholesky factor (C, d, d) and log-determinant (C,) of each
-    # covariance, kept from the positive-definiteness check
+    # covariance, kept from the positive-definiteness check, and the
+    # ``dgetrf`` of each Cholesky factor: C (LU factor, pivots) pairs, the
+    # factor Fortran-ordered as ``dgetrs`` takes it. A factor on which
+    # ``dgetrf`` swaps rows keeps ``(chol, None)`` instead: scipy's and
+    # numpy's LAPACK builds then disagree in the last bit for some d >= 7.
     _chols: np.ndarray = field(init=False, compare=False, repr=False)
     _logdets: np.ndarray = field(init=False, compare=False, repr=False)
+    _getrf: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -160,6 +173,7 @@ class GaussianMixture:
             raise ValueError("weights must be nonnegative and sum to 1")
         chols = np.empty(c.shape)
         logdets = np.empty(len(c))
+        getrf = []
         for k, cov in enumerate(c):
             if np.max(np.abs(cov - cov.T)) > _SYM_TOL:
                 raise ValueError(f"covariance {k} is not symmetric")
@@ -168,11 +182,16 @@ class GaussianMixture:
             except np.linalg.LinAlgError:
                 raise ValueError(f"covariance {k} is not positive definite")
             logdets[k] = 2.0 * np.sum(np.log(np.diag(chols[k])))
+            with _GETRS_LOCK:
+                lu, piv, _ = dgetrf(chols[k])
+            getrf.append((lu, piv) if np.array_equal(piv, np.arange(len(piv)))
+                         else (chols[k], None))
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "covs", c)
         object.__setattr__(self, "_chols", chols)
         object.__setattr__(self, "_logdets", logdets)
+        object.__setattr__(self, "_getrf", tuple(getrf))
 
     @property
     def n_components(self) -> int:
@@ -252,17 +271,32 @@ def _component_logpdfs(gmm: GaussianMixture, x: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def _component_logpdfs_rows(means, chols, logdets, X: np.ndarray) -> np.ndarray:
+def _component_logpdfs_rows(means, getrf, logdets, X: np.ndarray) -> np.ndarray:
     """(K, C) log N(X[k]; mu_c, Sigma_c) with row k's bits independent of K.
 
-    One single-right-hand-side solve per (row, component) and a pairwise sum
-    per row give each row the bits of ``_component_logpdfs`` on that row
-    alone; a multi-right-hand-side solve and a sum over axis 0 would not.
-    ``chols`` (C, d, d) and ``logdets`` (C,) may also be per row: (K, C, d, d)
-    and (K, C).
+    ``getrf`` holds the K * C (LU factor, pivots) pairs of the rows'
+    components, row by row: ``noisy._getrf * K`` for rows of one mixture.
+    ``logdets`` is (C,), or (K, C) for rows that each have their own.
+
+    One single-right-hand-side ``dgetrs`` per (row, component) on the kept
+    LU factors of the Cholesky factor is the second half of the ``gesv``
+    that ``np.linalg.solve`` runs on it, so it gives the same bits (a factor
+    kept as ``(chol, None)`` is solved by ``np.linalg.solve`` itself); with
+    a pairwise sum per row, each row gets the bits of ``_component_logpdfs``
+    on that row alone. A multi-right-hand-side solve and a sum over axis 0
+    would not.
     """
-    d = X.shape[-1]
-    sols = np.linalg.solve(chols, (X[:, None, :] - means)[..., None])[..., 0]
+    K, d = X.shape
+    sols = np.empty((K, len(means), d))
+    np.subtract(X[:, None, :], means, out=sols)  # solved in place, row by row
+    with _GETRS_LOCK:
+        for b, (lu, piv) in zip(sols.reshape(-1, d), getrf, strict=True):
+            if piv is None:
+                b[:] = np.linalg.solve(lu, b[:, None])[:, 0]
+                continue
+            _, info = dgetrs(lu, piv, b, overwrite_b=1)
+            if info != 0:
+                raise ValueError(f"illegal value in {-info}th argument of internal getrs")
     maha = np.add.reduce(sols**2, axis=-1)
     return -0.5 * (maha + logdets + d * np.log(2.0 * np.pi))
 
@@ -294,11 +328,15 @@ def sample_mixture(gmm: GaussianMixture, n: int, seed) -> np.ndarray:
 def _sample_mixture_rows(gmm: GaussianMixture, rngs) -> np.ndarray:
     """One draw per generator; row k has the bits of
     ``sample_mixture(gmm, 1, rngs[k])`` at any batch size."""
+    # the inverse-CDF draw of ``rng.choice(C, size=1, p=weights)``, without
+    # its per-call checks of ``p``, which the mixture's constructor made
+    cdf = gmm.weights.cumsum()
+    cdf /= cdf[-1]
     comp = np.empty(len(rngs), dtype=int)
     noise = np.empty((len(rngs), gmm.dim))
     for k, rng in enumerate(rngs):
-        comp[k] = rng.choice(gmm.n_components, size=1, p=gmm.weights)[0]
-        noise[k] = rng.standard_normal(gmm.dim)
+        comp[k] = cdf.searchsorted(rng.random(1), side="right")[0]
+        rng.standard_normal(out=noise[k])
     return _mixture_draw(gmm, comp, noise, _vecmat_rows)
 
 
@@ -332,8 +370,8 @@ def _log_normalised(lp: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def _responsibilities(noisy: GaussianMixture, x: np.ndarray, rows: bool = False) -> np.ndarray:
     """Component responsibilities at ``x``; with ``rows``, those of each row of
     the (K, d) array ``x`` with the bits it has on its own."""
-    lp = (_component_logpdfs_rows(noisy.means, noisy._chols, noisy._logdets, x) if rows
-          else _component_logpdfs(noisy, x))
+    lp = (_component_logpdfs_rows(noisy.means, noisy._getrf * len(x), noisy._logdets, x)
+          if rows else _component_logpdfs(noisy, x))
     return np.exp(_log_normalised(lp, noisy.weights))
 
 

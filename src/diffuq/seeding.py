@@ -8,6 +8,8 @@ so identical inputs give identical seeds on every platform.
 
 from __future__ import annotations
 
+import functools
+
 __all__ = ["derive_seed"]
 
 _MASK = (1 << 64) - 1
@@ -21,6 +23,7 @@ def _splitmix64(z: int) -> int:
     return (z ^ (z >> 31)) & _MASK
 
 
+@functools.lru_cache(maxsize=256)  # a run hashes the same few tags many times
 def _fnv1a64(text: str) -> int:
     h = 0xCBF29CE484222325
     for b in text.encode("utf-8"):

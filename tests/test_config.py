@@ -1,7 +1,7 @@
 import yaml
 import pytest
 
-from diffuq.config import config_from_dict, config_to_dict, load_config
+from diffuq.config import ExperimentConfig, config_from_dict, config_to_dict, load_config
 from diffuq.solvers import SOLVER_NAMES
 
 MINIMAL = {
@@ -250,3 +250,29 @@ def test_valid_prior_round_trip_unchanged():
     cfg = config_from_dict(dict(MINIMAL, prior=prior))
     assert config_to_dict(cfg)["prior"] == prior
     assert config_to_dict(config_from_dict(config_to_dict(cfg))) == config_to_dict(cfg)
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("prior", {"d": 16}, "prior must be a ToyPriorSpec, got {'d': 16}"),
+    ("operator", None, "operator must be a mapping, got None"),
+    ("schedule", None, "schedule must be a mapping, got None"),
+    ("sigma_y", "1", "sigma_y must be a finite number > 0, got '1'"),
+    ("solvers", ("dps",), r"solvers must be a tuple of SolverSpec, got \('dps',\)"),
+    ("sweep_axis", ["pnpdm"], r"sweep_axis must be a mapping or None, got \['pnpdm'\]"),
+], ids=["prior", "operator", "schedule", "sigma_y", "solvers", "sweep_axis"])
+def test_direct_construction_checks_field_kinds(field, value, match):
+    """``ExperimentConfig`` built directly (not through ``config_from_dict``)
+    rejects a field of the wrong kind with a ValueError that names it."""
+    fields = dict(config_from_dict(MINIMAL).__dict__)
+    fields[field] = value
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig(**fields)
+
+
+def test_direct_construction_schedule_missing_keys_named():
+    fields = dict(config_from_dict(MINIMAL).__dict__, schedule={"steps": 10})
+    with pytest.raises(ValueError, match="schedule .* is invalid: .*sigma_min"):
+        ExperimentConfig(**fields)
+    fields["schedule"] = {"sigma_min": 0.01, "sigma_max": 10.0}
+    with pytest.raises(ValueError, match="schedule steps must be an integer, got None"):
+        ExperimentConfig(**fields)

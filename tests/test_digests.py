@@ -52,3 +52,15 @@ def test_benchmark_entry_points(tmp_path):
     paths = write_report(run_experiment(cfg, workers=2), tmp_path / label, cfg=cfg)
     digest = hashlib.sha256(Path(paths["results.csv"]).read_bytes()).hexdigest()
     assert digest == PINNED["exp1_all"][label]
+
+
+def test_workers2_runs_match_pinned_digest(tmp_path):
+    """Three ``run_experiment(workers=2)`` runs of exp1_all each give the
+    pinned results.csv: the worker threads' LAPACK solves do not disturb
+    each other."""
+    (label, raw), = WORKLOADS.configs("exp1_all", SEED)
+    cfg = config_from_dict(raw)
+    for run in range(3):
+        paths = write_report(run_experiment(cfg, workers=2), tmp_path / f"{label}-{run}", cfg=cfg)
+        digest = hashlib.sha256(Path(paths["results.csv"]).read_bytes()).hexdigest()
+        assert digest == PINNED["exp1_all"][label], f"run {run}"

@@ -1,8 +1,12 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
+from scipy.linalg.lapack import dgetrf
 from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import multivariate_normal
 
@@ -18,7 +22,10 @@ from diffuq.gmm import (
     noisy_marginal,
     sample_mixture,
     score_and_denoise,
+    _component_logpdfs_rows,
     _logsumexp,
+    _sample_mixture_rows,
+    _vecmat_rows,
 )
 from diffuq.operators import LinearOperatorSVD, _haar_orthogonal, build_operator
 
@@ -472,3 +479,127 @@ def test_cdf_validation(toy_prior):
         mixture_cdf_1d(toy_prior, 16, 0, 1)
     with pytest.raises(ValueError, match="a <= b"):
         mixture_cdf_1d(toy_prior, 0, 1, 0)
+
+
+def _solve_logpdfs_rows(means, chols, logdets, X):
+    """The row-wise component log-pdfs by ``np.linalg.solve`` on the Cholesky
+    factors ((C, d, d), or (K, C, d, d) per row): one ``gesv`` per (row,
+    component)."""
+    d = X.shape[-1]
+    sols = np.linalg.solve(chols, (X[:, None, :] - means)[..., None])[..., 0]
+    maha = np.add.reduce(sols**2, axis=-1)
+    return -0.5 * (maha + logdets + d * np.log(2.0 * np.pi))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), C=st.integers(1, 3), d=st.integers(1, 16),
+       K=st.integers(1, 6))
+@example(seed=105, C=2, d=7, K=1)  # a pivoting factor whose getrs bits differ
+def test_component_logpdfs_rows_match_solve(seed, C, d, K):
+    """The kept LU factors and one ``getrs`` per (row, component) give the
+    bits of ``np.linalg.solve`` on the Cholesky factors."""
+    rng = np.random.default_rng(seed)
+    gmm = _random_mixture(rng, C, d)
+    X = 3.0 * rng.standard_normal((K, d))
+    got = _component_logpdfs_rows(gmm.means, gmm._getrf * K, gmm._logdets, X)
+    assert np.array_equal(got, _solve_logpdfs_rows(gmm.means, gmm._chols, gmm._logdets, X))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), C=st.integers(1, 3), d=st.integers(1, 16),
+       K=st.integers(1, 6))
+def test_component_logpdfs_rows_per_row_factors_match_solve(seed, C, d, K):
+    """The per-row form ``ReverseKernel.score_rows`` uses: each row under the
+    noisy marginal at its own level, against a (K, C, d, d) stacked solve."""
+    rng = np.random.default_rng(seed)
+    gmm = _random_mixture(rng, C, d)
+    levels = [noisy_marginal(gmm, s) for s in (0.0, 0.3, 2.0, 9.0)]
+    which = rng.integers(len(levels), size=K)
+    noisy = [levels[i] for i in which]
+    X = 3.0 * rng.standard_normal((K, d))
+    logdets = np.stack([n._logdets for n in noisy])
+    getrf = [f for n in noisy for f in n._getrf]
+    got = _component_logpdfs_rows(gmm.means, getrf, logdets, X)
+    chols = np.stack([n._chols for n in noisy])
+    assert np.array_equal(got, _solve_logpdfs_rows(gmm.means, chols, logdets, X))
+
+
+@pytest.mark.parametrize("d", [6, 16])
+def test_component_logpdfs_rows_match_solve_when_lu_pivots(d):
+    """A Cholesky factor whose first column has a sub-diagonal entry larger
+    than its diagonal makes ``getrf`` swap rows; the bits still match."""
+    rng = np.random.default_rng(3)
+    L = np.tril(rng.uniform(0.5, 1.0, (d, d)))
+    L[3, 0] = 4.0
+    gmm = GaussianMixture(np.ones(1), rng.standard_normal((1, d)), (L @ L.T)[None])
+    assert dgetrf(gmm._chols[0])[1][0] == 3
+    assert gmm._getrf[0][1] is None
+    X = 3.0 * rng.standard_normal((50, d))
+    got = _component_logpdfs_rows(gmm.means, gmm._getrf * 50, gmm._logdets, X)
+    assert np.array_equal(got, _solve_logpdfs_rows(gmm.means, gmm._chols, gmm._logdets, X))
+
+
+def test_toy_prior_marginals_keep_lu_factors(toy_prior):
+    """No noisy marginal of the toy prior pivots, so every row-wise solve on
+    it takes the kept ``getrs`` path."""
+    for sigma in np.geomspace(1e-3, 1e3, 25):
+        assert all(piv is not None for _, piv in noisy_marginal(toy_prior, sigma)._getrf)
+
+
+def test_component_logpdfs_rows_thread_safe(toy_prior):
+    """Three threads (more than the cores of a small runner) computing
+    row-wise log-pdfs at once, with a short switch interval, each get the
+    bits of a single-thread call."""
+    rng = np.random.default_rng(11)
+    gmm = noisy_marginal(toy_prior, 0.5)  # every solve takes the getrs path
+    inputs = [10.0 * rng.standard_normal((64, 16)) for _ in range(3)]
+    expected = [_component_logpdfs_rows(gmm.means, gmm._getrf * 64, gmm._logdets, X)
+                for X in inputs]
+    start = threading.Barrier(len(inputs))
+    mismatches = [0] * len(inputs)
+    done = [False] * len(inputs)
+
+    def work(j):
+        start.wait(timeout=60)
+        for _ in range(700):
+            got = _component_logpdfs_rows(gmm.means, gmm._getrf * 64, gmm._logdets, inputs[j])
+            mismatches[j] += not np.array_equal(got, expected[j])
+        done[j] = True
+
+    threads = [threading.Thread(target=work, args=(j,)) for j in range(len(inputs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and all(done)
+    assert mismatches == [0] * len(inputs)
+
+
+_WEIGHT_ENTRY = st.sampled_from([0.0, 1e-300, 1e-200, 1e-17, 1e-9, 0.3, 1.0, 5.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       raw=st.lists(_WEIGHT_ENTRY, min_size=1, max_size=6).filter(lambda w: max(w) > 0.1))
+def test_sample_mixture_rows_component_draw_matches_choice(seed, raw):
+    """The inverse-CDF component draw of ``_sample_mixture_rows`` is
+    ``rng.choice(C, size=1, p=w)`` bit for bit and leaves the generator in
+    the same state, with zero and tiny weights among the components."""
+    w = np.array(raw) / np.sum(raw)
+    C, d = len(w), 3
+    gmm = GaussianMixture(w, np.arange(C * d, dtype=float).reshape(C, d),
+                          np.stack([np.eye(d) * (c + 1) for c in range(C)]))
+    rngs = [np.random.default_rng([seed, k]) for k in range(4)]
+    refs = [np.random.default_rng([seed, k]) for k in range(4)]
+    got = _sample_mixture_rows(gmm, rngs)
+    for k, ref in enumerate(refs):
+        comp = ref.choice(C, size=1, p=w)[0]
+        noise = ref.standard_normal(d)
+        want = gmm.means[comp] + _vecmat_rows(noise[None], gmm._chols[comp].T)[0]
+        assert np.array_equal(got[k], want)
+        assert rngs[k].bit_generator.state == ref.bit_generator.state
