@@ -3,7 +3,8 @@
 Subcommands: ``run`` (execute a config), ``oracle`` (print the analytic
 reference values), ``sweep`` (run with a sweep-axis override), ``report``
 (re-aggregate persisted samples). Worker count comes from --workers or the
-DIFFUQ_WORKERS environment variable.
+DIFFUQ_WORKERS environment variable. Bad input (a missing or invalid config
+file, a bad flag or variable) ends with one error line and exit status 2.
 """
 
 from __future__ import annotations
@@ -14,16 +15,47 @@ import json
 import os
 import sys
 
+import yaml
+
 from .config import config_from_dict, load_config
 from .harness import experiment_oracle, run_experiment, write_report, reaggregate
 
 __all__ = ["main"]
 
 
+class _UsageError(Exception):
+    """Bad input from the command line, reported by ``parser.error``."""
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _workers(args) -> int:
     if args.workers is not None:
         return args.workers
-    return int(os.environ.get("DIFFUQ_WORKERS", "1"))
+    text = os.environ.get("DIFFUQ_WORKERS", "1")
+    try:
+        return _positive_int(text)
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"DIFFUQ_WORKERS {exc}") from None
+
+
+def _load(path):
+    """``load_config(path)``; a file that cannot be read or is not a valid
+    config is a usage error naming it."""
+    try:
+        return load_config(path)
+    except OSError as exc:
+        raise _UsageError(f"cannot read config file {path}: {exc.strerror}") from None
+    except (ValueError, yaml.YAMLError) as exc:
+        raise _UsageError(f"config file {path}: {' '.join(str(exc).split())}") from None
 
 
 def _print_paths(paths: dict) -> int:
@@ -33,7 +65,7 @@ def _print_paths(paths: dict) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _load(args.config)
     rows = run_experiment(cfg, workers=_workers(args))
     oracle = None if args.no_oracle else experiment_oracle(cfg)
     return _print_paths(write_report(rows, args.out, cfg=cfg, oracle=oracle,
@@ -41,16 +73,24 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _load(args.config)
     print(json.dumps(experiment_oracle(cfg), indent=2, sort_keys=True))
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    values = [json.loads(v) for v in args.values.split(",")]
-    cfg = dataclasses.replace(
-        cfg, sweep_axis={"solver": args.solver, "name": args.param, "values": values})
+    cfg = _load(args.config)
+    values = []
+    for text in args.values.split(","):
+        try:
+            values.append(json.loads(text))
+        except ValueError:
+            raise _UsageError(f"--values: {text!r} is not a number or JSON value") from None
+    try:
+        cfg = dataclasses.replace(
+            cfg, sweep_axis={"solver": args.solver, "name": args.param, "values": values})
+    except ValueError as exc:
+        raise _UsageError(f"sweep --solver/--param/--values: {exc}") from None
     rows = run_experiment(cfg, workers=_workers(args))
     return _print_paths(write_report(rows, args.out, cfg=cfg, save_samples=args.save_samples))
 
@@ -81,14 +121,14 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config")
     p_run.add_argument("--out", default="out")
-    p_run.add_argument("--workers", type=int, default=None)
+    p_run.add_argument("--workers", type=_positive_int, default=None)
     p_run.add_argument("--save-samples", action="store_true")
     p_run.add_argument("--no-oracle", action="store_true")
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_run, parser=p_run)
 
     p_oracle = sub.add_parser("oracle", help="print analytic reference values")
     p_oracle.add_argument("config")
-    p_oracle.set_defaults(func=_cmd_oracle)
+    p_oracle.set_defaults(func=_cmd_oracle, parser=p_oracle)
 
     p_sweep = sub.add_parser("sweep", help="run with a sweep-axis override")
     p_sweep.add_argument("config")
@@ -97,17 +137,20 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated values, e.g. 8,16,64")
     p_sweep.add_argument("--out", default="out")
-    p_sweep.add_argument("--workers", type=int, default=None)
+    p_sweep.add_argument("--workers", type=_positive_int, default=None)
     p_sweep.add_argument("--save-samples", action="store_true")
-    p_sweep.set_defaults(func=_cmd_sweep)
+    p_sweep.set_defaults(func=_cmd_sweep, parser=p_sweep)
 
     p_rep = sub.add_parser("report", help="re-aggregate persisted samples")
     p_rep.add_argument("dir")
     p_rep.add_argument("--out", default=None)
-    p_rep.set_defaults(func=_cmd_report)
+    p_rep.set_defaults(func=_cmd_report, parser=p_rep)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -27,6 +27,14 @@ _ALIASES = {"k_measurements": "n_cases", "n_samples": "k_samples"}
 
 _SCHEDULE_DEFAULTS = {"sigma_min": 0.01, "sigma_max": 10.0, "steps": 100,
                       "spacing": "geometric"}
+# The range of sigma_y, sigma_min and sigma_max. The samplers square these
+# scales and invert the squares; outside about [1e-150, 1e150] that leaves
+# the float range and crashes a run, so the range keeps 1e50 to spare.
+_SIGMA_RANGE = (1e-100, 1e100)
+# Size caps, checked before the prior and the grid are built here: without
+# them a prior of d = 33,909 asked for 8.6 GiB at load time.
+_MAX_D = 256
+_MAX_STEPS = 10_000
 _OPERATOR_DEFAULTS = {
     "exp1_identity": {"kind": "identity"},
     "exp2_binary": {"kind": "binary_svd", "obs_count": 8,
@@ -50,12 +58,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self._check_kinds()
-        if self.experiment not in _EXPERIMENTS:
-            raise ValueError(
-                f"experiment must be one of {_EXPERIMENTS}, got {self.experiment!r}"
-            )
+        _check_experiment(self.experiment)
         if not (math.isfinite(self.sigma_y) and self.sigma_y > 0):
             raise ValueError(f"sigma_y must be finite and > 0, got {self.sigma_y!r}")
+        _check_sigma("sigma_y", self.sigma_y)
         for key in ("master_seed", "n_cases", "k_samples"):
             object.__setattr__(self, key, _integer(key, getattr(self, key)))
         if self.n_cases < 1:
@@ -67,6 +73,8 @@ class ExperimentConfig:
         if self.experiment == "exp1_identity" and self.operator.get("kind") != "identity":
             raise ValueError("exp1_identity forces the identity operator")
         self._check_schedule()
+        if self.prior.d > _MAX_D:
+            raise ValueError(f"prior d must be <= {_MAX_D}, got {self.prior.d!r}")
         try:
             build_toy_prior(self.prior)
         except ValueError as exc:
@@ -80,6 +88,8 @@ class ExperimentConfig:
             if missing:
                 raise ValueError(f"sweep_axis missing keys: {sorted(missing)}")
             solver, name, values = (self.sweep_axis[k] for k in ("solver", "name", "values"))
+            if not isinstance(name, str):
+                raise ValueError(f"sweep_axis name must be a string, got {name!r}")
             if not isinstance(values, (list, tuple)) or not values:
                 raise ValueError(f"sweep_axis values must be a nonempty list, got {values!r}")
             for value in values:
@@ -111,11 +121,14 @@ class ExperimentConfig:
             value = sched.get(key, 1.0)
             if not (_real(value) and math.isfinite(value)):
                 raise ValueError(f"schedule {key} must be a finite number, got {value!r}")
-        _integer("schedule steps", sched.get("steps"))
+        if _integer("schedule steps", sched.get("steps")) > _MAX_STEPS:
+            raise ValueError(f"schedule steps must be <= {_MAX_STEPS}, got {sched['steps']!r}")
         try:
             build_schedule(**sched)
         except (TypeError, ValueError, ArithmeticError) as exc:
             raise ValueError(f"schedule {sched!r} is invalid: {exc}") from None
+        for key in ("sigma_min", "sigma_max"):
+            _check_sigma(f"schedule {key}", sched[key])
 
     def _check_rho_coupling(self):
         """pnpdm starts its x-step at the grid level of ``rho_coupling``, so
@@ -138,6 +151,17 @@ def _real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _check_experiment(experiment) -> None:
+    if not (isinstance(experiment, str) and experiment in _EXPERIMENTS):
+        raise ValueError(f"experiment must be one of {_EXPERIMENTS}, got {experiment!r}")
+
+
+def _check_sigma(key: str, value) -> None:
+    lo, hi = _SIGMA_RANGE
+    if not lo <= value <= hi:
+        raise ValueError(f"{key} must lie within [{lo:g}, {hi:g}], got {value!r}")
+
+
 def _integer(key: str, value) -> int:
     """``value`` as an int; a value that is not an integral number is rejected."""
     if not (_real(value) and float(value).is_integer()):
@@ -145,7 +169,19 @@ def _integer(key: str, value) -> int:
     return int(value)
 
 
+def _mapping(data: dict, key: str) -> dict:
+    """``data[key]``, a mapping; a missing or empty (None) one is ``{}``."""
+    value = data.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be a mapping, got {value!r}")
+    return value
+
+
 def _parse_solvers(raw) -> tuple:
+    if not isinstance(raw, list):
+        raise ValueError(f"solvers must be a list, got {raw!r}")
     specs = []
     for entry in raw:
         if isinstance(entry, str):
@@ -174,22 +210,23 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             raise ValueError(f"config missing required field {req!r}")
 
     experiment = data["experiment"]
+    _check_experiment(experiment)
     try:
         sigma_y = float(data["sigma_y"])
     except (TypeError, ValueError):
         raise ValueError(f"sigma_y must be a number, got {data['sigma_y']!r}")
-    prior_args = data.get("prior") or {}
+    prior_args = _mapping(data, "prior")
     bad = set(prior_args) - {f.name for f in dataclasses.fields(ToyPriorSpec)}
     if bad:
         raise ValueError(f"unknown prior keys: {sorted(bad)}")
     schedule = dict(_SCHEDULE_DEFAULTS)
-    sched_args = data.get("schedule") or {}
+    sched_args = _mapping(data, "schedule")
     bad = set(sched_args) - {"sigma_min", "sigma_max", "steps", "spacing", "exponent"}
     if bad:
         raise ValueError(f"unknown schedule keys: {sorted(bad)}")
     schedule.update(sched_args)
     operator = dict(_OPERATOR_DEFAULTS.get(experiment, {}))
-    operator.update(data.get("operator") or {})
+    operator.update(_mapping(data, "operator"))
 
     return ExperimentConfig(
         experiment=experiment,

@@ -27,6 +27,7 @@ from .gmm import (
     _component_logpdfs_rows,
     _denoise_batch,
     _log_normalised,
+    _mixture_logpdfs_rows,
     _normals,
     _precisions,
     _score_and_denoise,
@@ -138,9 +139,14 @@ class ReverseKernel:
         self._noisy = [noisy_marginal(prior, s) for s in grid[:-1]]
         self._cho = [_cho_factors(noisy) for noisy in self._noisy]
         self._prec = [_precisions(cfs, d) for cfs in self._cho]
-        # per-level stack of the responsibilities' log-determinants, for rows
-        # that each sit at their own level
+        # per-level stacks of the responsibilities' log-determinants and band
+        # forms (None if some level has none), for rows that each sit at
+        # their own level
         self._noisy_logdets = np.stack([noisy._logdets for noisy in self._noisy])
+        self._bands = self._udiags = None
+        if all(noisy._band is not None for noisy in self._noisy):
+            self._bands = np.stack([noisy._band for noisy in self._noisy])
+            self._udiags = np.stack([noisy._udiag for noisy in self._noisy])
         # denoising posterior per (level, component): x0 | x_i, c
         self._B = np.empty((len(grid) - 1, C, d, d))  # mean slope
         self._a = np.empty((len(grid) - 1, C, d))  # mean offset
@@ -172,9 +178,7 @@ class ReverseKernel:
     def log_responsibilities_rows(self, X: np.ndarray, level: int) -> np.ndarray:
         """``log_responsibilities`` of each row of the (K, d) array ``X`` on its own."""
         noisy = self._noisy[level]
-        return _log_normalised(
-            _component_logpdfs_rows(noisy.means, noisy._getrf * len(X), noisy._logdets, X),
-            noisy.weights)
+        return _log_normalised(_mixture_logpdfs_rows(noisy, X), noisy.weights)
 
     def step(self, X: np.ndarray, level: int, rng: np.random.Generator) -> np.ndarray:
         """One ancestral transition from grid[level] to grid[level+1].
@@ -242,9 +246,14 @@ class ReverseKernel:
         ``gmm.denoise_batch`` at that row alone and ``grid[levels[k]]``.
         Each row's solve is one ``potrs`` on its level's factor; a
         non-finite row raises the ValueError that ``cho_solve`` raises."""
-        means = self.prior.means
-        getrf = [f for level in levels for f in self._noisy[level]._getrf]
-        lp = _component_logpdfs_rows(means, getrf, self._noisy_logdets[levels], X)
+        means, d = self.prior.means, self.prior.dim
+        logdets = self._noisy_logdets[levels]
+        if self._bands is None:
+            chols = np.stack([self._noisy[level]._chols for level in levels])
+            lp = _component_logpdfs_rows(means, None, None, logdets, X, chols)
+        else:
+            lp = _component_logpdfs_rows(means, self._bands[levels].reshape(-1, d),
+                                         self._udiags[levels], logdets, X)
         resp = np.exp(_log_normalised(lp, self.prior.weights))
         score = np.zeros_like(X)
         for c in range(self.prior.n_components):

@@ -8,6 +8,7 @@ conjugate posteriors for linear-Gaussian measurements.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import threading
@@ -15,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dgetrf, dgetrs, dpotrs
+from scipy.linalg.blas import dtbsv
+from scipy.linalg.lapack import dgetrf, dpotrs
 from scipy.special import ndtr
 
 __all__ = [
@@ -35,10 +37,15 @@ _SYM_TOL = 1e-12
 _WEIGHT_TOL = 1e-12
 # posterior weights below this clamp to zero before renormalization
 _WEIGHT_FLOOR = 1e-300
-# scipy's dgetrs can return wrong bits while another thread runs it (seen in
-# a two-thread loop over ``_component_logpdfs_rows``) and ``run_experiment``
-# may sample on worker threads, so every dgetrf/dgetrs call holds this lock
+# scipy's dgetrs returned wrong bits while another thread ran it (seen in a
+# two-thread loop over ``_component_logpdfs_rows``), a clean threaded run
+# does not show that dtbsv is free of the same fault, and ``run_experiment``
+# may sample on worker threads, so every dgetrf/dtbsv call holds this lock
 _GETRS_LOCK = threading.Lock()
+# OpenBLAS runs ``trsv``, and so ``getrs``, in blocks of this many columns
+# with a gemv between blocks, where ``tbsv`` runs only axpy updates; the
+# band solve has ``getrs``'s bits up to this dimension
+_BAND_MAX_D = 64
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -149,13 +156,14 @@ class GaussianMixture:
     covs: np.ndarray  # (C, d, d)
     # lower Cholesky factor (C, d, d) and log-determinant (C,) of each
     # covariance, kept from the positive-definiteness check, and the
-    # ``dgetrf`` of each Cholesky factor: C (LU factor, pivots) pairs, the
-    # factor Fortran-ordered as ``dgetrs`` takes it. A factor on which
-    # ``dgetrf`` swaps rows keeps ``(chol, None)`` instead: scipy's and
-    # numpy's LAPACK builds then disagree in the last bit for some d >= 7.
+    # ``dgetrf`` of the Cholesky factors in band form (see ``_lu_band``):
+    # ``_band`` (C * d, d) and ``_udiag`` (C * d,). ``_band`` is None when
+    # ``dgetrf`` swaps rows on any factor (scipy's and numpy's LAPACK builds
+    # then disagree in the last bit for some d >= 7) or d > ``_BAND_MAX_D``.
     _chols: np.ndarray = field(init=False, compare=False, repr=False)
     _logdets: np.ndarray = field(init=False, compare=False, repr=False)
-    _getrf: tuple = field(init=False, compare=False, repr=False)
+    _band: np.ndarray | None = field(init=False, compare=False, repr=False)
+    _udiag: np.ndarray | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -173,7 +181,6 @@ class GaussianMixture:
             raise ValueError("weights must be nonnegative and sum to 1")
         chols = np.empty(c.shape)
         logdets = np.empty(len(c))
-        getrf = []
         for k, cov in enumerate(c):
             if np.max(np.abs(cov - cov.T)) > _SYM_TOL:
                 raise ValueError(f"covariance {k} is not symmetric")
@@ -182,16 +189,14 @@ class GaussianMixture:
             except np.linalg.LinAlgError:
                 raise ValueError(f"covariance {k} is not positive definite")
             logdets[k] = 2.0 * np.sum(np.log(np.diag(chols[k])))
-            with _GETRS_LOCK:
-                lu, piv, _ = dgetrf(chols[k])
-            getrf.append((lu, piv) if np.array_equal(piv, np.arange(len(piv)))
-                         else (chols[k], None))
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "covs", c)
         object.__setattr__(self, "_chols", chols)
         object.__setattr__(self, "_logdets", logdets)
-        object.__setattr__(self, "_getrf", tuple(getrf))
+        band, udiag = _lu_band(chols)
+        object.__setattr__(self, "_band", band)
+        object.__setattr__(self, "_udiag", udiag)
 
     @property
     def n_components(self) -> int:
@@ -271,34 +276,87 @@ def _component_logpdfs(gmm: GaussianMixture, x: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def _component_logpdfs_rows(means, getrf, logdets, X: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _band_index(d: int) -> np.ndarray:
+    """Flat indices that gather the (d, d) band form from a transposed
+    (d, d) factor followed by one zero: entry (j, i) is row j + i of
+    column j, or the zero past the factor when j + i >= d."""
+    j = np.arange(d)[:, None]
+    rows = j + np.arange(d)
+    return np.where(rows < d, j * d + rows, d * d).ravel()
+
+
+def _lu_band(chols: np.ndarray):
+    """The ``dgetrf`` of each (d, d) lower Cholesky factor of ``chols`` in
+    band form: ``band[c * d + j, i]`` is entry (j + i, j) of factor c's unit
+    lower factor (0 past its last row) and ``udiag[c * d + j]`` entry (j, j)
+    of its upper factor, which is all of it: the LU of a lower triangular
+    matrix has a diagonal upper factor. ``(None, None)`` if ``dgetrf`` swaps
+    rows on any factor or d > ``_BAND_MAX_D``."""
+    C, d, _ = chols.shape
+    if d > _BAND_MAX_D:
+        return None, None
+    lus = np.zeros((C, d * d + 1))  # each LU factor transposed, then a zero
+    pivs = np.empty((C, d), dtype=np.int32)
+    with _GETRS_LOCK:
+        for k, chol in enumerate(chols):
+            lu, pivs[k], _ = dgetrf(chol)
+            lus[k, :-1] = lu.T.ravel()
+    if (pivs != np.arange(d)).any():
+        return None, None
+    return lus[:, _band_index(d)].reshape(C * d, d), lus[:, :-1:d + 1].reshape(C * d)
+
+
+def _component_logpdfs_rows(means, band, udiag, logdets, X: np.ndarray,
+                            chols=None) -> np.ndarray:
     """(K, C) log N(X[k]; mu_c, Sigma_c) with row k's bits independent of K.
 
-    ``getrf`` holds the K * C (LU factor, pivots) pairs of the rows'
-    components, row by row: ``noisy._getrf * K`` for rows of one mixture.
-    ``logdets`` is (C,), or (K, C) for rows that each have their own.
+    ``band`` (K * C * d, d) stacks the band forms (see ``_lu_band``) of the
+    rows' components, row by row: ``np.tile`` of a mixture's ``_band`` for
+    rows of one mixture. ``udiag`` is that mixture's ``_udiag``, or (K,
+    C * d) for rows that each have their own mixture, and ``logdets`` (C,)
+    or (K, C) likewise.
 
-    One single-right-hand-side ``dgetrs`` per (row, component) on the kept
-    LU factors of the Cholesky factor is the second half of the ``gesv``
-    that ``np.linalg.solve`` runs on it, so it gives the same bits (a factor
-    kept as ``(chol, None)`` is solved by ``np.linalg.solve`` itself); with
-    a pairwise sum per row, each row gets the bits of ``_component_logpdfs``
-    on that row alone. A multi-right-hand-side solve and a sum over axis 0
-    would not.
+    One ``dtbsv`` solves every (row, component) system: the band holds the
+    unit lower factors block-diagonally, and its zeros between blocks keep
+    the systems apart. OpenBLAS runs the single-right-hand-side ``getrs``
+    of the ``gesv`` that ``np.linalg.solve`` runs on a Cholesky factor as a
+    unit lower ``trsv`` then an upper one, and ``tbsv`` makes the lower
+    one's axpy updates in the same order, so each system gets the bits of
+    ``np.linalg.solve`` on its factor; with a pairwise sum per row, each row
+    gets the bits of ``_component_logpdfs`` on that row alone. A system
+    that is not finite would spread NaN through the zeros into the next
+    one, so it is solved as zeros and comes out NaN.
+
+    Without ``band`` (a mixture that has no band form), the ``chols``
+    ((C, d, d), or (K, C, d, d) per row) are solved by one stacked
+    ``np.linalg.solve``.
     """
     K, d = X.shape
     sols = np.empty((K, len(means), d))
-    np.subtract(X[:, None, :], means, out=sols)  # solved in place, row by row
-    with _GETRS_LOCK:
-        for b, (lu, piv) in zip(sols.reshape(-1, d), getrf, strict=True):
-            if piv is None:
-                b[:] = np.linalg.solve(lu, b[:, None])[:, 0]
-                continue
-            _, info = dgetrs(lu, piv, b, overwrite_b=1)
-            if info != 0:
-                raise ValueError(f"illegal value in {-info}th argument of internal getrs")
+    np.subtract(X[:, None, :], means, out=sols)
+    if band is None:
+        sols = np.linalg.solve(chols, sols[..., None])[..., 0]
+    else:
+        bad = None
+        if not np.isfinite(sols).all():
+            bad = ~np.isfinite(sols).all(axis=-1)
+            sols[bad] = 0.0
+        with _GETRS_LOCK:
+            flat = dtbsv(d - 1, band.T, sols.reshape(-1), lower=1, diag=1, overwrite_x=1)
+        sols = (flat.reshape(K, -1) / udiag).reshape(sols.shape)
+        if bad is not None:
+            sols[bad] = np.nan
     maha = np.add.reduce(sols**2, axis=-1)
     return -0.5 * (maha + logdets + d * np.log(2.0 * np.pi))
+
+
+def _mixture_logpdfs_rows(noisy: GaussianMixture, X: np.ndarray) -> np.ndarray:
+    """``_component_logpdfs_rows`` of each row of the (K, d) array ``X``
+    under the one mixture ``noisy``."""
+    band = None if noisy._band is None else np.tile(noisy._band, (len(X), 1))
+    return _component_logpdfs_rows(noisy.means, band, noisy._udiag, noisy._logdets, X,
+                                   noisy._chols)
 
 
 def mixture_logpdf(gmm: GaussianMixture, x: np.ndarray) -> float | np.ndarray:
@@ -370,8 +428,7 @@ def _log_normalised(lp: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def _responsibilities(noisy: GaussianMixture, x: np.ndarray, rows: bool = False) -> np.ndarray:
     """Component responsibilities at ``x``; with ``rows``, those of each row of
     the (K, d) array ``x`` with the bits it has on its own."""
-    lp = (_component_logpdfs_rows(noisy.means, noisy._getrf * len(x), noisy._logdets, x)
-          if rows else _component_logpdfs(noisy, x))
+    lp = _mixture_logpdfs_rows(noisy, x) if rows else _component_logpdfs(noisy, x)
     return np.exp(_log_normalised(lp, noisy.weights))
 
 

@@ -578,15 +578,24 @@ def _degenerate_keep(w, rng):
     return None
 
 
-def _picks(X, log_w, rngs) -> np.ndarray:
-    """Row j's final particle of the (K, n, d) particles ``X``, drawn by its
-    normalised weights ``exp(log_w[j])`` with generator ``rngs[j]``."""
-    log_norm = _logsumexp(log_w, axis=-1, keepdims=True)
-    picks = np.empty(len(rngs), dtype=int)
-    for j, rng in enumerate(rngs):
-        w = np.exp(log_w[j] - log_norm[j])
-        picks[j] = rng.choice(len(w), p=w)
-    return X[np.arange(len(picks)), picks]
+def _picks(out: _Rows, X, log_w, step: int):
+    """``out.done`` of row j's final particle of the (K, n, d) particles
+    ``X``, drawn by its normalised weights ``exp(log_w[j])`` with generator
+    ``out.rngs[j]``. A row whose weights are not finite leaves at ``step``.
+
+    The draw is ``rng.choice(n, p=w)``'s inverse-CDF draw without its check
+    that ``w`` sums to 1 within 1e-8: for log-weights of size 1e8 or more
+    (a tiny ``sigma_y``) ``exp(log_w - logsumexp(log_w))`` misses that by
+    their rounding error, and the CDF's division by its last entry
+    normalises them anyway."""
+    w = np.exp(log_w - _logsumexp(log_w, axis=-1, keepdims=True))
+    w, X = out.finite(w, step, X, why="final weights are not finite")
+    picks = np.empty(len(w), dtype=int)
+    for j, rng in enumerate(out.rngs):
+        cdf = w[j].cumsum()
+        cdf /= cdf[-1]
+        picks[j] = cdf.searchsorted(rng.random(), side="right")
+    return out.done(X[np.arange(len(picks)), picks])
 
 
 def _init_particles(ctx: SamplingContext, rngs, n: int) -> np.ndarray:
@@ -717,7 +726,7 @@ def _sample_fps_smc(spec, m, ctx):
         resid = m.y - apply_forward(A, xhat0)
         log_w = (log_w - 0.5 * np.sum(resid**2, axis=-1) / m.sigma_y**2
                  - log_potential(X, last, yb_path[:, last]))
-        return out.done(_picks(xhat0, log_w, out.rngs))
+        return _picks(out, xhat0, log_w, last)
 
     return _particle_rows(batch, n_p)
 
@@ -750,7 +759,7 @@ def _sample_mcg_diff(spec, m, ctx):
             g_old = log_potential(X, m.sigma_y**2 + grid[i] ** 2)
             X, log_w, g_old = out.finite(kernel.step_sets(X, i, out.rngs), i, log_w, g_old)
             log_w = log_w + log_potential(X, m.sigma_y**2 + grid[i + 1] ** 2) - g_old
-        return out.done(_picks(X, log_w, out.rngs))
+        return _picks(out, X, log_w, len(grid) - 1)
 
     return _particle_rows(batch, n_p)
 

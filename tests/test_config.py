@@ -1,7 +1,11 @@
+import copy
+
 import yaml
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from diffuq.config import ExperimentConfig, config_from_dict, config_to_dict, load_config
+from diffuq.harness import run_experiment
 from diffuq.solvers import SOLVER_NAMES
 
 MINIMAL = {
@@ -276,3 +280,109 @@ def test_direct_construction_schedule_missing_keys_named():
     fields["schedule"] = {"sigma_min": 0.01, "sigma_max": 10.0}
     with pytest.raises(ValueError, match="schedule steps must be an integer, got None"):
         ExperimentConfig(**fields)
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("sigma_y", 1e-200, "sigma_y must lie within"),
+    ("sigma_y", 1e300, "sigma_y must lie within"),
+    ("sigma_min", 1e-200, "schedule sigma_min must lie within"),
+    ("sigma_max", 1e160, "schedule sigma_max must lie within"),
+])
+def test_extreme_noise_scales_rejected_at_config(key, value, match):
+    """Values that crashed a run in the samplers (ValueError, OverflowError,
+    ZeroDivisionError, LinAlgError) fail at the config, naming the key."""
+    data = dict(MINIMAL, sigma_y=value) if key == "sigma_y" else dict(
+        MINIMAL, schedule={key: value})
+    with pytest.raises(ValueError, match=match):
+        config_from_dict(data)
+
+
+def _grid_config(key, value):
+    data = {"experiment": "exp1_identity", "master_seed": 3, "sigma_y": 1.0, "n_cases": 1,
+            "k_samples": 2, "solvers": list(SOLVER_NAMES), "schedule": {"steps": 10}}
+    if key == "sigma_y":
+        data["sigma_y"] = value
+    else:
+        data["schedule"][key] = value
+    return data
+
+
+@pytest.mark.parametrize("key", ["sigma_y", "sigma_min", "sigma_max"])
+def test_noise_scale_log_grid_fails_at_config_or_runs(key):
+    """On a log grid of each noise scale, every value either fails at the
+    config or runs all ten solvers (one case, two rows, ten levels) without
+    raising: a sampler that cannot cope leaves per-row statuses."""
+    ran = 0
+    for exponent in range(-300, 301, 25):
+        try:
+            cfg = config_from_dict(_grid_config(key, 10.0**exponent))
+        except ValueError:
+            continue
+        rows = run_experiment(cfg)
+        assert len(rows) == len(SOLVER_NAMES)
+        ran += 1
+    assert ran >= 4
+
+
+_VALID = {
+    "experiment": "exp2_binary",
+    "master_seed": 7,
+    "sigma_y": 0.5,
+    "n_cases": 3,
+    "k_samples": 4,
+    "prior": {"d": 12, "structured_dim": 6, "rho_ar": 0.5, "sigma_w_sq": 3.0,
+              "mu_sep": 1.5, "bimodal_coord": 2},
+    "operator": {"obs_count": 5, "basis_mode": "random_orthogonal", "seed": 1},
+    "schedule": {"sigma_min": 0.02, "sigma_max": 20.0, "steps": 30, "spacing": "geometric"},
+    "solvers": ["reference_exact", {"name": "pnpdm", "hyperparameters": {"gibbs_iters": 3}},
+                {"name": "mcg_diff"}],
+    "sweep_axis": {"solver": "pnpdm", "name": "gibbs_iters", "values": [2, 4]},
+}
+
+# Integers past the size caps (prior d, schedule steps) only come from the
+# sampled list, whose every entry the config rejects before allocating.
+_ODD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 300),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0, -0.0, 5e-324, 1e-300, 1e-101, 1e101, 1e300, 1.7e308, 10**4 + 1,
+                     1e9, 2**63, 2**70, "1.0", "", "pnpdm", "identity", "polynomial"]),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.sampled_from(["name", "kind", "d", "x"]), st.integers(-3, 3), max_size=2),
+)
+
+
+def _paths(node, prefix=()):
+    """Every key path (dict keys and list indices) into ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_config_fuzz_loads_or_raises_value_error(data):
+    """A valid config with keys dropped, values swapped for another kind and
+    extreme numbers either loads or raises ValueError, and a config that
+    loads survives ``config_to_dict`` and ``config_from_dict`` unchanged."""
+    cfg_dict = copy.deepcopy(_VALID)
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(_paths(cfg_dict))
+        if not paths:
+            break
+        *parents, last = data.draw(st.sampled_from(paths))
+        parent = cfg_dict
+        for key in parents:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            del parent[last]
+        else:
+            parent[last] = data.draw(_ODD_VALUES)
+    try:
+        cfg = config_from_dict(cfg_dict)
+    except ValueError:
+        event("rejected")
+        return
+    event("loaded")
+    assert config_from_dict(config_to_dict(cfg)) == cfg

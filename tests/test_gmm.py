@@ -22,8 +22,10 @@ from diffuq.gmm import (
     noisy_marginal,
     sample_mixture,
     score_and_denoise,
+    _BAND_MAX_D,
     _component_logpdfs_rows,
     _logsumexp,
+    _mixture_logpdfs_rows,
     _sample_mixture_rows,
     _vecmat_rows,
 )
@@ -491,17 +493,30 @@ def _solve_logpdfs_rows(means, chols, logdets, X):
     return -0.5 * (maha + logdets + d * np.log(2.0 * np.pi))
 
 
+def _per_row_logpdfs_rows(means, noisy, X):
+    """``_component_logpdfs_rows`` with row k under the mixture ``noisy[k]``,
+    from the stacked band forms as ``ReverseKernel.score_rows`` passes them,
+    or the stacked Cholesky factors if one of the mixtures has no band."""
+    logdets = np.stack([n._logdets for n in noisy])
+    if any(n._band is None for n in noisy):
+        return _component_logpdfs_rows(means, None, None, logdets, X,
+                                       np.stack([n._chols for n in noisy]))
+    return _component_logpdfs_rows(means, np.concatenate([n._band for n in noisy]),
+                                   np.stack([n._udiag for n in noisy]), logdets, X)
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), C=st.integers(1, 3), d=st.integers(1, 16),
        K=st.integers(1, 6))
 @example(seed=105, C=2, d=7, K=1)  # a pivoting factor whose getrs bits differ
 def test_component_logpdfs_rows_match_solve(seed, C, d, K):
-    """The kept LU factors and one ``getrs`` per (row, component) give the
-    bits of ``np.linalg.solve`` on the Cholesky factors."""
+    """The kept band form of the LU factors and one ``dtbsv`` for all the
+    (row, component) systems give the bits of ``np.linalg.solve`` on the
+    Cholesky factors."""
     rng = np.random.default_rng(seed)
     gmm = _random_mixture(rng, C, d)
     X = 3.0 * rng.standard_normal((K, d))
-    got = _component_logpdfs_rows(gmm.means, gmm._getrf * K, gmm._logdets, X)
+    got = _mixture_logpdfs_rows(gmm, X)
     assert np.array_equal(got, _solve_logpdfs_rows(gmm.means, gmm._chols, gmm._logdets, X))
 
 
@@ -517,33 +532,84 @@ def test_component_logpdfs_rows_per_row_factors_match_solve(seed, C, d, K):
     which = rng.integers(len(levels), size=K)
     noisy = [levels[i] for i in which]
     X = 3.0 * rng.standard_normal((K, d))
-    logdets = np.stack([n._logdets for n in noisy])
-    getrf = [f for n in noisy for f in n._getrf]
-    got = _component_logpdfs_rows(gmm.means, getrf, logdets, X)
+    got = _per_row_logpdfs_rows(gmm.means, noisy, X)
     chols = np.stack([n._chols for n in noisy])
+    logdets = np.stack([n._logdets for n in noisy])
     assert np.array_equal(got, _solve_logpdfs_rows(gmm.means, chols, logdets, X))
 
 
 @pytest.mark.parametrize("d", [6, 16])
 def test_component_logpdfs_rows_match_solve_when_lu_pivots(d):
     """A Cholesky factor whose first column has a sub-diagonal entry larger
-    than its diagonal makes ``getrf`` swap rows; the bits still match."""
+    than its diagonal makes ``getrf`` swap rows; the mixture keeps no band
+    form, and the stacked solve it takes instead gives the same bits."""
     rng = np.random.default_rng(3)
     L = np.tril(rng.uniform(0.5, 1.0, (d, d)))
     L[3, 0] = 4.0
     gmm = GaussianMixture(np.ones(1), rng.standard_normal((1, d)), (L @ L.T)[None])
     assert dgetrf(gmm._chols[0])[1][0] == 3
-    assert gmm._getrf[0][1] is None
+    assert gmm._band is None
     X = 3.0 * rng.standard_normal((50, d))
-    got = _component_logpdfs_rows(gmm.means, gmm._getrf * 50, gmm._logdets, X)
+    got = _mixture_logpdfs_rows(gmm, X)
     assert np.array_equal(got, _solve_logpdfs_rows(gmm.means, gmm._chols, gmm._logdets, X))
 
 
 def test_toy_prior_marginals_keep_lu_factors(toy_prior):
     """No noisy marginal of the toy prior pivots, so every row-wise solve on
-    it takes the kept ``getrs`` path."""
+    it takes the band ``dtbsv`` path."""
     for sigma in np.geomspace(1e-3, 1e3, 25):
-        assert all(piv is not None for _, piv in noisy_marginal(toy_prior, sigma)._getrf)
+        noisy = noisy_marginal(toy_prior, sigma)
+        assert noisy._band is not None and noisy._band.shape == (32, 16)
+
+
+@pytest.mark.parametrize("C", [1, 3])
+def test_component_logpdfs_rows_one_dimension(C):
+    """At d = 1 the band has width 0 and the solve is the division by the
+    upper factor alone."""
+    rng = np.random.default_rng(5)
+    gmm = GaussianMixture(np.full(C, 1.0 / C), rng.standard_normal((C, 1)),
+                          rng.uniform(0.1, 4.0, (C, 1, 1)))
+    assert gmm._band.shape == (C, 1)
+    X = 3.0 * rng.standard_normal((7, 1))
+    got = _mixture_logpdfs_rows(gmm, X)
+    assert np.array_equal(got, _solve_logpdfs_rows(gmm.means, gmm._chols, gmm._logdets, X))
+
+
+@pytest.mark.parametrize("d", [64, 65])
+def test_component_logpdfs_rows_band_limit(d):
+    """Past ``_BAND_MAX_D`` the mixture keeps no band form (OpenBLAS's
+    ``trsv`` switches to blocks there and ``tbsv`` does not), and both
+    sides of the limit give the bits of ``np.linalg.solve``."""
+    rng = np.random.default_rng(9)
+    L = np.tril(rng.uniform(-0.1, 0.1, (2, d, d))) + np.eye(d)
+    gmm = GaussianMixture(np.array([0.4, 0.6]), rng.standard_normal((2, d)),
+                          L @ L.transpose(0, 2, 1))
+    assert (gmm._band is None) == (d > _BAND_MAX_D)
+    X = 3.0 * rng.standard_normal((5, d))
+    got = _mixture_logpdfs_rows(gmm, X)
+    assert np.array_equal(got, _solve_logpdfs_rows(gmm.means, gmm._chols, gmm._logdets, X))
+
+
+def test_component_logpdfs_rows_non_finite_rows_stay_apart(toy_prior):
+    """An ``inf`` row and a ``NaN`` row give NaN log-pdfs and leave every
+    other row the bits of the all-finite call: the band's zeros between
+    systems would otherwise spread NaN into the next row. Both the one-level
+    and the per-row-level form."""
+    rng = np.random.default_rng(17)
+    X = 3.0 * rng.standard_normal((6, 16))
+    bad = X.copy()
+    bad[1, 4] = np.inf
+    bad[4, 0] = np.nan
+    others = [0, 2, 3, 5]
+    gmm = noisy_marginal(toy_prior, 0.7)
+    want, got = _mixture_logpdfs_rows(gmm, X), _mixture_logpdfs_rows(gmm, bad)
+    assert np.array_equal(got[others], want[others])
+    assert np.isnan(got[[1, 4]]).all()
+    noisy = [noisy_marginal(toy_prior, s) for s in (0.1, 0.7, 5.0, 0.1, 2.0, 30.0)]
+    want = _per_row_logpdfs_rows(toy_prior.means, noisy, X)
+    got = _per_row_logpdfs_rows(toy_prior.means, noisy, bad)
+    assert np.array_equal(got[others], want[others])
+    assert np.isnan(got[[1, 4]]).all()
 
 
 def test_component_logpdfs_rows_thread_safe(toy_prior):
@@ -551,10 +617,9 @@ def test_component_logpdfs_rows_thread_safe(toy_prior):
     row-wise log-pdfs at once, with a short switch interval, each get the
     bits of a single-thread call."""
     rng = np.random.default_rng(11)
-    gmm = noisy_marginal(toy_prior, 0.5)  # every solve takes the getrs path
+    gmm = noisy_marginal(toy_prior, 0.5)  # every solve takes the dtbsv path
     inputs = [10.0 * rng.standard_normal((64, 16)) for _ in range(3)]
-    expected = [_component_logpdfs_rows(gmm.means, gmm._getrf * 64, gmm._logdets, X)
-                for X in inputs]
+    expected = [_mixture_logpdfs_rows(gmm, X) for X in inputs]
     start = threading.Barrier(len(inputs))
     mismatches = [0] * len(inputs)
     done = [False] * len(inputs)
@@ -562,7 +627,7 @@ def test_component_logpdfs_rows_thread_safe(toy_prior):
     def work(j):
         start.wait(timeout=60)
         for _ in range(700):
-            got = _component_logpdfs_rows(gmm.means, gmm._getrf * 64, gmm._logdets, inputs[j])
+            got = _mixture_logpdfs_rows(gmm, inputs[j])
             mismatches[j] += not np.array_equal(got, expected[j])
         done[j] = True
 

@@ -223,6 +223,44 @@ def test_cli_workers_env(tmp_path, monkeypatch):
     assert (out / "results.csv").exists()
 
 
+@pytest.mark.parametrize("argv, env, names", [
+    (["sweep", "{cfg}", "--solver", "ddrm", "--param", "eta", "--values", "8,abc"], None,
+     "--values: 'abc'"),
+    (["sweep", "{cfg}", "--solver", "ddrm", "--param", "nope", "--values", "1"], None,
+     "'nope'"),
+    (["run", "{cfg}", "--workers", "0"], None, "argument --workers"),
+    (["run", "{cfg}", "--workers", "two"], None, "argument --workers"),
+    (["run", "{cfg}"], "two", "DIFFUQ_WORKERS"),
+    (["run", "{cfg}"], "0", "DIFFUQ_WORKERS"),
+    (["run", "{missing}"], None, "cannot read config file {missing}"),
+    (["oracle", "{missing}"], None, "cannot read config file {missing}"),
+    (["run", "{bad}"], None, "config file {bad}: sigma_y must lie within"),
+    (["oracle", "{broken}"], None, "config file {broken}: "),
+], ids=["values", "param", "workers-0", "workers-text", "env-text", "env-0", "missing-run",
+        "missing-oracle", "invalid-config", "invalid-yaml"])
+def test_cli_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv, env, names):
+    """Bad input ends with exit status 2 and one error line that names the
+    flag, variable or file, and no traceback."""
+    paths = {"cfg": write_cfg(tmp_path, SMALL), "missing": str(tmp_path / "nope.yaml"),
+             "bad": str(tmp_path / "bad.yaml"), "broken": str(tmp_path / "broken.yaml")}
+    Path(paths["bad"]).write_text(yaml.safe_dump(dict(SMALL, sigma_y=1e-200)))
+    Path(paths["broken"]).write_text("experiment: [\n")
+    if env is None:
+        monkeypatch.delenv("DIFFUQ_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("DIFFUQ_WORKERS", env)
+    argv = [a.format(**paths) for a in argv] + (
+        ["--out", str(tmp_path / "out")] if argv[0] in ("run", "sweep") else [])
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and names.format(**paths) in errors[0], err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_readme_python_quickstart():
     """The README's import line works, and its calls run on a tiny config."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import diffuq.gmm
+from diffuq.gmm import _logsumexp
 from diffuq.diffusion import ReverseKernel, build_schedule
 from diffuq.gmm import (
     GaussianMixture,
@@ -38,6 +39,7 @@ from diffuq.solvers import (
     prox_data_step,
     reddiff_update,
     _Rows,
+    _picks,
     resolve_solver,
     run_batch,
     sample_one,
@@ -798,3 +800,41 @@ def test_docs_list_each_solver_under_its_family():
         elif line.startswith("### "):
             found[line[4:].strip()] = family
     assert found == SOLVER_FAMILIES
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+       scale=st.sampled_from([0.0, 1.0, 30.0, 1e3]))
+def test_picks_draw_matches_choice(seed, n, scale):
+    """The SMC samplers' final draw is ``rng.choice(n, p=w)`` on the
+    normalised weights, bit for bit, and leaves each generator in the same
+    state."""
+    rng = np.random.default_rng(seed)
+    log_w = scale * rng.standard_normal((4, n))
+    X = rng.standard_normal((4, n, 3))
+    rngs = [np.random.default_rng([seed, k]) for k in range(4)]
+    refs = [np.random.default_rng([seed, k]) for k in range(4)]
+    samples, statuses = _picks(_Rows(rngs, 3), X, log_w, 7)
+    w = np.exp(log_w - _logsumexp(log_w, axis=-1, keepdims=True))
+    for k, ref in enumerate(refs):
+        assert np.array_equal(samples[k], X[k, ref.choice(n, p=w[k])])
+        assert rngs[k].bit_generator.state == ref.bit_generator.state
+    assert statuses == ["ok"] * 4
+
+
+def test_picks_huge_and_non_finite_log_weights():
+    """Log-weights of size 1e11 (a tiny sigma_y), whose normalised weights
+    miss a sum of 1 by more than ``rng.choice`` allows, still draw; a row
+    with a NaN or +inf log-weight leaves with its status."""
+    X = np.arange(4 * 3 * 2, dtype=float).reshape(4, 3, 2)
+    log_w = np.array([[-1.28143158e11] * 3,
+                      [0.0, np.nan, 1.0],
+                      [0.0, np.inf, 1.0],
+                      [-1.49403701e11, -1.49403701e11 - 1e6, -np.inf]])
+    samples, statuses = _picks(_Rows([np.random.default_rng(k) for k in range(4)], 2),
+                               X, log_w, 9)
+    assert statuses == ["ok", "diverged(step=9; final weights are not finite)",
+                        "diverged(step=9; final weights are not finite)", "ok"]
+    assert any(np.array_equal(samples[0], x) for x in X[0])
+    assert np.array_equal(samples[3], X[3, 0])
+    assert np.isnan(samples[1:3]).all()
