@@ -104,7 +104,10 @@ def _saved(path, key: str):
 
 
 def _cmd_report(args) -> int:
-    rows = reaggregate(args.dir)
+    try:
+        rows = reaggregate(args.dir)
+    except ValueError as exc:
+        raise _UsageError(f"report {args.dir}: {exc}") from None
     cfg = _saved(os.path.join(args.dir, "manifest.json"), "config")
     return _print_paths(write_report(
         rows, args.out or args.dir, cfg=None if cfg is None else config_from_dict(cfg),

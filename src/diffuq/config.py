@@ -59,8 +59,6 @@ class ExperimentConfig:
     def __post_init__(self):
         self._check_kinds()
         _check_experiment(self.experiment)
-        if not (math.isfinite(self.sigma_y) and self.sigma_y > 0):
-            raise ValueError(f"sigma_y must be finite and > 0, got {self.sigma_y!r}")
         _check_sigma("sigma_y", self.sigma_y)
         for key in ("master_seed", "n_cases", "k_samples"):
             object.__setattr__(self, key, _integer(key, getattr(self, key)))

@@ -24,10 +24,10 @@ from .gmm import (
     _cho_factors,
     _cho_solve_vec,
     _component_logpdfs,
-    _component_logpdfs_rows,
     _denoise_batch,
     _log_normalised,
     _mixture_logpdfs_rows,
+    _mixtures_logpdfs_rows,
     _normals,
     _precisions,
     _score_and_denoise,
@@ -139,14 +139,6 @@ class ReverseKernel:
         self._noisy = [noisy_marginal(prior, s) for s in grid[:-1]]
         self._cho = [_cho_factors(noisy) for noisy in self._noisy]
         self._prec = [_precisions(cfs, d) for cfs in self._cho]
-        # per-level stacks of the responsibilities' log-determinants and band
-        # forms (None if some level has none), for rows that each sit at
-        # their own level
-        self._noisy_logdets = np.stack([noisy._logdets for noisy in self._noisy])
-        self._bands = self._udiags = None
-        if all(noisy._band is not None for noisy in self._noisy):
-            self._bands = np.stack([noisy._band for noisy in self._noisy])
-            self._udiags = np.stack([noisy._udiag for noisy in self._noisy])
         # denoising posterior per (level, component): x0 | x_i, c
         self._B = np.empty((len(grid) - 1, C, d, d))  # mean slope
         self._a = np.empty((len(grid) - 1, C, d))  # mean offset
@@ -246,14 +238,8 @@ class ReverseKernel:
         ``gmm.denoise_batch`` at that row alone and ``grid[levels[k]]``.
         Each row's solve is one ``potrs`` on its level's factor; a
         non-finite row raises the ValueError that ``cho_solve`` raises."""
-        means, d = self.prior.means, self.prior.dim
-        logdets = self._noisy_logdets[levels]
-        if self._bands is None:
-            chols = np.stack([self._noisy[level]._chols for level in levels])
-            lp = _component_logpdfs_rows(means, None, None, logdets, X, chols)
-        else:
-            lp = _component_logpdfs_rows(means, self._bands[levels].reshape(-1, d),
-                                         self._udiags[levels], logdets, X)
+        means = self.prior.means
+        lp = _mixtures_logpdfs_rows([self._noisy[level] for level in levels], X)
         resp = np.exp(_log_normalised(lp, self.prior.weights))
         score = np.zeros_like(X)
         for c in range(self.prior.n_components):

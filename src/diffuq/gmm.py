@@ -359,6 +359,19 @@ def _mixture_logpdfs_rows(noisy: GaussianMixture, X: np.ndarray) -> np.ndarray:
                                    noisy._chols)
 
 
+def _mixtures_logpdfs_rows(noisy: list, X: np.ndarray) -> np.ndarray:
+    """``_component_logpdfs_rows`` with row k of the (K, d) array ``X``
+    under the mixture ``noisy[k]``; the mixtures share their means."""
+    K, means = len(X), noisy[0].means
+    logdets = np.concatenate([n._logdets for n in noisy]).reshape(K, -1)
+    if any(n._band is None for n in noisy):
+        chols = np.concatenate([n._chols for n in noisy]).reshape(K, *means.shape, -1)
+        return _component_logpdfs_rows(means, None, None, logdets, X, chols)
+    udiag = np.concatenate([n._udiag for n in noisy]).reshape(K, -1)
+    return _component_logpdfs_rows(means, np.concatenate([n._band for n in noisy]), udiag,
+                                   logdets, X)
+
+
 def mixture_logpdf(gmm: GaussianMixture, x: np.ndarray) -> float | np.ndarray:
     """log-density of the mixture at ``x``, via log-sum-exp.
 

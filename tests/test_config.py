@@ -307,6 +307,7 @@ def _grid_config(key, value):
     return data
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # rows that diverge overflow
 @pytest.mark.parametrize("key", ["sigma_y", "sigma_min", "sigma_max"])
 def test_noise_scale_log_grid_fails_at_config_or_runs(key):
     """On a log grid of each noise scale, every value either fails at the

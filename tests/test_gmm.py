@@ -23,9 +23,9 @@ from diffuq.gmm import (
     sample_mixture,
     score_and_denoise,
     _BAND_MAX_D,
-    _component_logpdfs_rows,
     _logsumexp,
     _mixture_logpdfs_rows,
+    _mixtures_logpdfs_rows,
     _sample_mixture_rows,
     _vecmat_rows,
 )
@@ -493,18 +493,6 @@ def _solve_logpdfs_rows(means, chols, logdets, X):
     return -0.5 * (maha + logdets + d * np.log(2.0 * np.pi))
 
 
-def _per_row_logpdfs_rows(means, noisy, X):
-    """``_component_logpdfs_rows`` with row k under the mixture ``noisy[k]``,
-    from the stacked band forms as ``ReverseKernel.score_rows`` passes them,
-    or the stacked Cholesky factors if one of the mixtures has no band."""
-    logdets = np.stack([n._logdets for n in noisy])
-    if any(n._band is None for n in noisy):
-        return _component_logpdfs_rows(means, None, None, logdets, X,
-                                       np.stack([n._chols for n in noisy]))
-    return _component_logpdfs_rows(means, np.concatenate([n._band for n in noisy]),
-                                   np.stack([n._udiag for n in noisy]), logdets, X)
-
-
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), C=st.integers(1, 3), d=st.integers(1, 16),
        K=st.integers(1, 6))
@@ -532,7 +520,7 @@ def test_component_logpdfs_rows_per_row_factors_match_solve(seed, C, d, K):
     which = rng.integers(len(levels), size=K)
     noisy = [levels[i] for i in which]
     X = 3.0 * rng.standard_normal((K, d))
-    got = _per_row_logpdfs_rows(gmm.means, noisy, X)
+    got = _mixtures_logpdfs_rows(noisy, X)
     chols = np.stack([n._chols for n in noisy])
     logdets = np.stack([n._logdets for n in noisy])
     assert np.array_equal(got, _solve_logpdfs_rows(gmm.means, chols, logdets, X))
@@ -606,8 +594,8 @@ def test_component_logpdfs_rows_non_finite_rows_stay_apart(toy_prior):
     assert np.array_equal(got[others], want[others])
     assert np.isnan(got[[1, 4]]).all()
     noisy = [noisy_marginal(toy_prior, s) for s in (0.1, 0.7, 5.0, 0.1, 2.0, 30.0)]
-    want = _per_row_logpdfs_rows(toy_prior.means, noisy, X)
-    got = _per_row_logpdfs_rows(toy_prior.means, noisy, bad)
+    want = _mixtures_logpdfs_rows(noisy, X)
+    got = _mixtures_logpdfs_rows(noisy, bad)
     assert np.array_equal(got[others], want[others])
     assert np.isnan(got[[1, 4]]).all()
 

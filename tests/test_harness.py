@@ -236,8 +236,9 @@ def test_cli_workers_env(tmp_path, monkeypatch):
     (["oracle", "{missing}"], None, "cannot read config file {missing}"),
     (["run", "{bad}"], None, "config file {bad}: sigma_y must lie within"),
     (["oracle", "{broken}"], None, "config file {broken}: "),
+    (["report", "{missing}"], None, "report {missing}: no persisted samples"),
 ], ids=["values", "param", "workers-0", "workers-text", "env-text", "env-0", "missing-run",
-        "missing-oracle", "invalid-config", "invalid-yaml"])
+        "missing-oracle", "invalid-config", "invalid-yaml", "report-missing"])
 def test_cli_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv, env, names):
     """Bad input ends with exit status 2 and one error line that names the
     flag, variable or file, and no traceback."""

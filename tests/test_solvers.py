@@ -831,8 +831,9 @@ def test_picks_huge_and_non_finite_log_weights():
                       [0.0, np.nan, 1.0],
                       [0.0, np.inf, 1.0],
                       [-1.49403701e11, -1.49403701e11 - 1e6, -np.inf]])
-    samples, statuses = _picks(_Rows([np.random.default_rng(k) for k in range(4)], 2),
-                               X, log_w, 9)
+    with np.errstate(invalid="ignore"):
+        samples, statuses = _picks(_Rows([np.random.default_rng(k) for k in range(4)], 2),
+                                   X, log_w, 9)
     assert statuses == ["ok", "diverged(step=9; final weights are not finite)",
                         "diverged(step=9; final weights are not finite)", "ok"]
     assert any(np.array_equal(samples[0], x) for x in X[0])
