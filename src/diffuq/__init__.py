@@ -42,6 +42,7 @@ from .solvers import (
     SolverSpec,
     resolve_solver,
     run_batch,
+    run_cases,
     sample_one,
 )
 from .diagnostics import (
@@ -84,6 +85,7 @@ __all__ = [
     "SolverSpec",
     "resolve_solver",
     "run_batch",
+    "run_cases",
     "sample_one",
     "AccuracyReport",
     "CoverageReport",

@@ -35,6 +35,13 @@ _SIGMA_RANGE = (1e-100, 1e100)
 # them a prior of d = 33,909 asked for 8.6 GiB at load time.
 _MAX_D = 256
 _MAX_STEPS = 10_000
+# ``ReverseKernel`` holds about seven (steps + 1, C, d, d) float64 arrays
+# (covariances, Cholesky factors, cho_factors, precisions, the transition
+# slopes and factors, the LU bands), so the caps above alone would let
+# d = 256 with 10,000 steps ask for about 70 GB. (steps + 1) * d^2 <= 2^24
+# keeps the kernel under 7 * C * 2^24 * 8 bytes, about 2 GB for the toy
+# prior's C = 2 components.
+_MAX_KERNEL_ENTRIES = 2**24
 _OPERATOR_DEFAULTS = {
     "exp1_identity": {"kind": "identity"},
     "exp2_binary": {"kind": "binary_svd", "obs_count": 8,
@@ -73,6 +80,13 @@ class ExperimentConfig:
         self._check_schedule()
         if self.prior.d > _MAX_D:
             raise ValueError(f"prior d must be <= {_MAX_D}, got {self.prior.d!r}")
+        steps, d = int(self.schedule["steps"]), self.prior.d
+        if (steps + 1) * d**2 > _MAX_KERNEL_ENTRIES:
+            raise ValueError(
+                f"schedule steps and prior d give a reverse kernel of (steps + 1) * d^2 ="
+                f" {(steps + 1) * d**2:,} entries per array, above {_MAX_KERNEL_ENTRIES:,}"
+                f" (steps = {steps}, d = {d})"
+            )
         try:
             build_toy_prior(self.prior)
         except ValueError as exc:

@@ -167,7 +167,7 @@ def oracle_reference(prior: GaussianMixture, A: LinearOperatorSVD, sigma_y: floa
     posterior sampler run through the same evaluation pipeline.
     """
     from .gmm import exact_posterior  # local import avoids a cycle at module load
-    from .solvers import SamplingContext, resolve_solver, run_batch
+    from .solvers import SamplingContext, resolve_solver, run_cases
     from .diffusion import build_schedule
     from .gmm import sample_mixture
 
@@ -178,7 +178,7 @@ def oracle_reference(prior: GaussianMixture, A: LinearOperatorSVD, sigma_y: floa
         A.obs_null_split() if A.is_binary() else (np.arange(A.d), np.array([], int))
     )
 
-    batches, truths = [], []
+    truths, measurements = [], []
     dir_var = np.zeros(A.d)
     for n in range(n_cases):
         x_star = sample_mixture(prior, 1, derive_seed(seed, [("xstar", n)]))[0]
@@ -186,10 +186,10 @@ def oracle_reference(prior: GaussianMixture, A: LinearOperatorSVD, sigma_y: floa
         post = exact_posterior(prior, A, m.y, sigma_y)
         _, cov = mixture_moments(post)
         dir_var += np.diag(A.V.T @ cov @ A.V)
-        batch = run_batch(spec, m, prior, sched, k_samples,
-                          derive_seed(seed, [("case", n)]), ctx=ctx)
-        batches.append(batch)
         truths.append(x_star)
+        measurements.append(m)
+    batches = run_cases(spec, measurements, prior, sched, k_samples,
+                        [derive_seed(seed, [("case", n)]) for n in range(n_cases)], ctx=ctx)
     dir_var /= n_cases
     cov_rep = coverage_eval(batches, truths)
     acc_rep = rmse_eval(batches, truths)

@@ -1,7 +1,8 @@
 """Experiment orchestration and report emission.
 
 ``run_experiment`` turns a validated config into per-(solver, case) result
-rows; ``write_report`` emits results.csv / summary.json / manifest.json and
+rows, sampling the cases of each solver in shared row batches;
+``write_report`` emits results.csv / summary.json / manifest.json and
 optionally the raw sample matrices for post-hoc re-analysis. Everything is
 a pure function of (config, master_seed): reruns and parallel runs produce
 byte-identical results.csv.
@@ -25,7 +26,7 @@ from .gmm import build_toy_prior, sample_mixture
 from .operators import (Measurement, build_operator, operator_from_json, operator_to_json,
                         synthesize_measurement)
 from .seeding import derive_seed
-from .solvers import SampleBatch, SamplingContext, SolverSpec, resolve_solver, run_batch
+from .solvers import SampleBatch, SamplingContext, SolverSpec, resolve_solver, run_cases
 
 __all__ = ["ResultRow", "CSV_HEADER", "run_experiment", "write_report",
            "experiment_oracle", "reaggregate"]
@@ -108,8 +109,10 @@ def _build_problem(cfg: ExperimentConfig):
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list:
     """Run every solver on every case (and sweep value) of the config.
 
-    Work may be parallelized over (solver, case) pairs; the returned row
-    order and contents are independent of the worker count.
+    Each (sweep value, solver) samples all the cases from one setup
+    (``run_cases``). Work may be parallelized over these (sweep value,
+    solver) pairs; the returned row order and contents are independent of
+    the worker count.
     """
     prior, sched, A = _build_problem(cfg)
     ctx = SamplingContext.build(prior, sched)
@@ -135,16 +138,17 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list:
     else:
         groups = [(0, "", "", cfg.solvers)]
 
-    tasks = []
+    tasks = []  # (param, value, spec, case seeds), one per (sweep value, solver)
     for j, param, value, solvers in groups:
         for i, spec in enumerate(solvers):
-            for n, (x_star, m) in enumerate(cases):
-                seed = derive_seed(master, [("solver", i), ("sweep", j), ("case", n)])
-                tasks.append((j, param, value, spec, n, x_star, m, seed))
+            tasks.append((param, value, spec,
+                          [derive_seed(master, [("solver", i), ("sweep", j), ("case", n)])
+                           for n in range(cfg.n_cases)]))
 
     def work(task):
-        _, _, _, spec, _, _, m, seed = task
-        return run_batch(spec, m, prior, sched, cfg.k_samples, seed, ctx=ctx)
+        _, _, spec, seeds = task
+        return run_cases(spec, [m for _, m in cases], prior, sched, cfg.k_samples, seeds,
+                         ctx=ctx)
 
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -153,15 +157,16 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list:
         batches = [work(t) for t in tasks]
 
     rows = []
-    for task, batch in zip(tasks, batches):
-        j, param, value, spec, n, x_star, m, seed = task
-        metrics = _case_metrics(batch, x_star, A)
-        rows.append(ResultRow(
-            experiment=cfg.experiment, solver=spec.name, family=spec.family,
-            case_id=n, sweep_param=param, sweep_value=value,
-            hyperparameters_digest=_digest(spec.hyperparameters), seed=seed,
-            wall_time=batch.wall_time, batch=batch, x_star=x_star, **metrics,
-        ))
+    for (param, value, spec, seeds), task_batches in zip(tasks, batches):
+        for n, (seed, batch) in enumerate(zip(seeds, task_batches)):
+            x_star = cases[n][0]
+            rows.append(ResultRow(
+                experiment=cfg.experiment, solver=spec.name, family=spec.family,
+                case_id=n, sweep_param=param, sweep_value=value,
+                hyperparameters_digest=_digest(spec.hyperparameters), seed=seed,
+                wall_time=batch.wall_time, batch=batch, x_star=x_star,
+                **_case_metrics(batch, x_star, A),
+            ))
     return rows
 
 

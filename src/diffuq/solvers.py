@@ -3,10 +3,13 @@
 Ten solvers: an exact-posterior reference plus nine plug-and-play diffusion
 samplers spanning three families (posterior-targeting, heuristic, MAP-like).
 Each solver is assembled from small sub-steps that are tested on their own
-against independent oracles. A solver sets up once per measurement and
-returns ``rows(rngs) -> (X, statuses)``, which advances a batch's K rows
-together, one generator per row; ``run_batch`` draws the K-sample batches
-the diagnostics consume from one setup.
+against independent oracles. A solver sets up once per batch of cases (the
+measurements of one operator and ``sigma_y``) and returns
+``rows(rngs, cases) -> (X, statuses)``, which advances all rows of the batch
+together, one generator per row, row k measuring case ``cases[k]``;
+``run_cases`` draws the K-sample batches of several cases from one setup,
+in row chunks of at most ``ROW_BUDGET`` rows, and ``run_batch`` is its
+one-case call.
 
 Loop structures are documented in docs/solvers.md and frozen by tests.
 """
@@ -52,6 +55,7 @@ __all__ = [
     "resolve_solver",
     "sample_one",
     "run_batch",
+    "run_cases",
     "pnpdm_z_step",
     "conjugate_denoising_posterior",
     "dps_guidance_gradient",
@@ -138,7 +142,8 @@ def resolve_solver(name: str, overrides: dict | None = None) -> SolverSpec:
 
 @dataclass
 class SampleBatch:
-    """K reconstructions for one (solver, measurement) pair."""
+    """K reconstructions for one (solver, measurement) pair. ``wall_time``
+    is the measurement's share of the ``run_cases`` call that drew them."""
 
     solver: SolverSpec
     measurement: Measurement
@@ -159,9 +164,15 @@ class SampleBatch:
 # algorithmic sub-steps
 # ---------------------------------------------------------------------------
 
-def _z_step_sampler(A: LinearOperatorSVD, y, sigma_y: float, rho: float):
-    """``pnpdm_z_step`` as a row-wise draw ``(X, rngs) -> Z``, with the
-    system, which depends only on (A, sigma_y, rho), factored once."""
+def _aty(A: LinearOperatorSVD, y, sigma_y: float) -> np.ndarray:
+    """``A^T y / sigma_y^2``, the z-step's data term for one measurement."""
+    return A.matrix().T @ np.asarray(y) / sigma_y**2
+
+
+def _z_step_sampler(A: LinearOperatorSVD, sigma_y: float, rho: float):
+    """``pnpdm_z_step`` as a row-wise draw ``(X, aty, rngs) -> Z``, with
+    ``aty`` each row's ``_aty`` and the system, which depends only on
+    (A, sigma_y, rho), factored once."""
     if sigma_y <= 0 or rho <= 0:
         raise ValueError("sigma_y and rho must be > 0")
     Amat = A.matrix()
@@ -171,11 +182,10 @@ def _z_step_sampler(A: LinearOperatorSVD, y, sigma_y: float, rho: float):
         cf = cho_factor(prec, lower=True)
     except np.linalg.LinAlgError:
         raise ValueError("z-step system is not positive definite")
-    aty = Amat.T @ np.asarray(y) / sigma_y**2
     cov = cho_solve(cf, np.eye(d))
     chol = np.linalg.cholesky(0.5 * (cov + cov.T))
 
-    def draw(X, rngs):
+    def draw(X, aty, rngs):
         """One z per row of the (K, d) array ``X``, with generator ``rngs[k]``."""
         mean = cho_solve(cf, (aty + X / rho**2).T).T
         return mean + _matvec_rows(chol, _normals(rngs, d))
@@ -189,7 +199,8 @@ def pnpdm_z_step(x, y, A: LinearOperatorSVD, sigma_y: float, rho: float, seed):
     z ~ N(C (A^T y / sigma_y^2 + x / rho^2), C) with
     C = (A^T A / sigma_y^2 + I / rho^2)^{-1}.
     """
-    return _z_step_sampler(A, y, sigma_y, rho)(np.asarray(x)[None], [_as_rng(seed)])[0]
+    return _z_step_sampler(A, sigma_y, rho)(np.asarray(x)[None], _aty(A, y, sigma_y)[None],
+                                            [_as_rng(seed)])[0]
 
 
 def conjugate_denoising_posterior(prior: GaussianMixture, z, rho: float) -> GaussianMixture:
@@ -207,7 +218,8 @@ def conjugate_denoising_posterior(prior: GaussianMixture, z, rho: float) -> Gaus
 def dps_guidance_gradient(xhat0, jac, y, A: LinearOperatorSVD):
     """Gradient of 0.5 ||y - A x_hat0(x_t)||^2 w.r.t. x_t, and the residual
     norm ||y - A x_hat0||, per row of the denoiser output ``xhat0`` (K, d)
-    and its exact Jacobians ``jac`` (K, d, d).
+    and its exact Jacobians ``jac`` (K, d, d); ``y`` is one measurement or
+    one per row (K, m).
 
     The loss is unweighted: the caller folds any noise weighting into its
     guidance scale.
@@ -219,7 +231,7 @@ def dps_guidance_gradient(xhat0, jac, y, A: LinearOperatorSVD):
 
 def ddnm_projection(x_hat0, pinv_y, A: LinearOperatorSVD):
     """Range-space replacement A^+ y + (I - A^+ A) x_hat0 of each row of
-    ``x_hat0`` (K, d), given ``pinv_y = A^+ y``."""
+    ``x_hat0`` (K, d), given ``pinv_y = A^+ y`` (d,) or one per row (K, d)."""
     return pinv_y + x_hat0 - _pinv_rows(A, _forward_rows(A, x_hat0))
 
 
@@ -229,7 +241,8 @@ def ddrm_step(x_hat0, yb, A: LinearOperatorSVD, sigma_y: float, sigma_t: float,
     (K, d), one generator per row.
 
     Blends x_hat0 with the whitened spectral observation
-    ``yb = A.spectral_y(y)`` per singular value, with the regime split at
+    ``yb = A.spectral_y(y)``, (d,) or one per row (K, d), per singular
+    value, with the regime split at
     sigma_t vs sigma_y / s_j. ``x_t``/``sigma_prev`` feed the unobserved-direction
     momentum term; without them the unobserved update is pure noise
     injection (eta = 1 behavior).
@@ -237,7 +250,7 @@ def ddrm_step(x_hat0, yb, A: LinearOperatorSVD, sigma_y: float, sigma_t: float,
     s = A.spectral_s()
     xb0 = _matvec_rows(A.V.T, x_hat0)
     safe_s = np.where(s > 0, s, 1.0)
-    ob = np.where(s > 0, yb / safe_s, 0.0)
+    ob = np.broadcast_to(np.where(s > 0, yb / safe_s, 0.0), xb0.shape)
     noise_scale = np.where(s > 0, sigma_y / safe_s, np.inf)
 
     mean = np.empty(xb0.shape)
@@ -257,11 +270,11 @@ def ddrm_step(x_hat0, yb, A: LinearOperatorSVD, sigma_y: float, sigma_t: float,
     obs = ~null
     low = obs & (sigma_t < noise_scale)
     mean[:, low] = (xb0[:, low] + np.sqrt(max(1 - eta**2, 0.0)) * sigma_t
-                    * (ob[low] - xb0[:, low]) / noise_scale[low])
+                    * (ob[:, low] - xb0[:, low]) / noise_scale[low])
     std[low] = eta * sigma_t
 
     high = obs & (sigma_t >= noise_scale)
-    mean[:, high] = (1 - eta_b) * xb0[:, high] + eta_b * ob[high]
+    mean[:, high] = (1 - eta_b) * xb0[:, high] + eta_b * ob[:, high]
     var_high = sigma_t**2 - noise_scale[high] ** 2 * eta_b**2
     std[high] = np.sqrt(np.maximum(var_high, 0.0))
 
@@ -271,7 +284,8 @@ def ddrm_step(x_hat0, yb, A: LinearOperatorSVD, sigma_y: float, sigma_t: float,
 
 def prox_data_step(x_hat0, yb, A: LinearOperatorSVD, sigma_y: float, rho_t: float):
     """argmin_z ||y - A z||^2 / (2 sigma_y^2) + (rho_t / 2) ||z - x_hat0||^2
-    for each row of ``x_hat0`` (K, d), given ``yb = A.spectral_y(y)``.
+    for each row of ``x_hat0`` (K, d), given ``yb = A.spectral_y(y)``, (d,)
+    or one per row (K, d).
 
     Solved coordinate-wise in the SVD basis.
     """
@@ -286,7 +300,8 @@ def prox_data_step(x_hat0, yb, A: LinearOperatorSVD, sigma_y: float, rho_t: floa
 def daps_langevin_step(x0, anchor, r_t: float, y, A: LinearOperatorSVD,
                        sigma_y: float, step_size: float, rngs):
     """One unadjusted Langevin step on the anchored data posterior for each
-    row of ``x0`` (K, d) and ``anchor``, one generator per row.
+    row of ``x0`` (K, d) and ``anchor``, one generator per row; ``y`` is one
+    measurement or one per row (K, m).
 
     Target: log pi(x) = -||y - A x||^2 / (2 sigma_y^2) - ||x - anchor||^2 / (2 r_t^2).
     A zero step returns a copy of ``x0`` and draws nothing.
@@ -306,7 +321,7 @@ def reddiff_update(mu, y, A: LinearOperatorSVD, sigma_y: float,
                    kernel: ReverseKernel, lambda_reg: float, step_size: float, rngs):
     """One stochastic descent step of the variational objective for each
     row of ``mu`` (K, d); each row draws its own level and noise from its
-    own generator.
+    own generator, and ``y`` is one measurement or one per row (K, m).
 
     Data term ||y - A mu||^2 / (2 sigma_y^2) plus a score-matching
     regularizer evaluated at a uniformly drawn level of the kernel's noise
@@ -356,7 +371,7 @@ class SamplingContext:
     """The (prior, schedule) constants shared by every batch of one problem.
 
     Immutable, so worker threads can share it. Constants that depend on the
-    measurement are built by each sampler's setup, once per batch.
+    measurements are built by each sampler's setup, once per batch of cases.
     """
 
     prior: GaussianMixture
@@ -375,16 +390,22 @@ def _status(step: int, why: str = "") -> str:
 class _Rows:
     """The rows of one batch that are still running.
 
-    Holds each running row's generator, and the batch's result rows and
-    statuses. A row whose iterate turns non-finite gets a NaN result row and
-    its ``diverged(step=...)`` status, and leaves; the others keep going.
+    Holds each running row's generator and its per-row constants, and the
+    batch's result rows and statuses. The constants are the ``per_case``
+    arrays, one entry per case, gathered by the row's case in ``cases``, and
+    each is an attribute (``out.y``). A row whose iterate turns non-finite
+    gets a NaN result row and its ``diverged(step=...)`` status, and leaves
+    with its generator and constants; the others keep going.
     """
 
-    def __init__(self, rngs, dim: int):
+    def __init__(self, rngs, dim: int, cases=None, **per_case):
         self.rngs = list(rngs)
         self.index = np.arange(len(self.rngs))
         self.samples = np.full((len(self.rngs), dim), np.nan)
         self.statuses = ["ok"] * len(self.rngs)
+        self._per_row = tuple(per_case)
+        for key, values in per_case.items():
+            setattr(self, key, values[cases])
 
     def steps(self, n: int):
         """``range(n)``, cut short once no row is running."""
@@ -403,6 +424,8 @@ class _Rows:
                 self.statuses[k] = _status(step, why)
             self.index = self.index[ok]
             self.rngs = [rng for rng, keep in zip(self.rngs, ok) if keep]
+            for key in self._per_row:
+                setattr(self, key, getattr(self, key)[ok])
             X, companions = X[ok], tuple(a[ok] for a in companions)
         return (X, *companions) if companions else X
 
@@ -413,61 +436,85 @@ class _Rows:
 
 
 # ---------------------------------------------------------------------------
-# solver loops: ``_sample_<name>(spec, m, ctx)`` does the per-measurement
-# work once and returns ``rows(rngs) -> (X, statuses)``, which draws row k
-# of the batch from generator ``rngs[k]``
+# solver loops: ``_sample_<name>(spec, ms, ctx)`` does the work for the
+# measurements ``ms`` once and returns ``rows(rngs, cases) -> (X, statuses)``,
+# which draws row k of the batch from generator ``rngs[k]`` for measurement
+# ``ms[cases[k]]``. Constants of the operator and sigma_y are built once;
+# those of y are built per case with the one-case code and gathered per row
 # ---------------------------------------------------------------------------
+
+def _shared(ms):
+    """The operator and sigma_y that the measurements ``ms`` share."""
+    return ms[0].operator, ms[0].sigma_y
+
+
+def _per_case(ms, f) -> np.ndarray:
+    """``f(m.y)`` of each measurement, stacked on a leading case axis."""
+    return np.array([f(m.y) for m in ms])
+
 
 def _init_rows(ctx: SamplingContext, rngs) -> np.ndarray:
     """One start at ``sigma_max`` per row, from that row's generator."""
     return ctx.sched.sigma_max * _normals(rngs, ctx.prior.dim)
 
 
-def _sample_reference_exact(spec, m, ctx):
-    post = exact_posterior(ctx.prior, m.operator, m.y, m.sigma_y)
-    return lambda rngs: (_sample_mixture_rows(post, rngs), ["ok"] * len(rngs))
+def _sample_reference_exact(spec, ms, ctx):
+    def rows(rngs, cases):
+        """One posterior per case of the chunk, built when its rows are
+        drawn, so a call holds only its chunk's posteriors."""
+        X = np.empty((len(rngs), ctx.prior.dim))
+        for n in np.unique(cases):
+            m, at = ms[n], np.flatnonzero(cases == n)
+            post = exact_posterior(ctx.prior, m.operator, m.y, m.sigma_y)
+            X[at] = _sample_mixture_rows(post, [rngs[k] for k in at])
+        return X, ["ok"] * len(rngs)
+
+    return rows
 
 
-def _kernel_guided(ctx, pull):
-    """Rows of a heuristic that adds ``pull(X, i)`` to every exact kernel step."""
-    def rows(rngs):
-        out = _Rows(rngs, ctx.prior.dim)
+def _kernel_guided(ctx, pull, **per_case):
+    """Rows of a heuristic that adds ``pull(X, i, out)`` to every exact
+    kernel step, ``out`` holding the running rows' ``per_case`` constants."""
+    def rows(rngs, cases):
+        out = _Rows(rngs, ctx.prior.dim, cases, **per_case)
         X = _init_rows(ctx, out.rngs)
         for i in out.steps(len(ctx.sched.grid) - 1):
-            X = out.finite(ctx.kernel.step_rows(X, i, out.rngs) + pull(X, i), i)
+            X = out.finite(ctx.kernel.step_rows(X, i, out.rngs) + pull(X, i, out), i)
         return out.done(X)
 
     return rows
 
 
-def _sample_dps(spec, m, ctx):
+def _sample_dps(spec, ms, ctx):
     scale = spec.hyperparameters["guidance_scale"]
+    A, _ = _shared(ms)
 
-    def pull(X, i):
+    def pull(X, i, out):
         _, xhat0, jac = ctx.kernel.score_and_denoise_rows(X, i)
-        grad, resid_norm = dps_guidance_gradient(xhat0, jac, m.y, m.operator)
+        grad, resid_norm = dps_guidance_gradient(xhat0, jac, out.y, A)
         return -(scale / (resid_norm[:, None] + 1e-12)) * grad
 
-    return _kernel_guided(ctx, pull)
+    return _kernel_guided(ctx, pull, y=_per_case(ms, np.asarray))
 
 
-def _sample_daps(spec, m, ctx):
+def _sample_daps(spec, ms, ctx):
     hp = spec.hyperparameters
     grid = ctx.sched.grid
-    A = m.operator
+    A, sigma_y = _shared(ms)
     s_max_sq = float(np.max(A.spectral_s()) ** 2)
     # stable step: inverse of the stiffest precision of the local target
-    eff_steps = [hp["step_size"] / (1.0 / r_t**2 + s_max_sq / m.sigma_y**2)
+    eff_steps = [hp["step_size"] / (1.0 / r_t**2 + s_max_sq / sigma_y**2)
                  for r_t in grid[:-1]]
+    Y = _per_case(ms, np.asarray)
 
-    def rows(rngs):
-        out = _Rows(rngs, ctx.prior.dim)
+    def rows(rngs, cases):
+        out = _Rows(rngs, ctx.prior.dim, cases, y=Y)
         X = _init_rows(ctx, out.rngs)
         for i in out.steps(len(eff_steps)):
             anchor = ctx.kernel.denoise_rows(X, i)
             X0 = anchor
             for _ in range(hp["langevin_steps"]):
-                X0 = daps_langevin_step(X0, anchor, grid[i], m.y, A, m.sigma_y,
+                X0 = daps_langevin_step(X0, anchor, grid[i], out.y, A, sigma_y,
                                         eff_steps[i], out.rngs)
             X0 = out.finite(X0, i)
             sig_next = grid[i + 1]
@@ -477,84 +524,88 @@ def _sample_daps(spec, m, ctx):
     return rows
 
 
-def _sample_diffpir(spec, m, ctx):
+def _sample_diffpir(spec, ms, ctx):
     lam_reg = spec.hyperparameters["lambda_reg"]
     grid = ctx.sched.grid
-    yb = m.operator.spectral_y(m.y)
+    A, sigma_y = _shared(ms)
 
-    def pull(X, i):
+    def pull(X, i, out):
         xhat0 = ctx.kernel.denoise_rows(X, i)
-        z = prox_data_step(xhat0, yb, m.operator, m.sigma_y, lam_reg / grid[i] ** 2)
+        z = prox_data_step(xhat0, out.yb, A, sigma_y, lam_reg / grid[i] ** 2)
         lam = grid[i + 1] ** 2 / grid[i] ** 2
         return (1 - lam) * (z - xhat0)
 
-    return _kernel_guided(ctx, pull)
+    return _kernel_guided(ctx, pull, yb=_per_case(ms, A.spectral_y))
 
 
-def _sample_ddnm(spec, m, ctx):
+def _sample_ddnm(spec, ms, ctx):
     grid = ctx.sched.grid
-    pinv_y = apply_pinv(m.operator, m.y)
+    A, _ = _shared(ms)
 
-    def pull(X, i):
+    def pull(X, i, out):
         xhat0 = ctx.kernel.denoise_rows(X, i)
-        proj = ddnm_projection(xhat0, pinv_y, m.operator)
+        proj = ddnm_projection(xhat0, out.pinv_y, A)
         lam = grid[i + 1] ** 2 / grid[i] ** 2
         return (1 - lam) * (proj - xhat0)
 
-    return _kernel_guided(ctx, pull)
+    return _kernel_guided(ctx, pull, pinv_y=_per_case(ms, lambda y: apply_pinv(A, y)))
 
 
-def _sample_ddrm(spec, m, ctx):
+def _sample_ddrm(spec, ms, ctx):
     hp = spec.hyperparameters
     grid = ctx.sched.grid
-    yb = m.operator.spectral_y(m.y)
+    A, sigma_y = _shared(ms)
+    YB = _per_case(ms, A.spectral_y)
 
-    def rows(rngs):
-        out = _Rows(rngs, ctx.prior.dim)
+    def rows(rngs, cases):
+        out = _Rows(rngs, ctx.prior.dim, cases, yb=YB)
         X = _init_rows(ctx, out.rngs)
         for i in out.steps(len(grid) - 1):
             xhat0 = ctx.kernel.denoise_rows(X, i)
-            X = out.finite(ddrm_step(xhat0, yb, m.operator, m.sigma_y, grid[i + 1],
+            X = out.finite(ddrm_step(xhat0, out.yb, A, sigma_y, grid[i + 1],
                                      hp["eta"], hp["eta_b"], out.rngs, X, grid[i]), i)
         return out.done(X)
 
     return rows
 
 
-def _sample_reddiff(spec, m, ctx):
+def _sample_reddiff(spec, ms, ctx):
     hp = spec.hyperparameters
     steps = hp["opt_steps"]
-    mu0 = apply_pinv(m.operator, m.y)
+    A, sigma_y = _shared(ms)
+    Y = _per_case(ms, np.asarray)
+    mu0 = _per_case(ms, lambda y: apply_pinv(A, y))
 
-    def rows(rngs):
-        out = _Rows(rngs, ctx.prior.dim)
-        mu = np.repeat(mu0[None], len(rngs), axis=0)
+    def rows(rngs, cases):
+        out = _Rows(rngs, ctx.prior.dim, cases, y=Y)
+        mu = mu0[cases]
         for t in out.steps(steps):
             lr = hp["step_size"] * (1.0 - t / steps)
-            mu = out.finite(reddiff_update(mu, m.y, m.operator, m.sigma_y, ctx.kernel,
+            mu = out.finite(reddiff_update(mu, out.y, A, sigma_y, ctx.kernel,
                                            hp["lambda_reg"], lr, out.rngs), t)
         return out.done(mu)
 
     return rows
 
 
-def _sample_pnpdm(spec, m, ctx):
+def _sample_pnpdm(spec, ms, ctx):
     hp = spec.hyperparameters
     rho = hp["rho_coupling"]
     mode = hp["x_step"]
-    A = m.operator
+    A, sigma_y = _shared(ms)
     grid = ctx.sched.grid
     start = level_index_for_sigma(ctx.sched, rho)
-    z_step = _z_step_sampler(A, m.y, m.sigma_y, rho)
-    pinv_y = apply_pinv(A, m.y)
+    z_step = _z_step_sampler(A, sigma_y, rho)
+    aty = _per_case(ms, lambda y: _aty(A, y, sigma_y))
+    pinv_y = _per_case(ms, lambda y: apply_pinv(A, y))
 
-    def rows(rngs):
-        out = _Rows(rngs, ctx.prior.dim)
+    def rows(rngs, cases):
+        out = _Rows(rngs, ctx.prior.dim, cases, aty=aty, pinv_y=pinv_y)
         # data-informed start: observed directions from the pseudo-inverse,
         # unobserved directions from a prior draw; shortens the Gibbs burn-in
-        X = ddnm_projection(_sample_mixture_rows(ctx.prior, out.rngs), pinv_y, A)
+        X = ddnm_projection(_sample_mixture_rows(ctx.prior, out.rngs), out.pinv_y, A)
         for g in out.steps(hp["gibbs_iters"]):
-            X = z_step(X, out.rngs)
+            X = z_step(X, out.aty, out.rngs)
             if mode == "conjugate":
                 X = np.array([
                     sample_mixture(conjugate_denoising_posterior(ctx.prior, z, rho), 1, rng)[0]
@@ -605,25 +656,25 @@ def _init_particles(ctx: SamplingContext, rngs, n: int) -> np.ndarray:
 
 
 def _particle_rows(batch, n_p: int):
-    """``rows`` of an SMC sampler whose ``batch(rngs)`` advances every row's
-    ``n_p`` particles as one (K, n_p, d) iterate. Its solves run over all
-    K * n_p particles, which gives each row its own bits only when a row has
-    two particles or more (a one-column solve differs), so single-particle
-    rows run one batch each."""
+    """``rows`` of an SMC sampler whose ``batch(rngs, cases)`` advances every
+    row's ``n_p`` particles as one (K, n_p, d) iterate. Its solves run over
+    all K * n_p particles, which gives each row its own bits only when a row
+    has two particles or more (a one-column solve differs), so
+    single-particle rows run one batch each."""
     if n_p > 1:
         return batch
 
-    def rows(rngs):
-        runs = [batch([rng]) for rng in rngs]
+    def rows(rngs, cases):
+        runs = [batch([rng], cases[k : k + 1]) for k, rng in enumerate(rngs)]
         return np.concatenate([X for X, _ in runs]), [s for _, st in runs for s in st]
 
     return rows
 
 
-def _sample_fps_smc(spec, m, ctx):
+def _sample_fps_smc(spec, ms, ctx):
     n_p = spec.hyperparameters["particles"]
     kernel, grid = ctx.kernel, ctx.sched.grid
-    A = m.operator
+    A, sigma_y = _shared(ms)
     d, C = ctx.prior.dim, ctx.prior.n_components
     s = A.spectral_s()
     obs = s > 0
@@ -637,7 +688,7 @@ def _sample_fps_smc(spec, m, ctx):
     trans_cov_inv = np.linalg.inv(trans_cov)
     # per-spectral-coordinate measurement-noise variance at the target
     # level: sigma_y^2 I + sigma_{i+1}^2 A A^T
-    w = m.sigma_y**2 + grid[1 : n_trans + 1, None] ** 2 * s**2
+    w = sigma_y**2 + grid[1 : n_trans + 1, None] ** 2 * s**2
     obs_precision = s**2 / w
     P = trans_cov_inv + (A.V @ (np.eye(d) * obs_precision[:, None, :]) @ A.V.T)[:, None]
     post_cov = np.linalg.inv(P)
@@ -645,28 +696,30 @@ def _sample_fps_smc(spec, m, ctx):
     ev_chol = np.linalg.cholesky(np.diag(s) @ (A.V.T @ trans_cov @ A.V) @ np.diag(s)
                                  + (np.eye(d) * w[:, None, :])[:, None])
     ev_logdet = 2.0 * np.sum(np.log(np.diagonal(ev_chol, axis1=-2, axis2=-1)), axis=-1)
+    Y = _per_case(ms, np.asarray)
 
     def log_potential(X, level, yb):
         """Tempered likelihood of the (K, n_p, d) particles over observed
         spectral coordinates, given each row's spectral observation ``yb``
         (K, d) at ``level``: N(y_bar_j; s_j x_bar_j, sigma_y^2 + sigma_level^2 s_j^2)."""
-        w_var = m.sigma_y**2 + grid[level] ** 2 * s**2
+        w_var = sigma_y**2 + grid[level] ** 2 * s**2
         diff = yb[:, obs][:, None, :] - (X @ A.V)[..., obs] * s[obs]
         return -0.5 * np.sum(diff**2 / w_var[obs] + np.log(2 * np.pi * w_var[obs]),
                              axis=-1)
 
-    def spectral_path(rng):
+    def spectral_path(rng, y):
         """(n_levels, d): the row's coupled measurement path y_j = y + A eta_j,
         built from sigma_min up, in the spectral basis."""
         eta = np.empty((n_levels, d))
         eta[n_levels - 1] = grid[n_levels - 1] * rng.standard_normal(d)
         for j in range(n_levels - 2, -1, -1):
             eta[j] = eta[j + 1] + np.sqrt(grid[j] ** 2 - grid[j + 1] ** 2) * rng.standard_normal(d)
-        return [A.spectral_y(y) for y in m.y[None, :] + apply_forward(A, eta)]
+        return [A.spectral_y(y_j) for y_j in y[None, :] + apply_forward(A, eta)]
 
-    def batch(rngs):
-        out = _Rows(rngs, d)
-        yb_path = np.array([spectral_path(rng) for rng in out.rngs])  # (K, n_levels, d)
+    def batch(rngs, cases):
+        out = _Rows(rngs, d, cases, y=Y)
+        # (K, n_levels, d)
+        yb_path = np.array([spectral_path(rng, y) for rng, y in zip(out.rngs, out.y)])
         X = _init_particles(ctx, out.rngs, n_p)
         log_w = log_potential(X, 0, yb_path[:, 0])
         for i in out.steps(n_trans):
@@ -723,42 +776,43 @@ def _sample_fps_smc(spec, m, ctx):
 
         last = n_levels - 1
         xhat0 = kernel.denoise(X.reshape(-1, d), last).reshape(X.shape)
-        resid = m.y - apply_forward(A, xhat0)
-        log_w = (log_w - 0.5 * np.sum(resid**2, axis=-1) / m.sigma_y**2
+        resid = out.y[:, None, :] - apply_forward(A, xhat0)
+        log_w = (log_w - 0.5 * np.sum(resid**2, axis=-1) / sigma_y**2
                  - log_potential(X, last, yb_path[:, last]))
         return _picks(out, xhat0, log_w, last)
 
     return _particle_rows(batch, n_p)
 
 
-def _sample_mcg_diff(spec, m, ctx):
-    A = m.operator
+def _sample_mcg_diff(spec, ms, ctx):
+    A, sigma_y = _shared(ms)
     if not A.is_binary():
         raise ValueError("mcg_diff requires an operator with binary singular values")
     n_p = spec.hyperparameters["particles"]
     kernel, grid = ctx.kernel, ctx.sched.grid
     obs = A.spectral_s() == 1.0
     k = int(obs.sum())
-    yb_obs = A.spectral_y(m.y)[obs]
+    yb_obs = _per_case(ms, lambda y: A.spectral_y(y)[obs])
 
-    def log_potential(X, var):
-        """(K, n_p) log potentials of the (K, n_p, d) particles."""
-        diff = (X @ A.V)[..., obs] - yb_obs
+    def log_potential(X, var, yb_obs):
+        """(K, n_p) log potentials of the (K, n_p, d) particles, given each
+        row's observed spectral coordinates ``yb_obs`` (K, k)."""
+        diff = (X @ A.V)[..., obs] - yb_obs[:, None, :]
         return -0.5 * (np.sum(diff**2, axis=-1) / var + k * np.log(2 * np.pi * var))
 
-    def batch(rngs):
-        out = _Rows(rngs, ctx.prior.dim)
+    def batch(rngs, cases):
+        out = _Rows(rngs, ctx.prior.dim, cases, yb_obs=yb_obs)
         X = _init_particles(ctx, out.rngs, n_p)
-        log_w = log_potential(X, m.sigma_y**2 + grid[0] ** 2)
+        log_w = log_potential(X, sigma_y**2 + grid[0] ** 2, out.yb_obs)
         for i in out.steps(len(grid) - 1):
             log_norm = _logsumexp(log_w, axis=-1, keepdims=True)
             for j, rng in enumerate(out.rngs):
                 keep = _degenerate_keep(np.exp(log_w[j] - log_norm[j]), rng)
                 if keep is not None:
                     X[j], log_w[j] = X[j][keep], 0.0
-            g_old = log_potential(X, m.sigma_y**2 + grid[i] ** 2)
+            g_old = log_potential(X, sigma_y**2 + grid[i] ** 2, out.yb_obs)
             X, log_w, g_old = out.finite(kernel.step_sets(X, i, out.rngs), i, log_w, g_old)
-            log_w = log_w + log_potential(X, m.sigma_y**2 + grid[i + 1] ** 2) - g_old
+            log_w = log_w + log_potential(X, sigma_y**2 + grid[i + 1] ** 2, out.yb_obs) - g_old
         return _picks(out, X, log_w, len(grid) - 1)
 
     return _particle_rows(batch, n_p)
@@ -785,6 +839,14 @@ _SOLVERS = {
                 _sample_reddiff),
 }
 
+# ``run_cases`` advances whole cases together in chunks of at most this many
+# rows (a case with more rows goes alone). Larger chunks share each step's
+# Python and numpy dispatch among more rows, but mcg_diff with 64
+# particles slows down past about 500 rows (14.4 to 17.9 ms per row at
+# 1000), and every row holds a generator until its chunk ends;
+# BENCH_pr10.json holds the sweep that chose the value.
+ROW_BUDGET = 500
+
 # float hyperparameters that must be > 0, not merely >= 0
 _POSITIVE = {("pnpdm", "rho_coupling"), ("reddiff", "step_size"), ("diffpir", "lambda_reg")}
 
@@ -792,16 +854,20 @@ SOLVER_FAMILIES = {name: family for name, (family, _, _) in _SOLVERS.items()}
 SOLVER_NAMES = tuple(_SOLVERS)
 
 
-def _setup(spec: SolverSpec, m: Measurement, prior: GaussianMixture,
-           sched: NoiseSchedule, ctx: SamplingContext | None):
-    """The solver's ``rows(rngs) -> (X, statuses)`` for this measurement."""
-    if m.operator.d != prior.dim:
+def _setup(spec: SolverSpec, ms, prior: GaussianMixture, sched: NoiseSchedule,
+           ctx: SamplingContext | None):
+    """The solver's ``rows(rngs, cases) -> (X, statuses)`` for the
+    measurements ``ms``, which must share one operator and ``sigma_y``."""
+    A, sigma_y = _shared(ms)
+    if any(m.operator is not A or m.sigma_y != sigma_y for m in ms):
+        raise ValueError("the measurements of one batch must share the operator and sigma_y")
+    if A.d != prior.dim:
         raise ValueError("measurement operator dimension does not match prior")
     if ctx is None:
         ctx = SamplingContext.build(prior, sched)
     elif ctx.prior is not prior or ctx.sched is not sched:
         raise ValueError("ctx was built for another prior or schedule")
-    return _entry(spec.name)[2](spec, m, ctx)
+    return _entry(spec.name)[2](spec, ms, ctx)
 
 
 def sample_one(spec: SolverSpec, m: Measurement, prior: GaussianMixture,
@@ -812,25 +878,49 @@ def sample_one(spec: SolverSpec, m: Measurement, prior: GaussianMixture,
     Divergence is recorded in the status, never raised: a non-finite
     iterate yields a NaN row with status ``diverged(step=...)``.
     """
-    samples, statuses = _setup(spec, m, prior, sched, ctx)([np.random.default_rng(seed)])
+    rows = _setup(spec, [m], prior, sched, ctx)
+    samples, statuses = rows([np.random.default_rng(seed)], np.zeros(1, dtype=int))
     return samples[0], statuses[0]
+
+
+def run_cases(spec: SolverSpec, ms, prior: GaussianMixture, sched: NoiseSchedule,
+              K: int, base_seeds, ctx: SamplingContext | None = None) -> list:
+    """K independent reconstructions for each measurement of ``ms``, one
+    ``SampleBatch`` per measurement; ``ms`` share one operator and
+    ``sigma_y``. Row k of case n is seeded from (``base_seeds[n]``, k).
+
+    The solver sets up for all the measurements once, then advances the
+    rows of whole cases together in chunks of at most ``ROW_BUDGET`` rows,
+    one generator per row. Each row's bits do not depend on the other rows,
+    so every batch equals ``run_batch`` of its case alone, and row k equals
+    a standalone ``sample_one`` with the same derived seed. Each batch's
+    ``wall_time`` is its share (1 / len(ms)) of the call.
+    """
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    if not ms or len(base_seeds) != len(ms):
+        raise ValueError("give one base seed per measurement, and at least one measurement")
+    t0 = time.perf_counter()
+    rows = _setup(spec, ms, prior, sched, ctx)
+    seeds = [[derive_seed(base, [("row", k)]) for k in range(K)] for base in base_seeds]
+    per_chunk = max(1, ROW_BUDGET // K)
+    samples, statuses = np.empty((len(ms) * K, prior.dim)), []
+    for a in range(0, len(ms), per_chunk):
+        chunk = range(a, min(a + per_chunk, len(ms)))
+        samples[a * K : chunk.stop * K], st = rows(
+            [np.random.default_rng(seed) for n in chunk for seed in seeds[n]],
+            np.repeat(chunk, K))
+        statuses += st
+    share = (time.perf_counter() - t0) / len(ms)
+    return [SampleBatch(solver=spec, measurement=m, samples=samples[n * K : (n + 1) * K],
+                        seeds=seeds[n], statuses=statuses[n * K : (n + 1) * K],
+                        wall_time=share)
+            for n, m in enumerate(ms)]
 
 
 def run_batch(spec: SolverSpec, m: Measurement, prior: GaussianMixture,
               sched: NoiseSchedule, K: int, base_seed: int,
               ctx: SamplingContext | None = None) -> SampleBatch:
     """K independent reconstructions with per-row seeds derived from
-    (base_seed, row index). The solver sets up for the measurement once and
-    advances all K rows together, one generator per row; each row's bits do
-    not depend on the others, so row k always equals a standalone
-    ``sample_one`` call with the same derived seed."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    t0 = time.perf_counter()
-    rows = _setup(spec, m, prior, sched, ctx)
-    seeds = [derive_seed(base_seed, [("row", k)]) for k in range(K)]
-    samples, statuses = rows([np.random.default_rng(seed) for seed in seeds])
-    return SampleBatch(
-        solver=spec, measurement=m, samples=samples, seeds=seeds,
-        statuses=statuses, wall_time=time.perf_counter() - t0,
-    )
+    (base_seed, row index): ``run_cases`` of the one measurement ``m``."""
+    return run_cases(spec, [m], prior, sched, K, [base_seed], ctx=ctx)[0]

@@ -96,6 +96,21 @@ def test_count_bounds():
         config_from_dict(dict(MINIMAL, k_samples=1))
 
 
+@pytest.mark.parametrize("d, steps", [(256, 255), (40, 10_000)])
+def test_kernel_size_just_under_the_bound_loads(d, steps):
+    """(steps + 1) * d^2 = 256 * 256^2 = 2^24 and 10,001 * 40^2, within 2^24."""
+    cfg = config_from_dict(dict(MINIMAL, prior={"d": d}, schedule={"steps": steps}))
+    assert (cfg.prior.d, cfg.schedule["steps"]) == (d, steps)
+
+
+@pytest.mark.parametrize("d, steps", [(256, 256), (41, 10_000)])
+def test_kernel_size_just_over_the_bound_rejected(d, steps):
+    """Each size passes its own cap, but the reverse kernel's (steps + 1, C,
+    d, d) arrays would not fit: 257 * 256^2 and 10,001 * 41^2 exceed 2^24."""
+    with pytest.raises(ValueError, match=rf"steps = {steps}, d = {d}\)"):
+        config_from_dict(dict(MINIMAL, prior={"d": d}, schedule={"steps": steps}))
+
+
 def test_sweep_axis_validation():
     good = dict(MINIMAL, solvers=["reference_exact", "mcg_diff"],
                 sweep_axis={"solver": "mcg_diff", "name": "particles",

@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 import yaml
 
+import time
+
+import diffuq.solvers
 from diffuq.cli import main
 from diffuq.config import config_from_dict
+from diffuq.diffusion import build_schedule
+from diffuq.gmm import build_toy_prior
 from diffuq.harness import (
     CSV_HEADER,
     experiment_oracle,
@@ -15,6 +20,7 @@ from diffuq.harness import (
     run_experiment,
     write_report,
 )
+from diffuq.solvers import SOLVER_NAMES, SamplingContext, run_batch
 
 SMALL = {
     "experiment": "exp1_identity",
@@ -118,6 +124,92 @@ def test_reaggregate_round_trip(tmp_path, small_rows):
 def test_reaggregate_requires_samples(tmp_path):
     with pytest.raises(ValueError, match="samples"):
         reaggregate(tmp_path)
+
+
+def _assert_rows_equal_run_batch(cfg, rows):
+    """Each result row's batch equals ``run_batch`` of its case alone, bit
+    for bit, statuses and seeds included."""
+    prior, sched = build_toy_prior(cfg.prior), build_schedule(**cfg.schedule)
+    ctx = SamplingContext.build(prior, sched)
+    for r in rows:
+        alone = run_batch(r.batch.solver, r.batch.measurement, prior, sched, cfg.k_samples,
+                          r.seed, ctx=ctx)
+        where = (r.solver, r.case_id)
+        assert r.batch.statuses == alone.statuses, where
+        assert r.batch.seeds == alone.seeds, where
+        assert np.array_equal(r.batch.samples, alone.samples, equal_nan=True), where
+
+
+BATCHED = dict(SMALL, n_cases=3, k_samples=3, solvers=list(SOLVER_NAMES))
+BINARY_OBS8 = {"kind": "binary_svd", "obs_count": 8, "basis_mode": "coordinate"}
+
+
+@pytest.mark.parametrize("experiment, operator", [
+    ("exp1_identity", {}), ("exp2_binary", BINARY_OBS8)], ids=["identity", "binary_obs8"])
+def test_batched_cases_equal_one_case_batches(experiment, operator):
+    """All ten solvers sample their three cases as one row batch, and each
+    case gets the rows ``run_batch`` gives it alone."""
+    cfg = config_from_dict(dict(BATCHED, experiment=experiment, operator=operator))
+    assert cfg.n_cases * cfg.k_samples <= diffuq.solvers.ROW_BUDGET
+    with np.errstate(all="ignore"):
+        rows = run_experiment(cfg)
+        _assert_rows_equal_run_batch(cfg, rows)
+    if operator:  # fps_smc divides by the zero singular values: every row leaves at step 0
+        fps = [s for r in rows if r.solver == "fps_smc" for s in r.batch.statuses]
+        assert fps == ["diverged(step=0; pseudo-inverse of zero singular values)"] * 9
+
+
+def test_rows_that_leave_mid_run_take_their_measurement():
+    """reddiff at sigma_y = 0.1 with 125 steps sits at its stability edge:
+    rows of the first cases leave near the end while the later cases' rows
+    run on, each with its own case's y."""
+    cfg = config_from_dict(dict(SMALL, sigma_y=0.1, n_cases=3, k_samples=8,
+                                solvers=[{"name": "reddiff",
+                                          "hyperparameters": {"opt_steps": 125}}]))
+    with np.errstate(all="ignore"):
+        rows = run_experiment(cfg)
+        _assert_rows_equal_run_batch(cfg, rows)
+    statuses = [r.batch.statuses for r in rows]
+    assert any(s.startswith("diverged(step=1") for s in statuses[0])
+    assert "ok" in statuses[-1]
+
+
+def test_cases_span_several_batches(monkeypatch):
+    """With room for two cases per row chunk, each solver sets up once and
+    advances its three cases in two chunks, and each case still gets its
+    one-case rows."""
+    monkeypatch.setattr(diffuq.solvers, "ROW_BUDGET", 7)
+    cfg = config_from_dict(dict(BATCHED, solvers=["pnpdm", "mcg_diff", "reddiff"]))
+    calls = []
+    setup = diffuq.solvers._setup
+
+    def counting_setup(spec, ms, *args):
+        rows = setup(spec, ms, *args)
+        calls.append((spec.name, "setup", len(ms)))
+
+        def counting_rows(rngs, cases):
+            calls.append((spec.name, "rows", sorted(set(cases))))
+            return rows(rngs, cases)
+
+        return counting_rows
+
+    monkeypatch.setattr(diffuq.solvers, "_setup", counting_setup)
+    rows = run_experiment(cfg)
+    assert calls == [c for name in ("pnpdm", "mcg_diff", "reddiff")
+                     for c in ((name, "setup", 3), (name, "rows", [0, 1]), (name, "rows", [2]))]
+    monkeypatch.setattr(diffuq.solvers, "_setup", setup)
+    _assert_rows_equal_run_batch(cfg, rows)
+
+
+def test_row_wall_times_sum_within_the_run():
+    """Each case's ``wall_time`` is its share of its batch, so the rows'
+    sum, and manifest.json's ``total_wall_time``, stay within the run."""
+    cfg = config_from_dict(dict(BATCHED, n_cases=4, solvers=["reference_exact", "ddrm"]))
+    t0 = time.perf_counter()
+    rows = run_experiment(cfg)
+    wall = time.perf_counter() - t0
+    assert all(r.wall_time > 0 for r in rows)
+    assert sum(r.wall_time for r in rows) <= wall
 
 
 def test_exp2_rows_have_null_variance():

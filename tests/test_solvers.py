@@ -574,7 +574,7 @@ def test_sample_one_dimension_check(toy_prior, sched_small):
 
 
 # ---------------------------------------------------------------------------
-# the driver: setup once per measurement, one row per seed
+# the driver: setup once per batch of cases, one row per seed
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
