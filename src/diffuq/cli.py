@@ -2,9 +2,9 @@
 
 Subcommands: ``run`` (execute a config), ``oracle`` (print the analytic
 reference values), ``sweep`` (run with a sweep-axis override), ``report``
-(re-aggregate persisted samples). Worker count comes from --workers or the
-DIFFUQ_WORKERS environment variable. Bad input (a missing or invalid config
-file, a bad flag or variable) ends with one error line and exit status 2.
+(re-aggregate persisted samples). Bad input (a missing or invalid config
+file, a bad flag, an ``--out`` that cannot be a directory) ends with one
+error line and exit status 2, before any sampling.
 """
 
 from __future__ import annotations
@@ -27,26 +27,6 @@ class _UsageError(Exception):
     """Bad input from the command line, reported by ``parser.error``."""
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
-
-
-def _workers(args) -> int:
-    if args.workers is not None:
-        return args.workers
-    text = os.environ.get("DIFFUQ_WORKERS", "1")
-    try:
-        return _positive_int(text)
-    except argparse.ArgumentTypeError as exc:
-        raise _UsageError(f"DIFFUQ_WORKERS {exc}") from None
-
-
 def _load(path):
     """``load_config(path)``; a file that cannot be read or is not a valid
     config is a usage error naming it."""
@@ -58,6 +38,15 @@ def _load(path):
         raise _UsageError(f"config file {path}: {' '.join(str(exc).split())}") from None
 
 
+def _out_dir(path):
+    """Create the output directory ``path``, or fail with a usage error naming ``--out``."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise _UsageError(f"--out {path}: {exc.strerror}") from None
+    return path
+
+
 def _print_paths(paths: dict) -> int:
     for name, path in paths.items():
         print(f"{name}: {path}")
@@ -66,9 +55,10 @@ def _print_paths(paths: dict) -> int:
 
 def _cmd_run(args) -> int:
     cfg = _load(args.config)
-    rows = run_experiment(cfg, workers=_workers(args))
+    out = _out_dir(args.out)
+    rows = run_experiment(cfg)
     oracle = None if args.no_oracle else experiment_oracle(cfg)
-    return _print_paths(write_report(rows, args.out, cfg=cfg, oracle=oracle,
+    return _print_paths(write_report(rows, out, cfg=cfg, oracle=oracle,
                                      save_samples=args.save_samples))
 
 
@@ -91,8 +81,9 @@ def _cmd_sweep(args) -> int:
             cfg, sweep_axis={"solver": args.solver, "name": args.param, "values": values})
     except ValueError as exc:
         raise _UsageError(f"sweep --solver/--param/--values: {exc}") from None
-    rows = run_experiment(cfg, workers=_workers(args))
-    return _print_paths(write_report(rows, args.out, cfg=cfg, save_samples=args.save_samples))
+    out = _out_dir(args.out)
+    return _print_paths(write_report(run_experiment(cfg), out, cfg=cfg,
+                                     save_samples=args.save_samples))
 
 
 def _saved(path, key: str):
@@ -110,7 +101,7 @@ def _cmd_report(args) -> int:
         raise _UsageError(f"report {args.dir}: {exc}") from None
     cfg = _saved(os.path.join(args.dir, "manifest.json"), "config")
     return _print_paths(write_report(
-        rows, args.out or args.dir, cfg=None if cfg is None else config_from_dict(cfg),
+        rows, _out_dir(args.out or args.dir), cfg=None if cfg is None else config_from_dict(cfg),
         oracle=_saved(os.path.join(args.dir, "summary.json"), "oracle")))
 
 
@@ -124,7 +115,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config")
     p_run.add_argument("--out", default="out")
-    p_run.add_argument("--workers", type=_positive_int, default=None)
     p_run.add_argument("--save-samples", action="store_true")
     p_run.add_argument("--no-oracle", action="store_true")
     p_run.set_defaults(func=_cmd_run, parser=p_run)
@@ -140,7 +130,6 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated values, e.g. 8,16,64")
     p_sweep.add_argument("--out", default="out")
-    p_sweep.add_argument("--workers", type=_positive_int, default=None)
     p_sweep.add_argument("--save-samples", action="store_true")
     p_sweep.set_defaults(func=_cmd_sweep, parser=p_sweep)
 

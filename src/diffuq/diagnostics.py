@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gmm import GaussianMixture, mixture_moments
+from .gmm import GaussianMixture, exact_posterior, mixture_moments, sample_mixture
 from .operators import LinearOperatorSVD, synthesize_measurement
 from .seeding import derive_seed
 
@@ -156,6 +156,18 @@ def variance_vs_k(samples: np.ndarray, k_grid) -> list:
     return [(k, float(samples[:k].var(axis=0, ddof=1).mean())) for k in k_grid]
 
 
+def _experiment_cases(prior: GaussianMixture, A: LinearOperatorSVD, sigma_y: float,
+                      n_cases: int, seed: int) -> list:
+    """The ``n_cases`` measurements of an experiment, each holding its
+    ground truth ``x_star``; case n's truth and noise are seeded from
+    (``seed``, n) alone, so every solver sees the same cases."""
+    cases = []
+    for n in range(n_cases):
+        x_star = sample_mixture(prior, 1, derive_seed(seed, [("xstar", n)]))[0]
+        cases.append(synthesize_measurement(A, x_star, sigma_y, derive_seed(seed, [("meas", n)])))
+    return cases
+
+
 def oracle_reference(prior: GaussianMixture, A: LinearOperatorSVD, sigma_y: float,
                      n_cases: int, seed: int, k_samples: int = 100):
     """Analytic reference quantities for one (prior, operator, noise) setup.
@@ -166,10 +178,8 @@ def oracle_reference(prior: GaussianMixture, A: LinearOperatorSVD, sigma_y: floa
     oracle coverage and RMSE are Monte Carlo estimates from the exact
     posterior sampler run through the same evaluation pipeline.
     """
-    from .gmm import exact_posterior  # local import avoids a cycle at module load
     from .solvers import SamplingContext, resolve_solver, run_cases
     from .diffusion import build_schedule
-    from .gmm import sample_mixture
 
     spec = resolve_solver("reference_exact")
     sched = build_schedule(0.01, 10.0, 4)  # unused by the exact sampler
@@ -178,19 +188,15 @@ def oracle_reference(prior: GaussianMixture, A: LinearOperatorSVD, sigma_y: floa
         A.obs_null_split() if A.is_binary() else (np.arange(A.d), np.array([], int))
     )
 
-    truths, measurements = [], []
+    measurements = _experiment_cases(prior, A, sigma_y, n_cases, seed)
     dir_var = np.zeros(A.d)
-    for n in range(n_cases):
-        x_star = sample_mixture(prior, 1, derive_seed(seed, [("xstar", n)]))[0]
-        m = synthesize_measurement(A, x_star, sigma_y, derive_seed(seed, [("meas", n)]))
-        post = exact_posterior(prior, A, m.y, sigma_y)
-        _, cov = mixture_moments(post)
+    for m in measurements:
+        _, cov = mixture_moments(exact_posterior(prior, A, m.y, sigma_y))
         dir_var += np.diag(A.V.T @ cov @ A.V)
-        truths.append(x_star)
-        measurements.append(m)
     batches = run_cases(spec, measurements, prior, sched, k_samples,
                         [derive_seed(seed, [("case", n)]) for n in range(n_cases)], ctx=ctx)
     dir_var /= n_cases
+    truths = [m.x_star for m in measurements]
     cov_rep = coverage_eval(batches, truths)
     acc_rep = rmse_eval(batches, truths)
     theory_obs = float(dir_var[obs_idx].mean()) if len(obs_idx) else float("nan")

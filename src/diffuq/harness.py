@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -20,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig, config_to_dict
-from .diagnostics import coverage_eval, obs_null_variance, oracle_reference, rmse_eval
+from .diagnostics import (coverage_eval, obs_null_variance, oracle_reference, rmse_eval,
+                          _experiment_cases)
 from .diffusion import build_schedule
-from .gmm import build_toy_prior, sample_mixture
-from .operators import (Measurement, build_operator, operator_from_json, operator_to_json,
-                        synthesize_measurement)
+from .gmm import build_toy_prior
+from .operators import Measurement, build_operator, operator_from_json, operator_to_json
 from .seeding import derive_seed
 from .solvers import SampleBatch, SamplingContext, SolverSpec, resolve_solver, run_cases
 
@@ -117,13 +118,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list:
     prior, sched, A = _build_problem(cfg)
     ctx = SamplingContext.build(prior, sched)
     master = cfg.master_seed
-
-    cases = []
-    for n in range(cfg.n_cases):
-        x_star = sample_mixture(prior, 1, derive_seed(master, [("xstar", n)]))[0]
-        m = synthesize_measurement(A, x_star, cfg.sigma_y,
-                                   derive_seed(master, [("meas", n)]))
-        cases.append((x_star, m))
+    cases = _experiment_cases(prior, A, cfg.sigma_y, cfg.n_cases, master)
 
     if cfg.sweep_axis is not None:
         groups = []
@@ -147,8 +142,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list:
 
     def work(task):
         _, _, spec, seeds = task
-        return run_cases(spec, [m for _, m in cases], prior, sched, cfg.k_samples, seeds,
-                         ctx=ctx)
+        return run_cases(spec, cases, prior, sched, cfg.k_samples, seeds, ctx=ctx)
 
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -158,14 +152,13 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list:
 
     rows = []
     for (param, value, spec, seeds), task_batches in zip(tasks, batches):
-        for n, (seed, batch) in enumerate(zip(seeds, task_batches)):
-            x_star = cases[n][0]
+        for n, (seed, batch, m) in enumerate(zip(seeds, task_batches, cases)):
             rows.append(ResultRow(
                 experiment=cfg.experiment, solver=spec.name, family=spec.family,
                 case_id=n, sweep_param=param, sweep_value=value,
                 hyperparameters_digest=_digest(spec.hyperparameters), seed=seed,
-                wall_time=batch.wall_time, batch=batch, x_star=x_star,
-                **_case_metrics(batch, x_star, A),
+                wall_time=batch.wall_time, batch=batch, x_star=m.x_star,
+                **_case_metrics(batch, m.x_star, A),
             ))
     return rows
 
@@ -257,6 +250,9 @@ def write_report(rows, out_dir, cfg: ExperimentConfig | None = None,
     if save_samples:
         sample_dir = os.path.join(out_dir, "samples")
         os.makedirs(sample_dir, exist_ok=True)
+        for name in os.listdir(sample_dir):  # an earlier report's, named by _batch_filename
+            if re.fullmatch(r"row\d+__[a-z_]+__(.+__)?case\d+\.npz", name):
+                os.remove(os.path.join(sample_dir, name))
         for index, r in enumerate(rows):
             if r.batch is None:
                 continue

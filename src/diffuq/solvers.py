@@ -248,6 +248,7 @@ def ddrm_step(x_hat0, yb, A: LinearOperatorSVD, sigma_y: float, sigma_t: float,
     injection (eta = 1 behavior).
     """
     s = A.spectral_s()
+    eta, eta_b = np.float64(eta), np.float64(eta_b)  # a huge eta squares to inf, not an error
     xb0 = _matvec_rows(A.V.T, x_hat0)
     safe_s = np.where(s > 0, s, 1.0)
     ob = np.broadcast_to(np.where(s > 0, yb / safe_s, 0.0), xb0.shape)
@@ -453,9 +454,20 @@ def _per_case(ms, f) -> np.ndarray:
     return np.array([f(m.y) for m in ms])
 
 
-def _init_rows(ctx: SamplingContext, rngs) -> np.ndarray:
-    """One start at ``sigma_max`` per row, from that row's generator."""
-    return ctx.sched.sigma_max * _normals(rngs, ctx.prior.dim)
+def _row_loop(ctx: SamplingContext, n: int, update, start=None, **per_case):
+    """``rows`` of a sampler with one (K, d) iterate: from ``start(out)``
+    (default: one start at ``sigma_max`` per row, from that row's generator)
+    it takes the ``n`` steps ``X = update(X, i, out)``, ``out`` holding the
+    running rows' generators and ``per_case`` constants; a row whose update
+    is not finite leaves at that step."""
+    def rows(rngs, cases):
+        out = _Rows(rngs, ctx.prior.dim, cases, **per_case)
+        X = start(out) if start else ctx.sched.sigma_max * _normals(out.rngs, ctx.prior.dim)
+        for i in out.steps(n):
+            X = out.finite(update(X, i, out), i)
+        return out.done(X)
+
+    return rows
 
 
 def _sample_reference_exact(spec, ms, ctx):
@@ -474,15 +486,10 @@ def _sample_reference_exact(spec, ms, ctx):
 
 def _kernel_guided(ctx, pull, **per_case):
     """Rows of a heuristic that adds ``pull(X, i, out)`` to every exact
-    kernel step, ``out`` holding the running rows' ``per_case`` constants."""
-    def rows(rngs, cases):
-        out = _Rows(rngs, ctx.prior.dim, cases, **per_case)
-        X = _init_rows(ctx, out.rngs)
-        for i in out.steps(len(ctx.sched.grid) - 1):
-            X = out.finite(ctx.kernel.step_rows(X, i, out.rngs) + pull(X, i, out), i)
-        return out.done(X)
-
-    return rows
+    kernel step."""
+    return _row_loop(ctx, len(ctx.sched.grid) - 1,
+                     lambda X, i, out: ctx.kernel.step_rows(X, i, out.rngs) + pull(X, i, out),
+                     **per_case)
 
 
 def _sample_dps(spec, ms, ctx):
@@ -505,23 +512,17 @@ def _sample_daps(spec, ms, ctx):
     # stable step: inverse of the stiffest precision of the local target
     eff_steps = [hp["step_size"] / (1.0 / r_t**2 + s_max_sq / sigma_y**2)
                  for r_t in grid[:-1]]
-    Y = _per_case(ms, np.asarray)
 
-    def rows(rngs, cases):
-        out = _Rows(rngs, ctx.prior.dim, cases, y=Y)
-        X = _init_rows(ctx, out.rngs)
-        for i in out.steps(len(eff_steps)):
-            anchor = ctx.kernel.denoise_rows(X, i)
-            X0 = anchor
-            for _ in range(hp["langevin_steps"]):
-                X0 = daps_langevin_step(X0, anchor, grid[i], out.y, A, sigma_y,
-                                        eff_steps[i], out.rngs)
-            X0 = out.finite(X0, i)
-            sig_next = grid[i + 1]
-            X = X0 + sig_next * _normals(out.rngs, ctx.prior.dim) if sig_next > 0 else X0
-        return out.done(X)
+    def update(X, i, out):
+        anchor = ctx.kernel.denoise_rows(X, i)
+        X0 = anchor
+        for _ in range(hp["langevin_steps"]):
+            X0 = daps_langevin_step(X0, anchor, grid[i], out.y, A, sigma_y, eff_steps[i],
+                                    out.rngs)
+        sig_next = grid[i + 1]
+        return X0 + sig_next * _normals(out.rngs, ctx.prior.dim) if sig_next > 0 else X0
 
-    return rows
+    return _row_loop(ctx, len(eff_steps), update, y=_per_case(ms, np.asarray))
 
 
 def _sample_diffpir(spec, ms, ctx):
@@ -555,37 +556,25 @@ def _sample_ddrm(spec, ms, ctx):
     hp = spec.hyperparameters
     grid = ctx.sched.grid
     A, sigma_y = _shared(ms)
-    YB = _per_case(ms, A.spectral_y)
 
-    def rows(rngs, cases):
-        out = _Rows(rngs, ctx.prior.dim, cases, yb=YB)
-        X = _init_rows(ctx, out.rngs)
-        for i in out.steps(len(grid) - 1):
-            xhat0 = ctx.kernel.denoise_rows(X, i)
-            X = out.finite(ddrm_step(xhat0, out.yb, A, sigma_y, grid[i + 1],
-                                     hp["eta"], hp["eta_b"], out.rngs, X, grid[i]), i)
-        return out.done(X)
+    def update(X, i, out):
+        return ddrm_step(ctx.kernel.denoise_rows(X, i), out.yb, A, sigma_y, grid[i + 1],
+                         hp["eta"], hp["eta_b"], out.rngs, X, grid[i])
 
-    return rows
+    return _row_loop(ctx, len(grid) - 1, update, yb=_per_case(ms, A.spectral_y))
 
 
 def _sample_reddiff(spec, ms, ctx):
     hp = spec.hyperparameters
     steps = hp["opt_steps"]
     A, sigma_y = _shared(ms)
-    Y = _per_case(ms, np.asarray)
-    mu0 = _per_case(ms, lambda y: apply_pinv(A, y))
 
-    def rows(rngs, cases):
-        out = _Rows(rngs, ctx.prior.dim, cases, y=Y)
-        mu = mu0[cases]
-        for t in out.steps(steps):
-            lr = hp["step_size"] * (1.0 - t / steps)
-            mu = out.finite(reddiff_update(mu, out.y, A, sigma_y, ctx.kernel,
-                                           hp["lambda_reg"], lr, out.rngs), t)
-        return out.done(mu)
+    def update(mu, t, out):
+        lr = hp["step_size"] * (1.0 - t / steps)
+        return reddiff_update(mu, out.y, A, sigma_y, ctx.kernel, hp["lambda_reg"], lr, out.rngs)
 
-    return rows
+    return _row_loop(ctx, steps, update, start=lambda out: out.mu0,
+                     y=_per_case(ms, np.asarray), mu0=_per_case(ms, lambda y: apply_pinv(A, y)))
 
 
 def _sample_pnpdm(spec, ms, ctx):
@@ -594,30 +583,28 @@ def _sample_pnpdm(spec, ms, ctx):
     mode = hp["x_step"]
     A, sigma_y = _shared(ms)
     grid = ctx.sched.grid
-    start = level_index_for_sigma(ctx.sched, rho)
+    first = level_index_for_sigma(ctx.sched, rho)
     z_step = _z_step_sampler(A, sigma_y, rho)
-    aty = _per_case(ms, lambda y: _aty(A, y, sigma_y))
-    pinv_y = _per_case(ms, lambda y: apply_pinv(A, y))
 
-    def rows(rngs, cases):
-        out = _Rows(rngs, ctx.prior.dim, cases, aty=aty, pinv_y=pinv_y)
+    def start(out):
         # data-informed start: observed directions from the pseudo-inverse,
         # unobserved directions from a prior draw; shortens the Gibbs burn-in
-        X = ddnm_projection(_sample_mixture_rows(ctx.prior, out.rngs), out.pinv_y, A)
-        for g in out.steps(hp["gibbs_iters"]):
-            X = z_step(X, out.aty, out.rngs)
-            if mode == "conjugate":
-                X = np.array([
-                    sample_mixture(conjugate_denoising_posterior(ctx.prior, z, rho), 1, rng)[0]
-                    for z, rng in zip(X, out.rngs)
-                ])
-            else:
-                for i in range(start, len(grid) - 1):
-                    X = ctx.kernel.step_rows(X, i, out.rngs)
-            X = out.finite(X, g)
-        return out.done(X)
+        return ddnm_projection(_sample_mixture_rows(ctx.prior, out.rngs), out.pinv_y, A)
 
-    return rows
+    def update(X, g, out):
+        Z = z_step(X, out.aty, out.rngs)
+        if mode == "conjugate":
+            return np.array([
+                sample_mixture(conjugate_denoising_posterior(ctx.prior, z, rho), 1, rng)[0]
+                for z, rng in zip(Z, out.rngs)
+            ])
+        for i in range(first, len(grid) - 1):
+            Z = ctx.kernel.step_rows(Z, i, out.rngs)
+        return Z
+
+    return _row_loop(ctx, hp["gibbs_iters"], update, start,
+                     aty=_per_case(ms, lambda y: _aty(A, y, sigma_y)),
+                     pinv_y=_per_case(ms, lambda y: apply_pinv(A, y)))
 
 
 def _degenerate_keep(w, rng):

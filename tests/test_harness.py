@@ -121,6 +121,21 @@ def test_reaggregate_round_trip(tmp_path, small_rows):
         assert r.rmse_mean == pytest.approx(o.rmse_mean, nan_ok=True)
 
 
+def test_huge_ddrm_eta_fails_its_rows_not_the_run(tmp_path):
+    """ddrm squares eta and eta_b; at 1e200 each overflows to inf, so its
+    rows diverge while the run completes with the other solver's rows."""
+    for key in ("eta", "eta_b"):
+        cfg = config_from_dict(dict(SMALL, n_cases=1, solvers=[
+            "reference_exact", {"name": "ddrm", "hyperparameters": {key: 1e200}}]))
+        with np.errstate(all="ignore"):
+            rows = run_experiment(cfg)
+        write_report(rows, tmp_path / key, cfg=cfg)
+        by_solver = {r.solver: r for r in rows}
+        assert by_solver["ddrm"].failure_rate == 1.0, key
+        assert by_solver["reference_exact"].batch.statuses == ["ok"] * cfg.k_samples
+        assert len((tmp_path / key / "results.csv").read_text().splitlines()) == 3
+
+
 def test_reaggregate_requires_samples(tmp_path):
     with pytest.raises(ValueError, match="samples"):
         reaggregate(tmp_path)
@@ -307,43 +322,57 @@ def test_reaggregate_names_missing_metadata(tmp_path, small_rows, key):
         reaggregate(tmp_path)
 
 
-def test_cli_workers_env(tmp_path, monkeypatch):
-    cfg_path = write_cfg(tmp_path, SMALL)
-    monkeypatch.setenv("DIFFUQ_WORKERS", "4")
-    out = tmp_path / "env_out"
-    assert main(["run", cfg_path, "--out", str(out), "--no-oracle"]) == 0
-    assert (out / "results.csv").exists()
+def test_report_in_place_after_two_runs_into_one_directory(tmp_path):
+    """A second --save-samples run into a directory replaces the sample
+    files of the first, so ``report`` in place rebuilds the second run's
+    results.csv."""
+    out = str(tmp_path / "out")
+    assert main(["sweep", write_cfg(tmp_path, dict(SMALL, solvers=["ddnm", "dps"])),
+                 "--solver", "dps", "--param", "guidance_scale", "--values", "0.1,0.2",
+                 "--out", out, "--save-samples"]) == 0
+    assert main(["run", write_cfg(tmp_path, dict(SMALL, n_cases=1, solvers=["ddrm"])),
+                 "--out", out, "--no-oracle", "--save-samples"]) == 0
+    second = (tmp_path / "out" / "results.csv").read_bytes()
+    assert main(["report", out]) == 0
+    assert (tmp_path / "out" / "results.csv").read_bytes() == second
 
 
-@pytest.mark.parametrize("argv, env, names", [
-    (["sweep", "{cfg}", "--solver", "ddrm", "--param", "eta", "--values", "8,abc"], None,
+@pytest.fixture(scope="module")
+def saved_run(tmp_path_factory, small_rows):
+    """A report directory with persisted samples."""
+    out = tmp_path_factory.mktemp("saved")
+    write_report(small_rows, out, save_samples=True)
+    return str(out)
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["sweep", "{cfg}", "--solver", "ddrm", "--param", "eta", "--values", "8,abc"],
      "--values: 'abc'"),
-    (["sweep", "{cfg}", "--solver", "ddrm", "--param", "nope", "--values", "1"], None,
-     "'nope'"),
-    (["run", "{cfg}", "--workers", "0"], None, "argument --workers"),
-    (["run", "{cfg}", "--workers", "two"], None, "argument --workers"),
-    (["run", "{cfg}"], "two", "DIFFUQ_WORKERS"),
-    (["run", "{cfg}"], "0", "DIFFUQ_WORKERS"),
-    (["run", "{missing}"], None, "cannot read config file {missing}"),
-    (["oracle", "{missing}"], None, "cannot read config file {missing}"),
-    (["run", "{bad}"], None, "config file {bad}: sigma_y must lie within"),
-    (["oracle", "{broken}"], None, "config file {broken}: "),
-    (["report", "{missing}"], None, "report {missing}: no persisted samples"),
-], ids=["values", "param", "workers-0", "workers-text", "env-text", "env-0", "missing-run",
-        "missing-oracle", "invalid-config", "invalid-yaml", "report-missing"])
-def test_cli_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv, env, names):
+    (["sweep", "{cfg}", "--solver", "ddrm", "--param", "nope", "--values", "1"], "'nope'"),
+    (["run", "{missing}"], "cannot read config file {missing}"),
+    (["oracle", "{missing}"], "cannot read config file {missing}"),
+    (["run", "{bad}"], "config file {bad}: sigma_y must lie within"),
+    (["oracle", "{broken}"], "config file {broken}: "),
+    (["report", "{missing}"], "report {missing}: no persisted samples"),
+    (["run", "{cfg}", "--out", "{cfg}"], "--out {cfg}: "),
+    (["run", "{cfg}", "--out", "{cfg}/out"], "--out {cfg}/out: "),
+    (["sweep", "{cfg}", "--solver", "ddrm", "--param", "eta", "--values", "0.5",
+      "--out", "{cfg}"], "--out {cfg}: "),
+    (["report", "{saved}", "--out", "{cfg}"], "--out {cfg}: "),
+], ids=["values", "param", "missing-run", "missing-oracle", "invalid-config", "invalid-yaml",
+        "report-missing", "out-file-run", "out-under-file-run", "out-file-sweep",
+        "out-file-report"])
+def test_cli_bad_input_is_one_error_line(tmp_path, capsys, saved_run, argv, names):
     """Bad input ends with exit status 2 and one error line that names the
-    flag, variable or file, and no traceback."""
+    flag or file, and no traceback."""
     paths = {"cfg": write_cfg(tmp_path, SMALL), "missing": str(tmp_path / "nope.yaml"),
-             "bad": str(tmp_path / "bad.yaml"), "broken": str(tmp_path / "broken.yaml")}
+             "bad": str(tmp_path / "bad.yaml"), "broken": str(tmp_path / "broken.yaml"),
+             "saved": saved_run}
     Path(paths["bad"]).write_text(yaml.safe_dump(dict(SMALL, sigma_y=1e-200)))
     Path(paths["broken"]).write_text("experiment: [\n")
-    if env is None:
-        monkeypatch.delenv("DIFFUQ_WORKERS", raising=False)
-    else:
-        monkeypatch.setenv("DIFFUQ_WORKERS", env)
     argv = [a.format(**paths) for a in argv] + (
-        ["--out", str(tmp_path / "out")] if argv[0] in ("run", "sweep") else [])
+        ["--out", str(tmp_path / "out")]
+        if argv[0] in ("run", "sweep") and "--out" not in argv else [])
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2

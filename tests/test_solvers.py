@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -586,6 +587,8 @@ def sched12():
     ("reddiff", {"step_size": 1e200}, "diverged(step=1)"),
     ("dps", {"guidance_scale": 1e300}, "diverged(step=1)"),
     ("daps", {"step_size": 1e6}, "diverged(step=2)"),
+    ("ddrm", {"eta": 1e200}, "diverged(step=5)"),
+    ("ddrm", {"eta_b": 1e200}, "diverged(step=1)"),
 ])
 def test_divergence_status_strings(toy_prior, sched12, name, overrides, status):
     A = build_operator("identity", 16)
@@ -656,13 +659,24 @@ def _standalone_rows(spec, m, prior, sched, base_seed, K, ctx):
             for k in range(K)]
 
 
+# sha256 of the K = 16 pnpdm batch with the conjugate x-step, by operator
+# (numpy 2.4.6 and scipy 1.17.1 with their bundled OpenBLAS builds)
+_PNPDM_CONJUGATE_SHA256 = {
+    "identity": "5a7265fff9fd6e8c1bfe85566213bcb85b8a98d8e184969dd137caeba404eac3",
+    "binary_obs8": "b935e7a5e4ce17585b60eb11a0630846a9a746b5f23e2506f9de0b4861144c54",
+}
+
+
 @pytest.mark.parametrize("op", sorted(_OPERATORS))
-@pytest.mark.parametrize("name", SOLVER_NAMES)
-def test_batch_rows_equal_standalone_draws(toy_prior, sched12, name, op):
+@pytest.mark.parametrize("name, overrides", [
+    *(pytest.param(name, {}, id=name) for name in SOLVER_NAMES),
+    pytest.param("pnpdm", {"x_step": "conjugate"}, id="pnpdm_conjugate"),
+])
+def test_batch_rows_equal_standalone_draws(toy_prior, sched12, name, overrides, op):
     A = _OPERATORS[op]()
     m = synthesize_measurement(A, sample_mixture(toy_prior, 1, 21)[0], 1.0, 22)
     ctx = SamplingContext.build(toy_prior, sched12)
-    spec = resolve_solver(name)
+    spec = resolve_solver(name, overrides)
     alone = _standalone_rows(spec, m, toy_prior, sched12, 31, 16, ctx)
     for K in (1, 3, 16):
         batch = run_batch(spec, m, toy_prior, sched12, K, 31, ctx=ctx)
@@ -670,6 +684,9 @@ def test_batch_rows_equal_standalone_draws(toy_prior, sched12, name, op):
             x, status = alone[k]
             assert batch.statuses[k] == status, (K, k)
             assert np.array_equal(batch.samples[k], x, equal_nan=True), (K, k)
+    if overrides:
+        blob = np.ascontiguousarray(batch.samples).tobytes()
+        assert hashlib.sha256(blob).hexdigest() == _PNPDM_CONJUGATE_SHA256[op]
 
 
 def test_diverged_rows_leave_the_batch_alone(toy_prior, sched12):
