@@ -3,7 +3,8 @@
 Subcommands: ``run`` (execute a config), ``oracle`` (print the analytic
 reference values), ``sweep`` (run with a sweep-axis override), ``report``
 (re-aggregate persisted samples). Bad input (a missing or invalid config
-file, a bad flag, an ``--out`` that cannot be a directory) ends with one
+file, a bad flag, an ``--out`` that cannot be a directory, a report
+directory whose samples, manifest or summary cannot be read) ends with one
 error line and exit status 2, before any sampling.
 """
 
@@ -91,18 +92,23 @@ def _saved(path, key: str):
     if not os.path.exists(path):
         return None
     with open(path) as fh:
-        return json.load(fh).get(key)
+        try:
+            return json.load(fh).get(key)
+        except (AttributeError, ValueError) as exc:  # not JSON, or not an object
+            raise ValueError(f"{os.path.basename(path)}: {exc}") from None
 
 
 def _cmd_report(args) -> int:
     try:
         rows = reaggregate(args.dir)
+        cfg = _saved(os.path.join(args.dir, "manifest.json"), "config")
+        cfg = None if cfg is None else config_from_dict(cfg)
+        oracle = _saved(os.path.join(args.dir, "summary.json"), "oracle")
     except ValueError as exc:
         raise _UsageError(f"report {args.dir}: {exc}") from None
-    cfg = _saved(os.path.join(args.dir, "manifest.json"), "config")
-    return _print_paths(write_report(
-        rows, _out_dir(args.out or args.dir), cfg=None if cfg is None else config_from_dict(cfg),
-        oracle=_saved(os.path.join(args.dir, "summary.json"), "oracle")))
+    out = _out_dir(args.out or args.dir)
+    return _print_paths(write_report(  # in place, it keeps the samples to report again
+        rows, out, cfg=cfg, oracle=oracle, save_samples=os.path.samefile(out, args.dir)))
 
 
 def main(argv=None) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,11 +36,6 @@ _SYM_TOL = 1e-12
 _WEIGHT_TOL = 1e-12
 # posterior weights below this clamp to zero before renormalization
 _WEIGHT_FLOOR = 1e-300
-# scipy's dgetrs returned wrong bits while another thread ran it (seen in a
-# two-thread loop over ``_component_logpdfs_rows``), a clean threaded run
-# does not show that dtbsv is free of the same fault, and ``run_experiment``
-# may sample on worker threads, so every dgetrf/dtbsv call holds this lock
-_GETRS_LOCK = threading.Lock()
 # OpenBLAS runs ``trsv``, and so ``getrs``, in blocks of this many columns
 # with a gemv between blocks, where ``tbsv`` runs only axpy updates; the
 # band solve has ``getrs``'s bits up to this dimension
@@ -298,10 +292,9 @@ def _lu_band(chols: np.ndarray):
         return None, None
     lus = np.zeros((C, d * d + 1))  # each LU factor transposed, then a zero
     pivs = np.empty((C, d), dtype=np.int32)
-    with _GETRS_LOCK:
-        for k, chol in enumerate(chols):
-            lu, pivs[k], _ = dgetrf(chol)
-            lus[k, :-1] = lu.T.ravel()
+    for k, chol in enumerate(chols):
+        lu, pivs[k], _ = dgetrf(chol)
+        lus[k, :-1] = lu.T.ravel()
     if (pivs != np.arange(d)).any():
         return None, None
     return lus[:, _band_index(d)].reshape(C * d, d), lus[:, :-1:d + 1].reshape(C * d)
@@ -342,8 +335,7 @@ def _component_logpdfs_rows(means, band, udiag, logdets, X: np.ndarray,
         if not np.isfinite(sols).all():
             bad = ~np.isfinite(sols).all(axis=-1)
             sols[bad] = 0.0
-        with _GETRS_LOCK:
-            flat = dtbsv(d - 1, band.T, sols.reshape(-1), lower=1, diag=1, overwrite_x=1)
+        flat = dtbsv(d - 1, band.T, sols.reshape(-1), lower=1, diag=1, overwrite_x=1)
         sols = (flat.reshape(K, -1) / udiag).reshape(sols.shape)
         if bad is not None:
             sols[bad] = np.nan

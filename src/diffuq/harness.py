@@ -4,18 +4,19 @@
 rows, sampling the cases of each solver in shared row batches;
 ``write_report`` emits results.csv / summary.json / manifest.json and
 optionally the raw sample matrices for post-hoc re-analysis. Everything is
-a pure function of (config, master_seed): reruns and parallel runs produce
-byte-identical results.csv.
+a pure function of (config, master_seed): reruns produce byte-identical
+results.csv.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,64 +112,42 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list:
     """Run every solver on every case (and sweep value) of the config.
 
     Each (sweep value, solver) samples all the cases from one setup
-    (``run_cases``). Work may be parallelized over these (sweep value,
-    solver) pairs; the returned row order and contents are independent of
-    the worker count.
+    (``run_cases``), on the calling thread. ``workers`` is accepted and
+    ignored: the benchmark workload still passes it, and it goes once the
+    benchmark revision drops that call.
     """
     prior, sched, A = _build_problem(cfg)
     ctx = SamplingContext.build(prior, sched)
-    master = cfg.master_seed
-    cases = _experiment_cases(prior, A, cfg.sigma_y, cfg.n_cases, master)
-
-    if cfg.sweep_axis is not None:
-        groups = []
-        for j, value in enumerate(cfg.sweep_axis["values"]):
-            solvers = tuple(
-                resolve_solver(s.name, {**s.hyperparameters,
-                                        cfg.sweep_axis["name"]: value})
-                if s.name == cfg.sweep_axis["solver"] else s
-                for s in cfg.solvers
-            )
-            groups.append((j, cfg.sweep_axis["name"], str(value), solvers))
-    else:
-        groups = [(0, "", "", cfg.solvers)]
-
-    tasks = []  # (param, value, spec, case seeds), one per (sweep value, solver)
-    for j, param, value, solvers in groups:
-        for i, spec in enumerate(solvers):
-            tasks.append((param, value, spec,
-                          [derive_seed(master, [("solver", i), ("sweep", j), ("case", n)])
-                           for n in range(cfg.n_cases)]))
-
-    def work(task):
-        _, _, spec, seeds = task
-        return run_cases(spec, cases, prior, sched, cfg.k_samples, seeds, ctx=ctx)
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(work, tasks))
-    else:
-        batches = [work(t) for t in tasks]
+    cases = _experiment_cases(prior, A, cfg.sigma_y, cfg.n_cases, cfg.master_seed)
+    axis = cfg.sweep_axis or {"solver": None, "name": "", "values": [""]}
 
     rows = []
-    for (param, value, spec, seeds), task_batches in zip(tasks, batches):
-        for n, (seed, batch, m) in enumerate(zip(seeds, task_batches, cases)):
-            rows.append(ResultRow(
-                experiment=cfg.experiment, solver=spec.name, family=spec.family,
-                case_id=n, sweep_param=param, sweep_value=value,
-                hyperparameters_digest=_digest(spec.hyperparameters), seed=seed,
-                wall_time=batch.wall_time, batch=batch, x_star=m.x_star,
-                **_case_metrics(batch, m.x_star, A),
-            ))
+    for j, value in enumerate(axis["values"]):
+        for i, spec in enumerate(cfg.solvers):
+            if spec.name == axis["solver"]:
+                spec = resolve_solver(spec.name, {**spec.hyperparameters, axis["name"]: value})
+            seeds = [derive_seed(cfg.master_seed, [("solver", i), ("sweep", j), ("case", n)])
+                     for n in range(cfg.n_cases)]
+            batches = run_cases(spec, cases, prior, sched, cfg.k_samples, seeds, ctx=ctx)
+            for n, (seed, batch, m) in enumerate(zip(seeds, batches, cases)):
+                rows.append(ResultRow(
+                    experiment=cfg.experiment, solver=spec.name, family=spec.family,
+                    case_id=n, sweep_param=axis["name"], sweep_value=str(value),
+                    hyperparameters_digest=_digest(spec.hyperparameters), seed=seed,
+                    wall_time=batch.wall_time, batch=batch, x_star=m.x_star,
+                    **_case_metrics(batch, m.x_star, A),
+                ))
     return rows
 
 
 def experiment_oracle(cfg: ExperimentConfig, k_samples: int | None = None):
-    """Analytic reference values for the config's problem setup."""
+    """Analytic reference values for the config's problem setup, with
+    ``k_samples`` draws per case (None: the config's count)."""
+    if k_samples is not None:
+        cfg = dataclasses.replace(cfg, k_samples=k_samples)
     prior, _, A = _build_problem(cfg)
     cov, t_obs, t_null, rmse = oracle_reference(
-        prior, A, cfg.sigma_y, cfg.n_cases, cfg.master_seed,
-        k_samples=k_samples or cfg.k_samples,
+        prior, A, cfg.sigma_y, cfg.n_cases, cfg.master_seed, k_samples=cfg.k_samples,
     )
     return {"oracle_coverage": cov, "theory_var_obs": t_obs,
             "theory_var_null": t_null, "oracle_rmse": rmse}
@@ -199,10 +178,22 @@ def _batch_filename(index: int, row: ResultRow) -> str:
     return f"row{index}__{row.solver}__{tag}case{row.case_id}.npz"
 
 
+_BATCH_FILE = re.compile(r"row\d+__[a-z_]+__(.+__)?case\d+\.npz")  # _batch_filename's form
+
+
+def _batch_files(sample_dir) -> list:
+    """The sorted names of ``_batch_filename``'s form in ``sample_dir``, if any."""
+    if not os.path.isdir(sample_dir):
+        return []
+    return sorted(n for n in os.listdir(sample_dir) if _BATCH_FILE.fullmatch(n))
+
+
 def write_report(rows, out_dir, cfg: ExperimentConfig | None = None,
                  oracle: dict | None = None, save_samples: bool = False) -> dict:
     """Emit results.csv, summary.json, manifest.json (and sample matrices).
 
+    The sample files an earlier report left in ``out_dir`` are removed
+    either way, so ``samples/`` never holds rows that results.csv lacks.
     Returns the mapping of artifact names to paths.
     """
     if not rows:
@@ -247,12 +238,11 @@ def write_report(rows, out_dir, cfg: ExperimentConfig | None = None,
         json.dump(manifest, fh, indent=2, sort_keys=True)
     paths["manifest.json"] = manifest_path
 
+    sample_dir = os.path.join(out_dir, "samples")
+    for name in _batch_files(sample_dir):
+        os.remove(os.path.join(sample_dir, name))
     if save_samples:
-        sample_dir = os.path.join(out_dir, "samples")
         os.makedirs(sample_dir, exist_ok=True)
-        for name in os.listdir(sample_dir):  # an earlier report's, named by _batch_filename
-            if re.fullmatch(r"row\d+__[a-z_]+__(.+__)?case\d+\.npz", name):
-                os.remove(os.path.join(sample_dir, name))
         for index, r in enumerate(rows):
             if r.batch is None:
                 continue
@@ -277,29 +267,34 @@ def write_report(rows, out_dir, cfg: ExperimentConfig | None = None,
 
 def reaggregate(out_dir) -> list:
     """Rebuild result rows from persisted sample matrices, in the order
-    ``write_report`` wrote them."""
+    ``write_report`` wrote them. A sample file that cannot be read is a
+    ValueError naming it."""
     sample_dir = os.path.join(out_dir, "samples")
-    if not os.path.isdir(sample_dir):
+    names = _batch_files(sample_dir)
+    if not names:
         raise ValueError(f"no persisted samples under {out_dir}")
     rows = {}
-    for name in sorted(os.listdir(sample_dir)):
-        data = np.load(os.path.join(sample_dir, name))
-        meta = json.loads(str(data["meta"]))
-        for key in ("row", "sigma_y", "hyperparameters"):
-            if key not in meta:
-                raise ValueError(f"{name}: sample metadata has no {key!r}")
-        A = operator_from_json(str(data["operator"]))
-        m = Measurement(y=data["y"], x_star=data["x_star"], sigma_y=meta["sigma_y"],
-                        operator=A, seed=meta["seed"])
-        spec = SolverSpec(meta["solver"], meta["hyperparameters"])
-        batch = SampleBatch(solver=spec, measurement=m, samples=data["samples"],
-                            seeds=[], statuses=[str(s) for s in data["statuses"]])
-        metrics = _case_metrics(batch, data["x_star"], A)
-        rows[meta["row"]] = ResultRow(
-            experiment=meta["experiment"], solver=spec.name, family=spec.family,
-            case_id=meta["case_id"],
-            sweep_param=meta["sweep_param"], sweep_value=meta["sweep_value"],
-            hyperparameters_digest=_digest(spec.hyperparameters),
-            seed=meta["seed"], batch=batch, x_star=data["x_star"], **metrics,
-        )
+    for name in names:
+        try:
+            with np.load(os.path.join(sample_dir, name)) as data:
+                meta = json.loads(str(data["meta"]))
+                for key in ("row", "sigma_y", "hyperparameters"):
+                    if key not in meta:
+                        raise ValueError(f"sample metadata has no {key!r}")
+                A = operator_from_json(str(data["operator"]))
+                m = Measurement(y=data["y"], x_star=data["x_star"], sigma_y=meta["sigma_y"],
+                                operator=A, seed=meta["seed"])
+                spec = SolverSpec(meta["solver"], meta["hyperparameters"])
+                batch = SampleBatch(solver=spec, measurement=m, samples=data["samples"],
+                                    seeds=[], statuses=[str(s) for s in data["statuses"]])
+                rows[meta["row"]] = ResultRow(
+                    experiment=meta["experiment"], solver=spec.name, family=spec.family,
+                    case_id=meta["case_id"],
+                    sweep_param=meta["sweep_param"], sweep_value=meta["sweep_value"],
+                    hyperparameters_digest=_digest(spec.hyperparameters),
+                    seed=meta["seed"], batch=batch, x_star=m.x_star,
+                    **_case_metrics(batch, m.x_star, A),
+                )
+        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"{name}: {exc}") from None
     return [rows[k] for k in sorted(rows)]

@@ -371,8 +371,8 @@ def smc_resample(particles, weights, seed) -> np.ndarray:
 class SamplingContext:
     """The (prior, schedule) constants shared by every batch of one problem.
 
-    Immutable, so worker threads can share it. Constants that depend on the
-    measurements are built by each sampler's setup, once per batch of cases.
+    Immutable. Constants that depend on the measurements are built by each
+    sampler's setup, once per batch of cases.
     """
 
     prior: GaussianMixture

@@ -1,6 +1,3 @@
-import sys
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -598,39 +595,6 @@ def test_component_logpdfs_rows_non_finite_rows_stay_apart(toy_prior):
     got = _mixtures_logpdfs_rows(noisy, bad)
     assert np.array_equal(got[others], want[others])
     assert np.isnan(got[[1, 4]]).all()
-
-
-def test_component_logpdfs_rows_thread_safe(toy_prior):
-    """Three threads (more than the cores of a small runner) computing
-    row-wise log-pdfs at once, with a short switch interval, each get the
-    bits of a single-thread call."""
-    rng = np.random.default_rng(11)
-    gmm = noisy_marginal(toy_prior, 0.5)  # every solve takes the dtbsv path
-    inputs = [10.0 * rng.standard_normal((64, 16)) for _ in range(3)]
-    expected = [_mixture_logpdfs_rows(gmm, X) for X in inputs]
-    start = threading.Barrier(len(inputs))
-    mismatches = [0] * len(inputs)
-    done = [False] * len(inputs)
-
-    def work(j):
-        start.wait(timeout=60)
-        for _ in range(700):
-            got = _mixture_logpdfs_rows(gmm, inputs[j])
-            mismatches[j] += not np.array_equal(got, expected[j])
-        done[j] = True
-
-    threads = [threading.Thread(target=work, args=(j,)) for j in range(len(inputs))]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads) and all(done)
-    assert mismatches == [0] * len(inputs)
 
 
 _WEIGHT_ENTRY = st.sampled_from([0.0, 1e-300, 1e-200, 1e-17, 1e-9, 0.3, 1.0, 5.0])

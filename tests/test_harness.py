@@ -1,5 +1,6 @@
 import json
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -64,12 +65,25 @@ def test_solver_fairness(small_rows):
 
 def test_rerun_and_parallel_byte_identical(tmp_path):
     cfg = config_from_dict(SMALL)
-    for out, workers in (("a", None), ("b", None), ("c", 8)):
-        write_report(run_experiment(cfg, workers=workers), tmp_path / out,
-                     cfg=cfg)
+    for out in ("a", "b"):
+        write_report(run_experiment(cfg), tmp_path / out, cfg=cfg)
     a = (tmp_path / "a" / "results.csv").read_bytes()
     assert a == (tmp_path / "b" / "results.csv").read_bytes()
-    assert a == (tmp_path / "c" / "results.csv").read_bytes()
+
+
+def test_run_experiment_starts_no_thread(tmp_path, monkeypatch):
+    """``run_experiment`` samples on the calling thread: ``workers`` is
+    ignored and the rows are those of a default run."""
+    cfg = config_from_dict(SMALL)
+    write_report(run_experiment(cfg), tmp_path / "a", cfg=cfg)
+
+    def refuse(self):
+        raise AssertionError("run_experiment started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    write_report(run_experiment(cfg, workers=8), tmp_path / "b", cfg=cfg)
+    assert ((tmp_path / "a" / "results.csv").read_bytes()
+            == (tmp_path / "b" / "results.csv").read_bytes())
 
 
 def test_csv_header_and_formats(tmp_path, small_rows):
@@ -235,6 +249,16 @@ def test_exp2_rows_have_null_variance():
         assert np.isfinite(r.ratio)
 
 
+@pytest.mark.parametrize("k_samples, message", [
+    (0, "k_samples must be >= 2"), (1, "k_samples must be >= 2"),
+    (2.5, "k_samples must be an integer, got 2.5"),
+], ids=["0", "1", "2.5"])
+def test_experiment_oracle_rejects_bad_k_samples(k_samples, message):
+    cfg = config_from_dict(dict(SMALL, n_cases=1))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        experiment_oracle(cfg, k_samples=k_samples)
+
+
 def test_oracle_values(toy_prior):
     cfg = config_from_dict(dict(SMALL, n_cases=4, k_samples=50))
     oracle = experiment_oracle(cfg)
@@ -325,7 +349,7 @@ def test_reaggregate_names_missing_metadata(tmp_path, small_rows, key):
 def test_report_in_place_after_two_runs_into_one_directory(tmp_path):
     """A second --save-samples run into a directory replaces the sample
     files of the first, so ``report`` in place rebuilds the second run's
-    results.csv."""
+    results.csv, and does so again on a second call."""
     out = str(tmp_path / "out")
     assert main(["sweep", write_cfg(tmp_path, dict(SMALL, solvers=["ddnm", "dps"])),
                  "--solver", "dps", "--param", "guidance_scale", "--values", "0.1,0.2",
@@ -333,8 +357,27 @@ def test_report_in_place_after_two_runs_into_one_directory(tmp_path):
     assert main(["run", write_cfg(tmp_path, dict(SMALL, n_cases=1, solvers=["ddrm"])),
                  "--out", out, "--no-oracle", "--save-samples"]) == 0
     second = (tmp_path / "out" / "results.csv").read_bytes()
-    assert main(["report", out]) == 0
-    assert (tmp_path / "out" / "results.csv").read_bytes() == second
+    for _ in range(2):  # a report in place leaves the directory reportable
+        assert main(["report", out]) == 0
+        assert (tmp_path / "out" / "results.csv").read_bytes() == second
+
+
+def test_run_without_samples_drops_an_earlier_runs_samples(tmp_path, capsys):
+    """A run without --save-samples into a directory that holds an earlier
+    run's samples removes them, so ``report`` does not return the earlier
+    run's rows."""
+    out = str(tmp_path / "out")
+    assert main(["run", write_cfg(tmp_path, dict(SMALL, solvers=["ddnm", "dps"])),
+                 "--out", out, "--no-oracle", "--save-samples"]) == 0
+    assert main(["run", write_cfg(tmp_path, dict(SMALL, n_cases=1, solvers=["ddrm"])),
+                 "--out", out, "--no-oracle"]) == 0
+    assert not list((tmp_path / "out" / "samples").iterdir())
+    with pytest.raises(SystemExit) as exit_info:
+        main(["report", out, "--out", str(tmp_path / "o2")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"diffuq report: error: report {out}: no persisted samples under {out}"], err
 
 
 @pytest.fixture(scope="module")
@@ -343,6 +386,37 @@ def saved_run(tmp_path_factory, small_rows):
     out = tmp_path_factory.mktemp("saved")
     write_report(small_rows, out, save_samples=True)
     return str(out)
+
+
+FIRST_SAMPLE = "row0__reference_exact__case0.npz"  # the file reaggregate reads first
+
+
+@pytest.fixture(scope="module")
+def damaged_runs(tmp_path_factory, small_rows):
+    """Report directories with a damaged ``samples/``, manifest or summary, by name."""
+    runs = {name: tmp_path_factory.mktemp(name) for name in
+            ("truncated", "no_operator", "bad_meta", "empty", "stray", "bad_manifest",
+             "bad_config", "list_summary")}
+    for name in ("truncated", "no_operator", "bad_meta", "bad_manifest", "bad_config",
+                 "list_summary"):
+        write_report(small_rows, runs[name], save_samples=True)
+    first = {name: runs[name] / "samples" / FIRST_SAMPLE
+             for name in ("truncated", "no_operator", "bad_meta")}
+    (runs["bad_manifest"] / "manifest.json").write_text("{broken")
+    (runs["list_summary"] / "summary.json").write_text("[1]")
+    (runs["bad_config"] / "manifest.json").write_text(
+        json.dumps({"config": dict(SMALL, sigma_y=-1.0)}))
+    blob = first["truncated"].read_bytes()
+    first["truncated"].write_bytes(blob[:len(blob) // 2])
+    data = dict(np.load(first["no_operator"]))
+    del data["operator"]
+    np.savez(first["no_operator"], **data)
+    data = dict(np.load(first["bad_meta"]))
+    np.savez(first["bad_meta"], **{**data, "meta": np.array("{not json")})
+    for name in ("empty", "stray"):
+        (runs[name] / "samples").mkdir()
+    (runs["stray"] / "samples" / "notes.txt").write_text("notes\n")
+    return {name: str(out) for name, out in runs.items()}
 
 
 @pytest.mark.parametrize("argv, names", [
@@ -359,15 +433,27 @@ def saved_run(tmp_path_factory, small_rows):
     (["sweep", "{cfg}", "--solver", "ddrm", "--param", "eta", "--values", "0.5",
       "--out", "{cfg}"], "--out {cfg}: "),
     (["report", "{saved}", "--out", "{cfg}"], "--out {cfg}: "),
+    (["report", "{truncated}"], f"report {{truncated}}: {FIRST_SAMPLE}: File is not a zip"),
+    (["report", "{no_operator}", "--out", "{out}"],
+     f"report {{no_operator}}: {FIRST_SAMPLE}: 'operator is not a file"),
+    (["report", "{empty}"], "report {empty}: no persisted samples"),
+    (["report", "{stray}"], "report {stray}: no persisted samples"),
+    (["report", "{bad_meta}"], f"report {{bad_meta}}: {FIRST_SAMPLE}: Expecting property"),
+    (["report", "{bad_manifest}"], "report {bad_manifest}: manifest.json: Expecting property"),
+    (["report", "{bad_config}"], "report {bad_config}: sigma_y must lie within"),
+    (["report", "{list_summary}"], "report {list_summary}: summary.json: 'list' object"),
 ], ids=["values", "param", "missing-run", "missing-oracle", "invalid-config", "invalid-yaml",
         "report-missing", "out-file-run", "out-under-file-run", "out-file-sweep",
-        "out-file-report"])
-def test_cli_bad_input_is_one_error_line(tmp_path, capsys, saved_run, argv, names):
+        "out-file-report", "report-truncated", "report-no-operator", "report-empty",
+        "report-stray-file", "report-bad-meta", "report-bad-manifest",
+        "report-bad-manifest-config", "report-summary-not-object"])
+def test_cli_bad_input_is_one_error_line(tmp_path, capsys, saved_run, damaged_runs, argv,
+                                         names):
     """Bad input ends with exit status 2 and one error line that names the
     flag or file, and no traceback."""
     paths = {"cfg": write_cfg(tmp_path, SMALL), "missing": str(tmp_path / "nope.yaml"),
              "bad": str(tmp_path / "bad.yaml"), "broken": str(tmp_path / "broken.yaml"),
-             "saved": saved_run}
+             "saved": saved_run, "out": str(tmp_path / "out"), **damaged_runs}
     Path(paths["bad"]).write_text(yaml.safe_dump(dict(SMALL, sigma_y=1e-200)))
     Path(paths["broken"]).write_text("experiment: [\n")
     argv = [a.format(**paths) for a in argv] + (
