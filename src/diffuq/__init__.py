@@ -9,6 +9,16 @@ variances against the exact references.
 
 __version__ = "0.1.0"
 
+import os
+
+# One BLAS thread unless the user chose: the samplers call BLAS on small
+# matrices, where OpenBLAS's own threads only contend with each other and
+# with other processes (one fps_smc batch ran 4.7 times slower with the
+# default thread count on a busy 2-vCPU host). OpenBLAS reads the variable
+# when numpy loads it, so this holds only if diffuq is imported first.
+if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .gmm import (
     GaussianMixture,
     ToyPriorSpec,

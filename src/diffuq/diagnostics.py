@@ -60,6 +60,12 @@ def _ok_samples(batch) -> np.ndarray:
     return batch.samples[batch.ok_mask()]
 
 
+def _check_lengths(batches, ground_truths) -> None:
+    if len(batches) != len(ground_truths):
+        raise ValueError(f"{len(batches)} batches for {len(ground_truths)} ground truths; "
+                         "give one ground truth per batch")
+
+
 def coverage_eval(batches, ground_truths, alpha_z: float = 1.96) -> CoverageReport:
     """Interval-coverage evaluation over N cases.
 
@@ -68,6 +74,7 @@ def coverage_eval(batches, ground_truths, alpha_z: float = 1.96) -> CoverageRepo
     indicators over all (case, coordinate) pairs. Cases without at least two
     valid rows are excluded and counted in ``invalid_cases``.
     """
+    _check_lengths(batches, ground_truths)
     hits, widths, variances = [], [], []
     invalid = 0
     for batch, x_star in zip(batches, ground_truths):
@@ -124,6 +131,7 @@ def obs_null_variance(batches, A: LinearOperatorSVD) -> ObsNullReport:
 
 def rmse_eval(batches, ground_truths) -> AccuracyReport:
     """Per-sample RMSE ||x - x*|| / sqrt(d), pooled over cases."""
+    _check_lengths(batches, ground_truths)
     vals = []
     for batch, x_star in zip(batches, ground_truths):
         X = _ok_samples(batch)

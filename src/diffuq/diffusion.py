@@ -25,12 +25,14 @@ from .gmm import (
     _cho_solve_vec,
     _component_logpdfs,
     _denoise_batch,
+    _inverse_cdf,
     _log_normalised,
     _mixture_logpdfs_rows,
     _mixtures_logpdfs_rows,
     _normals,
     _precisions,
     _score_and_denoise,
+    _uniforms,
     _vecmat_sets,
 )
 
@@ -190,9 +192,8 @@ class ReverseKernel:
         if level == self.sched.last_nonzero_index:
             return self.denoise(flat, level).reshape(X.shape)
         logr = self.log_responsibilities(flat, level)
-        u = np.concatenate([rng.random(n) for rng in rngs])
-        noise = np.concatenate([rng.standard_normal((n, d)) for rng in rngs])
-        return self._transition(flat, level, logr, u, noise,
+        return self._transition(flat, level, logr, _uniforms(rngs, n).ravel(),
+                                _normals(rngs, (n, d)).reshape(K * n, d),
                                 np.repeat(np.arange(K), n)).reshape(X.shape)
 
     def step_rows(self, X: np.ndarray, level: int, rngs) -> np.ndarray:
@@ -201,17 +202,14 @@ class ReverseKernel:
         if level == self.sched.last_nonzero_index:
             return self.denoise_rows(X, level)
         logr = self.log_responsibilities_rows(X, level)
-        u = np.array([rng.random() for rng in rngs])
-        return self._transition(X, level, logr, u, _normals(rngs, X.shape[1]))
+        return self._transition(X, level, logr, _uniforms(rngs), _normals(rngs, X.shape[1]))
 
     def _transition(self, X, level, logr, u, noise, sets=None):
         """Draw each row's component by inverse CDF of its responsibilities at
         ``u``, then its conditional Gaussian; ``sets`` labels the particle
         set of each row (see ``_vecmat_sets``), and without it each row is a
         set of its own."""
-        cum = np.cumsum(np.exp(logr), axis=1)
-        comp = np.sum(u[:, None] >= cum, axis=1)
-        comp = np.minimum(comp, self.prior.n_components - 1)
+        comp = _inverse_cdf(np.cumsum(np.exp(logr), axis=1), u)
         out = np.empty_like(X)
         for c in range(self.prior.n_components):
             rows = np.flatnonzero(comp == c)

@@ -47,12 +47,37 @@ def _as_rng(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
-def _normals(rngs, d: int) -> np.ndarray:
-    """(K, d) standard normals; row k is ``rngs[k].standard_normal(d)``."""
-    out = np.empty((len(rngs), d))
+# Per-row draws. Row k of a K-row batch draws from its own generator
+# ``rngs[k]`` (one generator per row, no two rows sharing one), so its
+# numbers do not depend on K or on the order in which the rows draw. Every
+# draw goes through these two helpers but those of the one-generator forms
+# (``sample_mixture``, ``smc_resample``, ...) and reddiff's level draw;
+# tests/test_source.py holds the list.
+
+def _normals(rngs, shape) -> np.ndarray:
+    """(K, *shape) standard normals; row k is ``rngs[k].standard_normal(shape)``."""
+    out = np.empty((len(rngs), *(shape if isinstance(shape, tuple) else (shape,))))
     for row, rng in zip(out, rngs):
         rng.standard_normal(out=row)
     return out
+
+
+def _uniforms(rngs, n=None) -> np.ndarray:
+    """(K,) uniforms on [0, 1), row k ``rngs[k].random()``; with ``n``,
+    (K, n), row k ``rngs[k].random(n)``."""
+    if n is None:
+        return np.fromiter((rng.random() for rng in rngs), float, len(rngs))
+    out = np.empty((len(rngs), n))
+    for row, rng in zip(out, rngs):
+        rng.random(out=row)
+    return out
+
+
+def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """How many of the nondecreasing cumulative weights ``cum[..., :]`` are
+    <= each uniform ``u[...]``, capped at the last index: the inverse-CDF
+    pick ``searchsorted(cum, u, side="right")`` of ``rng.choice``, row-wise."""
+    return np.minimum(np.sum(u[..., None] >= cum, axis=-1), cum.shape[-1] - 1)
 
 
 # Row-wise products. Each row of a K-row batch gets the bits it would get on
@@ -395,12 +420,8 @@ def _sample_mixture_rows(gmm: GaussianMixture, rngs) -> np.ndarray:
     # its per-call checks of ``p``, which the mixture's constructor made
     cdf = gmm.weights.cumsum()
     cdf /= cdf[-1]
-    comp = np.empty(len(rngs), dtype=int)
-    noise = np.empty((len(rngs), gmm.dim))
-    for k, rng in enumerate(rngs):
-        comp[k] = cdf.searchsorted(rng.random(1), side="right")[0]
-        rng.standard_normal(out=noise[k])
-    return _mixture_draw(gmm, comp, noise, _vecmat_rows)
+    comp = _inverse_cdf(cdf, _uniforms(rngs))
+    return _mixture_draw(gmm, comp, _normals(rngs, gmm.dim), _vecmat_rows)
 
 
 def _mixture_draw(gmm: GaussianMixture, comp, noise, vecmat) -> np.ndarray:

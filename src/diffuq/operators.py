@@ -79,9 +79,11 @@ class LinearOperatorSVD:
         return s
 
     def spectral_y(self, y) -> np.ndarray:
-        """An observation in the spectral basis: U^T y cut or zero-padded to length d."""
-        yb = np.zeros(self.d)
-        yb[: len(self.S)] = (self.U.T @ np.asarray(y))[: len(self.S)]
+        """An observation, or each of a (..., m) stack with the bits it has
+        alone, in the spectral basis: U^T y cut or zero-padded to length d."""
+        y = np.asarray(y)
+        yb = np.zeros(y.shape[:-1] + (self.d,))
+        yb[..., : len(self.S)] = (self.U.T @ y[..., None])[..., : len(self.S), 0]
         return yb
 
     def is_binary(self) -> bool:

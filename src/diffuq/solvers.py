@@ -27,13 +27,14 @@ from .diffusion import NoiseSchedule, ReverseKernel, level_index_for_sigma
 from .gmm import (
     GaussianMixture,
     exact_posterior,
-    sample_mixture,
     _as_rng,
     _alone,
+    _inverse_cdf,
     _logsumexp,
     _matvec_rows,
     _normals,
     _sample_mixture_rows,
+    _uniforms,
     _vecmat_sets,
 )
 from .operators import (
@@ -340,23 +341,37 @@ def reddiff_update(mu, y, A: LinearOperatorSVD, sigma_y: float,
     return mu - step_size * (data_grad + lambda_reg * (eps_hat - eps))
 
 
-def smc_ess(weights) -> float:
-    """Effective sample size 1 / sum(w^2) of a normalized weight vector."""
+def _checked_weights(weights) -> np.ndarray:
+    """``weights`` as a float vector, which must be 1-D, finite and >= 0,
+    and sum to 1 within 1e-12."""
     w = np.asarray(weights, dtype=float)
+    if w.ndim != 1:
+        raise ValueError("weights must be a 1-D vector")
+    if not (np.isfinite(w).all() and (w >= 0).all()):
+        raise ValueError("weights must be finite and >= 0")
     total = w.sum()
     if total == 0:
         raise ValueError("all-zero weight vector")
     if abs(total - 1.0) > 1e-12:
         raise ValueError("weights must be normalized within 1e-12")
+    return w
+
+
+def smc_ess(weights) -> float:
+    """Effective sample size 1 / sum(w^2) of a normalized weight vector."""
+    w = _checked_weights(weights)
     return float(1.0 / np.sum(w**2))
 
 
 def smc_resample(particles, weights, seed) -> np.ndarray:
-    """Systematic resampling of a particle set; the caller resets weights to
-    uniform."""
+    """Systematic resampling of a particle set by its normalized weights,
+    one per particle (checked as ``smc_ess`` checks them); the caller
+    resets weights to uniform."""
     particles = np.asarray(particles)
-    w = np.asarray(weights, dtype=float)
+    w = _checked_weights(weights)
     n = len(w)
+    if len(particles) != n:
+        raise ValueError(f"give one weight per particle: {n} weights, {len(particles)} particles")
     rng = _as_rng(seed)
     positions = (rng.random() + np.arange(n)) / n
     idx = np.minimum(np.searchsorted(np.cumsum(w), positions), n - 1)
@@ -594,8 +609,8 @@ def _sample_pnpdm(spec, ms, ctx):
     def update(X, g, out):
         Z = z_step(X, out.aty, out.rngs)
         if mode == "conjugate":
-            return np.array([
-                sample_mixture(conjugate_denoising_posterior(ctx.prior, z, rho), 1, rng)[0]
+            return np.concatenate([
+                _sample_mixture_rows(conjugate_denoising_posterior(ctx.prior, z, rho), [rng])
                 for z, rng in zip(Z, out.rngs)
             ])
         for i in range(first, len(grid) - 1):
@@ -607,13 +622,23 @@ def _sample_pnpdm(spec, ms, ctx):
                      pinv_y=_per_case(ms, lambda y: apply_pinv(A, y)))
 
 
-def _degenerate_keep(w, rng):
-    """Systematic-resampling indices when the effective sample size of the
-    weights ``w`` is below half the particle count, else None."""
-    w = w / w.sum()
-    if smc_ess(w) < len(w) / 2:
-        return smc_resample(np.arange(len(w)), w, rng)
-    return None
+def _resample(log_w, rngs, *particles) -> np.ndarray:
+    """Systematic resampling of the rows whose effective sample size is below
+    half their particle count, given the (K, n) log-weights ``log_w``
+    normalised per row; returns those rows' indices. Row k's ESS and draw are
+    those of ``smc_ess`` and ``smc_resample`` on ``exp(log_w[k])`` divided by
+    its sum, with generator ``rngs[k]``, and the drawn indices permute axis 1
+    (the particles) of row k of each of ``particles`` in place. A row whose
+    weights are not finite is not resampled."""
+    w = np.exp(log_w)
+    w /= np.add.reduce(w, axis=-1, keepdims=True)
+    n = w.shape[-1]
+    rows = np.flatnonzero(1.0 / np.add.reduce(w**2, axis=-1) < n / 2)
+    if rows.size:
+        keep = np.array([smc_resample(np.arange(n), w[k], rngs[k]) for k in rows])
+        for a in particles:
+            a[rows] = a[rows[:, None], keep]
+    return rows
 
 
 def _picks(out: _Rows, X, log_w, step: int):
@@ -628,18 +653,9 @@ def _picks(out: _Rows, X, log_w, step: int):
     normalises them anyway."""
     w = np.exp(log_w - _logsumexp(log_w, axis=-1, keepdims=True))
     w, X = out.finite(w, step, X, why="final weights are not finite")
-    picks = np.empty(len(w), dtype=int)
-    for j, rng in enumerate(out.rngs):
-        cdf = w[j].cumsum()
-        cdf /= cdf[-1]
-        picks[j] = cdf.searchsorted(rng.random(), side="right")
-    return out.done(X[np.arange(len(picks)), picks])
-
-
-def _init_particles(ctx: SamplingContext, rngs, n: int) -> np.ndarray:
-    """(K, n, d): ``n`` particles per row at ``sigma_max``, from that row's generator."""
-    return np.array([ctx.sched.sigma_max * rng.standard_normal((n, ctx.prior.dim))
-                     for rng in rngs])
+    cdf = w.cumsum(axis=-1)
+    cdf /= cdf[:, -1:]
+    return out.done(X[np.arange(len(X)), _inverse_cdf(cdf, _uniforms(out.rngs))])
 
 
 def _particle_rows(batch, n_p: int):
@@ -694,20 +710,22 @@ def _sample_fps_smc(spec, ms, ctx):
         return -0.5 * np.sum(diff**2 / w_var[obs] + np.log(2 * np.pi * w_var[obs]),
                              axis=-1)
 
-    def spectral_path(rng, y):
-        """(n_levels, d): the row's coupled measurement path y_j = y + A eta_j,
-        built from sigma_min up, in the spectral basis."""
-        eta = np.empty((n_levels, d))
-        eta[n_levels - 1] = grid[n_levels - 1] * rng.standard_normal(d)
-        for j in range(n_levels - 2, -1, -1):
-            eta[j] = eta[j + 1] + np.sqrt(grid[j] ** 2 - grid[j + 1] ** 2) * rng.standard_normal(d)
-        return [A.spectral_y(y_j) for y_j in y[None, :] + apply_forward(A, eta)]
+    # the scale of each level's path noise, from sigma_min up: eta at the
+    # last nonzero level is grid[-2] times d normals, and each level above
+    # adds sqrt(grid[j]^2 - grid[j+1]^2) times d more
+    path_scale = np.array([grid[n_levels - 1]] + [np.sqrt(grid[j] ** 2 - grid[j + 1] ** 2)
+                                                  for j in range(n_levels - 2, -1, -1)])
 
     def batch(rngs, cases):
         out = _Rows(rngs, d, cases, y=Y)
-        # (K, n_levels, d)
-        yb_path = np.array([spectral_path(rng, y) for rng, y in zip(out.rngs, out.y)])
-        X = _init_particles(ctx, out.rngs, n_p)
+        # each row's coupled measurement path y_j = y + A eta_j in the
+        # spectral basis, (K, n_levels, d): eta sums one (n_levels, d) block
+        # of the row's normals from sigma_min up, then goes in level order,
+        # contiguous, so that its product runs the BLAS call of a one-row run
+        eta = np.cumsum(path_scale[:, None] * _normals(out.rngs, (n_levels, d)), axis=1)
+        yb_path = A.spectral_y(out.y[:, None, :]
+                               + apply_forward(A, np.ascontiguousarray(eta[:, ::-1])))
+        X = ctx.sched.sigma_max * _normals(out.rngs, (n_p, d))
         log_w = log_potential(X, 0, yb_path[:, 0])
         for i in out.steps(n_trans):
             K = len(out.rngs)
@@ -733,19 +751,13 @@ def _sample_fps_smc(spec, ms, ctx):
             # the next level's potential and divide out this level's own
             log_w = log_w + log_pred - log_potential(X, i, yb_path[:, i])
             log_w = log_w - _logsumexp(log_w, axis=-1, keepdims=True)
-            for j, rng in enumerate(out.rngs):
-                keep = _degenerate_keep(np.exp(log_w[j]), rng)
-                if keep is not None:
-                    X[j], means[:, j] = X[j][keep], means[:, j][:, keep]
-                    log_joint[j], log_pred[j] = log_joint[j][keep], log_pred[j][keep]
-                    log_w[j] = -np.log(n_p)
+            log_w[_resample(log_w, out.rngs, X, np.moveaxis(means, 0, 2), log_joint,
+                            log_pred)] = -np.log(n_p)
 
             # propagate from the conditional p(x_{i+1} | x_i, y_{i+1})
             comp_p = np.exp(log_joint - log_pred[..., None])
-            u = np.array([rng.random(n_p) for rng in out.rngs])
-            comp = np.sum(u[..., None] >= np.cumsum(comp_p, axis=-1), axis=-1)
-            comp = np.minimum(comp, C - 1).ravel()
-            noise = np.concatenate([rng.standard_normal((n_p, d)) for rng in out.rngs])
+            comp = _inverse_cdf(np.cumsum(comp_p, axis=-1), _uniforms(out.rngs, n_p)).ravel()
+            noise = _normals(out.rngs, (n_p, d)).reshape(K * n_p, d)
             pull = _matvec_rows(A.V, p_ob)  # V (precision-weighted pseudo-observation)
             sets = np.repeat(np.arange(K), n_p)
             X_new = np.empty((K * n_p, d))
@@ -789,14 +801,10 @@ def _sample_mcg_diff(spec, ms, ctx):
 
     def batch(rngs, cases):
         out = _Rows(rngs, ctx.prior.dim, cases, yb_obs=yb_obs)
-        X = _init_particles(ctx, out.rngs, n_p)
+        X = ctx.sched.sigma_max * _normals(out.rngs, (n_p, ctx.prior.dim))
         log_w = log_potential(X, sigma_y**2 + grid[0] ** 2, out.yb_obs)
         for i in out.steps(len(grid) - 1):
-            log_norm = _logsumexp(log_w, axis=-1, keepdims=True)
-            for j, rng in enumerate(out.rngs):
-                keep = _degenerate_keep(np.exp(log_w[j] - log_norm[j]), rng)
-                if keep is not None:
-                    X[j], log_w[j] = X[j][keep], 0.0
+            log_w[_resample(log_w - _logsumexp(log_w, axis=-1, keepdims=True), out.rngs, X)] = 0.0
             g_old = log_potential(X, sigma_y**2 + grid[i] ** 2, out.yb_obs)
             X, log_w, g_old = out.finite(kernel.step_sets(X, i, out.rngs), i, log_w, g_old)
             log_w = log_w + log_potential(X, sigma_y**2 + grid[i + 1] ** 2, out.yb_obs) - g_old

@@ -139,6 +139,16 @@ def test_obs_null_trace_additivity(rng):
         rep.per_dim_variance_svd.sum(), abs=1e-10)
 
 
+@pytest.mark.parametrize("evaluate", [coverage_eval, rmse_eval])
+@pytest.mark.parametrize("n_batches, n_truths", [(2, 1), (1, 2), (0, 1)])
+def test_evals_need_one_truth_per_batch(evaluate, n_batches, n_truths):
+    """A batch without a ground truth, or a truth without a batch, is an
+    error rather than silently left out of the score."""
+    batches = [FakeBatch(np.arange(6.0).reshape(3, 2))] * n_batches
+    with pytest.raises(ValueError, match="one ground truth per batch"):
+        evaluate(batches, [np.zeros(2)] * n_truths)
+
+
 # ---------------------------------------------------------------------------
 # RMSE
 # ---------------------------------------------------------------------------

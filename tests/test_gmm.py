@@ -20,10 +20,13 @@ from diffuq.gmm import (
     sample_mixture,
     score_and_denoise,
     _BAND_MAX_D,
+    _inverse_cdf,
     _logsumexp,
     _mixture_logpdfs_rows,
     _mixtures_logpdfs_rows,
+    _normals,
     _sample_mixture_rows,
+    _uniforms,
     _vecmat_rows,
 )
 from diffuq.operators import LinearOperatorSVD, _haar_orthogonal, build_operator
@@ -620,3 +623,34 @@ def test_sample_mixture_rows_component_draw_matches_choice(seed, raw):
         want = gmm.means[comp] + _vecmat_rows(noise[None], gmm._chols[comp].T)[0]
         assert np.array_equal(got[k], want)
         assert rngs[k].bit_generator.state == ref.bit_generator.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), K=st.integers(1, 6), n=st.integers(1, 8))
+def test_inverse_cdf_is_capped_searchsorted(data, K, n):
+    """``_inverse_cdf`` is ``searchsorted(side="right")`` capped at n - 1, per
+    row and for one cumulative vector shared by all rows, with ties from
+    zero weights and uniforms equal to a cumulative value."""
+    rows = st.lists(_WEIGHT_ENTRY, min_size=n, max_size=n)
+    cum = np.array(data.draw(st.lists(rows, min_size=K, max_size=K))).cumsum(axis=-1)
+    u = np.array([data.draw(st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                                      st.sampled_from(list(row)))) for row in cum])
+    got = _inverse_cdf(cum, u)
+    for k in range(K):
+        assert got[k] == min(np.searchsorted(cum[k], u[k], side="right"), n - 1)
+    want = np.minimum(np.searchsorted(cum[0], u, side="right"), n - 1)
+    assert np.array_equal(_inverse_cdf(cum[0], u), want)
+
+
+def test_row_draws_are_each_generators_own():
+    """Row k of ``_normals`` and ``_uniforms`` is what generator k draws on
+    its own, and leaves it in the same state."""
+    rngs = [np.random.default_rng([7, k]) for k in range(5)]
+    refs = [np.random.default_rng([7, k]) for k in range(5)]
+    got = [_uniforms(rngs), _normals(rngs, 3), _uniforms(rngs, 4), _normals(rngs, (2, 3))]
+    for k, ref in enumerate(refs):
+        want = [ref.random(), ref.standard_normal(3), ref.random(4), ref.standard_normal((2, 3))]
+        for g, w in zip(got, want):
+            assert np.array_equal(g[k], w)
+        assert rngs[k].bit_generator.state == ref.bit_generator.state
+    assert _normals([], (2, 3)).shape == (0, 2, 3) and _uniforms([]).shape == (0,)

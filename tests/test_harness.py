@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -275,6 +278,25 @@ def write_cfg(tmp_path, data):
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump(data))
     return str(path)
+
+
+@pytest.mark.parametrize("env, want", [
+    ({}, ("1", None)),
+    ({"OPENBLAS_NUM_THREADS": "3"}, ("3", None)),
+    ({"OMP_NUM_THREADS": "3"}, (None, "3")),
+], ids=["unset", "openblas_set", "omp_set"])
+def test_import_runs_blas_on_one_thread_by_default(env, want):
+    """Imported before numpy, diffuq sets OPENBLAS_NUM_THREADS to 1 unless
+    it or OMP_NUM_THREADS is set, and leaves OMP_NUM_THREADS alone. Runs in
+    a new interpreter, because this one has loaded numpy already."""
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = str(Path(diffuq.solvers.__file__).resolve().parents[1])
+    code = ("import os, diffuq, numpy; "
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'), os.environ.get('OMP_NUM_THREADS'))")
+    run = subprocess.run([sys.executable, "-c", code], env={**base, **env}, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert run.stdout.split() == [str(v) for v in want]
 
 
 def test_cli_run(tmp_path, capsys):

@@ -212,3 +212,6 @@ def test_spectral_y_matches_inline_block(m, d):
     yb = np.zeros(A.d)
     yb[: len(A.S)] = (A.U.T @ y)[: len(A.S)]
     assert np.array_equal(A.spectral_y(y), yb)
+    # a stack of observations: each with the bits it has alone
+    Y = rng.standard_normal((3, 5, m))
+    assert np.array_equal(A.spectral_y(Y), [[A.spectral_y(y) for y in Yk] for Yk in Y])

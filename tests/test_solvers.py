@@ -41,6 +41,7 @@ from diffuq.solvers import (
     reddiff_update,
     _Rows,
     _picks,
+    _resample,
     resolve_solver,
     run_batch,
     sample_one,
@@ -447,6 +448,53 @@ def test_systematic_uniform_is_permutation(rng):
     out = smc_resample(P, np.full(6, 1 / 6), 3)
     # every particle appears exactly once
     assert np.array_equal(np.sort(out, axis=0), np.sort(P, axis=0))
+
+
+@pytest.mark.parametrize("particles, weights, match", [
+    (np.arange(4), np.full((2, 2), 0.25), "1-D"),
+    (np.arange(3), np.full(4, 0.25), "one weight per particle"),
+    (np.arange(4), np.array([0.5, np.nan, 0.25, 0.25]), "finite"),
+    (np.arange(4), np.array([0.75, -0.25, 0.25, 0.25]), ">= 0"),
+    (np.arange(4), np.ones(4), "normalized"),
+], ids=["not_1d", "count", "not_finite", "negative", "not_normalized"])
+def test_resample_rejects_bad_weights(particles, weights, match):
+    with pytest.raises(ValueError, match=match):
+        smc_resample(particles, weights, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 20), n=st.integers(1, 64),
+       scale=st.sampled_from([0.0, 0.1, 1.0, 10.0, 1e3]))
+def test_resample_rows_match_per_row_ess_and_resample(seed, K, n, scale):
+    """The SMC samplers' row-wise resampling step picks the rows whose
+    ``smc_ess`` is below n / 2 and permutes them by ``smc_resample``, with
+    each row's generator left as the per-row calls leave it. Rows 0 to 3 are
+    uniform, one-hot, uniform on half the particles (an ESS of n / 2) and
+    not finite (left alone)."""
+    rng = np.random.default_rng(seed)
+    log_w = scale * rng.standard_normal((K, n))
+    log_w[0] = 0.0
+    log_w[1:3] = -np.inf
+    log_w[1:2, rng.integers(n)] = 0.0
+    log_w[2:3, : max(1, n // 2)] = 0.0
+    log_w -= _logsumexp(log_w, axis=-1, keepdims=True)
+    log_w[3:4, -1] = np.nan
+    index, X = np.tile(np.arange(n), (K, 1)), rng.standard_normal((K, n, 2))
+    X0 = X.copy()
+    rngs = [np.random.default_rng([seed, k]) for k in range(K)]
+    refs = [np.random.default_rng([seed, k]) for k in range(K)]
+    rows = _resample(log_w, rngs, index, X)
+    resampled = []
+    for k, ref in enumerate(refs):
+        w = np.exp(log_w[k])
+        w = w / w.sum()
+        keep = np.arange(n)
+        if np.isfinite(w).all() and smc_ess(w) < n / 2:
+            resampled.append(k)
+            keep = smc_resample(keep, w, ref)
+        assert np.array_equal(index[k], keep) and np.array_equal(X[k], X0[k, keep])
+        assert rngs[k].bit_generator.state == ref.bit_generator.state
+    assert rows.tolist() == resampled
 
 
 def test_resample_unbiased():
