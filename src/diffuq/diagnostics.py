@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gmm import GaussianMixture, exact_posterior, mixture_moments, sample_mixture
+from .gmm import (GaussianMixture, exact_posterior, mixture_moments, sample_mixture,
+                  _sample_mixture_rows)
 from .operators import LinearOperatorSVD, synthesize_measurement
-from .seeding import derive_seed
+from .seeding import derive_seed, generators, row_seeds
 
 __all__ = [
     "CoverageReport",
@@ -184,25 +185,28 @@ def oracle_reference(prior: GaussianMixture, A: LinearOperatorSVD, sigma_y: floa
     Theory variances are the exact posterior directional variances
     (V^T Cov_post V)_jj averaged over cases and split by singular value;
     oracle coverage and RMSE are Monte Carlo estimates from the exact
-    posterior sampler run through the same evaluation pipeline.
+    posterior sampler run through the same evaluation pipeline. Each case's
+    posterior is built once and gives both: its draws are the rows
+    ``reference_exact`` draws with base seed ``derive_seed(seed, [("case", n)])``.
     """
-    from .solvers import SamplingContext, resolve_solver, run_cases
-    from .diffusion import build_schedule
+    from .solvers import SampleBatch, resolve_solver
 
     spec = resolve_solver("reference_exact")
-    sched = build_schedule(0.01, 10.0, 4)  # unused by the exact sampler
-    ctx = SamplingContext.build(prior, sched)
     obs_idx, null_idx = (
         A.obs_null_split() if A.is_binary() else (np.arange(A.d), np.array([], int))
     )
 
     measurements = _experiment_cases(prior, A, sigma_y, n_cases, seed)
     dir_var = np.zeros(A.d)
-    for m in measurements:
-        _, cov = mixture_moments(exact_posterior(prior, A, m.y, sigma_y))
+    batches = []
+    for n, m in enumerate(measurements):
+        post = exact_posterior(prior, A, m.y, sigma_y)
+        _, cov = mixture_moments(post)
         dir_var += np.diag(A.V.T @ cov @ A.V)
-    batches = run_cases(spec, measurements, prior, sched, k_samples,
-                        [derive_seed(seed, [("case", n)]) for n in range(n_cases)], ctx=ctx)
+        seeds = row_seeds(derive_seed(seed, [("case", n)]), k_samples)
+        batches.append(SampleBatch(solver=spec, measurement=m,
+                                   samples=_sample_mixture_rows(post, generators(seeds)),
+                                   seeds=seeds.tolist(), statuses=["ok"] * len(seeds)))
     dir_var /= n_cases
     truths = [m.x_star for m in measurements]
     cov_rep = coverage_eval(batches, truths)

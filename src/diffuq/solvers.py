@@ -16,6 +16,7 @@ Loop structures are documented in docs/solvers.md and frozen by tests.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -46,7 +47,7 @@ from .operators import (
     _forward_rows,
     _pinv_rows,
 )
-from .seeding import derive_seed
+from .seeding import generators, row_seeds
 
 __all__ = [
     "SOLVER_NAMES",
@@ -386,17 +387,22 @@ def smc_resample(particles, weights, seed) -> np.ndarray:
 class SamplingContext:
     """The (prior, schedule) constants shared by every batch of one problem.
 
-    Immutable. Constants that depend on the measurements are built by each
-    sampler's setup, once per batch of cases.
+    Immutable. The reverse kernel is built when a sampler first asks for
+    it, so a context used only by ``reference_exact`` never builds it.
+    Constants that depend on the measurements are built by each sampler's
+    setup, once per batch of cases.
     """
 
     prior: GaussianMixture
     sched: NoiseSchedule
-    kernel: ReverseKernel
 
     @classmethod
     def build(cls, prior: GaussianMixture, sched: NoiseSchedule) -> "SamplingContext":
-        return cls(prior=prior, sched=sched, kernel=ReverseKernel(prior, sched))
+        return cls(prior=prior, sched=sched)
+
+    @functools.cached_property
+    def kernel(self) -> ReverseKernel:
+        return ReverseKernel(self.prior, self.sched)
 
 
 def _status(step: int, why: str = "") -> str:
@@ -882,7 +888,10 @@ def run_cases(spec: SolverSpec, ms, prior: GaussianMixture, sched: NoiseSchedule
               K: int, base_seeds, ctx: SamplingContext | None = None) -> list:
     """K independent reconstructions for each measurement of ``ms``, one
     ``SampleBatch`` per measurement; ``ms`` share one operator and
-    ``sigma_y``. Row k of case n is seeded from (``base_seeds[n]``, k).
+    ``sigma_y``. Row k of case n draws from ``default_rng`` of the seed
+    ``derive_seed(base_seeds[n], [("row", k)])``; the seeds and generators
+    of a chunk are made in one pass (``seeding.row_seeds`` and
+    ``seeding.generators``).
 
     The solver sets up for all the measurements once, then advances the
     rows of whole cases together in chunks of at most ``ROW_BUDGET`` rows,
@@ -897,18 +906,17 @@ def run_cases(spec: SolverSpec, ms, prior: GaussianMixture, sched: NoiseSchedule
         raise ValueError("give one base seed per measurement, and at least one measurement")
     t0 = time.perf_counter()
     rows = _setup(spec, ms, prior, sched, ctx)
-    seeds = [[derive_seed(base, [("row", k)]) for k in range(K)] for base in base_seeds]
+    seeds = np.array([row_seeds(base, K) for base in base_seeds])
     per_chunk = max(1, ROW_BUDGET // K)
     samples, statuses = np.empty((len(ms) * K, prior.dim)), []
     for a in range(0, len(ms), per_chunk):
         chunk = range(a, min(a + per_chunk, len(ms)))
-        samples[a * K : chunk.stop * K], st = rows(
-            [np.random.default_rng(seed) for n in chunk for seed in seeds[n]],
-            np.repeat(chunk, K))
+        samples[a * K : chunk.stop * K], st = rows(generators(seeds[a : chunk.stop].ravel()),
+                                                   np.repeat(chunk, K))
         statuses += st
     share = (time.perf_counter() - t0) / len(ms)
     return [SampleBatch(solver=spec, measurement=m, samples=samples[n * K : (n + 1) * K],
-                        seeds=seeds[n], statuses=statuses[n * K : (n + 1) * K],
+                        seeds=seeds[n].tolist(), statuses=statuses[n * K : (n + 1) * K],
                         wall_time=share)
             for n, m in enumerate(ms)]
 

@@ -1,7 +1,9 @@
+# diffuq first: importing it sets the one-thread BLAS default, which numpy's
+# OpenBLAS reads only when numpy loads (test_harness.py checks it)
+from diffuq import ToyPriorSpec, build_schedule, build_toy_prior
+
 import numpy as np
 import pytest
-
-from diffuq import ToyPriorSpec, build_schedule, build_toy_prior
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import os
 import re
@@ -297,6 +298,30 @@ def test_import_runs_blas_on_one_thread_by_default(env, want):
     run = subprocess.run([sys.executable, "-c", code], env={**base, **env}, capture_output=True,
                          text=True, timeout=120, check=True)
     assert run.stdout.split() == [str(v) for v in want]
+
+
+def _openblas_threads():
+    """The thread count of numpy's bundled OpenBLAS in this process, or None
+    when numpy bundles none with ``scipy_openblas_get_num_threads64_``."""
+    for lib in sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("*openblas*")):
+        try:
+            return ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_()
+        except (OSError, AttributeError):
+            continue
+    return None
+
+
+def test_suite_runs_blas_at_the_variables_thread_count():
+    """tests/conftest.py imports diffuq before numpy, so this process's
+    OpenBLAS runs the thread count OPENBLAS_NUM_THREADS names (OpenBLAS caps
+    it at the usable CPUs)."""
+    want = os.environ.get("OPENBLAS_NUM_THREADS")
+    if want is None:
+        pytest.skip("OPENBLAS_NUM_THREADS is not set")
+    got = _openblas_threads()
+    if got is None:
+        pytest.skip("numpy bundles no scipy-openblas")
+    assert got == min(int(want), len(os.sched_getaffinity(0)))
 
 
 def test_cli_run(tmp_path, capsys):

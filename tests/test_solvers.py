@@ -671,6 +671,16 @@ def test_context_reuse_across_operators(toy_prior, sched12):
         ctx.kernel = None
 
 
+def test_context_builds_the_kernel_on_first_use(toy_prior, sched12):
+    m = synthesize_measurement(build_operator("identity", 16), np.zeros(16), 1.0, 1)
+    ctx = SamplingContext.build(toy_prior, sched12)
+    run_batch(resolve_solver("reference_exact"), m, toy_prior, sched12, 2, 7, ctx=ctx)
+    assert "kernel" not in vars(ctx)
+    run_batch(resolve_solver("dps"), m, toy_prior, sched12, 2, 7, ctx=ctx)
+    kernel = vars(ctx)["kernel"]
+    assert isinstance(kernel, ReverseKernel) and ctx.kernel is kernel
+
+
 def test_context_for_another_problem_rejected(toy_prior, sched12):
     m = synthesize_measurement(build_operator("identity", 16), np.zeros(16), 1.0, 1)
     ctx = SamplingContext.build(toy_prior, sched12)
