@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gmm import (GaussianMixture, exact_posterior, mixture_moments, sample_mixture,
-                  _sample_mixture_rows)
+from .gmm import GaussianMixture, sample_mixture, _Posterior, _mixture_rows, _moments
 from .operators import LinearOperatorSVD, synthesize_measurement
 from .seeding import derive_seed, generators, row_seeds
 
@@ -185,9 +184,10 @@ def oracle_reference(prior: GaussianMixture, A: LinearOperatorSVD, sigma_y: floa
     Theory variances are the exact posterior directional variances
     (V^T Cov_post V)_jj averaged over cases and split by singular value;
     oracle coverage and RMSE are Monte Carlo estimates from the exact
-    posterior sampler run through the same evaluation pipeline. Each case's
-    posterior is built once and gives both: its draws are the rows
-    ``reference_exact`` draws with base seed ``derive_seed(seed, [("case", n)])``.
+    posterior sampler run through the same evaluation pipeline. One
+    posterior object conditions every case and gives both: case n's draws
+    are the rows ``reference_exact`` draws with base seed
+    ``derive_seed(seed, [("case", n)])``.
     """
     from .solvers import SampleBatch, resolve_solver
 
@@ -197,15 +197,17 @@ def oracle_reference(prior: GaussianMixture, A: LinearOperatorSVD, sigma_y: floa
     )
 
     measurements = _experiment_cases(prior, A, sigma_y, n_cases, seed)
+    post = _Posterior(prior, A, sigma_y)
+    weights, means = post.condition(np.array([m.y for m in measurements]))
     dir_var = np.zeros(A.d)
     batches = []
     for n, m in enumerate(measurements):
-        post = exact_posterior(prior, A, m.y, sigma_y)
-        _, cov = mixture_moments(post)
+        _, cov = _moments(weights[n], means[n], post.covs)
         dir_var += np.diag(A.V.T @ cov @ A.V)
         seeds = row_seeds(derive_seed(seed, [("case", n)]), k_samples)
-        batches.append(SampleBatch(solver=spec, measurement=m,
-                                   samples=_sample_mixture_rows(post, generators(seeds)),
+        at = np.full(k_samples, n)
+        samples = _mixture_rows(weights[at], means[at], post.chols, generators(seeds))
+        batches.append(SampleBatch(solver=spec, measurement=m, samples=samples,
                                    seeds=seeds.tolist(), statuses=["ok"] * len(seeds)))
     dir_var /= n_cases
     truths = [m.x_star for m in measurements]

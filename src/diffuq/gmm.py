@@ -410,28 +410,40 @@ def sample_mixture(gmm: GaussianMixture, n: int, seed) -> np.ndarray:
         raise ValueError("n must be >= 1")
     rng = _as_rng(seed)
     comp = rng.choice(gmm.n_components, size=n, p=gmm.weights)
-    return _mixture_draw(gmm, comp, rng.standard_normal((n, gmm.dim)), np.matmul)
+    noise = rng.standard_normal((n, gmm.dim))
+    out = np.empty(noise.shape)
+    for c, chol in enumerate(gmm._chols):
+        mask = comp == c
+        if mask.any():
+            out[mask] = gmm.means[c] + noise[mask] @ chol.T
+    return out
 
 
 def _sample_mixture_rows(gmm: GaussianMixture, rngs) -> np.ndarray:
     """One draw per generator; row k has the bits of
     ``sample_mixture(gmm, 1, rngs[k])`` at any batch size."""
-    # the inverse-CDF draw of ``rng.choice(C, size=1, p=weights)``, without
-    # its per-call checks of ``p``, which the mixture's constructor made
-    cdf = gmm.weights.cumsum()
-    cdf /= cdf[-1]
+    shape = (len(rngs), *gmm.means.shape)
+    return _mixture_rows(np.broadcast_to(gmm.weights, shape[:2]),
+                         np.broadcast_to(gmm.means, shape), gmm._chols, rngs)
+
+
+def _mixture_rows(weights, means, chols, rngs) -> np.ndarray:
+    """One draw per generator, row k from the mixture of the weights
+    ``weights[k]`` (C,) and means ``means[k]`` (C, d) whose components share
+    the lower Cholesky factors ``chols`` (C, d, d) of their covariances. Row
+    k has the bits of ``sample_mixture`` of that mixture, one draw from
+    ``rngs[k]``, at any batch size."""
+    # the inverse-CDF draw of ``rng.choice(C, size=1, p=weights[k])``, without
+    # its per-call checks of ``p``, which the weights' maker made
+    cdf = weights.cumsum(axis=-1)
+    cdf /= cdf[:, -1:]
     comp = _inverse_cdf(cdf, _uniforms(rngs))
-    return _mixture_draw(gmm, comp, _normals(rngs, gmm.dim), _vecmat_rows)
-
-
-def _mixture_draw(gmm: GaussianMixture, comp, noise, vecmat) -> np.ndarray:
-    """``means[comp] + L_comp noise`` per row, with ``vecmat`` the product."""
+    noise = _normals(rngs, chols.shape[-1])
     out = np.empty(noise.shape)
-    for c in range(gmm.n_components):
+    for c, chol in enumerate(chols):
         mask = comp == c
-        if not np.any(mask):
-            continue
-        out[mask] = gmm.means[c] + vecmat(noise[mask], gmm._chols[c].T)
+        if mask.any():
+            out[mask] = means[mask, c] + _vecmat_rows(noise[mask], chol.T)
     return out
 
 
@@ -533,60 +545,86 @@ def denoise_batch(gmm: GaussianMixture, X: np.ndarray, sigma_t: float):
                           np.atleast_2d(np.asarray(X, dtype=float)), sigma_t)
 
 
+class _Posterior:
+    """The posterior of the mixture ``gmm`` given y = A x + N(0, sigma_y^2 I)
+    (Bishop, PRML, 2006, §2.3.3), with what does not depend on y factored
+    once: each component's prior ``cho_factor`` and natural mean, its
+    posterior covariance ``covs`` (C, d, d) and lower Cholesky factor
+    ``chols``, and the ``cho_factor`` and log-determinant of its evidence
+    covariance A Sigma_c A^T + sigma_y^2 I. ``A`` is a LinearOperatorSVD
+    (anything exposing ``.matrix()``).
+    """
+
+    def __init__(self, gmm: GaussianMixture, A, sigma_y: float):
+        if sigma_y <= 0:
+            raise ValueError("sigma_y must be > 0")
+        Amat = A.matrix()
+        m, d = Amat.shape
+        AtA = Amat.T @ Amat
+        self._At, self._sigma_sq, self._m = Amat.T, sigma_y**2, m
+        self._nat = np.empty(gmm.means.shape)
+        self._Amu = np.empty((gmm.n_components, m))
+        self.covs = np.empty(gmm.covs.shape)
+        self._ev = []  # (cho_factor, log weight, log-determinant) per component
+        for c in range(gmm.n_components):
+            prior_cf = cho_factor(gmm.covs[c], lower=True)
+            prec = cho_solve(prior_cf, np.eye(d)) + AtA / sigma_y**2
+            cov = cho_solve(cho_factor(prec, lower=True), np.eye(d))
+            self.covs[c] = 0.5 * (cov + cov.T)
+            self._nat[c] = cho_solve(prior_cf, gmm.means[c])
+            self._Amu[c] = Amat @ gmm.means[c]
+            ev_cf = cho_factor(Amat @ gmm.covs[c] @ Amat.T + sigma_y**2 * np.eye(m), lower=True)
+            self._ev.append((ev_cf, np.log(gmm.weights[c]),
+                             2.0 * np.sum(np.log(np.diag(ev_cf[0])))))
+        self.chols = np.linalg.cholesky(self.covs)
+
+    def condition(self, Y: np.ndarray):
+        """The posterior weights (K, C) and means (K, C, d) given each row of
+        the (K, m) measurements ``Y``, with the bits ``exact_posterior``
+        gives that row alone: a gemv per row for A^T y and each mean, one
+        ``potrs`` whose columns are the rows' evidence solves, a ``ddot``
+        per row for their quadratic forms, and ``_logsumexp`` per row."""
+        aty = _matvec_rows(self._At, Y) / self._sigma_sq
+        means = np.empty((len(Y), *self._nat.shape))
+        log_w = np.empty((len(Y), len(self._ev)))
+        for c, (ev_cf, log_weight, logdet) in enumerate(self._ev):
+            means[:, c] = _matvec_rows(self.covs[c], self._nat[c] + aty)
+            r = Y - self._Amu[c]
+            quad = (r[:, None, :] @ _cho_solve_vec(ev_cf, r.T).T[:, :, None])[:, 0, 0]
+            log_w[:, c] = log_weight - 0.5 * (quad + logdet + self._m * np.log(2 * np.pi))
+        w = np.exp(log_w - _logsumexp(log_w, axis=-1, keepdims=True))
+        w[w < _WEIGHT_FLOOR] = 0.0
+        return w / w.sum(axis=-1, keepdims=True), means
+
+
 def exact_posterior(gmm: GaussianMixture, A, y: np.ndarray, sigma_y: float) -> GaussianMixture:
     """Posterior mixture for y = A x + N(0, sigma_y^2 I) with prior ``gmm``.
 
     Component-wise conjugate update; weights reweighted by the marginal
     evidence N(y; A mu_c, A Sigma_c A^T + sigma_y^2 I) and renormalized.
     ``A`` is a LinearOperatorSVD (anything exposing ``.matrix()`` and ``.m``).
+    The one-measurement call of ``_Posterior``.
     """
-    if sigma_y <= 0:
-        raise ValueError("sigma_y must be > 0")
+    post = _Posterior(gmm, A, sigma_y)
     y = np.asarray(y, dtype=float)
-    Amat = A.matrix()
-    m, d = Amat.shape
-    if y.shape != (m,):
-        raise ValueError(f"y has dimension {y.shape}, operator output is {m}")
-    AtA = Amat.T @ Amat
-    Aty = Amat.T @ y
-
-    C = gmm.n_components
-    post_means = np.empty((C, d))
-    post_covs = np.empty((C, d, d))
-    log_w = np.empty(C)
-    for c in range(C):
-        try:
-            prior_cf = cho_factor(gmm.covs[c], lower=True)
-        except np.linalg.LinAlgError:
-            raise ValueError(f"singular prior covariance in component {c}")
-        prec = cho_solve(prior_cf, np.eye(d)) + AtA / sigma_y**2
-        cov_cf = cho_factor(prec, lower=True)
-        cov = cho_solve(cov_cf, np.eye(d))
-        cov = 0.5 * (cov + cov.T)
-        mean = cov @ (cho_solve(prior_cf, gmm.means[c]) + Aty / sigma_y**2)
-        post_means[c] = mean
-        post_covs[c] = cov
-        ev_cov = Amat @ gmm.covs[c] @ Amat.T + sigma_y**2 * np.eye(m)
-        ev_cf = cho_factor(ev_cov, lower=True)
-        r = y - Amat @ gmm.means[c]
-        logdet = 2.0 * np.sum(np.log(np.diag(ev_cf[0])))
-        log_w[c] = (
-            np.log(gmm.weights[c])
-            - 0.5 * (r @ cho_solve(ev_cf, r) + logdet + m * np.log(2 * np.pi))
-        )
-
-    w = np.exp(log_w - _logsumexp(log_w))
-    w[w < _WEIGHT_FLOOR] = 0.0
-    w = w / w.sum()
-    return GaussianMixture(w, post_means, post_covs)
+    if y.shape != (A.m,):
+        raise ValueError(f"y has dimension {y.shape}, operator output is {A.m}")
+    _check_finite(y)
+    weights, means = post.condition(y[None])
+    return GaussianMixture(weights[0], means[0], post.covs)
 
 
 def mixture_moments(gmm: GaussianMixture):
     """Mean and covariance of the mixture (law of total variance)."""
-    mean = gmm.weights @ gmm.means
-    cov = np.zeros((gmm.dim, gmm.dim))
-    for c in range(gmm.n_components):
-        cov += gmm.weights[c] * (gmm.covs[c] + np.outer(gmm.means[c], gmm.means[c]))
+    return _moments(gmm.weights, gmm.means, gmm.covs)
+
+
+def _moments(weights, means, covs):
+    """``mixture_moments`` of the mixture of ``weights``, ``means`` and ``covs``."""
+    mean = weights @ means
+    cov = np.zeros(covs.shape[1:])
+    for c in range(len(weights)):
+        cov += weights[c] * (covs[c] + np.outer(means[c], means[c]))
     cov -= np.outer(mean, mean)
     return mean, cov
 

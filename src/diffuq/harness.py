@@ -188,6 +188,16 @@ def _batch_files(sample_dir) -> list:
     return sorted(n for n in os.listdir(sample_dir) if _BATCH_FILE.fullmatch(n))
 
 
+def _blas_build(module) -> dict:
+    """The ``blas`` and ``lapack`` entries of numpy's or scipy's build
+    configuration: the library that decides the last bits of each product."""
+    try:
+        deps = module.show_config(mode="dicts")["Build Dependencies"]
+    except (TypeError, KeyError):
+        return {}
+    return {key: deps[key] for key in ("blas", "lapack") if key in deps}
+
+
 def write_report(rows, out_dir, cfg: ExperimentConfig | None = None,
                  oracle: dict | None = None, save_samples: bool = False) -> dict:
     """Emit results.csv, summary.json, manifest.json (and sample matrices).
@@ -227,6 +237,8 @@ def write_report(rows, out_dir, cfg: ExperimentConfig | None = None,
         "python": sys.version.split()[0],
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
+        "blas": {mod.__name__: _blas_build(mod) for mod in (numpy, scipy)},
+        "thread_env": {k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")},
         "written_at": time.time(),
         "n_rows": len(rows),
         "total_wall_time": float(sum(r.wall_time for r in rows)),

@@ -28,11 +28,14 @@ from .diffusion import NoiseSchedule, ReverseKernel, level_index_for_sigma
 from .gmm import (
     GaussianMixture,
     exact_posterior,
+    _Posterior,
     _as_rng,
     _alone,
+    _cho_solve_vec,
     _inverse_cdf,
     _logsumexp,
     _matvec_rows,
+    _mixture_rows,
     _normals,
     _sample_mixture_rows,
     _uniforms,
@@ -188,8 +191,9 @@ def _z_step_sampler(A: LinearOperatorSVD, sigma_y: float, rho: float):
     chol = np.linalg.cholesky(0.5 * (cov + cov.T))
 
     def draw(X, aty, rngs):
-        """One z per row of the (K, d) array ``X``, with generator ``rngs[k]``."""
-        mean = cho_solve(cf, (aty + X / rho**2).T).T
+        """One z per row of the (K, d) array ``X``, with generator ``rngs[k]``;
+        a row whose data term is not finite comes out not finite."""
+        mean = _cho_solve_vec(cf, (aty + X / rho**2).T).T
         return mean + _matvec_rows(chol, _normals(rngs, d))
 
     return draw
@@ -492,15 +496,13 @@ def _row_loop(ctx: SamplingContext, n: int, update, start=None, **per_case):
 
 
 def _sample_reference_exact(spec, ms, ctx):
+    post = _Posterior(ctx.prior, *_shared(ms))
+    weights, means = post.condition(_per_case(ms, np.asarray))
+
     def rows(rngs, cases):
-        """One posterior per case of the chunk, built when its rows are
-        drawn, so a call holds only its chunk's posteriors."""
-        X = np.empty((len(rngs), ctx.prior.dim))
-        for n in np.unique(cases):
-            m, at = ms[n], np.flatnonzero(cases == n)
-            post = exact_posterior(ctx.prior, m.operator, m.y, m.sigma_y)
-            X[at] = _sample_mixture_rows(post, [rngs[k] for k in at])
-        return X, ["ok"] * len(rngs)
+        out = _Rows(rngs, ctx.prior.dim)
+        X = _mixture_rows(weights[cases], means[cases], post.chols, out.rngs)
+        return out.done(out.finite(X, 0, why="posterior is not finite"))
 
     return rows
 
@@ -606,6 +608,10 @@ def _sample_pnpdm(spec, ms, ctx):
     grid = ctx.sched.grid
     first = level_index_for_sigma(ctx.sched, rho)
     z_step = _z_step_sampler(A, sigma_y, rho)
+    if mode == "conjugate":
+        # the x-step's exact draw from p(x) N(x; z, rho^2 I), whose
+        # constants do not depend on z
+        denoise = _Posterior(ctx.prior, build_operator("identity", ctx.prior.dim), rho)
 
     def start(out):
         # data-informed start: observed directions from the pseudo-inverse,
@@ -613,12 +619,11 @@ def _sample_pnpdm(spec, ms, ctx):
         return ddnm_projection(_sample_mixture_rows(ctx.prior, out.rngs), out.pinv_y, A)
 
     def update(X, g, out):
-        Z = z_step(X, out.aty, out.rngs)
+        Z = out.finite(z_step(X, out.aty, out.rngs), g)
+        if not len(Z):
+            return Z
         if mode == "conjugate":
-            return np.concatenate([
-                _sample_mixture_rows(conjugate_denoising_posterior(ctx.prior, z, rho), [rng])
-                for z, rng in zip(Z, out.rngs)
-            ])
+            return _mixture_rows(*denoise.condition(Z), denoise.chols, out.rngs)
         for i in range(first, len(grid) - 1):
             Z = ctx.kernel.step_rows(Z, i, out.rngs)
         return Z

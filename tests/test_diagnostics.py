@@ -16,7 +16,10 @@ from diffuq.gmm import (
     sample_mixture,
 )
 from diffuq.operators import build_operator, synthesize_measurement
-from diffuq.solvers import SampleBatch, resolve_solver, run_batch
+import diffuq.diagnostics
+from diffuq.diagnostics import _experiment_cases
+from diffuq.seeding import derive_seed
+from diffuq.solvers import SampleBatch, resolve_solver, run_batch, run_cases
 
 
 class FakeBatch:
@@ -257,3 +260,30 @@ def test_oracle_self_consistent_with_sampling(toy_prior):
     se_null = t_null * np.sqrt(3.0 / (k * n_cases * 8))
     assert abs(rep.var_obs - t_obs) < 3 * se_obs * 3  # covariance slack
     assert abs(rep.var_null - t_null) < 3 * se_null * 3
+
+
+@pytest.mark.parametrize("A", [
+    build_operator("identity", 16),
+    build_operator("binary_svd", 16, obs_count=8, basis_mode="random_orthogonal", seed=9),
+], ids=["identity", "orthogonal_obs8"])
+def test_oracle_draws_equal_reference_exact_rows(toy_prior, monkeypatch, A):
+    """The oracle's draws for case n are, bit for bit, the rows
+    ``run_cases(reference_exact)`` draws with base seed
+    ``derive_seed(seed, [("case", n)])``."""
+    seen = []
+
+    def capture(batches, truths):
+        seen.extend(batches)
+        return coverage_eval(batches, truths)
+
+    monkeypatch.setattr(diffuq.diagnostics, "coverage_eval", capture)
+    n_cases, seed, k = 4, 13, 7
+    oracle_reference(toy_prior, A, 0.5, n_cases, seed, k_samples=k)
+    ms = _experiment_cases(toy_prior, A, 0.5, n_cases, seed)
+    want = run_cases(resolve_solver("reference_exact"), ms, toy_prior,
+                     build_schedule(0.01, 10.0, 4), k,
+                     [derive_seed(seed, [("case", n)]) for n in range(n_cases)])
+    assert len(seen) == n_cases
+    for got, ref in zip(seen, want):
+        assert np.array_equal(got.samples, ref.samples)
+        assert got.seeds == ref.seeds and got.statuses == ref.statuses

@@ -20,9 +20,11 @@ from diffuq.gmm import (
     sample_mixture,
     score_and_denoise,
     _BAND_MAX_D,
+    _Posterior,
     _inverse_cdf,
     _logsumexp,
     _mixture_logpdfs_rows,
+    _mixture_rows,
     _mixtures_logpdfs_rows,
     _normals,
     _sample_mixture_rows,
@@ -423,6 +425,50 @@ def test_posterior_rejects_bad_noise(toy_prior):
     A = build_operator("identity", 16)
     with pytest.raises(ValueError, match="sigma_y"):
         exact_posterior(toy_prior, A, np.zeros(16), 0.0)
+
+
+_CONDITIONING_OPERATORS = {
+    "identity": lambda: build_operator("identity", 16),
+    "coordinate_obs8": lambda: build_operator("binary_svd", 16, obs_count=8),
+    "orthogonal_obs8": lambda: build_operator("binary_svd", 16, obs_count=8,
+                                              basis_mode="random_orthogonal", seed=3),
+}
+
+
+@pytest.mark.parametrize("sigma_y", [1e-3, 0.3, 1.0, 7.0, 1e3])
+@pytest.mark.parametrize("op", sorted(_CONDITIONING_OPERATORS))
+def test_posterior_rows_equal_single_row_calls(toy_prior, op, sigma_y):
+    """The row-wise posterior gives each row of a stack of measurements the
+    weights, means and draw of its one-row call, and that call is
+    ``exact_posterior``, at K = 1, 3 and 40. Every fourth row's truth sits
+    at x_7 = 1000, far out on one component's side, where the other
+    component's weight falls under ``_WEIGHT_FLOOR`` at small sigma_y while
+    the other rows keep both components."""
+    A = _CONDITIONING_OPERATORS[op]()
+    rng = np.random.default_rng(17)
+    X = sample_mixture(toy_prior, 40, rng)
+    X[::4, 7] = 1000.0
+    Y = X @ A.matrix().T + sigma_y * rng.standard_normal((40, 16))
+    post = _Posterior(toy_prior, A, sigma_y)
+    seeds = rng.integers(0, 2**63, 40)
+    alone = []
+    for k, y in enumerate(Y):
+        w, means = post.condition(y[None])
+        x = _mixture_rows(w, means, post.chols, [np.random.default_rng(seeds[k])])
+        ref = exact_posterior(toy_prior, A, y, sigma_y)
+        assert np.array_equal(ref.weights, w[0]) and np.array_equal(ref.means, means[0]), k
+        assert np.array_equal(ref.covs, post.covs) and np.array_equal(ref._chols, post.chols)
+        alone.append((w[0], means[0], x[0]))
+    for K in (1, 3, 40):
+        W, M = post.condition(Y[:K])
+        got = _mixture_rows(W, M, post.chols, [np.random.default_rng(s) for s in seeds[:K]])
+        for k in range(K):
+            assert np.array_equal(W[k], alone[k][0]), (K, k)
+            assert np.array_equal(M[k], alone[k][1]), (K, k)
+            assert np.array_equal(got[k], alone[k][2]), (K, k)
+    if sigma_y == 1e-3:
+        floored = (W == 0.0).any(axis=1)
+        assert floored.any() and not floored.all()
 
 
 # ---------------------------------------------------------------------------

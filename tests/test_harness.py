@@ -116,6 +116,24 @@ def test_summary_and_manifest(tmp_path, small_rows):
     assert manifest["n_rows"] == len(small_rows)
 
 
+def test_manifest_records_blas_builds_and_thread_variables(tmp_path, small_rows, monkeypatch):
+    """manifest.json names the BLAS and LAPACK builds of numpy and scipy and
+    the ``*_NUM_THREADS`` variables, so that a digest that differs on
+    another machine can be traced to its build."""
+    import scipy
+
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    write_report(small_rows, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    for module in (np, scipy):
+        deps = module.show_config(mode="dicts")["Build Dependencies"]
+        assert manifest["blas"][module.__name__] == {"blas": deps["blas"],
+                                                     "lapack": deps["lapack"]}
+    assert manifest["thread_env"]["OMP_NUM_THREADS"] == "1"
+    assert manifest["thread_env"] == {k: v for k, v in os.environ.items()
+                                      if k.endswith("_NUM_THREADS")}
+
+
 def test_wall_time_not_in_csv(tmp_path, small_rows):
     write_report(small_rows, tmp_path)
     assert "wall_time" not in (tmp_path / "results.csv").read_text()

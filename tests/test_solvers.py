@@ -20,6 +20,7 @@ from diffuq.gmm import (
 )
 from diffuq.operators import (
     LinearOperatorSVD,
+    Measurement,
     apply_forward,
     apply_pinv,
     build_operator,
@@ -44,6 +45,7 @@ from diffuq.solvers import (
     _resample,
     resolve_solver,
     run_batch,
+    run_cases,
     sample_one,
     smc_ess,
     smc_resample,
@@ -653,6 +655,41 @@ def test_fps_divergence_status_string(toy_prior, sched12):
     x, status = sample_one(resolve_solver("fps_smc"), m, toy_prior, sched12, 5)
     assert status == "diverged(step=0; pseudo-inverse of zero singular values)"
     assert np.all(np.isnan(x))
+
+
+def _overflow_and_normal_cases(toy_prior):
+    """Two cases at sigma_y = 1e-5 on the identity: one whose A^T y / sigma_y^2
+    overflows, and an ordinary one."""
+    A = build_operator("identity", 16)
+    huge = Measurement(y=np.full(16, 1e305), x_star=np.zeros(16), sigma_y=1e-5, operator=A,
+                       seed=0)
+    return [huge, synthesize_measurement(A, sample_mixture(toy_prior, 1, 3)[0], 1e-5, 4)]
+
+
+@pytest.mark.parametrize("x_step", ["diffusion", "conjugate"])
+def test_pnpdm_overflowing_case_diverges_alone(toy_prior, sched12, x_step):
+    """A z-step data term that overflows ends its rows at step 0; the other
+    case of the same chunk finishes with the rows it has on its own."""
+    ms = _overflow_and_normal_cases(toy_prior)
+    spec = resolve_solver("pnpdm", {"x_step": x_step, "gibbs_iters": 3})
+    with np.errstate(all="ignore"):
+        huge, normal = run_cases(spec, ms, toy_prior, sched12, 3, [5, 6])
+    assert huge.statuses == ["diverged(step=0)"] * 3 and np.isnan(huge.samples).all()
+    alone = run_batch(spec, ms[1], toy_prior, sched12, 3, 6)
+    assert normal.statuses == ["ok"] * 3
+    assert np.array_equal(normal.samples, alone.samples)
+
+
+def test_reference_exact_non_finite_posterior_diverges(toy_prior, sched12):
+    """A measurement whose posterior overflows gives NaN rows with a
+    ``diverged`` status, never NaN rows marked ``ok``."""
+    ms = _overflow_and_normal_cases(toy_prior)
+    with np.errstate(all="ignore"):
+        huge, normal = run_cases(resolve_solver("reference_exact"), ms, toy_prior, sched12, 4,
+                                 [5, 6])
+    assert huge.statuses == ["diverged(step=0; posterior is not finite)"] * 4
+    assert np.isnan(huge.samples).all()
+    assert normal.statuses == ["ok"] * 4 and np.isfinite(normal.samples).all()
 
 
 def test_context_reuse_across_operators(toy_prior, sched12):
