@@ -7,10 +7,11 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
+import numpy as np
 import yaml
 
 from .diffusion import build_schedule
-from .gmm import ToyPriorSpec, build_toy_prior
+from .gmm import ToyPriorSpec, build_toy_prior, _Posterior
 from .operators import build_operator
 from .solvers import SolverSpec, resolve_solver
 
@@ -88,13 +89,21 @@ class ExperimentConfig:
                 f" (steps = {steps}, d = {d})"
             )
         try:
-            build_toy_prior(self.prior)
+            prior = build_toy_prior(self.prior)
         except ValueError as exc:
             raise ValueError(f"prior {self.prior!r} is invalid: {exc}") from None
         try:
-            build_operator(**{"d": self.prior.d, **self.operator})
+            operator = build_operator(**{"d": self.prior.d, **self.operator})
         except (TypeError, ValueError) as exc:
             raise ValueError(f"operator {self.operator!r} is invalid: {exc}") from None
+        try:
+            # the oracle and reference_exact factor this exact posterior
+            _Posterior(prior, operator, self.sigma_y)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(
+                f"sigma_y = {self.sigma_y!r} with operator {self.operator!r} gives an exact"
+                f" posterior that cannot be factored ({exc})"
+            ) from None
         if self.sweep_axis is not None:
             missing = {"solver", "name", "values"} - set(self.sweep_axis)
             if missing:

@@ -25,6 +25,7 @@ from .config import ExperimentConfig, config_to_dict
 from .diagnostics import (coverage_eval, obs_null_variance, oracle_reference, rmse_eval,
                           _experiment_cases)
 from .diffusion import build_schedule
+from . import gmm
 from .gmm import build_toy_prior
 from .operators import Measurement, build_operator, operator_from_json, operator_to_json
 from .seeding import derive_seed
@@ -239,6 +240,8 @@ def write_report(rows, out_dir, cfg: ExperimentConfig | None = None,
         "scipy": scipy.__version__,
         "blas": {mod.__name__: _blas_build(mod) for mod in (numpy, scipy)},
         "thread_env": {k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")},
+        # which path drew the rows' numbers (see gmm._Streams); both give the same bits
+        "row_draws": "numpy" if gmm._rowdraws() is None else "compiled",
         "written_at": time.time(),
         "n_rows": len(rows),
         "total_wall_time": float(sum(r.wall_time for r in rows)),

@@ -38,7 +38,7 @@ from .gmm import (
     _mixture_rows,
     _normals,
     _sample_mixture_rows,
-    _uniforms,
+    _streams,
     _vecmat_sets,
 )
 from .operators import (
@@ -336,8 +336,7 @@ def reddiff_update(mu, y, A: LinearOperatorSVD, sigma_y: float,
     """
     if step_size <= 0:
         raise ValueError("step_size must be > 0")
-    levels = np.array([rng.integers(0, kernel.sched.last_nonzero_index + 1) for rng in rngs],
-                      dtype=int)
+    levels = _streams(rngs).integers(kernel.sched.last_nonzero_index + 1)
     eps = _normals(rngs, mu.shape[1])
     sigma = kernel.sched.grid[levels][:, None]
     score = kernel.score_rows(mu + sigma * eps, levels)
@@ -346,18 +345,19 @@ def reddiff_update(mu, y, A: LinearOperatorSVD, sigma_y: float,
     return mu - step_size * (data_grad + lambda_reg * (eps_hat - eps))
 
 
-def _checked_weights(weights) -> np.ndarray:
-    """``weights`` as a float vector, which must be 1-D, finite and >= 0,
-    and sum to 1 within 1e-12."""
+def _checked_weights(weights, ndim: int = 1) -> np.ndarray:
+    """``weights`` as a float array of ``ndim`` dimensions (a stack of
+    weight vectors for ``ndim`` 2), which must be finite and >= 0, and
+    whose every vector must sum to 1 within 1e-12."""
     w = np.asarray(weights, dtype=float)
-    if w.ndim != 1:
+    if w.ndim != ndim:
         raise ValueError("weights must be a 1-D vector")
     if not (np.isfinite(w).all() and (w >= 0).all()):
         raise ValueError("weights must be finite and >= 0")
-    total = w.sum()
-    if total == 0:
+    total = w.sum(axis=-1)
+    if (total == 0).any():
         raise ValueError("all-zero weight vector")
-    if abs(total - 1.0) > 1e-12:
+    if (abs(total - 1.0) > 1e-12).any():
         raise ValueError("weights must be normalized within 1e-12")
     return w
 
@@ -416,16 +416,17 @@ def _status(step: int, why: str = "") -> str:
 class _Rows:
     """The rows of one batch that are still running.
 
-    Holds each running row's generator and its per-row constants, and the
-    batch's result rows and statuses. The constants are the ``per_case``
-    arrays, one entry per case, gathered by the row's case in ``cases``, and
-    each is an attribute (``out.y``). A row whose iterate turns non-finite
-    gets a NaN result row and its ``diverged(step=...)`` status, and leaves
-    with its generator and constants; the others keep going.
+    Holds the running rows' generators (``rngs``, a ``gmm._Streams``) and
+    their per-row constants, and the batch's result rows and statuses. The
+    constants are the ``per_case`` arrays, one entry per case, gathered by
+    the row's case in ``cases``, and each is an attribute (``out.y``). A row
+    whose iterate turns non-finite gets a NaN result row and its
+    ``diverged(step=...)`` status, and leaves with its generator and
+    constants; the others keep going.
     """
 
     def __init__(self, rngs, dim: int, cases=None, **per_case):
-        self.rngs = list(rngs)
+        self.rngs = _streams(rngs)
         self.index = np.arange(len(self.rngs))
         self.samples = np.full((len(self.rngs), dim), np.nan)
         self.statuses = ["ok"] * len(self.rngs)
@@ -449,7 +450,7 @@ class _Rows:
             for k in self.index[~ok]:
                 self.statuses[k] = _status(step, why)
             self.index = self.index[ok]
-            self.rngs = [rng for rng, keep in zip(self.rngs, ok) if keep]
+            self.rngs.keep(ok)
             for key in self._per_row:
                 setattr(self, key, getattr(self, key)[ok])
             X, companions = X[ok], tuple(a[ok] for a in companions)
@@ -487,7 +488,7 @@ def _row_loop(ctx: SamplingContext, n: int, update, start=None, **per_case):
     is not finite leaves at that step."""
     def rows(rngs, cases):
         out = _Rows(rngs, ctx.prior.dim, cases, **per_case)
-        X = start(out) if start else ctx.sched.sigma_max * _normals(out.rngs, ctx.prior.dim)
+        X = start(out) if start else ctx.sched.sigma_max * out.rngs.normals(ctx.prior.dim)
         for i in out.steps(n):
             X = out.finite(update(X, i, out), i)
         return out.done(X)
@@ -543,7 +544,7 @@ def _sample_daps(spec, ms, ctx):
             X0 = daps_langevin_step(X0, anchor, grid[i], out.y, A, sigma_y, eff_steps[i],
                                     out.rngs)
         sig_next = grid[i + 1]
-        return X0 + sig_next * _normals(out.rngs, ctx.prior.dim) if sig_next > 0 else X0
+        return X0 + sig_next * out.rngs.normals(ctx.prior.dim) if sig_next > 0 else X0
 
     return _row_loop(ctx, len(eff_steps), update, y=_per_case(ms, np.asarray))
 
@@ -638,15 +639,26 @@ def _resample(log_w, rngs, *particles) -> np.ndarray:
     half their particle count, given the (K, n) log-weights ``log_w``
     normalised per row; returns those rows' indices. Row k's ESS and draw are
     those of ``smc_ess`` and ``smc_resample`` on ``exp(log_w[k])`` divided by
-    its sum, with generator ``rngs[k]``, and the drawn indices permute axis 1
-    (the particles) of row k of each of ``particles`` in place. A row whose
-    weights are not finite is not resampled."""
+    its sum, with generator ``rngs[k]`` (one uniform per resampled row), and
+    the drawn indices permute axis 1 (the particles) of row k of each of
+    ``particles`` in place. A row whose weights are not finite is not
+    resampled."""
     w = np.exp(log_w)
     w /= np.add.reduce(w, axis=-1, keepdims=True)
     n = w.shape[-1]
     rows = np.flatnonzero(1.0 / np.add.reduce(w**2, axis=-1) < n / 2)
     if rows.size:
-        keep = np.array([smc_resample(np.arange(n), w[k], rngs[k]) for k in rows])
+        cum = np.cumsum(_checked_weights(w[rows], ndim=2), axis=-1)
+        positions = (_streams(rngs).take(rows).uniforms()[:, None] + np.arange(n)) / n
+        # ``searchsorted(cum, positions)`` per row: the number of cum entries
+        # below each position. One stable sort per row of the positions
+        # followed by cum puts each position after the smaller cum entries,
+        # its predecessors and nothing else, so its place minus its index
+        # is that number.
+        order = np.argsort(np.concatenate([positions, cum], axis=-1), axis=-1, kind="stable")
+        place = np.empty_like(order)
+        np.put_along_axis(place, order, np.arange(2 * n), axis=-1)
+        keep = np.minimum(place[:, :n] - np.arange(n), n - 1)
         for a in particles:
             a[rows] = a[rows[:, None], keep]
     return rows
@@ -666,7 +678,7 @@ def _picks(out: _Rows, X, log_w, step: int):
     w, X = out.finite(w, step, X, why="final weights are not finite")
     cdf = w.cumsum(axis=-1)
     cdf /= cdf[:, -1:]
-    return out.done(X[np.arange(len(X)), _inverse_cdf(cdf, _uniforms(out.rngs))])
+    return out.done(X[np.arange(len(X)), _inverse_cdf(cdf, out.rngs.uniforms())])
 
 
 def _particle_rows(batch, n_p: int):
@@ -733,10 +745,10 @@ def _sample_fps_smc(spec, ms, ctx):
         # spectral basis, (K, n_levels, d): eta sums one (n_levels, d) block
         # of the row's normals from sigma_min up, then goes in level order,
         # contiguous, so that its product runs the BLAS call of a one-row run
-        eta = np.cumsum(path_scale[:, None] * _normals(out.rngs, (n_levels, d)), axis=1)
+        eta = np.cumsum(path_scale[:, None] * out.rngs.normals((n_levels, d)), axis=1)
         yb_path = A.spectral_y(out.y[:, None, :]
                                + apply_forward(A, np.ascontiguousarray(eta[:, ::-1])))
-        X = ctx.sched.sigma_max * _normals(out.rngs, (n_p, d))
+        X = ctx.sched.sigma_max * out.rngs.normals((n_p, d))
         log_w = log_potential(X, 0, yb_path[:, 0])
         for i in out.steps(n_trans):
             K = len(out.rngs)
@@ -767,8 +779,8 @@ def _sample_fps_smc(spec, ms, ctx):
 
             # propagate from the conditional p(x_{i+1} | x_i, y_{i+1})
             comp_p = np.exp(log_joint - log_pred[..., None])
-            comp = _inverse_cdf(np.cumsum(comp_p, axis=-1), _uniforms(out.rngs, n_p)).ravel()
-            noise = _normals(out.rngs, (n_p, d)).reshape(K * n_p, d)
+            comp = _inverse_cdf(np.cumsum(comp_p, axis=-1), out.rngs.uniforms(n_p)).ravel()
+            noise = out.rngs.normals((n_p, d)).reshape(K * n_p, d)
             pull = _matvec_rows(A.V, p_ob)  # V (precision-weighted pseudo-observation)
             sets = np.repeat(np.arange(K), n_p)
             X_new = np.empty((K * n_p, d))
@@ -812,7 +824,7 @@ def _sample_mcg_diff(spec, ms, ctx):
 
     def batch(rngs, cases):
         out = _Rows(rngs, ctx.prior.dim, cases, yb_obs=yb_obs)
-        X = ctx.sched.sigma_max * _normals(out.rngs, (n_p, ctx.prior.dim))
+        X = ctx.sched.sigma_max * out.rngs.normals((n_p, ctx.prior.dim))
         log_w = log_potential(X, sigma_y**2 + grid[0] ** 2, out.yb_obs)
         for i in out.steps(len(grid) - 1):
             log_w[_resample(log_w - _logsumexp(log_w, axis=-1, keepdims=True), out.rngs, X)] = 0.0

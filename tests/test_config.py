@@ -340,6 +340,21 @@ def test_noise_scale_log_grid_fails_at_config_or_runs(key):
     assert ran >= 4
 
 
+@pytest.mark.parametrize("sigma_y, loads", [(1e-8, False), (1e-6, True)])
+def test_sigma_y_with_unfactorable_posterior_fails_at_load(sigma_y, loads):
+    """On exp2's rank-deficient random-orthogonal operator the exact
+    posterior's covariance cannot be factored at sigma_y = 1e-8; the config
+    rejects it, naming sigma_y and the operator, where 1e-6 still loads."""
+    data = {"experiment": "exp2_binary", "master_seed": 2024, "sigma_y": sigma_y,
+            "solvers": ["reference_exact"]}
+    if loads:
+        assert config_from_dict(data).sigma_y == sigma_y
+        return
+    with pytest.raises(ValueError, match=r"sigma_y = 1e-08 with operator \{'kind': 'binary_svd'"
+                                         r".*cannot be factored"):
+        config_from_dict(data)
+
+
 _VALID = {
     "experiment": "exp2_binary",
     "master_seed": 7,

@@ -134,6 +134,19 @@ def test_manifest_records_blas_builds_and_thread_variables(tmp_path, small_rows,
                                       if k.endswith("_NUM_THREADS")}
 
 
+def test_manifest_records_the_row_draw_path(tmp_path, small_rows, monkeypatch):
+    """manifest.json says whether the rows drew through the compiled loop or
+    the numpy path."""
+    import diffuq.gmm
+
+    write_report(small_rows, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["row_draws"] == ("numpy" if diffuq.gmm._rowdraws() is None else "compiled")
+    monkeypatch.setattr(diffuq.gmm, "_rowdraws", lambda: None)
+    write_report(small_rows, tmp_path)
+    assert json.loads((tmp_path / "manifest.json").read_text())["row_draws"] == "numpy"
+
+
 def test_wall_time_not_in_csv(tmp_path, small_rows):
     write_report(small_rows, tmp_path)
     assert "wall_time" not in (tmp_path / "results.csv").read_text()

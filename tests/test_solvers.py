@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -782,6 +784,76 @@ def test_batch_rows_equal_standalone_draws(toy_prior, sched12, name, overrides, 
     if overrides:
         blob = np.ascontiguousarray(batch.samples).tobytes()
         assert hashlib.sha256(blob).hexdigest() == _PNPDM_CONJUGATE_SHA256[op]
+
+
+@pytest.mark.parametrize("op", sorted(_OPERATORS))
+@pytest.mark.parametrize("name, overrides", [
+    *(pytest.param(name, {}, id=name) for name in SOLVER_NAMES),
+    pytest.param("pnpdm", {"x_step": "conjugate"}, id="pnpdm_conjugate"),
+])
+def test_run_cases_same_bits_without_the_compiled_loop(toy_prior, sched12, name, overrides, op,
+                                                        monkeypatch):
+    """``run_cases`` gives the same samples and statuses, byte for byte, when
+    the row draws take the numpy path (the compiled loop forced off)."""
+    A = _OPERATORS[op]()
+    ms = [synthesize_measurement(A, sample_mixture(toy_prior, 1, 40 + n)[0], 1.0, 50 + n)
+          for n in range(2)]
+    ctx = SamplingContext.build(toy_prior, sched12)
+    spec = resolve_solver(name, overrides)
+    default = run_cases(spec, ms, toy_prior, sched12, 3, [7, 8], ctx=ctx)
+    monkeypatch.setattr(diffuq.gmm, "_rowdraws", lambda: None)
+    numpy_path = run_cases(spec, ms, toy_prior, sched12, 3, [7, 8], ctx=ctx)
+    for a, b in zip(default, numpy_path):
+        assert a.statuses == b.statuses
+        assert a.samples.tobytes() == b.samples.tobytes()
+
+
+@pytest.fixture()
+def fresh_rowdraws(monkeypatch, tmp_path):
+    """``gmm._rowdraws`` decided afresh, with its cache under ``tmp_path``,
+    and decided afresh again once the test has restored the environment."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    diffuq.gmm._rowdraws.cache_clear()
+    yield tmp_path / "diffuq"
+    monkeypatch.undo()
+    diffuq.gmm._rowdraws.cache_clear()
+
+
+def test_failed_build_falls_back_and_samples_the_same(toy_prior, sched12, monkeypatch,
+                                                      fresh_rowdraws):
+    """A compiler that cannot run leaves no library or temporary file in the
+    cache, and the rows then draw on the numpy path with the same bits."""
+    A = _OPERATORS["binary_obs8"]()
+    m = synthesize_measurement(A, sample_mixture(toy_prior, 1, 61)[0], 1.0, 62)
+    ctx = SamplingContext.build(toy_prior, sched12)
+    specs = [resolve_solver(name) for name in ("reddiff", "mcg_diff", "daps")]
+    want = [run_batch(spec, m, toy_prior, sched12, 4, 9, ctx=ctx).samples for spec in specs]
+    shutil.rmtree(fresh_rowdraws, ignore_errors=True)
+    diffuq.gmm._rowdraws.cache_clear()
+    monkeypatch.setenv("CC", str(fresh_rowdraws / "no-such-compiler"))
+    with pytest.warns(RuntimeWarning, match="through numpy.*no-such-compiler"):
+        assert diffuq.gmm._rowdraws() is None
+    assert not any(fresh_rowdraws.iterdir())
+    for spec, samples in zip(specs, want):
+        batch = run_batch(spec, m, toy_prior, sched12, 4, 9, ctx=ctx)
+        assert batch.statuses == ["ok"] * 4
+        assert batch.samples.tobytes() == samples.tobytes()
+
+
+@pytest.mark.skipif(shutil.which(os.environ.get("CC") or "cc") is None, reason="no C compiler")
+def test_row_loop_builds_into_the_cache_once(fresh_rowdraws):
+    """The row loop compiles into ``$XDG_CACHE_HOME/diffuq`` under one keyed
+    name, leaves no temporary file, and a second process-wide decision
+    loads it without compiling again."""
+    lib = diffuq.gmm._rowdraws()
+    assert lib is not None
+    built = list(fresh_rowdraws.iterdir())
+    assert [p.name for p in built] == [Path(lib._name).name]
+    assert built[0].name.startswith("rowdraws-") and built[0].suffix == ".so"
+    stamp = built[0].stat().st_mtime_ns
+    diffuq.gmm._rowdraws.cache_clear()
+    assert diffuq.gmm._rowdraws() is not None
+    assert list(fresh_rowdraws.iterdir()) == built and built[0].stat().st_mtime_ns == stamp
 
 
 def test_diverged_rows_leave_the_batch_alone(toy_prior, sched12):

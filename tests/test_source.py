@@ -6,12 +6,12 @@ from pathlib import Path
 import diffuq
 
 # the only functions that may call a generator's draw methods: every per-row
-# draw of the samplers goes through ``gmm._normals`` and ``gmm._uniforms``,
-# the one place to change how rows draw; the others draw for one generator
-# (reddiff's bounded-integer level draw stays per row until it has a
-# row-wise form with the same bits)
-DRAW_SITES = {"_normals", "_uniforms", "sample_mixture", "smc_resample",
-              "synthesize_measurement", "_haar_orthogonal", "reddiff_update"}
+# draw of the samplers goes through a ``gmm._Streams``, whose methods are the
+# one place to change how rows draw (they call the generators only on the
+# numpy fallback path); the others draw for one generator. A method called
+# on ``_streams(...)`` is the row-stream object's, not a generator's.
+DRAW_SITES = {"_Streams.normals", "_Streams.uniforms", "_Streams.integers", "sample_mixture",
+              "smc_resample", "synthesize_measurement", "_haar_orthogonal"}
 DRAW_METHODS = {"random", "standard_normal", "integers", "choice"}
 
 # the only functions that may make a generator: a batch's row generators
@@ -22,17 +22,27 @@ GENERATOR_SITES = {"generators", "_as_rng", "sample_one", "build_operator",
 GENERATOR_CALLS = {"default_rng", "Generator", "PCG64", "SeedSequence"}
 
 
-def _calls(node, names, function=None):
+def _on_streams(call: ast.Call) -> bool:
+    """Whether ``call`` is a method call on the result of ``_streams(...)``."""
+    receiver = getattr(call.func, "value", None)
+    return isinstance(receiver, ast.Call) and getattr(receiver.func, "id", None) == "_streams"
+
+
+def _calls(node, names, function=None, cls=None):
     """(innermost enclosing function or None, line, name) of each call under
-    ``node`` of a function or method named in ``names``."""
+    ``node`` of a function or method named in ``names``; a method is named
+    ``Class.method``."""
+    if isinstance(node, ast.ClassDef):
+        cls = node.name
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        function = node.name
-    if isinstance(node, ast.Call):
+        function = f"{cls}.{node.name}" if cls else node.name
+        cls = None
+    if isinstance(node, ast.Call) and not _on_streams(node):
         name = getattr(node.func, "attr", getattr(node.func, "id", None))
         if name in names:
             yield function, node.lineno, name
     for child in ast.iter_child_nodes(node):
-        yield from _calls(child, names, function)
+        yield from _calls(child, names, function, cls)
 
 
 def _package_calls(names) -> list:
@@ -49,7 +59,8 @@ def _outside(calls, sites) -> list:
 def test_generators_draw_only_in_the_draw_sites():
     calls = _package_calls(DRAW_METHODS)
     assert not _outside(calls, DRAW_SITES)
-    assert {"_normals", "_uniforms"} <= {function for _, function, _, _ in calls}
+    assert {"_Streams.normals", "_Streams.uniforms", "_Streams.integers"} <= {
+        function for _, function, _, _ in calls}
 
 
 def test_generators_are_made_only_in_the_generator_sites():
