@@ -103,12 +103,14 @@ def _cmd_report(args) -> int:
         rows = reaggregate(args.dir)
         cfg = _saved(os.path.join(args.dir, "manifest.json"), "config")
         cfg = None if cfg is None else config_from_dict(cfg)
+        row_draws = _saved(os.path.join(args.dir, "manifest.json"), "row_draws")
         oracle = _saved(os.path.join(args.dir, "summary.json"), "oracle")
     except ValueError as exc:
         raise _UsageError(f"report {args.dir}: {exc}") from None
     out = _out_dir(args.out or args.dir)
     return _print_paths(write_report(  # in place, it keeps the samples to report again
-        rows, out, cfg=cfg, oracle=oracle, save_samples=os.path.samefile(out, args.dir)))
+        rows, out, cfg=cfg, oracle=oracle, save_samples=os.path.samefile(out, args.dir),
+        row_draws=row_draws))
 
 
 def main(argv=None) -> int:

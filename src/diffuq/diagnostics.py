@@ -14,7 +14,7 @@ import numpy as np
 
 from .gmm import GaussianMixture, sample_mixture, _Posterior, _mixture_rows, _moments
 from .operators import LinearOperatorSVD, synthesize_measurement
-from .seeding import derive_seed, generators, row_seeds
+from .seeding import derive_seed, row_seeds, streams
 
 __all__ = [
     "CoverageReport",
@@ -206,7 +206,7 @@ def oracle_reference(prior: GaussianMixture, A: LinearOperatorSVD, sigma_y: floa
         dir_var += np.diag(A.V.T @ cov @ A.V)
         seeds = row_seeds(derive_seed(seed, [("case", n)]), k_samples)
         at = np.full(k_samples, n)
-        samples = _mixture_rows(weights[at], means[at], post.chols, generators(seeds))
+        samples = _mixture_rows(weights[at], means[at], post.chols, streams(seeds))
         batches.append(SampleBatch(solver=spec, measurement=m, samples=samples,
                                    seeds=seeds.tolist(), statuses=["ok"] * len(seeds)))
     dir_var /= n_cases

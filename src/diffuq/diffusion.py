@@ -29,12 +29,11 @@ from .gmm import (
     _log_normalised,
     _mixture_logpdfs_rows,
     _mixtures_logpdfs_rows,
-    _normals,
     _precisions,
     _score_and_denoise,
-    _uniforms,
     _vecmat_sets,
 )
+from .seeding import _Streams
 
 __all__ = [
     "NoiseSchedule",
@@ -128,9 +127,10 @@ class ReverseKernel:
     ``gmm.denoise_batch`` and ``gmm.score_and_denoise`` at ``grid[level]``.
 
     The ``*_rows`` methods advance a (K, d) array of independent rows, each
-    with its own generator where it draws: row k gets the bits of the same
-    call on that row alone, whatever K is. ``step_sets`` does the same for a
-    (K, n, d) array of particle sets, one generator per set.
+    drawing from its own row of the streams ``rngs`` (a ``seeding._Streams``)
+    where it draws: row k gets the bits of the same call on that row alone,
+    whatever K is. ``step_sets`` does the same for a (K, n, d) array of
+    particle sets, one stream per set.
     """
 
     def __init__(self, prior: GaussianMixture, sched: NoiseSchedule):
@@ -180,29 +180,29 @@ class ReverseKernel:
         ``X`` is an (n, d) batch; the final transition to sigma = 0 is the
         Tweedie denoise. Consumes n uniforms and one (n, d) normal block.
         """
-        return self.step_sets(np.atleast_2d(X)[None], level, [rng])[0]
+        return self.step_sets(np.atleast_2d(X)[None], level, _Streams([rng]))[0]
 
     def step_sets(self, X: np.ndarray, level: int, rngs) -> np.ndarray:
         """``step`` of each particle set ``X[k]`` of the (K, n, d) array ``X``
-        with its own generator ``rngs[k]``. Set k gets the bits of ``step`` on
-        that set alone when n >= 2 or K == 1: its solves run among all K * n
-        particles, whose column bits do not depend on their count."""
+        with its own row of the streams ``rngs``. Set k gets the bits of
+        ``step`` on that set alone when n >= 2 or K == 1: its solves run among
+        all K * n particles, whose column bits do not depend on their count."""
         K, n, d = X.shape
         flat = X.reshape(K * n, d)
         if level == self.sched.last_nonzero_index:
             return self.denoise(flat, level).reshape(X.shape)
         logr = self.log_responsibilities(flat, level)
-        return self._transition(flat, level, logr, _uniforms(rngs, n).ravel(),
-                                _normals(rngs, (n, d)).reshape(K * n, d),
+        return self._transition(flat, level, logr, rngs.uniforms(n).ravel(),
+                                rngs.normals((n, d)).reshape(K * n, d),
                                 np.repeat(np.arange(K), n)).reshape(X.shape)
 
     def step_rows(self, X: np.ndarray, level: int, rngs) -> np.ndarray:
-        """``step`` of each row of the (K, d) array ``X`` with its own
-        generator ``rngs[k]``: one uniform, then d normals per row."""
+        """``step`` of each row of the (K, d) array ``X`` with its own row of
+        the streams ``rngs``: one uniform, then d normals per row."""
         if level == self.sched.last_nonzero_index:
             return self.denoise_rows(X, level)
         logr = self.log_responsibilities_rows(X, level)
-        return self._transition(X, level, logr, _uniforms(rngs), _normals(rngs, X.shape[1]))
+        return self._transition(X, level, logr, rngs.uniforms(), rngs.normals(X.shape[1]))
 
     def _transition(self, X, level, logr, u, noise, sets=None):
         """Draw each row's component by inverse CDF of its responsibilities at

@@ -8,20 +8,10 @@ conjugate posteriors for linear-Gaussian measurements.
 
 from __future__ import annotations
 
-import ctypes
 import functools
-import hashlib
 import math
 import numbers
-import os
-import platform
-import subprocess
-import sys
-import sysconfig
-import tempfile
-import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -55,162 +45,6 @@ _BAND_MAX_D = 64
 def _as_rng(seed) -> np.random.Generator:
     """``seed`` itself if it is a Generator, else a new Generator seeded with it."""
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-
-# Per-row draws. Row k of a K-row batch draws from its own generator
-# ``rngs[k]`` (one generator per row, no two rows sharing one), so its
-# numbers do not depend on K or on the order in which the rows draw. Every
-# draw goes through a ``_Streams`` but those of the one-generator forms
-# (``sample_mixture``, ``smc_resample``, ...); tests/test_source.py holds
-# the list.
-
-_ROWDRAWS_SOURCE = Path(__file__).with_name("_rowdraws.c")
-# ``PyCapsule_GetPointer``: the ``bitgen_t *`` that a bit generator's capsule holds
-_bitgen_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi))
-
-
-@functools.cache
-def _rowdraws():
-    """The compiled row loop of ``_rowdraws.c`` as a ctypes library, or None
-    (with a RuntimeWarning that says why) when it cannot be built or loaded;
-    decided once per process, at the first draw. The library is compiled
-    with ``$CC`` (default ``cc``) against numpy's ``libnpyrandom.a`` into
-    ``$XDG_CACHE_HOME/diffuq`` (default ``~/.cache/diffuq``), under a name
-    keyed by the source, the numpy version, the interpreter and the machine,
-    and written under a temporary name first, so concurrent builds do not
-    clash."""
-    try:
-        source = _ROWDRAWS_SOURCE.read_bytes()
-        key = hashlib.sha256(b"\0".join([source, np.__version__.encode(),
-                                         sys.implementation.cache_tag.encode(),
-                                         platform.machine().encode()])).hexdigest()[:16]
-        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "diffuq"
-        path = cache / f"rowdraws-{key}.so"
-        if not path.exists():
-            cache.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
-            os.close(fd)
-            try:
-                subprocess.run([*(os.environ.get("CC") or "cc").split(), "-O2", "-shared",
-                                "-fPIC", f"-I{np.get_include()}",
-                                f"-I{sysconfig.get_paths()['include']}", str(_ROWDRAWS_SOURCE),
-                                str(Path(np.random.__file__).with_name("lib") / "libnpyrandom.a"),
-                                "-lm", "-o", tmp], check=True, capture_output=True, timeout=300)
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        lib = ctypes.CDLL(str(path))
-        size, ptr = ctypes.c_ssize_t, ctypes.c_void_p
-        for name, count in (("normals", size), ("uniforms", size), ("integers", ctypes.c_uint64)):
-            getattr(lib, name).argtypes = [ptr, size, count, ptr]
-            getattr(lib, name).restype = None
-        return lib
-    except subprocess.CalledProcessError as exc:
-        why = f"the compiler failed: {exc.stderr.decode(errors='replace').strip()[:500]}"
-    except (OSError, subprocess.SubprocessError, AttributeError, RuntimeError, ValueError) as exc:
-        why = f"{type(exc).__name__}: {exc}"
-    warnings.warn(f"diffuq draws its rows through numpy; the compiled row loop is unavailable"
-                  f" ({why})", RuntimeWarning, stacklevel=3)
-    return None
-
-
-def _address(a: np.ndarray) -> int:
-    """The address of the data of the C-contiguous, writable, nonempty array
-    ``a``; about a fifth of the cost of ``a.ctypes.data``."""
-    return ctypes.addressof(ctypes.c_char.from_buffer(a))
-
-
-def _streams(rngs) -> "_Streams":
-    """``rngs`` if it is a ``_Streams``, else the streams of the generators ``rngs``."""
-    return rngs if isinstance(rngs, _Streams) else _Streams(rngs)
-
-
-class _Streams:
-    """The generators of a batch's rows, row k drawing from ``rngs[k]``.
-
-    Each draw gives row k the numbers of the matching ``np.random.Generator``
-    method on ``rngs[k]`` alone and leaves it in the same state. With the
-    compiled row loop (``_rowdraws``) a draw is one C call over the rows'
-    ``bitgen_t`` pointers, taken once here; it takes no generator lock, which
-    is safe because sampling runs on one thread. Without it, a draw calls the
-    numpy method once per row. The streams hold the generators, which keep
-    the pointers valid.
-    """
-
-    def __init__(self, rngs, pointers=None):
-        self.rngs = list(rngs)
-        self._lib = _rowdraws()
-        if self._lib is None:
-            pointers = None
-        elif pointers is None:
-            pointers = np.fromiter((_bitgen_pointer(rng.bit_generator.capsule, b"BitGenerator")
-                                    for rng in self.rngs), np.uintp, len(self.rngs))
-        self._point(pointers)
-
-    def _point(self, pointers) -> None:
-        """Hold the rows' ``bitgen_t`` pointers (None: the numpy path) and
-        the address of their array."""
-        self._pointers = pointers
-        self._at = None if pointers is None else pointers.ctypes.data
-
-    def __len__(self) -> int:
-        return len(self.rngs)
-
-    def take(self, rows) -> "_Streams":
-        """The streams of the rows at the indices ``rows``."""
-        return _Streams([self.rngs[k] for k in rows],
-                        None if self._pointers is None else self._pointers[rows])
-
-    def keep(self, mask) -> None:
-        """Drop the rows where the boolean ``mask`` is False."""
-        self.rngs = [rng for rng, keep in zip(self.rngs, mask) if keep]
-        if self._pointers is not None:
-            self._point(self._pointers[mask])
-
-    def normals(self, shape=()) -> np.ndarray:
-        """(K, *shape) standard normals; row k is ``rngs[k].standard_normal(shape)``."""
-        shape = shape if isinstance(shape, tuple) else (shape,)
-        out, n = np.empty((len(self.rngs), *shape)), math.prod(shape)
-        if self._pointers is None:
-            for row, rng in zip(out.reshape(len(self.rngs), n), self.rngs):
-                rng.standard_normal(out=row)
-        elif out.size:
-            self._lib.normals(self._at, len(self.rngs), n, _address(out))
-        return out
-
-    def uniforms(self, n=None) -> np.ndarray:
-        """(K,) uniforms on [0, 1), row k ``rngs[k].random()``; with ``n``,
-        (K, n), row k ``rngs[k].random(n)``."""
-        out = np.empty((len(self.rngs), 1 if n is None else n))
-        if self._pointers is None:
-            for row, rng in zip(out, self.rngs):
-                rng.random(out=row)
-        elif out.size:
-            self._lib.uniforms(self._at, len(self.rngs), out.shape[1], _address(out))
-        return out[:, 0] if n is None else out
-
-    def integers(self, high: int) -> np.ndarray:
-        """(K,) int64, row k ``rngs[k].integers(high)``, for 1 <= high <= 2^63."""
-        if not 1 <= high <= 2**63:
-            raise ValueError(f"high must lie within [1, 2^63], got {high!r}")
-        if self._pointers is None:
-            return np.array([rng.integers(high) for rng in self.rngs], dtype=np.int64)
-        out = np.empty(len(self.rngs), dtype=np.uint64)
-        if out.size:
-            self._lib.integers(self._at, len(self.rngs), high, _address(out))
-        return out.view(np.int64)
-
-
-def _normals(rngs, shape) -> np.ndarray:
-    """``normals(shape)`` of the streams ``rngs`` or of the generators ``rngs``."""
-    return _streams(rngs).normals(shape)
-
-
-def _uniforms(rngs, n=None) -> np.ndarray:
-    """``uniforms(n)`` of the streams ``rngs`` or of the generators ``rngs``."""
-    return _streams(rngs).uniforms(n)
 
 
 def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -560,22 +394,22 @@ def sample_mixture(gmm: GaussianMixture, n: int, seed) -> np.ndarray:
 
 
 def _sample_mixture_rows(gmm: GaussianMixture, rngs) -> np.ndarray:
-    """One draw per generator; row k has the bits of
-    ``sample_mixture(gmm, 1, rngs[k])`` at any batch size."""
+    """One draw per row of the streams ``rngs`` (a ``seeding._Streams``);
+    row k has the bits of ``sample_mixture(gmm, 1, rngs.rngs[k])`` at any
+    batch size."""
     shape = (len(rngs), *gmm.means.shape)
     return _mixture_rows(np.broadcast_to(gmm.weights, shape[:2]),
                          np.broadcast_to(gmm.means, shape), gmm._chols, rngs)
 
 
 def _mixture_rows(weights, means, chols, rngs) -> np.ndarray:
-    """One draw per generator, row k from the mixture of the weights
-    ``weights[k]`` (C,) and means ``means[k]`` (C, d) whose components share
-    the lower Cholesky factors ``chols`` (C, d, d) of their covariances. Row
-    k has the bits of ``sample_mixture`` of that mixture, one draw from
-    ``rngs[k]``, at any batch size."""
+    """One draw per row of the streams ``rngs``, row k from the mixture of
+    the weights ``weights[k]`` (C,) and means ``means[k]`` (C, d) whose
+    components share the lower Cholesky factors ``chols`` (C, d, d) of their
+    covariances. Row k has the bits of ``sample_mixture`` of that mixture,
+    one draw from row k's generator, at any batch size."""
     # the inverse-CDF draw of ``rng.choice(C, size=1, p=weights[k])``, without
     # its per-call checks of ``p``, which the weights' maker made
-    rngs = _streams(rngs)
     cdf = weights.cumsum(axis=-1)
     cdf /= cdf[:, -1:]
     comp = _inverse_cdf(cdf, rngs.uniforms())

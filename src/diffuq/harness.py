@@ -25,7 +25,7 @@ from .config import ExperimentConfig, config_to_dict
 from .diagnostics import (coverage_eval, obs_null_variance, oracle_reference, rmse_eval,
                           _experiment_cases)
 from .diffusion import build_schedule
-from . import gmm
+from . import seeding
 from .gmm import build_toy_prior
 from .operators import Measurement, build_operator, operator_from_json, operator_to_json
 from .seeding import derive_seed
@@ -200,12 +200,14 @@ def _blas_build(module) -> dict:
 
 
 def write_report(rows, out_dir, cfg: ExperimentConfig | None = None,
-                 oracle: dict | None = None, save_samples: bool = False) -> dict:
+                 oracle: dict | None = None, save_samples: bool = False,
+                 row_draws: str | None = None) -> dict:
     """Emit results.csv, summary.json, manifest.json (and sample matrices).
 
-    The sample files an earlier report left in ``out_dir`` are removed
-    either way, so ``samples/`` never holds rows that results.csv lacks.
-    Returns the mapping of artifact names to paths.
+    ``row_draws`` (default: ``seeding.row_draws()``) is the draw path the
+    manifest records. The sample files an earlier report left in ``out_dir``
+    are removed either way, so ``samples/`` never holds rows that
+    results.csv lacks. Returns the mapping of artifact names to paths.
     """
     if not rows:
         raise ValueError("rows must be nonempty")
@@ -240,8 +242,8 @@ def write_report(rows, out_dir, cfg: ExperimentConfig | None = None,
         "scipy": scipy.__version__,
         "blas": {mod.__name__: _blas_build(mod) for mod in (numpy, scipy)},
         "thread_env": {k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")},
-        # which path drew the rows' numbers (see gmm._Streams); both give the same bits
-        "row_draws": "numpy" if gmm._rowdraws() is None else "compiled",
+        # which path drew the rows' numbers (see seeding._Streams); both give the same bits
+        "row_draws": row_draws or seeding.row_draws(),
         "written_at": time.time(),
         "n_rows": len(rows),
         "total_wall_time": float(sum(r.wall_time for r in rows)),

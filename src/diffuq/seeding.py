@@ -1,4 +1,4 @@
-"""Deterministic seed derivation.
+"""Deterministic seeds and the row streams they make.
 
 All experiment randomness flows from one 64-bit master seed through
 ``derive_seed``, an avalanche-style mixer (splitmix64 finalizer with
@@ -7,18 +7,29 @@ so identical inputs give identical seeds on every platform.
 
 A batch of K rows seeds row k with ``derive_seed(base, [("row", k)])`` and
 draws it from ``np.random.default_rng`` of that seed. ``row_seeds`` and
-``generators`` make those seeds and generators for a whole batch in one
-vectorised pass over the rows, with the same bits.
+``streams`` make a batch's seeds and row streams (``_Streams``, which make
+every per-row draw) in one vectorised pass over the rows, with the same bits.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import hashlib
+import math
+import os
+import platform
+import subprocess
+import sys
+import sysconfig
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["derive_seed", "row_seeds", "generators"]
+__all__ = ["derive_seed", "row_seeds", "streams", "row_draws"]
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -124,8 +135,158 @@ class _Words(ISeedSequence):
         return self.words
 
 
-def generators(seeds) -> list:
-    """One ``np.random.Generator`` per 64-bit seed, each in the state of
-    ``np.random.default_rng(seed)``."""
-    return [np.random.Generator(np.random.PCG64(_Words(words)))
-            for words in _pcg64_words(seeds)]
+def streams(seeds) -> "_Streams":
+    """The row streams of the 64-bit ``seeds``: row k's generator in the
+    state of ``np.random.default_rng(seeds[k])``, and its ``bitgen_t``
+    pointer, taken in the same pass."""
+    rngs, pointers = [], []
+    for words in _pcg64_words(seeds):
+        bitgen = np.random.PCG64(_Words(words))
+        rngs.append(np.random.Generator(bitgen))
+        pointers.append(_bitgen_pointer(bitgen.capsule, b"BitGenerator"))
+    return _Streams(rngs, np.array(pointers, dtype=np.uintp))
+
+
+# Per-row draws. Row k of a K-row batch draws from its own generator
+# ``rngs[k]`` (one generator per row, no two rows sharing one), so its
+# numbers do not depend on K or on the order in which the rows draw. Every
+# draw goes through a ``_Streams`` but those of the one-generator forms
+# (``sample_mixture``, ``smc_resample``, ...); tests/test_source.py holds
+# the list.
+
+_ROWDRAWS_SOURCE = Path(__file__).with_name("_rowdraws.c")
+# ``PyCapsule_GetPointer``: the ``bitgen_t *`` that a bit generator's capsule holds
+_bitgen_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+@functools.cache
+def _rowdraws():
+    """The compiled row loop of ``_rowdraws.c`` as a ctypes library, or None
+    (with a RuntimeWarning that says why) when it cannot be built or loaded;
+    decided once per process, at its first streams. It is compiled with
+    ``$CC`` (default ``cc``) against numpy's ``libnpyrandom.a`` into
+    ``$XDG_CACHE_HOME/diffuq`` (default ``~/.cache/diffuq``), keyed by the
+    source, numpy, the interpreter and the machine, under a temporary name
+    first, so concurrent builds do not clash."""
+    try:
+        source = _ROWDRAWS_SOURCE.read_bytes()
+        key = hashlib.sha256(b"\0".join([source, np.__version__.encode(),
+                                         sys.implementation.cache_tag.encode(),
+                                         platform.machine().encode()])).hexdigest()[:16]
+        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "diffuq"
+        path = cache / f"rowdraws-{key}.so"
+        if not path.exists():
+            cache.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+            os.close(fd)
+            try:
+                subprocess.run([*(os.environ.get("CC") or "cc").split(), "-O2", "-shared",
+                                "-fPIC", f"-I{np.get_include()}",
+                                f"-I{sysconfig.get_paths()['include']}", str(_ROWDRAWS_SOURCE),
+                                str(Path(np.random.__file__).with_name("lib") / "libnpyrandom.a"),
+                                "-lm", "-o", tmp], check=True, capture_output=True, timeout=300)
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        lib = ctypes.CDLL(str(path))
+        size, ptr = ctypes.c_ssize_t, ctypes.c_void_p
+        for name, count in (("normals", size), ("uniforms", size), ("below", ctypes.c_uint64)):
+            getattr(lib, name).argtypes = [ptr, size, count, ptr]
+            getattr(lib, name).restype = None
+        return lib
+    except subprocess.CalledProcessError as exc:
+        why = f"the compiler failed: {exc.stderr.decode(errors='replace').strip()[:500]}"
+    except (OSError, subprocess.SubprocessError, AttributeError, RuntimeError, ValueError) as exc:
+        why = f"{type(exc).__name__}: {exc}"
+    warnings.warn(f"diffuq draws its rows through numpy; the compiled row loop is unavailable"
+                  f" ({why})", RuntimeWarning, stacklevel=3)
+    return None
+
+
+def row_draws() -> str | None:
+    """The draw path of this process's row streams, "compiled" or "numpy"
+    (None before it makes any); never builds the loop."""
+    if not _rowdraws.cache_info().currsize:
+        return None
+    return "numpy" if _rowdraws() is None else "compiled"
+
+
+def _address(a: np.ndarray) -> int:
+    """The address of the data of the C-contiguous, writable, nonempty array
+    ``a``; about a fifth of the cost of ``a.ctypes.data``."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(a))
+
+
+class _Streams:
+    """The generators of a batch's rows, row k drawing from ``rngs[k]``.
+
+    Each draw gives row k the numbers of the matching ``np.random.Generator``
+    method on ``rngs[k]`` alone and leaves it in the same state. With the
+    compiled row loop (``_rowdraws``) a draw is one C call over the rows'
+    ``bitgen_t`` pointers (given, or taken here), without the generator lock
+    (sampling runs on one thread); without it, one numpy call per row. The
+    streams hold the generators, which keep the pointers valid.
+    """
+
+    def __init__(self, rngs, pointers=None):
+        self.rngs = list(rngs)
+        self._lib = _rowdraws()
+        if self._lib is not None and pointers is None:
+            pointers = np.array([_bitgen_pointer(rng.bit_generator.capsule, b"BitGenerator")
+                                 for rng in self.rngs], dtype=np.uintp)
+        self._point(None if self._lib is None else pointers)
+
+    def _point(self, pointers) -> None:
+        """Hold the rows' ``bitgen_t`` pointers (None: the numpy path) and
+        the address of their array."""
+        self._pointers = pointers
+        self._at = None if pointers is None else pointers.ctypes.data
+
+    def __len__(self) -> int:
+        return len(self.rngs)
+
+    def take(self, rows) -> "_Streams":
+        """The streams of the rows at the indices ``rows``."""
+        return _Streams([self.rngs[k] for k in rows],
+                        None if self._pointers is None else self._pointers[rows])
+
+    def keep(self, mask) -> None:
+        """Drop the rows where the boolean ``mask`` is False."""
+        self.rngs = [rng for rng, keep in zip(self.rngs, mask) if keep]
+        if self._pointers is not None:
+            self._point(self._pointers[mask])
+
+    def normals(self, shape=()) -> np.ndarray:
+        """(K, *shape) standard normals; row k is ``rngs[k].standard_normal(shape)``."""
+        shape = shape if isinstance(shape, tuple) else (shape,)
+        out, n = np.empty((len(self.rngs), *shape)), math.prod(shape)
+        if self._pointers is None:
+            for row, rng in zip(out.reshape(len(self.rngs), n), self.rngs):
+                rng.standard_normal(out=row)
+        elif out.size:
+            self._lib.normals(self._at, len(self.rngs), n, _address(out))
+        return out
+
+    def uniforms(self, n=None) -> np.ndarray:
+        """(K,) uniforms on [0, 1), row k ``rngs[k].random()``; with ``n``,
+        (K, n), row k ``rngs[k].random(n)``."""
+        out = np.empty((len(self.rngs), 1 if n is None else n))
+        if self._pointers is None:
+            for row, rng in zip(out, self.rngs):
+                rng.random(out=row)
+        elif out.size:
+            self._lib.uniforms(self._at, len(self.rngs), out.shape[1], _address(out))
+        return out[:, 0] if n is None else out
+
+    def below(self, high: int) -> np.ndarray:
+        """(K,) int64, row k ``rngs[k].integers(high)``, for 1 <= high <= 2^63."""
+        if not 1 <= high <= 2**63:
+            raise ValueError(f"high must lie within [1, 2^63], got {high!r}")
+        if self._pointers is None:
+            return np.array([rng.integers(high) for rng in self.rngs], dtype=np.int64)
+        out = np.empty(len(self.rngs), dtype=np.uint64)
+        if out.size:
+            self._lib.below(self._at, len(self.rngs), high, _address(out))
+        return out.view(np.int64)

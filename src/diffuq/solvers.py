@@ -6,7 +6,8 @@ Each solver is assembled from small sub-steps that are tested on their own
 against independent oracles. A solver sets up once per batch of cases (the
 measurements of one operator and ``sigma_y``) and returns
 ``rows(rngs, cases) -> (X, statuses)``, which advances all rows of the batch
-together, one generator per row, row k measuring case ``cases[k]``;
+together, row k drawing from row k of the streams ``rngs`` (a
+``seeding._Streams``) and measuring case ``cases[k]``;
 ``run_cases`` draws the K-sample batches of several cases from one setup,
 in row chunks of at most ``ROW_BUDGET`` rows, and ``run_batch`` is its
 one-case call.
@@ -36,9 +37,7 @@ from .gmm import (
     _logsumexp,
     _matvec_rows,
     _mixture_rows,
-    _normals,
     _sample_mixture_rows,
-    _streams,
     _vecmat_sets,
 )
 from .operators import (
@@ -50,7 +49,7 @@ from .operators import (
     _forward_rows,
     _pinv_rows,
 )
-from .seeding import generators, row_seeds
+from .seeding import _Streams, row_seeds, streams
 
 __all__ = [
     "SOLVER_NAMES",
@@ -175,9 +174,9 @@ def _aty(A: LinearOperatorSVD, y, sigma_y: float) -> np.ndarray:
 
 
 def _z_step_sampler(A: LinearOperatorSVD, sigma_y: float, rho: float):
-    """``pnpdm_z_step`` as a row-wise draw ``(X, aty, rngs) -> Z``, with
-    ``aty`` each row's ``_aty`` and the system, which depends only on
-    (A, sigma_y, rho), factored once."""
+    """``pnpdm_z_step`` as a row-wise draw ``(X, aty, noise) -> Z``, with
+    ``aty`` each row's ``_aty``, ``noise`` each row's d standard normals and
+    the system, which depends only on (A, sigma_y, rho), factored once."""
     if sigma_y <= 0 or rho <= 0:
         raise ValueError("sigma_y and rho must be > 0")
     Amat = A.matrix()
@@ -190,11 +189,11 @@ def _z_step_sampler(A: LinearOperatorSVD, sigma_y: float, rho: float):
     cov = cho_solve(cf, np.eye(d))
     chol = np.linalg.cholesky(0.5 * (cov + cov.T))
 
-    def draw(X, aty, rngs):
-        """One z per row of the (K, d) array ``X``, with generator ``rngs[k]``;
-        a row whose data term is not finite comes out not finite."""
+    def draw(X, aty, noise):
+        """One z per row of the (K, d) array ``X``; a row whose data term is
+        not finite comes out not finite."""
         mean = _cho_solve_vec(cf, (aty + X / rho**2).T).T
-        return mean + _matvec_rows(chol, _normals(rngs, d))
+        return mean + _matvec_rows(chol, noise)
 
     return draw
 
@@ -206,7 +205,7 @@ def pnpdm_z_step(x, y, A: LinearOperatorSVD, sigma_y: float, rho: float, seed):
     C = (A^T A / sigma_y^2 + I / rho^2)^{-1}.
     """
     return _z_step_sampler(A, sigma_y, rho)(np.asarray(x)[None], _aty(A, y, sigma_y)[None],
-                                            [_as_rng(seed)])[0]
+                                            _Streams([_as_rng(seed)]).normals(A.d))[0]
 
 
 def conjugate_denoising_posterior(prior: GaussianMixture, z, rho: float) -> GaussianMixture:
@@ -242,9 +241,9 @@ def ddnm_projection(x_hat0, pinv_y, A: LinearOperatorSVD):
 
 
 def ddrm_step(x_hat0, yb, A: LinearOperatorSVD, sigma_y: float, sigma_t: float,
-              eta: float, eta_b: float, rngs, x_t=None, sigma_prev=None):
+              eta: float, eta_b: float, noise, x_t=None, sigma_prev=None):
     """The iterate at noise level ``sigma_t`` from each row of ``x_hat0``
-    (K, d), one generator per row.
+    (K, d), given each row's d standard normals ``noise`` (K, d).
 
     Blends x_hat0 with the whitened spectral observation
     ``yb = A.spectral_y(y)``, (d,) or one per row (K, d), per singular
@@ -285,7 +284,7 @@ def ddrm_step(x_hat0, yb, A: LinearOperatorSVD, sigma_y: float, sigma_t: float,
     var_high = sigma_t**2 - noise_scale[high] ** 2 * eta_b**2
     std[high] = np.sqrt(np.maximum(var_high, 0.0))
 
-    xb = mean + std * _normals(rngs, A.d)
+    xb = mean + std * noise
     return _matvec_rows(A.V, xb)
 
 
@@ -305,13 +304,13 @@ def prox_data_step(x_hat0, yb, A: LinearOperatorSVD, sigma_y: float, rho_t: floa
 
 
 def daps_langevin_step(x0, anchor, r_t: float, y, A: LinearOperatorSVD,
-                       sigma_y: float, step_size: float, rngs):
+                       sigma_y: float, step_size: float, noise):
     """One unadjusted Langevin step on the anchored data posterior for each
-    row of ``x0`` (K, d) and ``anchor``, one generator per row; ``y`` is one
-    measurement or one per row (K, m).
+    row of ``x0`` (K, d) and ``anchor``, given each row's d standard normals
+    ``noise`` (K, d); ``y`` is one measurement or one per row (K, m).
 
     Target: log pi(x) = -||y - A x||^2 / (2 sigma_y^2) - ||x - anchor||^2 / (2 r_t^2).
-    A zero step returns a copy of ``x0`` and draws nothing.
+    A zero step returns a copy of ``x0`` and uses no noise.
     """
     if step_size < 0:
         raise ValueError("step_size must be >= 0")
@@ -321,23 +320,22 @@ def daps_langevin_step(x0, anchor, r_t: float, y, A: LinearOperatorSVD,
         return x0.copy()
     resid = np.asarray(y) - _forward_rows(A, x0)
     drift = _matvec_rows(A.matrix().T, resid) / sigma_y**2 - (x0 - anchor) / r_t**2
-    return x0 + 0.5 * step_size * drift + np.sqrt(step_size) * _normals(rngs, x0.shape[1])
+    return x0 + 0.5 * step_size * drift + np.sqrt(step_size) * noise
 
 
 def reddiff_update(mu, y, A: LinearOperatorSVD, sigma_y: float,
-                   kernel: ReverseKernel, lambda_reg: float, step_size: float, rngs):
+                   kernel: ReverseKernel, lambda_reg: float, step_size: float, levels, eps):
     """One stochastic descent step of the variational objective for each
-    row of ``mu`` (K, d); each row draws its own level and noise from its
-    own generator, and ``y`` is one measurement or one per row (K, m).
+    row of ``mu`` (K, d), given each row's uniform draw ``levels`` (K,) of
+    the kernel's nonzero levels and its standard normals ``eps`` (K, d);
+    ``y`` is one measurement or one per row (K, m).
 
     Data term ||y - A mu||^2 / (2 sigma_y^2) plus a score-matching
-    regularizer evaluated at a uniformly drawn level of the kernel's noise
-    grid with unit weighting and a detached (analytic) noise prediction.
+    regularizer at each row's level with unit weighting and a detached
+    (analytic) noise prediction.
     """
     if step_size <= 0:
         raise ValueError("step_size must be > 0")
-    levels = _streams(rngs).integers(kernel.sched.last_nonzero_index + 1)
-    eps = _normals(rngs, mu.shape[1])
     sigma = kernel.sched.grid[levels][:, None]
     score = kernel.score_rows(mu + sigma * eps, levels)
     eps_hat = -sigma * score
@@ -409,14 +407,10 @@ class SamplingContext:
         return ReverseKernel(self.prior, self.sched)
 
 
-def _status(step: int, why: str = "") -> str:
-    return f"diverged(step={step}{'; ' + why if why else ''})"
-
-
 class _Rows:
     """The rows of one batch that are still running.
 
-    Holds the running rows' generators (``rngs``, a ``gmm._Streams``) and
+    Holds the running rows' streams (``rngs``, a ``seeding._Streams``) and
     their per-row constants, and the batch's result rows and statuses. The
     constants are the ``per_case`` arrays, one entry per case, gathered by
     the row's case in ``cases``, and each is an attribute (``out.y``). A row
@@ -426,7 +420,7 @@ class _Rows:
     """
 
     def __init__(self, rngs, dim: int, cases=None, **per_case):
-        self.rngs = _streams(rngs)
+        self.rngs = rngs
         self.index = np.arange(len(self.rngs))
         self.samples = np.full((len(self.rngs), dim), np.nan)
         self.statuses = ["ok"] * len(self.rngs)
@@ -448,7 +442,7 @@ class _Rows:
         ok = np.isfinite(X).all(axis=tuple(range(1, X.ndim)))
         if not ok.all():
             for k in self.index[~ok]:
-                self.statuses[k] = _status(step, why)
+                self.statuses[k] = f"diverged(step={step}{'; ' + why if why else ''})"
             self.index = self.index[ok]
             self.rngs.keep(ok)
             for key in self._per_row:
@@ -465,7 +459,7 @@ class _Rows:
 # ---------------------------------------------------------------------------
 # solver loops: ``_sample_<name>(spec, ms, ctx)`` does the work for the
 # measurements ``ms`` once and returns ``rows(rngs, cases) -> (X, statuses)``,
-# which draws row k of the batch from generator ``rngs[k]`` for measurement
+# which draws row k of the batch from row k of the streams ``rngs`` for measurement
 # ``ms[cases[k]]``. Constants of the operator and sigma_y are built once;
 # those of y are built per case with the one-case code and gathered per row
 # ---------------------------------------------------------------------------
@@ -483,9 +477,9 @@ def _per_case(ms, f) -> np.ndarray:
 def _row_loop(ctx: SamplingContext, n: int, update, start=None, **per_case):
     """``rows`` of a sampler with one (K, d) iterate: from ``start(out)``
     (default: one start at ``sigma_max`` per row, from that row's generator)
-    it takes the ``n`` steps ``X = update(X, i, out)``, ``out`` holding the
-    running rows' generators and ``per_case`` constants; a row whose update
-    is not finite leaves at that step."""
+    it takes the ``n`` steps ``X = update(X, i, out)``, which draw every
+    number they use from ``out.rngs``, the running rows' streams, next to
+    their ``per_case`` constants; a row whose update is not finite leaves."""
     def rows(rngs, cases):
         out = _Rows(rngs, ctx.prior.dim, cases, **per_case)
         X = start(out) if start else ctx.sched.sigma_max * out.rngs.normals(ctx.prior.dim)
@@ -538,13 +532,17 @@ def _sample_daps(spec, ms, ctx):
                  for r_t in grid[:-1]]
 
     def update(X, i, out):
+        # one block per level: each Langevin step's normals (none for a
+        # zero step, which uses none), then the re-noise unless the next
+        # level is 0
         anchor = ctx.kernel.denoise_rows(X, i)
+        n = hp["langevin_steps"] if eff_steps[i] > 0 else 0
+        noise = out.rngs.normals((n + (grid[i + 1] > 0), ctx.prior.dim))
         X0 = anchor
-        for _ in range(hp["langevin_steps"]):
+        for j in range(n):
             X0 = daps_langevin_step(X0, anchor, grid[i], out.y, A, sigma_y, eff_steps[i],
-                                    out.rngs)
-        sig_next = grid[i + 1]
-        return X0 + sig_next * out.rngs.normals(ctx.prior.dim) if sig_next > 0 else X0
+                                    noise[:, j])
+        return X0 + grid[i + 1] * noise[:, n] if grid[i + 1] > 0 else X0
 
     return _row_loop(ctx, len(eff_steps), update, y=_per_case(ms, np.asarray))
 
@@ -583,7 +581,7 @@ def _sample_ddrm(spec, ms, ctx):
 
     def update(X, i, out):
         return ddrm_step(ctx.kernel.denoise_rows(X, i), out.yb, A, sigma_y, grid[i + 1],
-                         hp["eta"], hp["eta_b"], out.rngs, X, grid[i])
+                         hp["eta"], hp["eta_b"], out.rngs.normals(A.d), X, grid[i])
 
     return _row_loop(ctx, len(grid) - 1, update, yb=_per_case(ms, A.spectral_y))
 
@@ -595,7 +593,9 @@ def _sample_reddiff(spec, ms, ctx):
 
     def update(mu, t, out):
         lr = hp["step_size"] * (1.0 - t / steps)
-        return reddiff_update(mu, out.y, A, sigma_y, ctx.kernel, hp["lambda_reg"], lr, out.rngs)
+        levels = out.rngs.below(ctx.sched.last_nonzero_index + 1)
+        return reddiff_update(mu, out.y, A, sigma_y, ctx.kernel, hp["lambda_reg"], lr, levels,
+                              out.rngs.normals(ctx.prior.dim))
 
     return _row_loop(ctx, steps, update, start=lambda out: out.mu0,
                      y=_per_case(ms, np.asarray), mu0=_per_case(ms, lambda y: apply_pinv(A, y)))
@@ -620,7 +620,7 @@ def _sample_pnpdm(spec, ms, ctx):
         return ddnm_projection(_sample_mixture_rows(ctx.prior, out.rngs), out.pinv_y, A)
 
     def update(X, g, out):
-        Z = out.finite(z_step(X, out.aty, out.rngs), g)
+        Z = out.finite(z_step(X, out.aty, out.rngs.normals(ctx.prior.dim)), g)
         if not len(Z):
             return Z
         if mode == "conjugate":
@@ -639,7 +639,7 @@ def _resample(log_w, rngs, *particles) -> np.ndarray:
     half their particle count, given the (K, n) log-weights ``log_w``
     normalised per row; returns those rows' indices. Row k's ESS and draw are
     those of ``smc_ess`` and ``smc_resample`` on ``exp(log_w[k])`` divided by
-    its sum, with generator ``rngs[k]`` (one uniform per resampled row), and
+    its sum, with row k of the streams ``rngs`` (one uniform per resampled row), and
     the drawn indices permute axis 1 (the particles) of row k of each of
     ``particles`` in place. A row whose weights are not finite is not
     resampled."""
@@ -649,7 +649,7 @@ def _resample(log_w, rngs, *particles) -> np.ndarray:
     rows = np.flatnonzero(1.0 / np.add.reduce(w**2, axis=-1) < n / 2)
     if rows.size:
         cum = np.cumsum(_checked_weights(w[rows], ndim=2), axis=-1)
-        positions = (_streams(rngs).take(rows).uniforms()[:, None] + np.arange(n)) / n
+        positions = (rngs.take(rows).uniforms()[:, None] + np.arange(n)) / n
         # ``searchsorted(cum, positions)`` per row: the number of cum entries
         # below each position. One stable sort per row of the positions
         # followed by cum puts each position after the smaller cum entries,
@@ -666,8 +666,8 @@ def _resample(log_w, rngs, *particles) -> np.ndarray:
 
 def _picks(out: _Rows, X, log_w, step: int):
     """``out.done`` of row j's final particle of the (K, n, d) particles
-    ``X``, drawn by its normalised weights ``exp(log_w[j])`` with generator
-    ``out.rngs[j]``. A row whose weights are not finite leaves at ``step``.
+    ``X``, drawn by its normalised weights ``exp(log_w[j])`` with row j of
+    the streams ``out.rngs``. A row whose weights are not finite leaves at ``step``.
 
     The draw is ``rng.choice(n, p=w)``'s inverse-CDF draw without its check
     that ``w`` sums to 1 within 1e-8: for log-weights of size 1e8 or more
@@ -691,7 +691,7 @@ def _particle_rows(batch, n_p: int):
         return batch
 
     def rows(rngs, cases):
-        runs = [batch([rng], cases[k : k + 1]) for k, rng in enumerate(rngs)]
+        runs = [batch(rngs.take([k]), cases[k : k + 1]) for k in range(len(rngs))]
         return np.concatenate([X for X, _ in runs]), [s for _, st in runs for s in st]
 
     return rows
@@ -897,24 +897,21 @@ def sample_one(spec: SolverSpec, m: Measurement, prior: GaussianMixture,
     iterate yields a NaN row with status ``diverged(step=...)``.
     """
     rows = _setup(spec, [m], prior, sched, ctx)
-    samples, statuses = rows([np.random.default_rng(seed)], np.zeros(1, dtype=int))
+    samples, statuses = rows(_Streams([np.random.default_rng(seed)]), np.zeros(1, dtype=int))
     return samples[0], statuses[0]
 
 
 def run_cases(spec: SolverSpec, ms, prior: GaussianMixture, sched: NoiseSchedule,
               K: int, base_seeds, ctx: SamplingContext | None = None) -> list:
-    """K independent reconstructions for each measurement of ``ms``, one
-    ``SampleBatch`` per measurement; ``ms`` share one operator and
-    ``sigma_y``. Row k of case n draws from ``default_rng`` of the seed
-    ``derive_seed(base_seeds[n], [("row", k)])``; the seeds and generators
-    of a chunk are made in one pass (``seeding.row_seeds`` and
-    ``seeding.generators``).
+    """K independent reconstructions for each measurement of ``ms`` (which
+    share one operator and ``sigma_y``), one ``SampleBatch`` each. Row k of
+    case n draws from ``default_rng(derive_seed(base_seeds[n], [("row",
+    k)]))``, through ``seeding.streams``.
 
-    The solver sets up for all the measurements once, then advances the
-    rows of whole cases together in chunks of at most ``ROW_BUDGET`` rows,
-    one generator per row. Each row's bits do not depend on the other rows,
-    so every batch equals ``run_batch`` of its case alone, and row k equals
-    a standalone ``sample_one`` with the same derived seed. Each batch's
+    The solver sets up once, then advances the rows of whole cases together
+    in chunks of at most ``ROW_BUDGET`` rows. A row's bits do not depend on
+    the other rows, so every batch equals ``run_batch`` of its case alone and
+    row k a standalone ``sample_one`` with its seed. Each batch's
     ``wall_time`` is its share (1 / len(ms)) of the call.
     """
     if K < 1:
@@ -928,7 +925,7 @@ def run_cases(spec: SolverSpec, ms, prior: GaussianMixture, sched: NoiseSchedule
     samples, statuses = np.empty((len(ms) * K, prior.dim)), []
     for a in range(0, len(ms), per_chunk):
         chunk = range(a, min(a + per_chunk, len(ms)))
-        samples[a * K : chunk.stop * K], st = rows(generators(seeds[a : chunk.stop].ravel()),
+        samples[a * K : chunk.stop * K], st = rows(streams(seeds[a : chunk.stop].ravel()),
                                                    np.repeat(chunk, K))
         statuses += st
     share = (time.perf_counter() - t0) / len(ms)

@@ -21,21 +21,16 @@ from diffuq.gmm import (
     score_and_denoise,
     _BAND_MAX_D,
     _Posterior,
-    _Streams,
     _inverse_cdf,
     _logsumexp,
     _mixture_logpdfs_rows,
     _mixture_rows,
     _mixtures_logpdfs_rows,
-    _normals,
-    _rowdraws,
     _sample_mixture_rows,
-    _uniforms,
     _vecmat_rows,
 )
-import diffuq.gmm
 from diffuq.operators import LinearOperatorSVD, _haar_orthogonal, build_operator
-from diffuq.seeding import generators
+from diffuq.seeding import _Streams
 
 
 def single_gaussian(mu, cov):
@@ -458,14 +453,15 @@ def test_posterior_rows_equal_single_row_calls(toy_prior, op, sigma_y):
     alone = []
     for k, y in enumerate(Y):
         w, means = post.condition(y[None])
-        x = _mixture_rows(w, means, post.chols, [np.random.default_rng(seeds[k])])
+        x = _mixture_rows(w, means, post.chols, _Streams([np.random.default_rng(seeds[k])]))
         ref = exact_posterior(toy_prior, A, y, sigma_y)
         assert np.array_equal(ref.weights, w[0]) and np.array_equal(ref.means, means[0]), k
         assert np.array_equal(ref.covs, post.covs) and np.array_equal(ref._chols, post.chols)
         alone.append((w[0], means[0], x[0]))
     for K in (1, 3, 40):
         W, M = post.condition(Y[:K])
-        got = _mixture_rows(W, M, post.chols, [np.random.default_rng(s) for s in seeds[:K]])
+        got = _mixture_rows(W, M, post.chols,
+                            _Streams([np.random.default_rng(s) for s in seeds[:K]]))
         for k in range(K):
             assert np.array_equal(W[k], alone[k][0]), (K, k)
             assert np.array_equal(M[k], alone[k][1]), (K, k)
@@ -666,7 +662,7 @@ def test_sample_mixture_rows_component_draw_matches_choice(seed, raw):
                           np.stack([np.eye(d) * (c + 1) for c in range(C)]))
     rngs = [np.random.default_rng([seed, k]) for k in range(4)]
     refs = [np.random.default_rng([seed, k]) for k in range(4)]
-    got = _sample_mixture_rows(gmm, rngs)
+    got = _sample_mixture_rows(gmm, _Streams(rngs))
     for k, ref in enumerate(refs):
         comp = ref.choice(C, size=1, p=w)[0]
         noise = ref.standard_normal(d)
@@ -690,69 +686,3 @@ def test_inverse_cdf_is_capped_searchsorted(data, K, n):
         assert got[k] == min(np.searchsorted(cum[k], u[k], side="right"), n - 1)
     want = np.minimum(np.searchsorted(cum[0], u, side="right"), n - 1)
     assert np.array_equal(_inverse_cdf(cum[0], u), want)
-
-
-def test_row_draws_are_each_generators_own():
-    """Row k of ``_normals`` and ``_uniforms`` is what generator k draws on
-    its own, and leaves it in the same state."""
-    rngs = [np.random.default_rng([7, k]) for k in range(5)]
-    refs = [np.random.default_rng([7, k]) for k in range(5)]
-    got = [_uniforms(rngs), _normals(rngs, 3), _uniforms(rngs, 4), _normals(rngs, (2, 3)),
-           _Streams(rngs).integers(41), _normals(rngs, ())]
-    for k, ref in enumerate(refs):
-        want = [ref.random(), ref.standard_normal(3), ref.random(4), ref.standard_normal((2, 3)),
-                ref.integers(41), ref.standard_normal()]
-        for g, w in zip(got, want):
-            assert np.array_equal(g[k], w)
-        assert rngs[k].bit_generator.state == ref.bit_generator.state
-    assert _normals([], (2, 3)).shape == (0, 2, 3) and _uniforms([]).shape == (0,)
-
-
-def _numpy_streams(rngs) -> _Streams:
-    """Streams of ``rngs`` that draw on the numpy path, one call per row."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(diffuq.gmm, "_rowdraws", lambda: None)
-        return _Streams(rngs)
-
-
-_HIGHS = [1, 41, 2**31 + 5, 2**32 - 1, 2**32]
-
-
-@settings(max_examples=40, deadline=None)
-@given(K=st.integers(1, 600), seed=st.integers(0, 2**63), L=st.integers(1, 4),
-       d=st.integers(1, 17), highs=st.lists(st.sampled_from(_HIGHS), min_size=1, max_size=5),
-       data=st.data())
-def test_compiled_and_numpy_row_draws_agree(K, seed, L, d, highs, data):
-    """The compiled row loop and the numpy path give every row the same
-    numbers and leave its generator in the same state, ``has_uint32``
-    buffer included: bounded integers of each range, interleaved with
-    uniforms and with normals of shape (), (d,) and (L, d), then again after
-    rows are taken and dropped."""
-    if _rowdraws() is None:
-        pytest.skip("the compiled row loop does not build here")
-    seeds = np.random.default_rng(seed).integers(0, 2**63, size=K, dtype=np.uint64)
-    rngs_c, rngs_n = generators(seeds), generators(seeds)
-    compiled, numpy_path = _Streams(rngs_c), _numpy_streams(rngs_n)
-    assert compiled._pointers is not None and numpy_path._pointers is None
-
-    def draws(streams):
-        out = []
-        for high in highs:
-            out += [streams.integers(high), streams.uniforms(), streams.normals(()),
-                    streams.integers(high), streams.normals(d), streams.uniforms(L),
-                    streams.normals((L, d))]
-        return out
-
-    rows = np.array(data.draw(st.lists(st.integers(0, K - 1), max_size=8)), dtype=int)
-    mask = np.array(data.draw(st.lists(st.booleans(), min_size=K, max_size=K)))
-    got, want = draws(compiled), draws(numpy_path)
-    got += draws(compiled.take(rows))
-    want += draws(numpy_path.take(rows))
-    compiled.keep(mask)
-    numpy_path.keep(mask)
-    got += draws(compiled)
-    want += draws(numpy_path)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
-    assert len(compiled) == len(numpy_path) == mask.sum()
-    assert [r.bit_generator.state for r in rngs_c] == [r.bit_generator.state for r in rngs_n]

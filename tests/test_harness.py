@@ -1,4 +1,5 @@
 import ctypes
+import functools
 import json
 import os
 import re
@@ -135,16 +136,45 @@ def test_manifest_records_blas_builds_and_thread_variables(tmp_path, small_rows,
 
 
 def test_manifest_records_the_row_draw_path(tmp_path, small_rows, monkeypatch):
-    """manifest.json says whether the rows drew through the compiled loop or
-    the numpy path."""
-    import diffuq.gmm
+    """manifest.json says whether this process drew its rows through the
+    compiled loop or the numpy path (null before it makes any streams), or
+    names the path it is given."""
+    import diffuq.seeding
 
-    write_report(small_rows, tmp_path)
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["row_draws"] == ("numpy" if diffuq.gmm._rowdraws() is None else "compiled")
-    monkeypatch.setattr(diffuq.gmm, "_rowdraws", lambda: None)
-    write_report(small_rows, tmp_path)
-    assert json.loads((tmp_path / "manifest.json").read_text())["row_draws"] == "numpy"
+    def row_draws(**kwargs):
+        write_report(small_rows, tmp_path, **kwargs)
+        return json.loads((tmp_path / "manifest.json").read_text())["row_draws"]
+
+    assert row_draws() == ("numpy" if diffuq.seeding._rowdraws() is None else "compiled")
+    # a loader not yet asked, as in a process that has made no streams
+    monkeypatch.setattr(diffuq.seeding, "_rowdraws", functools.cache(lambda: None))
+    assert row_draws() is None
+    diffuq.seeding.streams(np.arange(3, dtype=np.uint64))
+    assert row_draws() == "numpy"
+    assert row_draws(row_draws="compiled") == "compiled"
+
+
+def test_cli_report_builds_nothing_and_keeps_the_runs_row_draws(tmp_path):
+    """``diffuq report`` draws nothing, so it neither builds the row loop nor
+    warns that it is unavailable, and its manifest keeps the run's
+    ``row_draws``. It runs in a new interpreter with an empty cache and a
+    compiler that fails, because the loop is decided once per process."""
+    out = tmp_path / "out"
+    assert main(["run", write_cfg(tmp_path, SMALL), "--out", str(out), "--no-oracle",
+                 "--save-samples"]) == 0
+    run_draws = json.loads((out / "manifest.json").read_text())["row_draws"]
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    env = {**os.environ, "XDG_CACHE_HOME": str(cache), "CC": "false",
+           "PYTHONPATH": str(Path(diffuq.solvers.__file__).resolve().parents[1])}
+    code = "import sys; from diffuq.cli import main; sys.exit(main(sys.argv[1:]))"
+    report = subprocess.run([sys.executable, "-c", code, "report", str(out)], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert report.returncode == 0, report.stderr
+    assert "RuntimeWarning" not in report.stderr
+    assert not any(cache.iterdir())
+    assert run_draws in ("compiled", "numpy")
+    assert json.loads((out / "manifest.json").read_text())["row_draws"] == run_draws
 
 
 def test_wall_time_not_in_csv(tmp_path, small_rows):

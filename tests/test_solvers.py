@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import diffuq.gmm
+import diffuq.seeding
 from diffuq.gmm import _logsumexp
 from diffuq.diffusion import ReverseKernel, build_schedule
 from diffuq.gmm import (
@@ -28,7 +29,7 @@ from diffuq.operators import (
     build_operator,
     synthesize_measurement,
 )
-from diffuq.seeding import derive_seed
+from diffuq.seeding import _Streams, derive_seed
 from diffuq.solvers import (
     SOLVER_FAMILIES,
     SOLVER_NAMES,
@@ -292,7 +293,7 @@ def test_ddrm_step_observed_pull(rng):
     xhat0 = np.zeros(4)
     y = np.array([3.0, -1.0, 0.5, 2.0])
     out = ddrm_step(xhat0[None], A.spectral_y(y), A, sigma_y=0.1, sigma_t=5.0, eta=0.85,
-                    eta_b=1.0, rngs=[np.random.default_rng(1)])[0]
+                    eta_b=1.0, noise=np.random.default_rng(1).standard_normal((1, 4)))[0]
     # mean is exactly y (eta_b = 1); noise std sqrt(25 - 0.01)
     assert np.all(np.abs(out - y) < 5 * np.sqrt(25.0))
 
@@ -330,7 +331,7 @@ def test_langevin_zero_step(rng):
     A = build_operator("identity", 4)
     x0 = rng.standard_normal(4)
     out = daps_langevin_step(x0[None], np.zeros((1, 4)), 1.0, np.zeros(4), A, 1.0, 0.0,
-                             [np.random.default_rng(3)])
+                             np.random.default_rng(3).standard_normal((1, 4)))
     assert np.array_equal(out[0], x0)
 
 
@@ -349,11 +350,9 @@ def test_langevin_drift_matches_finite_differences(rng):
 
     step = 0.01
     # extract the drift by differencing against the no-noise update
-    rng_probe = np.random.default_rng(9)
-    noise = np.sqrt(step) * rng_probe.standard_normal(6)
-    out = daps_langevin_step(x0[None], anchor[None], r_t, y, A, sigma_y, step,
-                             [np.random.default_rng(9)])[0]
-    drift = (out - noise - x0) / (0.5 * step)
+    noise = np.random.default_rng(9).standard_normal(6)
+    out = daps_langevin_step(x0[None], anchor[None], r_t, y, A, sigma_y, step, noise[None])[0]
+    drift = (out - np.sqrt(step) * noise - x0) / (0.5 * step)
     h = 1e-6
     fd = np.empty(6)
     for j in range(6):
@@ -374,10 +373,18 @@ def test_langevin_long_chain_covariance(rng):
     chain = np.empty((30_000, 2))
     chain_rng = np.random.default_rng(10)
     for t in range(len(chain)):
-        x = daps_langevin_step(x, anchor[None], r_t, y, A, sigma_y, step, [chain_rng])
+        x = daps_langevin_step(x, anchor[None], r_t, y, A, sigma_y, step,
+                               chain_rng.standard_normal((1, 2)))
         chain[t] = x[0]
     emp = np.cov(chain[2000:].T)
     assert np.max(np.abs(emp - 0.5 * np.eye(2))) < 0.05
+
+
+def _reddiff_draws(kernel, rng):
+    """One row's reddiff draws from ``rng``, in its sampler's order: a level
+    of the kernel's nonzero grid, then 16 normals."""
+    level = rng.integers(kernel.sched.last_nonzero_index + 1)
+    return np.array([level]), rng.standard_normal((1, 16))
 
 
 def test_reddiff_pure_least_squares(toy_prior):
@@ -387,7 +394,7 @@ def test_reddiff_pure_least_squares(toy_prior):
     mu = np.zeros((1, 16))
     rng_u = np.random.default_rng(4)
     for _ in range(200):
-        mu = reddiff_update(mu, y, A, 1.0, kernel, 0.0, 0.5, [rng_u])
+        mu = reddiff_update(mu, y, A, 1.0, kernel, 0.0, 0.5, *_reddiff_draws(kernel, rng_u))
     assert np.max(np.abs(mu[0] - y)) < 1e-3
 
 
@@ -396,7 +403,7 @@ def test_reddiff_zero_data_gradient(toy_prior):
     A = build_operator("identity", 16)
     y = np.ones(16)
     out = reddiff_update(y[None].copy(), y, A, 1.0, kernel, 0.0, 0.5,
-                         [np.random.default_rng(8)])
+                         *_reddiff_draws(kernel, np.random.default_rng(8)))
     assert np.array_equal(out[0], y)
 
 
@@ -405,7 +412,7 @@ def test_reddiff_deterministic(toy_prior):
     A = build_operator("identity", 16)
     y = np.linspace(0, 1, 16)
     a, b = (reddiff_update(np.zeros((1, 16)), y, A, 1.0, kernel, 0.25, 0.5,
-                           [np.random.default_rng(55)]) for _ in range(2))
+                           *_reddiff_draws(kernel, np.random.default_rng(55))) for _ in range(2))
     assert np.array_equal(a, b)
 
 
@@ -487,7 +494,7 @@ def test_resample_rows_match_per_row_ess_and_resample(seed, K, n, scale):
     X0 = X.copy()
     rngs = [np.random.default_rng([seed, k]) for k in range(K)]
     refs = [np.random.default_rng([seed, k]) for k in range(K)]
-    rows = _resample(log_w, rngs, index, X)
+    rows = _resample(log_w, _Streams(rngs), index, X)
     resampled = []
     for k, ref in enumerate(refs):
         w = np.exp(log_w[k])
@@ -762,14 +769,26 @@ _PNPDM_CONJUGATE_SHA256 = {
     "identity": "5a7265fff9fd6e8c1bfe85566213bcb85b8a98d8e184969dd137caeba404eac3",
     "binary_obs8": "b935e7a5e4ce17585b60eb11a0630846a9a746b5f23e2506f9de0b4861144c54",
 }
+# the same for daps at the edges of its per-level normal block: a zero step
+# draws no Langevin noise (and so ignores the operator), one step draws one
+# (d,) row before the re-noise
+_DAPS_STEP0_SHA256 = dict.fromkeys(
+    _OPERATORS, "a2c0bfb8d07a638e42a8ad8769c0328d1f47cfb50ffcf690cd2957a72c65d610")
+_DAPS_ONE_STEP_SHA256 = {
+    "identity": "428be446bbd2768ace0918f0624caa6f69ab53323dbb3f577c41e02bb34ec71f",
+    "binary_obs8": "19c7b41ea1cf1c45e5c481fe5f47a198c8305a52cbd7c91d1f37b4c34f7d1f29",
+}
+_SOLVER_CASES = [
+    *(pytest.param(name, {}, None, id=name) for name in SOLVER_NAMES),
+    pytest.param("pnpdm", {"x_step": "conjugate"}, _PNPDM_CONJUGATE_SHA256, id="pnpdm_conjugate"),
+    pytest.param("daps", {"step_size": 0.0}, _DAPS_STEP0_SHA256, id="daps_step0"),
+    pytest.param("daps", {"langevin_steps": 1}, _DAPS_ONE_STEP_SHA256, id="daps_one_step"),
+]
 
 
 @pytest.mark.parametrize("op", sorted(_OPERATORS))
-@pytest.mark.parametrize("name, overrides", [
-    *(pytest.param(name, {}, id=name) for name in SOLVER_NAMES),
-    pytest.param("pnpdm", {"x_step": "conjugate"}, id="pnpdm_conjugate"),
-])
-def test_batch_rows_equal_standalone_draws(toy_prior, sched12, name, overrides, op):
+@pytest.mark.parametrize("name, overrides, pinned", _SOLVER_CASES)
+def test_batch_rows_equal_standalone_draws(toy_prior, sched12, name, overrides, pinned, op):
     A = _OPERATORS[op]()
     m = synthesize_measurement(A, sample_mixture(toy_prior, 1, 21)[0], 1.0, 22)
     ctx = SamplingContext.build(toy_prior, sched12)
@@ -781,18 +800,15 @@ def test_batch_rows_equal_standalone_draws(toy_prior, sched12, name, overrides, 
             x, status = alone[k]
             assert batch.statuses[k] == status, (K, k)
             assert np.array_equal(batch.samples[k], x, equal_nan=True), (K, k)
-    if overrides:
+    if pinned:
         blob = np.ascontiguousarray(batch.samples).tobytes()
-        assert hashlib.sha256(blob).hexdigest() == _PNPDM_CONJUGATE_SHA256[op]
+        assert hashlib.sha256(blob).hexdigest() == pinned[op]
 
 
 @pytest.mark.parametrize("op", sorted(_OPERATORS))
-@pytest.mark.parametrize("name, overrides", [
-    *(pytest.param(name, {}, id=name) for name in SOLVER_NAMES),
-    pytest.param("pnpdm", {"x_step": "conjugate"}, id="pnpdm_conjugate"),
-])
-def test_run_cases_same_bits_without_the_compiled_loop(toy_prior, sched12, name, overrides, op,
-                                                        monkeypatch):
+@pytest.mark.parametrize("name, overrides, pinned", _SOLVER_CASES)
+def test_run_cases_same_bits_without_the_compiled_loop(toy_prior, sched12, name, overrides, pinned,
+                                                        op, monkeypatch):
     """``run_cases`` gives the same samples and statuses, byte for byte, when
     the row draws take the numpy path (the compiled loop forced off)."""
     A = _OPERATORS[op]()
@@ -801,7 +817,7 @@ def test_run_cases_same_bits_without_the_compiled_loop(toy_prior, sched12, name,
     ctx = SamplingContext.build(toy_prior, sched12)
     spec = resolve_solver(name, overrides)
     default = run_cases(spec, ms, toy_prior, sched12, 3, [7, 8], ctx=ctx)
-    monkeypatch.setattr(diffuq.gmm, "_rowdraws", lambda: None)
+    monkeypatch.setattr(diffuq.seeding, "_rowdraws", lambda: None)
     numpy_path = run_cases(spec, ms, toy_prior, sched12, 3, [7, 8], ctx=ctx)
     for a, b in zip(default, numpy_path):
         assert a.statuses == b.statuses
@@ -810,13 +826,13 @@ def test_run_cases_same_bits_without_the_compiled_loop(toy_prior, sched12, name,
 
 @pytest.fixture()
 def fresh_rowdraws(monkeypatch, tmp_path):
-    """``gmm._rowdraws`` decided afresh, with its cache under ``tmp_path``,
+    """``seeding._rowdraws`` decided afresh, with its cache under ``tmp_path``,
     and decided afresh again once the test has restored the environment."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    diffuq.gmm._rowdraws.cache_clear()
+    diffuq.seeding._rowdraws.cache_clear()
     yield tmp_path / "diffuq"
     monkeypatch.undo()
-    diffuq.gmm._rowdraws.cache_clear()
+    diffuq.seeding._rowdraws.cache_clear()
 
 
 def test_failed_build_falls_back_and_samples_the_same(toy_prior, sched12, monkeypatch,
@@ -829,10 +845,10 @@ def test_failed_build_falls_back_and_samples_the_same(toy_prior, sched12, monkey
     specs = [resolve_solver(name) for name in ("reddiff", "mcg_diff", "daps")]
     want = [run_batch(spec, m, toy_prior, sched12, 4, 9, ctx=ctx).samples for spec in specs]
     shutil.rmtree(fresh_rowdraws, ignore_errors=True)
-    diffuq.gmm._rowdraws.cache_clear()
+    diffuq.seeding._rowdraws.cache_clear()
     monkeypatch.setenv("CC", str(fresh_rowdraws / "no-such-compiler"))
     with pytest.warns(RuntimeWarning, match="through numpy.*no-such-compiler"):
-        assert diffuq.gmm._rowdraws() is None
+        assert diffuq.seeding._rowdraws() is None
     assert not any(fresh_rowdraws.iterdir())
     for spec, samples in zip(specs, want):
         batch = run_batch(spec, m, toy_prior, sched12, 4, 9, ctx=ctx)
@@ -845,14 +861,14 @@ def test_row_loop_builds_into_the_cache_once(fresh_rowdraws):
     """The row loop compiles into ``$XDG_CACHE_HOME/diffuq`` under one keyed
     name, leaves no temporary file, and a second process-wide decision
     loads it without compiling again."""
-    lib = diffuq.gmm._rowdraws()
+    lib = diffuq.seeding._rowdraws()
     assert lib is not None
     built = list(fresh_rowdraws.iterdir())
     assert [p.name for p in built] == [Path(lib._name).name]
     assert built[0].name.startswith("rowdraws-") and built[0].suffix == ".so"
     stamp = built[0].stat().st_mtime_ns
-    diffuq.gmm._rowdraws.cache_clear()
-    assert diffuq.gmm._rowdraws() is not None
+    diffuq.seeding._rowdraws.cache_clear()
+    assert diffuq.seeding._rowdraws() is not None
     assert list(fresh_rowdraws.iterdir()) == built and built[0].stat().st_mtime_ns == stamp
 
 
@@ -908,7 +924,7 @@ def test_smc_rows_equal_standalone_draws_at_few_particles(toy_prior, sched12, mo
 
 
 def test_rows_finite_drops_companions_with_their_row():
-    out = _Rows([np.random.default_rng(k) for k in range(4)], 3)
+    out = _Rows(_Streams([np.random.default_rng(k) for k in range(4)]), 3)
     X = np.zeros((4, 2, 3))
     X[1, 1, 2] = np.nan
     X[3, 0, 0] = np.inf
@@ -940,7 +956,7 @@ def test_rowwise_primitives_match_single_rows(kernel12, K, seed, log_scale, leve
     resp = _responsibilities(noisy, X, rows=True)
     logr = kernel12.log_responsibilities_rows(X, level)
     den = kernel12.denoise_rows(X, level)
-    stepped = kernel12.step_rows(X, level, [np.random.default_rng(s) for s in seeds])
+    stepped = kernel12.step_rows(X, level, _Streams([np.random.default_rng(s) for s in seeds]))
     levels = rng.integers(0, 13, size=K)
     scores = kernel12.score_rows(X, levels)
     score, xhat0, jac = kernel12.score_and_denoise_rows(X, level)
@@ -965,11 +981,11 @@ def test_step_sets_match_each_set_alone(kernel12, K, n, seed, log_scale, level):
     rng = np.random.default_rng(seed)
     X = 10.0**log_scale * rng.standard_normal((K, n, 16))
     seeds = rng.integers(0, 2**32, size=K)
-    stepped = kernel12.step_sets(X, level, [np.random.default_rng(s) for s in seeds])
+    stepped = kernel12.step_sets(X, level, _Streams([np.random.default_rng(s) for s in seeds]))
     for k in range(K):
         assert np.array_equal(stepped[k],
                               kernel12.step(X[k], level, np.random.default_rng(seeds[k])))
-    one = kernel12.step_sets(X[:1, :1], level, [np.random.default_rng(seeds[0])])
+    one = kernel12.step_sets(X[:1, :1], level, _Streams([np.random.default_rng(seeds[0])]))
     assert np.array_equal(one[0], kernel12.step(X[0, :1], level, np.random.default_rng(seeds[0])))
 
 
@@ -998,7 +1014,7 @@ def test_picks_draw_matches_choice(seed, n, scale):
     X = rng.standard_normal((4, n, 3))
     rngs = [np.random.default_rng([seed, k]) for k in range(4)]
     refs = [np.random.default_rng([seed, k]) for k in range(4)]
-    samples, statuses = _picks(_Rows(rngs, 3), X, log_w, 7)
+    samples, statuses = _picks(_Rows(_Streams(rngs), 3), X, log_w, 7)
     w = np.exp(log_w - _logsumexp(log_w, axis=-1, keepdims=True))
     for k, ref in enumerate(refs):
         assert np.array_equal(samples[k], X[k, ref.choice(n, p=w[k])])
@@ -1016,8 +1032,8 @@ def test_picks_huge_and_non_finite_log_weights():
                       [0.0, np.inf, 1.0],
                       [-1.49403701e11, -1.49403701e11 - 1e6, -np.inf]])
     with np.errstate(invalid="ignore"):
-        samples, statuses = _picks(_Rows([np.random.default_rng(k) for k in range(4)], 2),
-                                   X, log_w, 9)
+        rows = _Rows(_Streams([np.random.default_rng(k) for k in range(4)]), 2)
+        samples, statuses = _picks(rows, X, log_w, 9)
     assert statuses == ["ok", "diverged(step=9; final weights are not finite)",
                         "diverged(step=9; final weights are not finite)", "ok"]
     assert any(np.array_equal(samples[0], x) for x in X[0])

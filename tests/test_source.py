@@ -6,26 +6,23 @@ from pathlib import Path
 import diffuq
 
 # the only functions that may call a generator's draw methods: every per-row
-# draw of the samplers goes through a ``gmm._Streams``, whose methods are the
-# one place to change how rows draw (they call the generators only on the
-# numpy fallback path); the others draw for one generator. A method called
-# on ``_streams(...)`` is the row-stream object's, not a generator's.
-DRAW_SITES = {"_Streams.normals", "_Streams.uniforms", "_Streams.integers", "sample_mixture",
+# draw of the samplers goes through a ``seeding._Streams``, whose methods are
+# the one place to change how rows draw (they call the generators only on
+# the numpy fallback path); the others draw for one generator
+DRAW_SITES = {"_Streams.normals", "_Streams.uniforms", "_Streams.below", "sample_mixture",
               "smc_resample", "synthesize_measurement", "_haar_orthogonal"}
 DRAW_METHODS = {"random", "standard_normal", "integers", "choice"}
 
-# the only functions that may make a generator: a batch's row generators
-# come from ``seeding.generators``, one vectorised pass over the rows; the
-# others make one generator from one seed
-GENERATOR_SITES = {"generators", "_as_rng", "sample_one", "build_operator",
+# the only functions that may make a generator: a batch's row streams come
+# from ``seeding.streams``, one vectorised pass over the rows; the others
+# make one generator from one seed
+GENERATOR_SITES = {"streams", "_as_rng", "sample_one", "build_operator",
                    "synthesize_measurement"}
 GENERATOR_CALLS = {"default_rng", "Generator", "PCG64", "SeedSequence"}
 
-
-def _on_streams(call: ast.Call) -> bool:
-    """Whether ``call`` is a method call on the result of ``_streams(...)``."""
-    receiver = getattr(call.func, "value", None)
-    return isinstance(receiver, ast.Call) and getattr(receiver.func, "id", None) == "_streams"
+# modules that build and load native code; only ``seeding`` (the compiled
+# row loop) may import them
+NATIVE_MODULES = {"ctypes", "subprocess", "tempfile", "sysconfig"}
 
 
 def _calls(node, names, function=None, cls=None):
@@ -37,7 +34,7 @@ def _calls(node, names, function=None, cls=None):
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         function = f"{cls}.{node.name}" if cls else node.name
         cls = None
-    if isinstance(node, ast.Call) and not _on_streams(node):
+    if isinstance(node, ast.Call):
         name = getattr(node.func, "attr", getattr(node.func, "id", None))
         if name in names:
             yield function, node.lineno, name
@@ -59,11 +56,28 @@ def _outside(calls, sites) -> list:
 def test_generators_draw_only_in_the_draw_sites():
     calls = _package_calls(DRAW_METHODS)
     assert not _outside(calls, DRAW_SITES)
-    assert {"_Streams.normals", "_Streams.uniforms", "_Streams.integers"} <= {
+    assert {"_Streams.normals", "_Streams.uniforms", "_Streams.below"} <= {
         function for _, function, _, _ in calls}
 
 
 def test_generators_are_made_only_in_the_generator_sites():
     calls = _package_calls(GENERATOR_CALLS)
     assert not _outside(calls, GENERATOR_SITES)
-    assert "generators" in {function for _, function, _, _ in calls}
+    assert "streams" in {function for _, function, _, _ in calls}
+
+
+def _imports(tree) -> set:
+    """The top-level names of the modules that ``tree`` imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_seeding_builds_and_loads_native_code():
+    found = {path.name: _imports(ast.parse(path.read_text())) & NATIVE_MODULES
+             for path in Path(diffuq.__file__).parent.glob("*.py")}
+    assert {name for name, native in found.items() if native} == {"seeding.py"}
