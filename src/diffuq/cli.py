@@ -91,11 +91,11 @@ def _saved(path, key: str):
     """``key`` of an earlier run's JSON artifact, or None without one."""
     if not os.path.exists(path):
         return None
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             return json.load(fh).get(key)
-        except (AttributeError, ValueError) as exc:  # not JSON, or not an object
-            raise ValueError(f"{os.path.basename(path)}: {exc}") from None
+    except (OSError, AttributeError, ValueError) as exc:  # unreadable, not JSON, not an object
+        raise ValueError(f"{os.path.basename(path)}: {exc}") from None
 
 
 def _cmd_report(args) -> int:

@@ -53,6 +53,10 @@ _OPERATOR_DEFAULTS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A validated experiment. The checks keep what they build, in derived
+    fields: ``problem``, the (prior, schedule, operator) that every solver and
+    the oracle share, and ``runs`` (see ``_resolve_runs``)."""
+
     experiment: str
     master_seed: int
     sigma_y: float
@@ -63,6 +67,8 @@ class ExperimentConfig:
     operator: dict = field(default_factory=dict)
     schedule: dict = field(default_factory=lambda: dict(_SCHEDULE_DEFAULTS))
     sweep_axis: dict | None = None  # {"solver": name, "name": hp, "values": [...]}
+    problem: tuple = field(init=False, compare=False, repr=False)
+    runs: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self._check_kinds()
@@ -78,7 +84,7 @@ class ExperimentConfig:
             raise ValueError("at least one solver is required")
         if self.experiment == "exp1_identity" and self.operator.get("kind") != "identity":
             raise ValueError("exp1_identity forces the identity operator")
-        self._check_schedule()
+        sched = self._check_schedule()
         if self.prior.d > _MAX_D:
             raise ValueError(f"prior d must be <= {_MAX_D}, got {self.prior.d!r}")
         steps, d = int(self.schedule["steps"]), self.prior.d
@@ -104,20 +110,30 @@ class ExperimentConfig:
                 f"sigma_y = {self.sigma_y!r} with operator {self.operator!r} gives an exact"
                 f" posterior that cannot be factored ({exc})"
             ) from None
-        if self.sweep_axis is not None:
-            missing = {"solver", "name", "values"} - set(self.sweep_axis)
-            if missing:
-                raise ValueError(f"sweep_axis missing keys: {sorted(missing)}")
-            solver, name, values = (self.sweep_axis[k] for k in ("solver", "name", "values"))
-            if not isinstance(name, str):
-                raise ValueError(f"sweep_axis name must be a string, got {name!r}")
-            if not isinstance(values, (list, tuple)) or not values:
-                raise ValueError(f"sweep_axis values must be a nonempty list, got {values!r}")
-            for value in values:
-                resolve_solver(solver, {name: value})
-            if solver not in {s.name for s in self.solvers}:
-                raise ValueError(f"sweep_axis solver {solver!r} is not one of the config's solvers")
+        object.__setattr__(self, "problem", (prior, sched, operator))
+        object.__setattr__(self, "runs", self._resolve_runs())
         self._check_rho_coupling()
+
+    def _resolve_runs(self) -> tuple:
+        """One (sweep value, solver specs) pair per sweep value, each spec of
+        the swept solver given the value; ``(("", solvers),)`` without a sweep."""
+        if self.sweep_axis is None:
+            return (("", self.solvers),)
+        missing = {"solver", "name", "values"} - set(self.sweep_axis)
+        if missing:
+            raise ValueError(f"sweep_axis missing keys: {sorted(missing)}")
+        solver, name, values = (self.sweep_axis[k] for k in ("solver", "name", "values"))
+        if not isinstance(name, str):
+            raise ValueError(f"sweep_axis name must be a string, got {name!r}")
+        if not isinstance(values, (list, tuple)) or not values:
+            raise ValueError(f"sweep_axis values must be a nonempty list, got {values!r}")
+        known = any(s.name == solver for s in self.solvers)
+        specs = self.solvers if known else (resolve_solver(solver),)  # a bad value is named first
+        runs = tuple((value, tuple(resolve_solver(s.name, {**s.hyperparameters, name: value})
+                                   if s.name == solver else s for s in specs)) for value in values)
+        if not known:
+            raise ValueError(f"sweep_axis solver {solver!r} is not one of the config's solvers")
+        return runs
 
     def _check_kinds(self):
         """Each field built by hand has the kind the checks below read; a
@@ -136,7 +152,7 @@ class ExperimentConfig:
             raise ValueError(f"sweep_axis must be a mapping or None, got {self.sweep_axis!r}")
 
     def _check_schedule(self):
-        """The schedule builds; a value of the wrong kind fails here, naming its key."""
+        """The built schedule; a value of the wrong kind fails here, naming its key."""
         sched = self.schedule
         for key in ("sigma_min", "sigma_max", "exponent"):
             value = sched.get(key, 1.0)
@@ -145,20 +161,18 @@ class ExperimentConfig:
         if _integer("schedule steps", sched.get("steps")) > _MAX_STEPS:
             raise ValueError(f"schedule steps must be <= {_MAX_STEPS}, got {sched['steps']!r}")
         try:
-            build_schedule(**sched)
+            built = build_schedule(**sched)
         except (TypeError, ValueError, ArithmeticError) as exc:
             raise ValueError(f"schedule {sched!r} is invalid: {exc}") from None
         for key in ("sigma_min", "sigma_max"):
             _check_sigma(f"schedule {key}", sched[key])
+        return built
 
     def _check_rho_coupling(self):
         """pnpdm starts its x-step at the grid level of ``rho_coupling``, so
         every value it runs with must lie within the schedule's range."""
-        sweep = self.sweep_axis or {}
-        if (sweep.get("solver"), sweep.get("name")) == ("pnpdm", "rho_coupling"):
-            rhos = sweep["values"]
-        else:
-            rhos = [s.hyperparameters["rho_coupling"] for s in self.solvers if s.name == "pnpdm"]
+        rhos = [s.hyperparameters["rho_coupling"]
+                for _, specs in self.runs for s in specs if s.name == "pnpdm"]
         lo, hi = self.schedule["sigma_min"], self.schedule["sigma_max"]
         for rho in rhos:
             if not lo <= rho <= hi:

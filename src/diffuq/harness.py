@@ -24,12 +24,10 @@ import numpy as np
 from .config import ExperimentConfig, config_to_dict
 from .diagnostics import (coverage_eval, obs_null_variance, oracle_reference, rmse_eval,
                           _experiment_cases)
-from .diffusion import build_schedule
 from . import seeding
-from .gmm import build_toy_prior
-from .operators import Measurement, build_operator, operator_from_json, operator_to_json
+from .operators import Measurement, operator_from_json, operator_to_json
 from .seeding import derive_seed
-from .solvers import SampleBatch, SamplingContext, SolverSpec, resolve_solver, run_cases
+from .solvers import SampleBatch, SamplingContext, SolverSpec, run_cases
 
 __all__ = ["ResultRow", "CSV_HEADER", "run_experiment", "write_report",
            "experiment_oracle", "reaggregate"]
@@ -82,62 +80,53 @@ def _fmt(v) -> str:
     return "%.12g" % float(v)
 
 
-def _case_metrics(batch, x_star, A):
-    """Single-case diagnostics; diverged-only batches yield NaN metrics."""
+def _result_row(experiment: str, case_id: int, sweep_param: str, sweep_value: str,
+                seed: int, batch: SampleBatch) -> ResultRow:
+    """One case's row, scored against the batch's own measurement (NaN metrics
+    for a diverged-only batch); ``run_experiment`` and ``reaggregate`` both use it."""
+    spec, m = batch.solver, batch.measurement
     out = dict.fromkeys(_METRICS, float("nan"))
     out["failure_rate"] = batch.failure_rate
     if batch.ok_mask().sum() >= 2:
-        cov = coverage_eval([batch], [x_star])
+        cov = coverage_eval([batch], [m.x_star])
         out["coverage"] = cov.coverage_global
         out["mean_width"] = cov.mean_interval_width
-        if A.is_binary():
-            rep = obs_null_variance([batch], A)
+        if m.operator.is_binary():
+            rep = obs_null_variance([batch], m.operator)
             out["var_obs"] = rep.var_obs
             out["var_null"] = rep.var_null
             out["ratio"] = rep.ratio_null_obs
     if batch.ok_mask().any():
-        out["rmse_mean"] = rmse_eval([batch], [x_star]).rmse_mean
-    return out
-
-
-def _build_problem(cfg: ExperimentConfig):
-    prior = build_toy_prior(cfg.prior)
-    sched = build_schedule(**cfg.schedule)
-    op_args = dict(cfg.operator)
-    op_args.setdefault("d", cfg.prior.d)
-    A = build_operator(**op_args)
-    return prior, sched, A
+        out["rmse_mean"] = rmse_eval([batch], [m.x_star]).rmse_mean
+    return ResultRow(
+        experiment=experiment, solver=spec.name, family=spec.family, case_id=case_id,
+        sweep_param=sweep_param, sweep_value=sweep_value,
+        hyperparameters_digest=_digest(spec.hyperparameters), seed=seed,
+        wall_time=batch.wall_time, batch=batch, x_star=m.x_star, **out,
+    )
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list:
     """Run every solver on every case (and sweep value) of the config.
 
-    Each (sweep value, solver) samples all the cases from one setup
-    (``run_cases``), on the calling thread. ``workers`` is accepted and
-    ignored: the benchmark workload still passes it, and it goes once the
-    benchmark revision drops that call.
+    Each (sweep value, solver spec) of ``cfg.runs`` samples all the cases of
+    ``cfg.problem`` from one setup (``run_cases``), on the calling thread.
+    ``workers`` is accepted and ignored: the benchmark workload still passes
+    it, and it goes once the benchmark revision drops that call.
     """
-    prior, sched, A = _build_problem(cfg)
+    prior, sched, A = cfg.problem
     ctx = SamplingContext.build(prior, sched)
     cases = _experiment_cases(prior, A, cfg.sigma_y, cfg.n_cases, cfg.master_seed)
-    axis = cfg.sweep_axis or {"solver": None, "name": "", "values": [""]}
+    param = cfg.sweep_axis["name"] if cfg.sweep_axis else ""
 
     rows = []
-    for j, value in enumerate(axis["values"]):
-        for i, spec in enumerate(cfg.solvers):
-            if spec.name == axis["solver"]:
-                spec = resolve_solver(spec.name, {**spec.hyperparameters, axis["name"]: value})
+    for j, (value, specs) in enumerate(cfg.runs):
+        for i, spec in enumerate(specs):
             seeds = [derive_seed(cfg.master_seed, [("solver", i), ("sweep", j), ("case", n)])
                      for n in range(cfg.n_cases)]
             batches = run_cases(spec, cases, prior, sched, cfg.k_samples, seeds, ctx=ctx)
-            for n, (seed, batch, m) in enumerate(zip(seeds, batches, cases)):
-                rows.append(ResultRow(
-                    experiment=cfg.experiment, solver=spec.name, family=spec.family,
-                    case_id=n, sweep_param=axis["name"], sweep_value=str(value),
-                    hyperparameters_digest=_digest(spec.hyperparameters), seed=seed,
-                    wall_time=batch.wall_time, batch=batch, x_star=m.x_star,
-                    **_case_metrics(batch, m.x_star, A),
-                ))
+            rows += [_result_row(cfg.experiment, n, param, str(value), seed, batch)
+                     for n, (seed, batch) in enumerate(zip(seeds, batches))]
     return rows
 
 
@@ -146,7 +135,7 @@ def experiment_oracle(cfg: ExperimentConfig, k_samples: int | None = None):
     ``k_samples`` draws per case (None: the config's count)."""
     if k_samples is not None:
         cfg = dataclasses.replace(cfg, k_samples=k_samples)
-    prior, _, A = _build_problem(cfg)
+    prior, _, A = cfg.problem
     cov, t_obs, t_null, rmse = oracle_reference(
         prior, A, cfg.sigma_y, cfg.n_cases, cfg.master_seed, k_samples=cfg.k_samples,
     )
@@ -304,14 +293,9 @@ def reaggregate(out_dir) -> list:
                 spec = SolverSpec(meta["solver"], meta["hyperparameters"])
                 batch = SampleBatch(solver=spec, measurement=m, samples=data["samples"],
                                     seeds=[], statuses=[str(s) for s in data["statuses"]])
-                rows[meta["row"]] = ResultRow(
-                    experiment=meta["experiment"], solver=spec.name, family=spec.family,
-                    case_id=meta["case_id"],
-                    sweep_param=meta["sweep_param"], sweep_value=meta["sweep_value"],
-                    hyperparameters_digest=_digest(spec.hyperparameters),
-                    seed=meta["seed"], batch=batch, x_star=m.x_star,
-                    **_case_metrics(batch, m.x_star, A),
-                )
+                rows[meta["row"]] = _result_row(meta["experiment"], meta["case_id"],
+                                                meta["sweep_param"], meta["sweep_value"],
+                                                meta["seed"], batch)
         except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
             raise ValueError(f"{name}: {exc}") from None
     return [rows[k] for k in sorted(rows)]

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import yaml
 import pytest
@@ -271,6 +272,11 @@ def test_valid_prior_round_trip_unchanged():
     assert config_to_dict(config_from_dict(config_to_dict(cfg))) == config_to_dict(cfg)
 
 
+def _init_args(cfg) -> dict:
+    """The constructor arguments of ``cfg``: its fields that are not derived."""
+    return {f.name: getattr(cfg, f.name) for f in dataclasses.fields(ExperimentConfig) if f.init}
+
+
 @pytest.mark.parametrize("field, value, match", [
     ("prior", {"d": 16}, "prior must be a ToyPriorSpec, got {'d': 16}"),
     ("operator", None, "operator must be a mapping, got None"),
@@ -282,14 +288,14 @@ def test_valid_prior_round_trip_unchanged():
 def test_direct_construction_checks_field_kinds(field, value, match):
     """``ExperimentConfig`` built directly (not through ``config_from_dict``)
     rejects a field of the wrong kind with a ValueError that names it."""
-    fields = dict(config_from_dict(MINIMAL).__dict__)
+    fields = _init_args(config_from_dict(MINIMAL))
     fields[field] = value
     with pytest.raises(ValueError, match=match):
         ExperimentConfig(**fields)
 
 
 def test_direct_construction_schedule_missing_keys_named():
-    fields = dict(config_from_dict(MINIMAL).__dict__, schedule={"steps": 10})
+    fields = dict(_init_args(config_from_dict(MINIMAL)), schedule={"steps": 10})
     with pytest.raises(ValueError, match="schedule .* is invalid: .*sigma_min"):
         ExperimentConfig(**fields)
     fields["schedule"] = {"sigma_min": 0.01, "sigma_max": 10.0}

@@ -442,6 +442,45 @@ def test_cli_report_reproduces_run(tmp_path):
     assert all(r.batch.measurement.sigma_y == 0.5 for r in rows)
 
 
+@pytest.mark.parametrize("solvers, solver, param, values", [
+    (["reference_exact", "mcg_diff"], "mcg_diff", "particles", "4,8"),
+    (["pnpdm", "ddrm"], "pnpdm", "rho_coupling", "0.1,0.5"),
+], ids=["mcg_diff-particles", "pnpdm-rho_coupling"])
+def test_cli_report_reproduces_sweep(tmp_path, solvers, solver, param, values):
+    """``report`` of a sweep run rewrites its results.csv and summary.json
+    byte for byte."""
+    data = dict(SMALL, experiment="exp2_binary", sigma_y=0.5, solvers=solvers)
+    out = tmp_path / "out"
+    assert main(["sweep", write_cfg(tmp_path, data), "--solver", solver, "--param", param,
+                 "--values", values, "--out", str(out), "--save-samples"]) == 0
+    before = {n: (out / n).read_bytes() for n in ("results.csv", "summary.json")}
+    assert main(["report", str(out), "--out", str(tmp_path / "again")]) == 0
+    for name, blob in before.items():
+        assert (tmp_path / "again" / name).read_bytes() == blob, name
+    assert f"{param},{values.split(',')[1]}" in before["results.csv"].decode()
+
+
+def test_one_build_per_experiment(monkeypatch):
+    """``config_from_dict`` builds the prior and the schedule once, and
+    ``run_experiment`` and ``experiment_oracle`` use what it built. Each
+    builder is counted at every binding in the package."""
+    counts = {}
+    for builder in (build_toy_prior, build_schedule):
+        def counted(*args, _builder=builder, **kwargs):
+            counts[_builder.__name__] += 1
+            return _builder(*args, **kwargs)
+        counts[builder.__name__] = 0
+        for name, module in list(sys.modules.items()):
+            bound = getattr(module, builder.__name__, None)
+            if name.split(".")[0] == "diffuq" and bound is builder:
+                monkeypatch.setattr(module, builder.__name__, counted)
+    cfg = config_from_dict(dict(SMALL, solvers=["reference_exact", "ddrm"],
+                                sweep_axis={"solver": "ddrm", "name": "eta", "values": [0.5, 1]}))
+    run_experiment(cfg)
+    experiment_oracle(cfg)
+    assert counts == {"build_toy_prior": 1, "build_schedule": 1}
+
+
 @pytest.mark.parametrize("key", ["row", "sigma_y", "hyperparameters"])
 def test_reaggregate_names_missing_metadata(tmp_path, small_rows, key):
     write_report(small_rows, tmp_path, save_samples=True)
@@ -504,10 +543,13 @@ def damaged_runs(tmp_path_factory, small_rows):
     """Report directories with a damaged ``samples/``, manifest or summary, by name."""
     runs = {name: tmp_path_factory.mktemp(name) for name in
             ("truncated", "no_operator", "bad_meta", "empty", "stray", "bad_manifest",
-             "bad_config", "list_summary")}
+             "bad_config", "list_summary", "manifest_dir", "summary_dir")}
     for name in ("truncated", "no_operator", "bad_meta", "bad_manifest", "bad_config",
-                 "list_summary"):
+                 "list_summary", "manifest_dir", "summary_dir"):
         write_report(small_rows, runs[name], save_samples=True)
+    for name, artifact in (("manifest_dir", "manifest.json"), ("summary_dir", "summary.json")):
+        (runs[name] / artifact).unlink()
+        (runs[name] / artifact).mkdir()  # exists, but cannot be opened as a file
     first = {name: runs[name] / "samples" / FIRST_SAMPLE
              for name in ("truncated", "no_operator", "bad_meta")}
     (runs["bad_manifest"] / "manifest.json").write_text("{broken")
@@ -550,11 +592,16 @@ def damaged_runs(tmp_path_factory, small_rows):
     (["report", "{bad_manifest}"], "report {bad_manifest}: manifest.json: Expecting property"),
     (["report", "{bad_config}"], "report {bad_config}: sigma_y must lie within"),
     (["report", "{list_summary}"], "report {list_summary}: summary.json: 'list' object"),
+    (["report", "{manifest_dir}", "--out", "{out}"],
+     "report {manifest_dir}: manifest.json: [Errno 21] Is a directory"),
+    (["report", "{summary_dir}", "--out", "{out}"],
+     "report {summary_dir}: summary.json: [Errno 21] Is a directory"),
 ], ids=["values", "param", "missing-run", "missing-oracle", "invalid-config", "invalid-yaml",
         "report-missing", "out-file-run", "out-under-file-run", "out-file-sweep",
         "out-file-report", "report-truncated", "report-no-operator", "report-empty",
         "report-stray-file", "report-bad-meta", "report-bad-manifest",
-        "report-bad-manifest-config", "report-summary-not-object"])
+        "report-bad-manifest-config", "report-summary-not-object", "report-manifest-unopenable",
+        "report-summary-unopenable"])
 def test_cli_bad_input_is_one_error_line(tmp_path, capsys, saved_run, damaged_runs, argv,
                                          names):
     """Bad input ends with exit status 2 and one error line that names the

@@ -20,6 +20,10 @@ GENERATOR_SITES = {"streams", "_as_rng", "sample_one", "build_operator",
                    "synthesize_measurement"}
 GENERATOR_CALLS = {"default_rng", "Generator", "PCG64", "SeedSequence"}
 
+# the functions that build an experiment's prior and schedule: only the
+# config calls them, and keeps what they build for the harness
+PROBLEM_BUILDERS = {"build_toy_prior", "build_schedule"}
+
 # modules that build and load native code; only ``seeding`` (the compiled
 # row loop) may import them
 NATIVE_MODULES = {"ctypes", "subprocess", "tempfile", "sysconfig"}
@@ -64,6 +68,12 @@ def test_generators_are_made_only_in_the_generator_sites():
     calls = _package_calls(GENERATOR_CALLS)
     assert not _outside(calls, GENERATOR_SITES)
     assert "streams" in {function for _, function, _, _ in calls}
+
+
+def test_only_the_config_builds_the_prior_and_schedule():
+    calls = _package_calls(PROBLEM_BUILDERS)
+    assert {name for name, _, _, _ in calls} == {"config.py"}
+    assert {callee for _, _, _, callee in calls} == PROBLEM_BUILDERS
 
 
 def _imports(tree) -> set:
