@@ -11,8 +11,9 @@ import numpy as np
 import yaml
 
 from .diffusion import build_schedule
-from .gmm import ToyPriorSpec, build_toy_prior, _Posterior
-from .operators import build_operator
+from .gmm import GaussianMixture, ToyPriorSpec, build_toy_prior, sample_mixture, _Posterior
+from .operators import LinearOperatorSVD, build_operator, synthesize_measurement
+from .seeding import derive_seed
 from .solvers import SolverSpec, resolve_solver
 
 __all__ = ["ExperimentConfig", "load_config", "config_to_dict", "config_from_dict"]
@@ -55,7 +56,8 @@ _OPERATOR_DEFAULTS = {
 class ExperimentConfig:
     """A validated experiment. The checks keep what they build, in derived
     fields: ``problem``, the (prior, schedule, operator) that every solver and
-    the oracle share, and ``runs`` (see ``_resolve_runs``)."""
+    the oracle share, ``runs`` (see ``_resolve_runs``) and, once every check
+    has passed, ``cases`` (see ``_experiment_cases``)."""
 
     experiment: str
     master_seed: int
@@ -69,6 +71,7 @@ class ExperimentConfig:
     sweep_axis: dict | None = None  # {"solver": name, "name": hp, "values": [...]}
     problem: tuple = field(init=False, compare=False, repr=False)
     runs: tuple = field(init=False, compare=False, repr=False)
+    cases: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self._check_kinds()
@@ -87,7 +90,7 @@ class ExperimentConfig:
         sched = self._check_schedule()
         if self.prior.d > _MAX_D:
             raise ValueError(f"prior d must be <= {_MAX_D}, got {self.prior.d!r}")
-        steps, d = int(self.schedule["steps"]), self.prior.d
+        steps, d = self.schedule["steps"], self.prior.d
         if (steps + 1) * d**2 > _MAX_KERNEL_ENTRIES:
             raise ValueError(
                 f"schedule steps and prior d give a reverse kernel of (steps + 1) * d^2 ="
@@ -98,6 +101,9 @@ class ExperimentConfig:
             prior = build_toy_prior(self.prior)
         except ValueError as exc:
             raise ValueError(f"prior {self.prior!r} is invalid: {exc}") from None
+        counts = {key: _integer(f"operator {key}", value)
+                  for key, value in self.operator.items() if key in ("obs_count", "seed")}
+        object.__setattr__(self, "operator", {**self.operator, **counts})
         try:
             operator = build_operator(**{"d": self.prior.d, **self.operator})
         except (TypeError, ValueError) as exc:
@@ -113,6 +119,8 @@ class ExperimentConfig:
         object.__setattr__(self, "problem", (prior, sched, operator))
         object.__setattr__(self, "runs", self._resolve_runs())
         self._check_rho_coupling()
+        object.__setattr__(self, "cases", _experiment_cases(
+            prior, operator, self.sigma_y, self.n_cases, self.master_seed))
 
     def _resolve_runs(self) -> tuple:
         """One (sweep value, solver specs) pair per sweep value, each spec of
@@ -158,8 +166,11 @@ class ExperimentConfig:
             value = sched.get(key, 1.0)
             if not (_real(value) and math.isfinite(value)):
                 raise ValueError(f"schedule {key} must be a finite number, got {value!r}")
-        if _integer("schedule steps", sched.get("steps")) > _MAX_STEPS:
+        steps = _integer("schedule steps", sched.get("steps"))
+        if steps > _MAX_STEPS:
             raise ValueError(f"schedule steps must be <= {_MAX_STEPS}, got {sched['steps']!r}")
+        sched = {**sched, "steps": steps}
+        object.__setattr__(self, "schedule", sched)
         try:
             built = build_schedule(**sched)
         except (TypeError, ValueError, ArithmeticError) as exc:
@@ -202,6 +213,17 @@ def _integer(key: str, value) -> int:
     if not (_real(value) and float(value).is_integer()):
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return int(value)
+
+
+def _experiment_cases(prior: GaussianMixture, A: LinearOperatorSVD, sigma_y: float,
+                      n_cases: int, seed: int) -> tuple:
+    """The ``n_cases`` measurements of an experiment, each holding its
+    ground truth ``x_star``; case n's truth and noise are seeded from
+    (``seed``, n) alone, so every solver sees the same cases."""
+    truths = [sample_mixture(prior, 1, derive_seed(seed, [("xstar", n)]))[0]
+              for n in range(n_cases)]
+    return tuple(synthesize_measurement(A, x_star, sigma_y, derive_seed(seed, [("meas", n)]))
+                 for n, x_star in enumerate(truths))
 
 
 def _mapping(data: dict, key: str) -> dict:

@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gmm import GaussianMixture, sample_mixture, _Posterior, _mixture_rows, _moments
-from .operators import LinearOperatorSVD, synthesize_measurement
-from .seeding import derive_seed, row_seeds, streams
+from .gmm import GaussianMixture, _Posterior, _moments
+from .operators import LinearOperatorSVD
 
 __all__ = [
     "CoverageReport",
@@ -164,55 +163,33 @@ def variance_vs_k(samples: np.ndarray, k_grid) -> list:
     return [(k, float(samples[:k].var(axis=0, ddof=1).mean())) for k in k_grid]
 
 
-def _experiment_cases(prior: GaussianMixture, A: LinearOperatorSVD, sigma_y: float,
-                      n_cases: int, seed: int) -> list:
-    """The ``n_cases`` measurements of an experiment, each holding its
-    ground truth ``x_star``; case n's truth and noise are seeded from
-    (``seed``, n) alone, so every solver sees the same cases."""
-    cases = []
-    for n in range(n_cases):
-        x_star = sample_mixture(prior, 1, derive_seed(seed, [("xstar", n)]))[0]
-        cases.append(synthesize_measurement(A, x_star, sigma_y, derive_seed(seed, [("meas", n)])))
-    return cases
-
-
-def oracle_reference(prior: GaussianMixture, A: LinearOperatorSVD, sigma_y: float,
-                     n_cases: int, seed: int, k_samples: int = 100):
-    """Analytic reference quantities for one (prior, operator, noise) setup.
+def oracle_reference(prior: GaussianMixture, batches):
+    """Analytic reference quantities for the exact posterior draws ``batches``
+    of one (prior, operator, noise) setup, one ``reference_exact`` batch per case.
 
     Returns (oracle_coverage, theory_var_obs, theory_var_null, oracle_rmse).
     Theory variances are the exact posterior directional variances
-    (V^T Cov_post V)_jj averaged over cases and split by singular value;
-    oracle coverage and RMSE are Monte Carlo estimates from the exact
-    posterior sampler run through the same evaluation pipeline. One
-    posterior object conditions every case and gives both: case n's draws
-    are the rows ``reference_exact`` draws with base seed
-    ``derive_seed(seed, [("case", n)])``.
+    (V^T Cov_post V)_jj averaged over cases and split by singular value; one
+    posterior object, conditioned on the batches' ``y``, gives them. Oracle
+    coverage and RMSE are the batches' own, pooled through the same
+    evaluation pipeline as a solver's. Draws nothing.
     """
-    from .solvers import SampleBatch, resolve_solver
-
-    spec = resolve_solver("reference_exact")
-    obs_idx, null_idx = (
-        A.obs_null_split() if A.is_binary() else (np.arange(A.d), np.array([], int))
-    )
-
-    measurements = _experiment_cases(prior, A, sigma_y, n_cases, seed)
+    if not batches:
+        raise ValueError("batches must be nonempty")
+    drawn_by = {b.solver.name for b in batches} - {"reference_exact"}
+    if drawn_by:
+        raise ValueError(f"the oracle scores reference_exact batches, got {sorted(drawn_by)}")
+    ms = [b.measurement for b in batches]
+    A, sigma_y = ms[0].operator, ms[0].sigma_y
+    if any(m.operator is not A or m.sigma_y != sigma_y for m in ms):
+        raise ValueError("the batches must share the operator and sigma_y")
+    obs_idx, null_idx = A.obs_null_split() if A.is_binary() else (np.arange(A.d), [])
     post = _Posterior(prior, A, sigma_y)
-    weights, means = post.condition(np.array([m.y for m in measurements]))
-    dir_var = np.zeros(A.d)
-    batches = []
-    for n, m in enumerate(measurements):
-        _, cov = _moments(weights[n], means[n], post.covs)
-        dir_var += np.diag(A.V.T @ cov @ A.V)
-        seeds = row_seeds(derive_seed(seed, [("case", n)]), k_samples)
-        at = np.full(k_samples, n)
-        samples = _mixture_rows(weights[at], means[at], post.chols, streams(seeds))
-        batches.append(SampleBatch(solver=spec, measurement=m, samples=samples,
-                                   seeds=seeds.tolist(), statuses=["ok"] * len(seeds)))
-    dir_var /= n_cases
-    truths = [m.x_star for m in measurements]
-    cov_rep = coverage_eval(batches, truths)
-    acc_rep = rmse_eval(batches, truths)
+    weights, means = post.condition(np.array([m.y for m in ms]))
+    dir_var = sum(np.diag(A.V.T @ _moments(w, mu, post.covs)[1] @ A.V)
+                  for w, mu in zip(weights, means)) / len(ms)
+    truths = [m.x_star for m in ms]
     theory_obs = float(dir_var[obs_idx].mean()) if len(obs_idx) else float("nan")
     theory_null = float(dir_var[null_idx].mean()) if len(null_idx) else float("nan")
-    return cov_rep.coverage_global, theory_obs, theory_null, acc_rep.rmse_mean
+    return (coverage_eval(batches, truths).coverage_global, theory_obs, theory_null,
+            rmse_eval(batches, truths).rmse_mean)

@@ -10,7 +10,6 @@ results.csv.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -22,12 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig, config_to_dict
-from .diagnostics import (coverage_eval, obs_null_variance, oracle_reference, rmse_eval,
-                          _experiment_cases)
+from .diagnostics import coverage_eval, obs_null_variance, oracle_reference, rmse_eval
 from . import seeding
 from .operators import Measurement, operator_from_json, operator_to_json
 from .seeding import derive_seed
-from .solvers import SampleBatch, SamplingContext, SolverSpec, run_cases
+from .solvers import SampleBatch, SamplingContext, SolverSpec, resolve_solver, run_cases
 
 __all__ = ["ResultRow", "CSV_HEADER", "run_experiment", "write_report",
            "experiment_oracle", "reaggregate"]
@@ -109,14 +107,13 @@ def _result_row(experiment: str, case_id: int, sweep_param: str, sweep_value: st
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list:
     """Run every solver on every case (and sweep value) of the config.
 
-    Each (sweep value, solver spec) of ``cfg.runs`` samples all the cases of
-    ``cfg.problem`` from one setup (``run_cases``), on the calling thread.
+    Each (sweep value, solver spec) of ``cfg.runs`` samples all of
+    ``cfg.cases`` from one setup (``run_cases``), on the calling thread.
     ``workers`` is accepted and ignored: the benchmark workload still passes
     it, and it goes once the benchmark revision drops that call.
     """
-    prior, sched, A = cfg.problem
+    prior, sched, _ = cfg.problem
     ctx = SamplingContext.build(prior, sched)
-    cases = _experiment_cases(prior, A, cfg.sigma_y, cfg.n_cases, cfg.master_seed)
     param = cfg.sweep_axis["name"] if cfg.sweep_axis else ""
 
     rows = []
@@ -124,21 +121,21 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list:
         for i, spec in enumerate(specs):
             seeds = [derive_seed(cfg.master_seed, [("solver", i), ("sweep", j), ("case", n)])
                      for n in range(cfg.n_cases)]
-            batches = run_cases(spec, cases, prior, sched, cfg.k_samples, seeds, ctx=ctx)
+            batches = run_cases(spec, cfg.cases, prior, sched, cfg.k_samples, seeds, ctx=ctx)
             rows += [_result_row(cfg.experiment, n, param, str(value), seed, batch)
                      for n, (seed, batch) in enumerate(zip(seeds, batches))]
     return rows
 
 
-def experiment_oracle(cfg: ExperimentConfig, k_samples: int | None = None):
-    """Analytic reference values for the config's problem setup, with
-    ``k_samples`` draws per case (None: the config's count)."""
-    if k_samples is not None:
-        cfg = dataclasses.replace(cfg, k_samples=k_samples)
-    prior, _, A = cfg.problem
-    cov, t_obs, t_null, rmse = oracle_reference(
-        prior, A, cfg.sigma_y, cfg.n_cases, cfg.master_seed, k_samples=cfg.k_samples,
-    )
+def experiment_oracle(cfg: ExperimentConfig):
+    """Analytic reference values for the config's cases, scored on the rows
+    ``reference_exact`` draws for case n with base seed
+    ``derive_seed(master_seed, [("case", n)])``."""
+    prior, sched, _ = cfg.problem
+    seeds = [derive_seed(cfg.master_seed, [("case", n)]) for n in range(cfg.n_cases)]
+    batches = run_cases(resolve_solver("reference_exact"), cfg.cases, prior, sched,
+                        cfg.k_samples, seeds)
+    cov, t_obs, t_null, rmse = oracle_reference(prior, batches)
     return {"oracle_coverage": cov, "theory_var_obs": t_obs,
             "theory_var_null": t_null, "oracle_rmse": rmse}
 

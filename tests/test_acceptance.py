@@ -59,7 +59,7 @@ def exp2_rows():
 
 @pytest.fixture(scope="session")
 def exp2_oracle():
-    return experiment_oracle(config_from_dict(EXP2), k_samples=60)
+    return experiment_oracle(config_from_dict(EXP2))
 
 
 def solver_mean(rows, solver, metric):

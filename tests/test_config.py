@@ -227,19 +227,29 @@ def test_schedule_checked_at_config(schedule, solvers, match):
 @pytest.mark.parametrize("key, value", [
     ("k_samples", 2.5), ("n_cases", 1.7), ("master_seed", 7.5), ("k_samples", True),
     ("master_seed", "7"), ("n_cases", float("nan")),
+    ("operator obs_count", True), ("operator obs_count", False),
+    ("operator seed", True), ("operator seed", "x"), ("operator seed", [1]),
 ])
 def test_counts_must_be_integers(key, value):
+    """A top-level count, or an ``operator`` one (of an exp2 config)."""
+    section, _, sub = key.rpartition(" ")
+    data = (dict(MINIMAL, experiment="exp2_binary", operator={sub: value}) if section
+            else dict(MINIMAL, **{key: value}))
     with pytest.raises(ValueError, match=f"{key} must be an integer"):
-        config_from_dict(dict(MINIMAL, **{key: value}))
+        config_from_dict(data)
 
 
 def test_integral_counts_load_unchanged():
-    as_floats = dict(MINIMAL, master_seed=7.0, n_cases=3.0, k_samples=10.0,
-                     schedule={"steps": 12})
-    as_ints = dict(MINIMAL, n_cases=3, k_samples=10, schedule={"steps": 12})
+    as_floats = dict(MINIMAL, experiment="exp2_binary", master_seed=7.0, n_cases=3.0,
+                     k_samples=10.0, schedule={"steps": 12.0},
+                     operator={"obs_count": 8.0, "seed": 3.0})
+    as_ints = dict(MINIMAL, experiment="exp2_binary", n_cases=3, k_samples=10,
+                   schedule={"steps": 12}, operator={"obs_count": 8, "seed": 3})
     cfg = config_from_dict(as_floats)
     assert config_to_dict(cfg) == config_to_dict(config_from_dict(as_ints))
-    assert all(type(v) is int for v in (cfg.master_seed, cfg.n_cases, cfg.k_samples))
+    counts = (cfg.master_seed, cfg.n_cases, cfg.k_samples, cfg.schedule["steps"],
+              cfg.problem[1].steps, cfg.operator["obs_count"], cfg.operator["seed"])
+    assert all(type(v) is int for v in counts)
 
 
 @pytest.mark.parametrize("operator, match", [

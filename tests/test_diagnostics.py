@@ -17,9 +17,10 @@ from diffuq.gmm import (
 )
 from diffuq.operators import build_operator, synthesize_measurement
 import diffuq.diagnostics
-from diffuq.diagnostics import _experiment_cases
+from diffuq.config import _experiment_cases, config_from_dict
+from diffuq.harness import experiment_oracle
 from diffuq.seeding import derive_seed
-from diffuq.solvers import SampleBatch, resolve_solver, run_batch, run_cases
+from diffuq.solvers import resolve_solver, run_batch, run_cases
 
 
 class FakeBatch:
@@ -220,12 +221,21 @@ def test_variance_vs_k_validation(rng):
 # analytic oracle
 # ---------------------------------------------------------------------------
 
+def _oracle(prior, A, sigma_y, n_cases, seed, k_samples):
+    """``oracle_reference`` of an experiment's cases, case n drawn by
+    ``reference_exact`` with base seed ``derive_seed(seed, [("case", n)])``."""
+    ms = _experiment_cases(prior, A, sigma_y, n_cases, seed)
+    seeds = [derive_seed(seed, [("case", n)]) for n in range(n_cases)]
+    batches = run_cases(resolve_solver("reference_exact"), ms, prior,
+                        build_schedule(0.01, 10.0, 4), k_samples, seeds)
+    return oracle_reference(prior, batches)
+
+
 def test_oracle_single_gaussian_identity():
     prior = GaussianMixture(np.array([1.0]), np.zeros((1, 6)),
                             np.eye(6)[None, :, :])
     A = build_operator("identity", 6)
-    cov, t_obs, t_null, rmse = oracle_reference(prior, A, 1.0, 20, 3,
-                                                k_samples=100)
+    cov, t_obs, t_null, rmse = _oracle(prior, A, 1.0, 20, 3, k_samples=100)
     assert abs(cov - 0.95) < 0.04
     assert t_obs == pytest.approx(0.5)
     assert np.isnan(t_null)
@@ -233,7 +243,7 @@ def test_oracle_single_gaussian_identity():
 
 def test_oracle_zero_operator_null_variance(toy_prior):
     A = build_operator("binary_svd", 16, obs_count=0)
-    _, t_obs, t_null, _ = oracle_reference(toy_prior, A, 1.0, 3, 4, k_samples=10)
+    _, t_obs, t_null, _ = _oracle(toy_prior, A, 1.0, 3, 4, k_samples=10)
     _, cov = mixture_moments(toy_prior)
     assert t_null == pytest.approx(np.diag(cov).mean())
     assert np.isnan(t_obs)
@@ -243,8 +253,7 @@ def test_oracle_self_consistent_with_sampling(toy_prior):
     A = build_operator("binary_svd", 16, obs_count=8,
                        basis_mode="random_orthogonal", seed=9)
     n_cases, k = 5, 400
-    _, t_obs, t_null, _ = oracle_reference(toy_prior, A, 1.0, n_cases, 11,
-                                           k_samples=10)
+    _, t_obs, t_null, _ = _oracle(toy_prior, A, 1.0, n_cases, 11, k_samples=10)
     sched = build_schedule(0.01, 10.0, 4)
     spec = resolve_solver("reference_exact")
     from diffuq.seeding import derive_seed
@@ -262,14 +271,15 @@ def test_oracle_self_consistent_with_sampling(toy_prior):
     assert abs(rep.var_null - t_null) < 3 * se_null * 3
 
 
-@pytest.mark.parametrize("A", [
-    build_operator("identity", 16),
-    build_operator("binary_svd", 16, obs_count=8, basis_mode="random_orthogonal", seed=9),
+@pytest.mark.parametrize("experiment, operator", [
+    ("exp1_identity", {"kind": "identity"}),
+    ("exp2_binary", {"kind": "binary_svd", "obs_count": 8,
+                     "basis_mode": "random_orthogonal", "seed": 9}),
 ], ids=["identity", "orthogonal_obs8"])
-def test_oracle_draws_equal_reference_exact_rows(toy_prior, monkeypatch, A):
-    """The oracle's draws for case n are, bit for bit, the rows
-    ``run_cases(reference_exact)`` draws with base seed
-    ``derive_seed(seed, [("case", n)])``."""
+def test_oracle_draws_equal_reference_exact_rows(toy_prior, monkeypatch, experiment, operator):
+    """``experiment_oracle`` scores, for case n, bit for bit the rows
+    ``run_batch(reference_exact)`` draws for that case alone with base seed
+    ``derive_seed(master_seed, [("case", n)])``."""
     seen = []
 
     def capture(batches, truths):
@@ -278,12 +288,42 @@ def test_oracle_draws_equal_reference_exact_rows(toy_prior, monkeypatch, A):
 
     monkeypatch.setattr(diffuq.diagnostics, "coverage_eval", capture)
     n_cases, seed, k = 4, 13, 7
-    oracle_reference(toy_prior, A, 0.5, n_cases, seed, k_samples=k)
+    cfg = config_from_dict({"experiment": experiment, "master_seed": seed, "sigma_y": 0.5,
+                            "n_cases": n_cases, "k_samples": k, "operator": operator,
+                            "schedule": {"steps": 4}, "solvers": ["reference_exact"]})
+    experiment_oracle(cfg)
+    prior, sched, A = cfg.problem
     ms = _experiment_cases(toy_prior, A, 0.5, n_cases, seed)
-    want = run_cases(resolve_solver("reference_exact"), ms, toy_prior,
-                     build_schedule(0.01, 10.0, 4), k,
-                     [derive_seed(seed, [("case", n)]) for n in range(n_cases)])
     assert len(seen) == n_cases
-    for got, ref in zip(seen, want):
+    for n, (got, m) in enumerate(zip(seen, ms)):
+        ref = run_batch(resolve_solver("reference_exact"), m, prior, sched, k,
+                        derive_seed(seed, [("case", n)]))
+        assert np.array_equal(got.measurement.y, m.y)
         assert np.array_equal(got.samples, ref.samples)
         assert got.seeds == ref.seeds and got.statuses == ref.statuses
+
+
+def _batches(prior, A, sigma_y, name="reference_exact"):
+    """Two cases' batches of three rows from solver ``name``."""
+    ms = _experiment_cases(prior, A, sigma_y, 2, 5)
+    return run_cases(resolve_solver(name), ms, prior, build_schedule(0.01, 10.0, 4), 3, [0, 1])
+
+
+def test_oracle_reference_rejects_empty_batches(toy_prior):
+    with pytest.raises(ValueError, match="nonempty"):
+        oracle_reference(toy_prior, [])
+
+
+def test_oracle_reference_rejects_batches_of_two_setups(toy_prior):
+    """Batches of another operator object, or of another sigma_y, are not one setup."""
+    A = build_operator("identity", 16)
+    for other in (_batches(toy_prior, build_operator("identity", 16), 1.0),
+                  _batches(toy_prior, A, 0.5)):
+        with pytest.raises(ValueError, match="share the operator and sigma_y"):
+            oracle_reference(toy_prior, _batches(toy_prior, A, 1.0) + other)
+
+
+def test_oracle_reference_rejects_other_solvers(toy_prior):
+    batches = _batches(toy_prior, build_operator("identity", 16), 1.0, "ddnm")
+    with pytest.raises(ValueError, match=r"reference_exact batches, got \['ddnm'\]"):
+        oracle_reference(toy_prior, batches)

@@ -76,6 +76,16 @@ def test_only_the_config_builds_the_prior_and_schedule():
     assert {callee for _, _, _, callee in calls} == PROBLEM_BUILDERS
 
 
+def test_only_run_cases_makes_row_streams():
+    calls = _package_calls({"streams"})
+    assert {function for _, function, _, _ in calls} == {"run_cases"}
+
+
+def test_only_the_config_makes_the_cases():
+    calls = _package_calls({"synthesize_measurement"})
+    assert {name for name, _, _, _ in calls} == {"config.py"}
+
+
 def _imports(tree) -> set:
     """The top-level names of the modules that ``tree`` imports."""
     names = set()
