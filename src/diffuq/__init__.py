@@ -47,6 +47,7 @@ from .diffusion import (
 from .seeding import derive_seed
 from .solvers import (
     SOLVER_NAMES,
+    Problem,
     SampleBatch,
     SamplingContext,
     SolverSpec,
@@ -90,6 +91,7 @@ __all__ = [
     "level_index_for_sigma",
     "derive_seed",
     "SOLVER_NAMES",
+    "Problem",
     "SampleBatch",
     "SamplingContext",
     "SolverSpec",

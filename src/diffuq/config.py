@@ -11,10 +11,10 @@ import numpy as np
 import yaml
 
 from .diffusion import build_schedule
-from .gmm import GaussianMixture, ToyPriorSpec, build_toy_prior, sample_mixture, _Posterior
-from .operators import LinearOperatorSVD, build_operator, synthesize_measurement
+from .gmm import ToyPriorSpec, build_toy_prior, sample_mixture
+from .operators import build_operator, synthesize_measurement
 from .seeding import derive_seed
-from .solvers import SolverSpec, resolve_solver
+from .solvers import Problem, SolverSpec, resolve_solver
 
 __all__ = ["ExperimentConfig", "load_config", "config_to_dict", "config_from_dict"]
 
@@ -50,14 +50,16 @@ _OPERATOR_DEFAULTS = {
                     "basis_mode": "random_orthogonal", "seed": 0},
     "sweep": {"kind": "identity"},
 }
+# the operator keys a config may set; ``d`` is the prior's
+_OPERATOR_KEYS = {"kind", "obs_count", "basis_mode", "seed"}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A validated experiment. The checks keep what they build, in derived
-    fields: ``problem``, the (prior, schedule, operator) that every solver and
-    the oracle share, ``runs`` (see ``_resolve_runs``) and, once every check
-    has passed, ``cases`` (see ``_experiment_cases``)."""
+    fields: ``problem``, the ``solvers.Problem`` that every solver and the
+    oracle share, ``runs`` (see ``_resolve_runs``) and, once every check has
+    passed, ``cases`` (see ``_experiment_cases``)."""
 
     experiment: str
     master_seed: int
@@ -69,7 +71,7 @@ class ExperimentConfig:
     operator: dict = field(default_factory=dict)
     schedule: dict = field(default_factory=lambda: dict(_SCHEDULE_DEFAULTS))
     sweep_axis: dict | None = None  # {"solver": name, "name": hp, "values": [...]}
-    problem: tuple = field(init=False, compare=False, repr=False)
+    problem: Problem = field(init=False, compare=False, repr=False)
     runs: tuple = field(init=False, compare=False, repr=False)
     cases: tuple = field(init=False, compare=False, repr=False)
 
@@ -101,26 +103,29 @@ class ExperimentConfig:
             prior = build_toy_prior(self.prior)
         except ValueError as exc:
             raise ValueError(f"prior {self.prior!r} is invalid: {exc}") from None
+        bad = [key for key in self.operator if key not in _OPERATOR_KEYS]
+        if bad:
+            raise ValueError(f"unknown operator keys: {bad}")
         counts = {key: _integer(f"operator {key}", value)
                   for key, value in self.operator.items() if key in ("obs_count", "seed")}
         object.__setattr__(self, "operator", {**self.operator, **counts})
         try:
-            operator = build_operator(**{"d": self.prior.d, **self.operator})
+            operator = build_operator(d=self.prior.d, **self.operator)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"operator {self.operator!r} is invalid: {exc}") from None
+        problem = Problem(prior, sched, operator, self.sigma_y)
         try:
-            # the oracle and reference_exact factor this exact posterior
-            _Posterior(prior, operator, self.sigma_y)
+            problem.posterior  # factored here once, for reference_exact and the oracle
         except np.linalg.LinAlgError as exc:
             raise ValueError(
                 f"sigma_y = {self.sigma_y!r} with operator {self.operator!r} gives an exact"
                 f" posterior that cannot be factored ({exc})"
             ) from None
-        object.__setattr__(self, "problem", (prior, sched, operator))
+        object.__setattr__(self, "problem", problem)
         object.__setattr__(self, "runs", self._resolve_runs())
         self._check_rho_coupling()
-        object.__setattr__(self, "cases", _experiment_cases(
-            prior, operator, self.sigma_y, self.n_cases, self.master_seed))
+        object.__setattr__(self, "cases", _experiment_cases(problem, self.n_cases,
+                                                            self.master_seed))
 
     def _resolve_runs(self) -> tuple:
         """One (sweep value, solver specs) pair per sweep value, each spec of
@@ -215,14 +220,14 @@ def _integer(key: str, value) -> int:
     return int(value)
 
 
-def _experiment_cases(prior: GaussianMixture, A: LinearOperatorSVD, sigma_y: float,
-                      n_cases: int, seed: int) -> tuple:
-    """The ``n_cases`` measurements of an experiment, each holding its
-    ground truth ``x_star``; case n's truth and noise are seeded from
-    (``seed``, n) alone, so every solver sees the same cases."""
-    truths = [sample_mixture(prior, 1, derive_seed(seed, [("xstar", n)]))[0]
+def _experiment_cases(problem: Problem, n_cases: int, seed: int) -> tuple:
+    """The ``n_cases`` measurements of ``problem``, each holding its ground
+    truth ``x_star``; case n's truth and noise are seeded from (``seed``, n)
+    alone, so every solver sees the same cases."""
+    truths = [sample_mixture(problem.prior, 1, derive_seed(seed, [("xstar", n)]))[0]
               for n in range(n_cases)]
-    return tuple(synthesize_measurement(A, x_star, sigma_y, derive_seed(seed, [("meas", n)]))
+    return tuple(synthesize_measurement(problem.operator, x_star, problem.sigma_y,
+                                        derive_seed(seed, [("meas", n)]))
                  for n, x_star in enumerate(truths))
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gmm import GaussianMixture, _Posterior, _moments
+from .gmm import _moments
 from .operators import LinearOperatorSVD
 
 __all__ = [
@@ -163,14 +163,15 @@ def variance_vs_k(samples: np.ndarray, k_grid) -> list:
     return [(k, float(samples[:k].var(axis=0, ddof=1).mean())) for k in k_grid]
 
 
-def oracle_reference(prior: GaussianMixture, batches):
+def oracle_reference(problem, batches):
     """Analytic reference quantities for the exact posterior draws ``batches``
-    of one (prior, operator, noise) setup, one ``reference_exact`` batch per case.
+    of the measurements of ``problem`` (a ``solvers.Problem``), one
+    ``reference_exact`` batch per case.
 
     Returns (oracle_coverage, theory_var_obs, theory_var_null, oracle_rmse).
     Theory variances are the exact posterior directional variances
-    (V^T Cov_post V)_jj averaged over cases and split by singular value; one
-    posterior object, conditioned on the batches' ``y``, gives them. Oracle
+    (V^T Cov_post V)_jj averaged over cases and split by singular value;
+    ``problem.posterior``, conditioned on the batches' ``y``, gives them. Oracle
     coverage and RMSE are the batches' own, pooled through the same
     evaluation pipeline as a solver's. Draws nothing.
     """
@@ -180,11 +181,9 @@ def oracle_reference(prior: GaussianMixture, batches):
     if drawn_by:
         raise ValueError(f"the oracle scores reference_exact batches, got {sorted(drawn_by)}")
     ms = [b.measurement for b in batches]
-    A, sigma_y = ms[0].operator, ms[0].sigma_y
-    if any(m.operator is not A or m.sigma_y != sigma_y for m in ms):
-        raise ValueError("the batches must share the operator and sigma_y")
+    problem.check_measurements(ms)
+    A, post = problem.operator, problem.posterior
     obs_idx, null_idx = A.obs_null_split() if A.is_binary() else (np.arange(A.d), [])
-    post = _Posterior(prior, A, sigma_y)
     weights, means = post.condition(np.array([m.y for m in ms]))
     dir_var = sum(np.diag(A.V.T @ _moments(w, mu, post.covs)[1] @ A.V)
                   for w, mu in zip(weights, means)) / len(ms)

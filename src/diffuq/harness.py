@@ -25,7 +25,7 @@ from .diagnostics import coverage_eval, obs_null_variance, oracle_reference, rms
 from . import seeding
 from .operators import Measurement, operator_from_json, operator_to_json
 from .seeding import derive_seed
-from .solvers import SampleBatch, SamplingContext, SolverSpec, resolve_solver, run_cases
+from .solvers import SampleBatch, SolverSpec, resolve_solver, run_cases
 
 __all__ = ["ResultRow", "CSV_HEADER", "run_experiment", "write_report",
            "experiment_oracle", "reaggregate"]
@@ -112,8 +112,6 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list:
     ``workers`` is accepted and ignored: the benchmark workload still passes
     it, and it goes once the benchmark revision drops that call.
     """
-    prior, sched, _ = cfg.problem
-    ctx = SamplingContext.build(prior, sched)
     param = cfg.sweep_axis["name"] if cfg.sweep_axis else ""
 
     rows = []
@@ -121,7 +119,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list:
         for i, spec in enumerate(specs):
             seeds = [derive_seed(cfg.master_seed, [("solver", i), ("sweep", j), ("case", n)])
                      for n in range(cfg.n_cases)]
-            batches = run_cases(spec, cfg.cases, prior, sched, cfg.k_samples, seeds, ctx=ctx)
+            batches = run_cases(spec, cfg.problem, cfg.cases, cfg.k_samples, seeds)
             rows += [_result_row(cfg.experiment, n, param, str(value), seed, batch)
                      for n, (seed, batch) in enumerate(zip(seeds, batches))]
     return rows
@@ -131,11 +129,10 @@ def experiment_oracle(cfg: ExperimentConfig):
     """Analytic reference values for the config's cases, scored on the rows
     ``reference_exact`` draws for case n with base seed
     ``derive_seed(master_seed, [("case", n)])``."""
-    prior, sched, _ = cfg.problem
     seeds = [derive_seed(cfg.master_seed, [("case", n)]) for n in range(cfg.n_cases)]
-    batches = run_cases(resolve_solver("reference_exact"), cfg.cases, prior, sched,
+    batches = run_cases(resolve_solver("reference_exact"), cfg.problem, cfg.cases,
                         cfg.k_samples, seeds)
-    cov, t_obs, t_null, rmse = oracle_reference(prior, batches)
+    cov, t_obs, t_null, rmse = oracle_reference(cfg.problem, batches)
     return {"oracle_coverage": cov, "theory_var_obs": t_obs,
             "theory_var_null": t_null, "oracle_rmse": rmse}
 

@@ -4,13 +4,12 @@ Ten solvers: an exact-posterior reference plus nine plug-and-play diffusion
 samplers spanning three families (posterior-targeting, heuristic, MAP-like).
 Each solver is assembled from small sub-steps that are tested on their own
 against independent oracles. A solver sets up once per batch of cases (the
-measurements of one operator and ``sigma_y``) and returns
-``rows(rngs, cases) -> (X, statuses)``, which advances all rows of the batch
-together, row k drawing from row k of the streams ``rngs`` (a
+measurements of one ``Problem``: prior, schedule, operator and ``sigma_y``)
+and returns ``rows(rngs, cases) -> (X, statuses)``, which advances all rows
+of the batch together, row k drawing from row k of the streams ``rngs`` (a
 ``seeding._Streams``) and measuring case ``cases[k]``;
 ``run_cases`` draws the K-sample batches of several cases from one setup,
-in row chunks of at most ``ROW_BUDGET`` rows, and ``run_batch`` is its
-one-case call.
+in row chunks of at most ``ROW_BUDGET`` rows.
 
 Loop structures are documented in docs/solvers.md and frozen by tests.
 """
@@ -56,6 +55,7 @@ __all__ = [
     "SOLVER_FAMILIES",
     "SolverSpec",
     "SampleBatch",
+    "Problem",
     "resolve_solver",
     "sample_one",
     "run_batch",
@@ -382,29 +382,45 @@ def smc_resample(particles, weights, seed) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# shared per-problem context and the divergence exit
+# the problem every batch samples, and the divergence exit
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SamplingContext:
-    """The (prior, schedule) constants shared by every batch of one problem.
-
-    Immutable. The reverse kernel is built when a sampler first asks for
-    it, so a context used only by ``reference_exact`` never builds it.
-    Constants that depend on the measurements are built by each sampler's
-    setup, once per batch of cases.
-    """
+@dataclass(frozen=True, eq=False)
+class Problem:
+    """One inverse problem, shared by every solver and the oracle. Its
+    constants are built on first use and kept: ``kernel``, the exact reverse
+    kernel of the diffusion samplers, and ``posterior``, the exact posterior
+    that reference_exact and the oracle condition on each measurement."""
 
     prior: GaussianMixture
     sched: NoiseSchedule
+    operator: LinearOperatorSVD
+    sigma_y: float
 
-    @classmethod
-    def build(cls, prior: GaussianMixture, sched: NoiseSchedule) -> "SamplingContext":
-        return cls(prior=prior, sched=sched)
+    def __post_init__(self):
+        if self.operator.d != self.prior.dim:
+            raise ValueError("measurement operator dimension does not match prior")
 
     @functools.cached_property
     def kernel(self) -> ReverseKernel:
         return ReverseKernel(self.prior, self.sched)
+
+    @functools.cached_property
+    def posterior(self) -> _Posterior:
+        return _Posterior(self.prior, self.operator, self.sigma_y)
+
+    def check_measurements(self, ms) -> None:
+        """Reject a measurement of another operator object or ``sigma_y``."""
+        if any(m.operator is not self.operator or m.sigma_y != self.sigma_y for m in ms):
+            raise ValueError("each measurement must use the problem's operator and sigma_y")
+
+
+class SamplingContext:
+    """For the benchmark's calls only; ``run_batch`` ignores what it builds."""
+
+    @staticmethod
+    def build(prior: GaussianMixture, sched: NoiseSchedule):
+        return prior, sched
 
 
 class _Rows:
@@ -457,32 +473,27 @@ class _Rows:
 
 
 # ---------------------------------------------------------------------------
-# solver loops: ``_sample_<name>(spec, ms, ctx)`` does the work for the
+# solver loops: ``_sample_<name>(spec, problem, ms)`` does the work for the
 # measurements ``ms`` once and returns ``rows(rngs, cases) -> (X, statuses)``,
-# which draws row k of the batch from row k of the streams ``rngs`` for measurement
-# ``ms[cases[k]]``. Constants of the operator and sigma_y are built once;
-# those of y are built per case with the one-case code and gathered per row
+# which draws row k from row k of the streams ``rngs`` for ``ms[cases[k]]``.
+# Constants of the operator and sigma_y are built once; those of y are built
+# per case with the one-case code and gathered per row
 # ---------------------------------------------------------------------------
-
-def _shared(ms):
-    """The operator and sigma_y that the measurements ``ms`` share."""
-    return ms[0].operator, ms[0].sigma_y
-
 
 def _per_case(ms, f) -> np.ndarray:
     """``f(m.y)`` of each measurement, stacked on a leading case axis."""
     return np.array([f(m.y) for m in ms])
 
 
-def _row_loop(ctx: SamplingContext, n: int, update, start=None, **per_case):
+def _row_loop(problem: Problem, n: int, update, start=None, **per_case):
     """``rows`` of a sampler with one (K, d) iterate: from ``start(out)``
     (default: one start at ``sigma_max`` per row, from that row's generator)
     it takes the ``n`` steps ``X = update(X, i, out)``, which draw every
     number they use from ``out.rngs``, the running rows' streams, next to
     their ``per_case`` constants; a row whose update is not finite leaves."""
     def rows(rngs, cases):
-        out = _Rows(rngs, ctx.prior.dim, cases, **per_case)
-        X = start(out) if start else ctx.sched.sigma_max * out.rngs.normals(ctx.prior.dim)
+        out = _Rows(rngs, problem.prior.dim, cases, **per_case)
+        X = start(out) if start else problem.sched.sigma_max * out.rngs.normals(problem.prior.dim)
         for i in out.steps(n):
             X = out.finite(update(X, i, out), i)
         return out.done(X)
@@ -490,42 +501,41 @@ def _row_loop(ctx: SamplingContext, n: int, update, start=None, **per_case):
     return rows
 
 
-def _sample_reference_exact(spec, ms, ctx):
-    post = _Posterior(ctx.prior, *_shared(ms))
+def _sample_reference_exact(spec, problem, ms):
+    post = problem.posterior
     weights, means = post.condition(_per_case(ms, np.asarray))
 
     def rows(rngs, cases):
-        out = _Rows(rngs, ctx.prior.dim)
+        out = _Rows(rngs, problem.prior.dim)
         X = _mixture_rows(weights[cases], means[cases], post.chols, out.rngs)
         return out.done(out.finite(X, 0, why="posterior is not finite"))
 
     return rows
 
 
-def _kernel_guided(ctx, pull, **per_case):
+def _kernel_guided(problem, pull, **per_case):
     """Rows of a heuristic that adds ``pull(X, i, out)`` to every exact
     kernel step."""
-    return _row_loop(ctx, len(ctx.sched.grid) - 1,
-                     lambda X, i, out: ctx.kernel.step_rows(X, i, out.rngs) + pull(X, i, out),
+    return _row_loop(problem, len(problem.sched.grid) - 1,
+                     lambda X, i, out: problem.kernel.step_rows(X, i, out.rngs) + pull(X, i, out),
                      **per_case)
 
 
-def _sample_dps(spec, ms, ctx):
+def _sample_dps(spec, problem, ms):
     scale = spec.hyperparameters["guidance_scale"]
-    A, _ = _shared(ms)
+    A = problem.operator
 
     def pull(X, i, out):
-        _, xhat0, jac = ctx.kernel.score_and_denoise_rows(X, i)
+        _, xhat0, jac = problem.kernel.score_and_denoise_rows(X, i)
         grad, resid_norm = dps_guidance_gradient(xhat0, jac, out.y, A)
         return -(scale / (resid_norm[:, None] + 1e-12)) * grad
 
-    return _kernel_guided(ctx, pull, y=_per_case(ms, np.asarray))
+    return _kernel_guided(problem, pull, y=_per_case(ms, np.asarray))
 
 
-def _sample_daps(spec, ms, ctx):
+def _sample_daps(spec, problem, ms):
     hp = spec.hyperparameters
-    grid = ctx.sched.grid
-    A, sigma_y = _shared(ms)
+    A, sigma_y, grid = problem.operator, problem.sigma_y, problem.sched.grid
     s_max_sq = float(np.max(A.spectral_s()) ** 2)
     # stable step: inverse of the stiffest precision of the local target
     eff_steps = [hp["step_size"] / (1.0 / r_t**2 + s_max_sq / sigma_y**2)
@@ -535,101 +545,98 @@ def _sample_daps(spec, ms, ctx):
         # one block per level: each Langevin step's normals (none for a
         # zero step, which uses none), then the re-noise unless the next
         # level is 0
-        anchor = ctx.kernel.denoise_rows(X, i)
+        anchor = problem.kernel.denoise_rows(X, i)
         n = hp["langevin_steps"] if eff_steps[i] > 0 else 0
-        noise = out.rngs.normals((n + (grid[i + 1] > 0), ctx.prior.dim))
+        noise = out.rngs.normals((n + (grid[i + 1] > 0), A.d))
         X0 = anchor
         for j in range(n):
             X0 = daps_langevin_step(X0, anchor, grid[i], out.y, A, sigma_y, eff_steps[i],
                                     noise[:, j])
         return X0 + grid[i + 1] * noise[:, n] if grid[i + 1] > 0 else X0
 
-    return _row_loop(ctx, len(eff_steps), update, y=_per_case(ms, np.asarray))
+    return _row_loop(problem, len(eff_steps), update, y=_per_case(ms, np.asarray))
 
 
-def _sample_diffpir(spec, ms, ctx):
+def _sample_diffpir(spec, problem, ms):
     lam_reg = spec.hyperparameters["lambda_reg"]
-    grid = ctx.sched.grid
-    A, sigma_y = _shared(ms)
+    A, sigma_y, grid = problem.operator, problem.sigma_y, problem.sched.grid
 
     def pull(X, i, out):
-        xhat0 = ctx.kernel.denoise_rows(X, i)
+        xhat0 = problem.kernel.denoise_rows(X, i)
         z = prox_data_step(xhat0, out.yb, A, sigma_y, lam_reg / grid[i] ** 2)
         lam = grid[i + 1] ** 2 / grid[i] ** 2
         return (1 - lam) * (z - xhat0)
 
-    return _kernel_guided(ctx, pull, yb=_per_case(ms, A.spectral_y))
+    return _kernel_guided(problem, pull, yb=_per_case(ms, A.spectral_y))
 
 
-def _sample_ddnm(spec, ms, ctx):
-    grid = ctx.sched.grid
-    A, _ = _shared(ms)
+def _sample_ddnm(spec, problem, ms):
+    A, grid = problem.operator, problem.sched.grid
 
     def pull(X, i, out):
-        xhat0 = ctx.kernel.denoise_rows(X, i)
+        xhat0 = problem.kernel.denoise_rows(X, i)
         proj = ddnm_projection(xhat0, out.pinv_y, A)
         lam = grid[i + 1] ** 2 / grid[i] ** 2
         return (1 - lam) * (proj - xhat0)
 
-    return _kernel_guided(ctx, pull, pinv_y=_per_case(ms, lambda y: apply_pinv(A, y)))
+    return _kernel_guided(problem, pull, pinv_y=_per_case(ms, lambda y: apply_pinv(A, y)))
 
 
-def _sample_ddrm(spec, ms, ctx):
+def _sample_ddrm(spec, problem, ms):
     hp = spec.hyperparameters
-    grid = ctx.sched.grid
-    A, sigma_y = _shared(ms)
+    A, sigma_y, grid = problem.operator, problem.sigma_y, problem.sched.grid
 
     def update(X, i, out):
-        return ddrm_step(ctx.kernel.denoise_rows(X, i), out.yb, A, sigma_y, grid[i + 1],
+        return ddrm_step(problem.kernel.denoise_rows(X, i), out.yb, A, sigma_y, grid[i + 1],
                          hp["eta"], hp["eta_b"], out.rngs.normals(A.d), X, grid[i])
 
-    return _row_loop(ctx, len(grid) - 1, update, yb=_per_case(ms, A.spectral_y))
+    return _row_loop(problem, len(grid) - 1, update, yb=_per_case(ms, A.spectral_y))
 
 
-def _sample_reddiff(spec, ms, ctx):
+def _sample_reddiff(spec, problem, ms):
     hp = spec.hyperparameters
     steps = hp["opt_steps"]
-    A, sigma_y = _shared(ms)
+    A, sigma_y = problem.operator, problem.sigma_y
 
     def update(mu, t, out):
         lr = hp["step_size"] * (1.0 - t / steps)
-        levels = out.rngs.below(ctx.sched.last_nonzero_index + 1)
-        return reddiff_update(mu, out.y, A, sigma_y, ctx.kernel, hp["lambda_reg"], lr, levels,
-                              out.rngs.normals(ctx.prior.dim))
+        levels = out.rngs.below(problem.sched.last_nonzero_index + 1)
+        return reddiff_update(mu, out.y, A, sigma_y, problem.kernel, hp["lambda_reg"], lr, levels,
+                              out.rngs.normals(A.d))
 
-    return _row_loop(ctx, steps, update, start=lambda out: out.mu0,
+    return _row_loop(problem, steps, update, start=lambda out: out.mu0,
                      y=_per_case(ms, np.asarray), mu0=_per_case(ms, lambda y: apply_pinv(A, y)))
 
 
-def _sample_pnpdm(spec, ms, ctx):
+def _sample_pnpdm(spec, problem, ms):
     hp = spec.hyperparameters
     rho = hp["rho_coupling"]
     mode = hp["x_step"]
-    A, sigma_y = _shared(ms)
-    grid = ctx.sched.grid
-    first = level_index_for_sigma(ctx.sched, rho)
+    prior, A, sigma_y = problem.prior, problem.operator, problem.sigma_y
+    grid = problem.sched.grid
+    first = level_index_for_sigma(problem.sched, rho)
     z_step = _z_step_sampler(A, sigma_y, rho)
     if mode == "conjugate":
         # the x-step's exact draw from p(x) N(x; z, rho^2 I), whose
         # constants do not depend on z
-        denoise = _Posterior(ctx.prior, build_operator("identity", ctx.prior.dim), rho)
+        denoise = _Posterior(prior, build_operator("identity", prior.dim), rho)
 
     def start(out):
         # data-informed start: observed directions from the pseudo-inverse,
         # unobserved directions from a prior draw; shortens the Gibbs burn-in
-        return ddnm_projection(_sample_mixture_rows(ctx.prior, out.rngs), out.pinv_y, A)
+        return ddnm_projection(_sample_mixture_rows(prior, out.rngs), out.pinv_y, A)
 
     def update(X, g, out):
-        Z = out.finite(z_step(X, out.aty, out.rngs.normals(ctx.prior.dim)), g)
+        Z = out.finite(z_step(X, out.aty, out.rngs.normals(prior.dim)), g)
         if not len(Z):
             return Z
         if mode == "conjugate":
             return _mixture_rows(*denoise.condition(Z), denoise.chols, out.rngs)
         for i in range(first, len(grid) - 1):
-            Z = ctx.kernel.step_rows(Z, i, out.rngs)
+            Z = problem.kernel.step_rows(Z, i, out.rngs)
         return Z
 
-    return _row_loop(ctx, hp["gibbs_iters"], update, start,
+    return _row_loop(problem, hp["gibbs_iters"], update, start,
                      aty=_per_case(ms, lambda y: _aty(A, y, sigma_y)),
                      pinv_y=_per_case(ms, lambda y: apply_pinv(A, y)))
 
@@ -697,11 +704,11 @@ def _particle_rows(batch, n_p: int):
     return rows
 
 
-def _sample_fps_smc(spec, ms, ctx):
+def _sample_fps_smc(spec, problem, ms):
     n_p = spec.hyperparameters["particles"]
-    kernel, grid = ctx.kernel, ctx.sched.grid
-    A, sigma_y = _shared(ms)
-    d, C = ctx.prior.dim, ctx.prior.n_components
+    kernel, grid = problem.kernel, problem.sched.grid
+    A, sigma_y = problem.operator, problem.sigma_y
+    d, C = problem.prior.dim, problem.prior.n_components
     s = A.spectral_s()
     obs = s > 0
     n_levels = len(grid) - 1
@@ -748,7 +755,7 @@ def _sample_fps_smc(spec, ms, ctx):
         eta = np.cumsum(path_scale[:, None] * out.rngs.normals((n_levels, d)), axis=1)
         yb_path = A.spectral_y(out.y[:, None, :]
                                + apply_forward(A, np.ascontiguousarray(eta[:, ::-1])))
-        X = ctx.sched.sigma_max * out.rngs.normals((n_p, d))
+        X = problem.sched.sigma_max * out.rngs.normals((n_p, d))
         log_w = log_potential(X, 0, yb_path[:, 0])
         for i in out.steps(n_trans):
             K = len(out.rngs)
@@ -806,12 +813,12 @@ def _sample_fps_smc(spec, ms, ctx):
     return _particle_rows(batch, n_p)
 
 
-def _sample_mcg_diff(spec, ms, ctx):
-    A, sigma_y = _shared(ms)
+def _sample_mcg_diff(spec, problem, ms):
+    A, sigma_y = problem.operator, problem.sigma_y
     if not A.is_binary():
         raise ValueError("mcg_diff requires an operator with binary singular values")
     n_p = spec.hyperparameters["particles"]
-    kernel, grid = ctx.kernel, ctx.sched.grid
+    kernel, grid = problem.kernel, problem.sched.grid
     obs = A.spectral_s() == 1.0
     k = int(obs.sum())
     yb_obs = _per_case(ms, lambda y: A.spectral_y(y)[obs])
@@ -823,8 +830,8 @@ def _sample_mcg_diff(spec, ms, ctx):
         return -0.5 * (np.sum(diff**2, axis=-1) / var + k * np.log(2 * np.pi * var))
 
     def batch(rngs, cases):
-        out = _Rows(rngs, ctx.prior.dim, cases, yb_obs=yb_obs)
-        X = ctx.sched.sigma_max * out.rngs.normals((n_p, ctx.prior.dim))
+        out = _Rows(rngs, A.d, cases, yb_obs=yb_obs)
+        X = problem.sched.sigma_max * out.rngs.normals((n_p, A.d))
         log_w = log_potential(X, sigma_y**2 + grid[0] ** 2, out.yb_obs)
         for i in out.steps(len(grid) - 1):
             log_w[_resample(log_w - _logsumexp(log_w, axis=-1, keepdims=True), out.rngs, X)] = 0.0
@@ -872,45 +879,30 @@ SOLVER_FAMILIES = {name: family for name, (family, _, _) in _SOLVERS.items()}
 SOLVER_NAMES = tuple(_SOLVERS)
 
 
-def _setup(spec: SolverSpec, ms, prior: GaussianMixture, sched: NoiseSchedule,
-           ctx: SamplingContext | None):
-    """The solver's ``rows(rngs, cases) -> (X, statuses)`` for the
-    measurements ``ms``, which must share one operator and ``sigma_y``."""
-    A, sigma_y = _shared(ms)
-    if any(m.operator is not A or m.sigma_y != sigma_y for m in ms):
-        raise ValueError("the measurements of one batch must share the operator and sigma_y")
-    if A.d != prior.dim:
-        raise ValueError("measurement operator dimension does not match prior")
-    if ctx is None:
-        ctx = SamplingContext.build(prior, sched)
-    elif ctx.prior is not prior or ctx.sched is not sched:
-        raise ValueError("ctx was built for another prior or schedule")
-    return _entry(spec.name)[2](spec, ms, ctx)
+def _setup(spec: SolverSpec, problem: Problem, ms):
+    """The solver's ``rows(rngs, cases) -> (X, statuses)`` for ``ms``."""
+    problem.check_measurements(ms)
+    return _entry(spec.name)[2](spec, problem, ms)
 
 
-def sample_one(spec: SolverSpec, m: Measurement, prior: GaussianMixture,
-               sched: NoiseSchedule, seed: int, ctx: SamplingContext | None = None):
-    """One reconstruction; returns (vector, status). The K = 1 case of
-    ``run_batch``.
-
-    Divergence is recorded in the status, never raised: a non-finite
-    iterate yields a NaN row with status ``diverged(step=...)``.
-    """
-    rows = _setup(spec, [m], prior, sched, ctx)
+def sample_one(spec: SolverSpec, problem: Problem, m: Measurement, seed: int):
+    """One reconstruction; returns (vector, status). Divergence is recorded
+    in the status, never raised: a non-finite iterate yields a NaN row with
+    status ``diverged(step=...)``."""
+    rows = _setup(spec, problem, [m])
     samples, statuses = rows(_Streams([np.random.default_rng(seed)]), np.zeros(1, dtype=int))
     return samples[0], statuses[0]
 
 
-def run_cases(spec: SolverSpec, ms, prior: GaussianMixture, sched: NoiseSchedule,
-              K: int, base_seeds, ctx: SamplingContext | None = None) -> list:
-    """K independent reconstructions for each measurement of ``ms`` (which
-    share one operator and ``sigma_y``), one ``SampleBatch`` each. Row k of
-    case n draws from ``default_rng(derive_seed(base_seeds[n], [("row",
+def run_cases(spec: SolverSpec, problem: Problem, ms, K: int, base_seeds) -> list:
+    """K independent reconstructions for each measurement of ``ms`` (each
+    of ``problem``'s operator and ``sigma_y``), one ``SampleBatch`` each. Row
+    k of case n draws from ``default_rng(derive_seed(base_seeds[n], [("row",
     k)]))``, through ``seeding.streams``.
 
     The solver sets up once, then advances the rows of whole cases together
     in chunks of at most ``ROW_BUDGET`` rows. A row's bits do not depend on
-    the other rows, so every batch equals ``run_batch`` of its case alone and
+    the other rows, so every batch equals ``run_cases`` of its case alone and
     row k a standalone ``sample_one`` with its seed. Each batch's
     ``wall_time`` is its share (1 / len(ms)) of the call.
     """
@@ -919,10 +911,10 @@ def run_cases(spec: SolverSpec, ms, prior: GaussianMixture, sched: NoiseSchedule
     if not ms or len(base_seeds) != len(ms):
         raise ValueError("give one base seed per measurement, and at least one measurement")
     t0 = time.perf_counter()
-    rows = _setup(spec, ms, prior, sched, ctx)
+    rows = _setup(spec, problem, ms)
     seeds = np.array([row_seeds(base, K) for base in base_seeds])
     per_chunk = max(1, ROW_BUDGET // K)
-    samples, statuses = np.empty((len(ms) * K, prior.dim)), []
+    samples, statuses = np.empty((len(ms) * K, problem.prior.dim)), []
     for a in range(0, len(ms), per_chunk):
         chunk = range(a, min(a + per_chunk, len(ms)))
         samples[a * K : chunk.stop * K], st = rows(streams(seeds[a : chunk.stop].ravel()),
@@ -936,8 +928,7 @@ def run_cases(spec: SolverSpec, ms, prior: GaussianMixture, sched: NoiseSchedule
 
 
 def run_batch(spec: SolverSpec, m: Measurement, prior: GaussianMixture,
-              sched: NoiseSchedule, K: int, base_seed: int,
-              ctx: SamplingContext | None = None) -> SampleBatch:
-    """K independent reconstructions with per-row seeds derived from
-    (base_seed, row index): ``run_cases`` of the one measurement ``m``."""
-    return run_cases(spec, [m], prior, sched, K, [base_seed], ctx=ctx)[0]
+              sched: NoiseSchedule, K: int, base_seed: int, ctx=None) -> SampleBatch:
+    """``run_cases`` of ``m`` on a fresh ``Problem``, for the benchmark's calls
+    (``ctx`` is ignored)."""
+    return run_cases(spec, Problem(prior, sched, m.operator, m.sigma_y), [m], K, [base_seed])[0]

@@ -21,7 +21,7 @@ from diffuq.gmm import (
 from diffuq.harness import experiment_oracle, run_experiment, write_report
 from diffuq.operators import build_operator, synthesize_measurement
 from diffuq.seeding import derive_seed
-from diffuq.solvers import SamplingContext, resolve_solver, run_batch
+from diffuq.solvers import Problem, resolve_solver, run_cases
 
 MASTER = 77
 
@@ -189,7 +189,7 @@ def test_criterion_6_particle_monotonicity(toy_prior):
     (one-SE slack)."""
     sched = build_schedule(0.01, 10.0, 60)
     A = build_operator("identity", 16)
-    ctx = SamplingContext.build(toy_prior, sched)
+    problem = Problem(toy_prior, sched, A, 1.0)
     x_star = sample_mixture(toy_prior, 1, derive_seed(310, [("xstar", 0)]))[0]
     m = synthesize_measurement(A, x_star, 1.0, derive_seed(310, [("meas", 0)]))
     post = exact_posterior(toy_prior, A, m.y, 1.0)
@@ -202,8 +202,7 @@ def test_criterion_6_particle_monotonicity(toy_prior):
         errs, ses = [], []
         for particles in (8, 16, 64):
             spec = resolve_solver(name, {"particles": particles})
-            batch = run_batch(spec, m, toy_prior, sched, K,
-                              derive_seed(310, [("c6", 0)]), ctx=ctx)
+            batch, = run_cases(spec, problem, [m], K, [derive_seed(310, [("c6", 0)])])
             X = batch.samples[batch.ok_mask()]
             err = np.abs(X.var(axis=0, ddof=1) - true_var).mean()
             boot = [
@@ -229,7 +228,7 @@ def test_criterion_7_pnpdm_asymptotics(toy_prior):
     rho decreases through {0.5, 0.2, 0.05}."""
     sched = build_schedule(0.01, 10.0, 60)
     A = build_operator("identity", 16)
-    ctx = SamplingContext.build(toy_prior, sched)
+    problem = Problem(toy_prior, sched, A, 1.0)
     x_star = sample_mixture(toy_prior, 1, derive_seed(99, [("xstar", 0)]))[0]
     m = synthesize_measurement(A, x_star, 1.0, derive_seed(99, [("meas", 0)]))
 
@@ -248,8 +247,7 @@ def test_criterion_7_pnpdm_asymptotics(toy_prior):
         spec = resolve_solver("pnpdm", {"rho_coupling": rho,
                                         "gibbs_iters": gibbs,
                                         "x_step": "conjugate"})
-        batch = run_batch(spec, m, toy_prior, sched, K,
-                          derive_seed(99, [("c7", 0)]), ctx=ctx)
+        batch, = run_cases(spec, problem, [m], K, [derive_seed(99, [("c7", 0)])])
         X = batch.samples
         dists.append(w1(X))
         boot = [w1(X[boot_rng.integers(0, K, K)]) for _ in range(100)]

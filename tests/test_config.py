@@ -248,7 +248,7 @@ def test_integral_counts_load_unchanged():
     cfg = config_from_dict(as_floats)
     assert config_to_dict(cfg) == config_to_dict(config_from_dict(as_ints))
     counts = (cfg.master_seed, cfg.n_cases, cfg.k_samples, cfg.schedule["steps"],
-              cfg.problem[1].steps, cfg.operator["obs_count"], cfg.operator["seed"])
+              cfg.problem.sched.steps, cfg.operator["obs_count"], cfg.operator["seed"])
     assert all(type(v) is int for v in counts)
 
 
@@ -256,6 +256,8 @@ def test_integral_counts_load_unchanged():
     ({"kind": "blur"}, "unknown operator kind 'blur'"),
     ({"obs_count": 30}, "obs_count 30 outside"),
     ({"basis_mode": "sparse"}, "unknown basis_mode"),
+    ({"d": 8, "obs_count": 4}, r"unknown operator keys: \['d'\]"),
+    ({"obs_count": 4, "blur_width": 2}, r"unknown operator keys: \['blur_width'\]"),
 ])
 def test_operator_checked_at_config(operator, match):
     with pytest.raises(ValueError, match=match):

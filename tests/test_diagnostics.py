@@ -20,7 +20,7 @@ import diffuq.diagnostics
 from diffuq.config import _experiment_cases, config_from_dict
 from diffuq.harness import experiment_oracle
 from diffuq.seeding import derive_seed
-from diffuq.solvers import resolve_solver, run_batch, run_cases
+from diffuq.solvers import Problem, resolve_solver, run_batch, run_cases
 
 
 class FakeBatch:
@@ -221,14 +221,18 @@ def test_variance_vs_k_validation(rng):
 # analytic oracle
 # ---------------------------------------------------------------------------
 
+def _problem(prior, A, sigma_y):
+    return Problem(prior, build_schedule(0.01, 10.0, 4), A, sigma_y)
+
+
 def _oracle(prior, A, sigma_y, n_cases, seed, k_samples):
     """``oracle_reference`` of an experiment's cases, case n drawn by
     ``reference_exact`` with base seed ``derive_seed(seed, [("case", n)])``."""
-    ms = _experiment_cases(prior, A, sigma_y, n_cases, seed)
+    problem = _problem(prior, A, sigma_y)
+    ms = _experiment_cases(problem, n_cases, seed)
     seeds = [derive_seed(seed, [("case", n)]) for n in range(n_cases)]
-    batches = run_cases(resolve_solver("reference_exact"), ms, prior,
-                        build_schedule(0.01, 10.0, 4), k_samples, seeds)
-    return oracle_reference(prior, batches)
+    batches = run_cases(resolve_solver("reference_exact"), problem, ms, k_samples, seeds)
+    return oracle_reference(problem, batches)
 
 
 def test_oracle_single_gaussian_identity():
@@ -276,9 +280,9 @@ def test_oracle_self_consistent_with_sampling(toy_prior):
     ("exp2_binary", {"kind": "binary_svd", "obs_count": 8,
                      "basis_mode": "random_orthogonal", "seed": 9}),
 ], ids=["identity", "orthogonal_obs8"])
-def test_oracle_draws_equal_reference_exact_rows(toy_prior, monkeypatch, experiment, operator):
+def test_oracle_draws_equal_reference_exact_rows(monkeypatch, experiment, operator):
     """``experiment_oracle`` scores, for case n, bit for bit the rows
-    ``run_batch(reference_exact)`` draws for that case alone with base seed
+    ``run_cases(reference_exact)`` draws for that case alone with base seed
     ``derive_seed(master_seed, [("case", n)])``."""
     seen = []
 
@@ -292,38 +296,36 @@ def test_oracle_draws_equal_reference_exact_rows(toy_prior, monkeypatch, experim
                             "n_cases": n_cases, "k_samples": k, "operator": operator,
                             "schedule": {"steps": 4}, "solvers": ["reference_exact"]})
     experiment_oracle(cfg)
-    prior, sched, A = cfg.problem
-    ms = _experiment_cases(toy_prior, A, 0.5, n_cases, seed)
+    ms = _experiment_cases(cfg.problem, n_cases, seed)
     assert len(seen) == n_cases
     for n, (got, m) in enumerate(zip(seen, ms)):
-        ref = run_batch(resolve_solver("reference_exact"), m, prior, sched, k,
-                        derive_seed(seed, [("case", n)]))
+        ref, = run_cases(resolve_solver("reference_exact"), cfg.problem, [m], k,
+                         [derive_seed(seed, [("case", n)])])
         assert np.array_equal(got.measurement.y, m.y)
         assert np.array_equal(got.samples, ref.samples)
         assert got.seeds == ref.seeds and got.statuses == ref.statuses
 
 
-def _batches(prior, A, sigma_y, name="reference_exact"):
+def _batches(problem, name="reference_exact"):
     """Two cases' batches of three rows from solver ``name``."""
-    ms = _experiment_cases(prior, A, sigma_y, 2, 5)
-    return run_cases(resolve_solver(name), ms, prior, build_schedule(0.01, 10.0, 4), 3, [0, 1])
+    return run_cases(resolve_solver(name), problem, _experiment_cases(problem, 2, 5), 3, [0, 1])
 
 
 def test_oracle_reference_rejects_empty_batches(toy_prior):
     with pytest.raises(ValueError, match="nonempty"):
-        oracle_reference(toy_prior, [])
+        oracle_reference(_problem(toy_prior, build_operator("identity", 16), 1.0), [])
 
 
 def test_oracle_reference_rejects_batches_of_two_setups(toy_prior):
-    """Batches of another operator object, or of another sigma_y, are not one setup."""
-    A = build_operator("identity", 16)
-    for other in (_batches(toy_prior, build_operator("identity", 16), 1.0),
-                  _batches(toy_prior, A, 0.5)):
-        with pytest.raises(ValueError, match="share the operator and sigma_y"):
-            oracle_reference(toy_prior, _batches(toy_prior, A, 1.0) + other)
+    """Batches of another operator object, or of another sigma_y, are not the problem's."""
+    problem = _problem(toy_prior, build_operator("identity", 16), 1.0)
+    for other in (_problem(toy_prior, build_operator("identity", 16), 1.0),
+                  _problem(toy_prior, problem.operator, 0.5)):
+        with pytest.raises(ValueError, match="problem's operator and sigma_y"):
+            oracle_reference(problem, _batches(problem) + _batches(other))
 
 
 def test_oracle_reference_rejects_other_solvers(toy_prior):
-    batches = _batches(toy_prior, build_operator("identity", 16), 1.0, "ddnm")
+    problem = _problem(toy_prior, build_operator("identity", 16), 1.0)
     with pytest.raises(ValueError, match=r"reference_exact batches, got \['ddnm'\]"):
-        oracle_reference(toy_prior, batches)
+        oracle_reference(problem, _batches(problem, "ddnm"))

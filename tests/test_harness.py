@@ -18,8 +18,8 @@ import time
 import diffuq.solvers
 from diffuq.cli import main
 from diffuq.config import config_from_dict
-from diffuq.diffusion import build_schedule
-from diffuq.gmm import build_toy_prior
+from diffuq.diffusion import ReverseKernel, build_schedule
+from diffuq.gmm import _Posterior, build_toy_prior
 from diffuq.operators import synthesize_measurement
 from diffuq.harness import (
     CSV_HEADER,
@@ -28,7 +28,7 @@ from diffuq.harness import (
     run_experiment,
     write_report,
 )
-from diffuq.solvers import SOLVER_NAMES, SamplingContext, run_batch
+from diffuq.solvers import SOLVER_NAMES, run_cases
 
 SMALL = {
     "experiment": "exp1_identity",
@@ -222,14 +222,12 @@ def test_reaggregate_requires_samples(tmp_path):
         reaggregate(tmp_path)
 
 
-def _assert_rows_equal_run_batch(cfg, rows):
-    """Each result row's batch equals ``run_batch`` of its case alone, bit
+def _assert_rows_equal_one_case_batches(cfg, rows):
+    """Each result row's batch equals ``run_cases`` of its case alone, bit
     for bit, statuses and seeds included."""
-    prior, sched = build_toy_prior(cfg.prior), build_schedule(**cfg.schedule)
-    ctx = SamplingContext.build(prior, sched)
     for r in rows:
-        alone = run_batch(r.batch.solver, r.batch.measurement, prior, sched, cfg.k_samples,
-                          r.seed, ctx=ctx)
+        alone, = run_cases(r.batch.solver, cfg.problem, [r.batch.measurement], cfg.k_samples,
+                           [r.seed])
         where = (r.solver, r.case_id)
         assert r.batch.statuses == alone.statuses, where
         assert r.batch.seeds == alone.seeds, where
@@ -244,12 +242,12 @@ BINARY_OBS8 = {"kind": "binary_svd", "obs_count": 8, "basis_mode": "coordinate"}
     ("exp1_identity", {}), ("exp2_binary", BINARY_OBS8)], ids=["identity", "binary_obs8"])
 def test_batched_cases_equal_one_case_batches(experiment, operator):
     """All ten solvers sample their three cases as one row batch, and each
-    case gets the rows ``run_batch`` gives it alone."""
+    case gets the rows ``run_cases`` gives it alone."""
     cfg = config_from_dict(dict(BATCHED, experiment=experiment, operator=operator))
     assert cfg.n_cases * cfg.k_samples <= diffuq.solvers.ROW_BUDGET
     with np.errstate(all="ignore"):
         rows = run_experiment(cfg)
-        _assert_rows_equal_run_batch(cfg, rows)
+        _assert_rows_equal_one_case_batches(cfg, rows)
     if operator:  # fps_smc divides by the zero singular values: every row leaves at step 0
         fps = [s for r in rows if r.solver == "fps_smc" for s in r.batch.statuses]
         assert fps == ["diverged(step=0; pseudo-inverse of zero singular values)"] * 9
@@ -264,7 +262,7 @@ def test_rows_that_leave_mid_run_take_their_measurement():
                                           "hyperparameters": {"opt_steps": 125}}]))
     with np.errstate(all="ignore"):
         rows = run_experiment(cfg)
-        _assert_rows_equal_run_batch(cfg, rows)
+        _assert_rows_equal_one_case_batches(cfg, rows)
     statuses = [r.batch.statuses for r in rows]
     assert any(s.startswith("diverged(step=1") for s in statuses[0])
     assert "ok" in statuses[-1]
@@ -279,8 +277,8 @@ def test_cases_span_several_batches(monkeypatch):
     calls = []
     setup = diffuq.solvers._setup
 
-    def counting_setup(spec, ms, *args):
-        rows = setup(spec, ms, *args)
+    def counting_setup(spec, problem, ms):
+        rows = setup(spec, problem, ms)
         calls.append((spec.name, "setup", len(ms)))
 
         def counting_rows(rngs, cases):
@@ -294,7 +292,7 @@ def test_cases_span_several_batches(monkeypatch):
     assert calls == [c for name in ("pnpdm", "mcg_diff", "reddiff")
                      for c in ((name, "setup", 3), (name, "rows", [0, 1]), (name, "rows", [2]))]
     monkeypatch.setattr(diffuq.solvers, "_setup", setup)
-    _assert_rows_equal_run_batch(cfg, rows)
+    _assert_rows_equal_one_case_batches(cfg, rows)
 
 
 def test_row_wall_times_sum_within_the_run():
@@ -471,9 +469,17 @@ def test_cli_report_reproduces_sweep(tmp_path, solvers, solver, param, values):
 
 def test_one_build_per_experiment(monkeypatch):
     """``config_from_dict`` builds the prior and the schedule once and makes
-    the cases once, and ``run_experiment`` and ``experiment_oracle`` use what
-    it made. Each builder is counted at every binding in the package."""
+    the cases once, and two ``run_experiment`` calls and ``experiment_oracle``
+    use what it made: the problem's exact posterior and reverse kernel are
+    each built once. Each builder is counted at every binding in the
+    package."""
     counts = {}
+    for cls in (_Posterior, ReverseKernel):
+        def counted_init(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            counts[_cls.__name__] += 1
+            _init(self, *args, **kwargs)
+        counts[cls.__name__] = 0
+        monkeypatch.setattr(cls, "__init__", counted_init)
     for builder in (build_toy_prior, build_schedule, synthesize_measurement):
         def counted(*args, _builder=builder, **kwargs):
             counts[_builder.__name__] += 1
@@ -486,9 +492,10 @@ def test_one_build_per_experiment(monkeypatch):
     cfg = config_from_dict(dict(SMALL, solvers=["reference_exact", "ddrm"],
                                 sweep_axis={"solver": "ddrm", "name": "eta", "values": [0.5, 1]}))
     run_experiment(cfg)
+    run_experiment(cfg)
     experiment_oracle(cfg)
-    assert counts == {"build_toy_prior": 1, "build_schedule": 1,
-                      "synthesize_measurement": cfg.n_cases}
+    assert counts == {"_Posterior": 1, "ReverseKernel": 1, "build_toy_prior": 1,
+                      "build_schedule": 1, "synthesize_measurement": cfg.n_cases}
 
 
 @pytest.mark.parametrize("key", ["row", "sigma_y", "hyperparameters"])

@@ -33,7 +33,7 @@ from diffuq.seeding import _Streams, derive_seed
 from diffuq.solvers import (
     SOLVER_FAMILIES,
     SOLVER_NAMES,
-    SamplingContext,
+    Problem,
     SolverSpec,
     conjugate_denoising_posterior,
     daps_langevin_step,
@@ -62,12 +62,23 @@ def gaussian_prior(mu, cov):
 
 @pytest.fixture(scope="module")
 def problem(toy_prior):
+    """The identity problem at sigma_y = 1 on a 40-level grid, and one of its
+    measurements."""
     sched = build_schedule(0.01, 10.0, 40)
     A = build_operator("identity", 16)
     x_star = sample_mixture(toy_prior, 1, 5)[0]
     m = synthesize_measurement(A, x_star, 1.0, 6)
-    ctx = SamplingContext.build(toy_prior, sched)
-    return toy_prior, sched, m, ctx
+    return Problem(toy_prior, sched, A, 1.0), m
+
+
+def _problem(prior, sched, m):
+    """The problem of the measurement ``m``: its operator and sigma_y."""
+    return Problem(prior, sched, m.operator, m.sigma_y)
+
+
+def _batch(spec, problem, m, K, base_seed):
+    """``run_cases`` of the one measurement ``m``."""
+    return run_cases(spec, problem, [m], K, [base_seed])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +538,10 @@ def test_resample_unbiased():
 # ---------------------------------------------------------------------------
 
 def test_reference_exact_matches_posterior_moments(problem):
-    prior, sched, m, ctx = problem
+    pb, m = problem
     spec = resolve_solver("reference_exact")
-    batch = run_batch(spec, m, prior, sched, 10_000, 42, ctx=ctx)
-    post = exact_posterior(prior, m.operator, m.y, m.sigma_y)
+    batch = _batch(spec, pb, m, 10_000, 42)
+    post = exact_posterior(pb.prior, m.operator, m.y, m.sigma_y)
     mean, cov = mixture_moments(post)
     dv = np.diag(cov)
     n = len(batch.samples)
@@ -539,23 +550,23 @@ def test_reference_exact_matches_posterior_moments(problem):
     assert np.all(np.abs(emp - dv) < 3 * dv * np.sqrt(3.0 / n))
 
 
-def _unconditional_draw(ctx, seed):
+def _unconditional_draw(problem, seed):
     """One ancestral draw of the exact kernel from ``sigma_max`` to 0, all
     from one generator seeded with ``seed``: the draws a sampler makes when
     its measurement pull vanishes."""
     rng = np.random.default_rng(seed)
-    X = ctx.sched.sigma_max * rng.standard_normal((1, ctx.prior.dim))
-    for i in range(len(ctx.sched.grid) - 1):
-        X = ctx.kernel.step(X, i, rng)
+    X = problem.sched.sigma_max * rng.standard_normal((1, problem.prior.dim))
+    for i in range(len(problem.sched.grid) - 1):
+        X = problem.kernel.step(X, i, rng)
     return X[0]
 
 
 def test_dps_guidance_off_reduces_to_unconditional(problem):
-    prior, sched, m, ctx = problem
+    pb, m = problem
     spec = resolve_solver("dps", {"guidance_scale": 0.0})
     for seed in (1, 2, 3):
-        x, status = sample_one(spec, m, prior, sched, seed, ctx=ctx)
-        ref = _unconditional_draw(ctx, seed)
+        x, status = sample_one(spec, pb, m, seed)
+        ref = _unconditional_draw(pb, seed)
         assert status == "ok"
         assert np.array_equal(x, ref)
 
@@ -563,11 +574,11 @@ def test_dps_guidance_off_reduces_to_unconditional(problem):
 def test_ddnm_zero_operator_reduces_to_unconditional(toy_prior, sched_small):
     A = build_operator("binary_svd", 16, obs_count=0)
     m = synthesize_measurement(A, np.zeros(16), 1.0, 1)
-    ctx = SamplingContext.build(toy_prior, sched_small)
+    pb = _problem(toy_prior, sched_small, m)
     spec = resolve_solver("ddnm")
     for seed in (4, 5):
-        x, status = sample_one(spec, m, toy_prior, sched_small, seed, ctx=ctx)
-        ref = _unconditional_draw(ctx, seed)
+        x, status = sample_one(spec, pb, m, seed)
+        ref = _unconditional_draw(pb, seed)
         assert status == "ok"
         assert np.allclose(x, ref, atol=1e-12)
 
@@ -575,21 +586,21 @@ def test_ddnm_zero_operator_reduces_to_unconditional(toy_prior, sched_small):
 def test_diffpir_infinite_noise_reduces_to_unconditional(toy_prior, sched_small):
     A = build_operator("identity", 16)
     m = synthesize_measurement(A, np.zeros(16), 1e12, 1)
-    ctx = SamplingContext.build(toy_prior, sched_small)
+    pb = _problem(toy_prior, sched_small, m)
     spec = resolve_solver("diffpir")
     for seed in (6, 7):
-        x, status = sample_one(spec, m, toy_prior, sched_small, seed, ctx=ctx)
-        ref = _unconditional_draw(ctx, seed)
+        x, status = sample_one(spec, pb, m, seed)
+        ref = _unconditional_draw(pb, seed)
         assert status == "ok"
         assert np.max(np.abs(x - ref)) < 1e-6
 
 
 def test_all_solvers_run_and_are_deterministic(problem):
-    prior, sched, m, ctx = problem
+    pb, m = problem
     for name in SOLVER_NAMES:
         spec = resolve_solver(name)
-        a, sa = sample_one(spec, m, prior, sched, 13, ctx=ctx)
-        b, sb = sample_one(spec, m, prior, sched, 13, ctx=ctx)
+        a, sa = sample_one(spec, pb, m, 13)
+        b, sb = sample_one(spec, pb, m, 13)
         assert sa == sb == "ok"
         assert np.array_equal(a, b), name
 
@@ -599,38 +610,39 @@ def test_fps_degenerate_status_on_rank_deficient_operator(toy_prior, sched_small
                        basis_mode="random_orthogonal", seed=0)
     x_star = sample_mixture(toy_prior, 1, 2)[0]
     m = synthesize_measurement(A, x_star, 1.0, 3)
-    ctx = SamplingContext.build(toy_prior, sched_small)
-    x, status = sample_one(resolve_solver("fps_smc"), m, toy_prior, sched_small,
-                           9, ctx=ctx)
+    x, status = sample_one(resolve_solver("fps_smc"), _problem(toy_prior, sched_small, m), m, 9)
     assert status.startswith("diverged")
     assert np.all(np.isnan(x))
 
 
 def test_run_batch_contract(problem):
-    prior, sched, m, ctx = problem
+    """``run_batch`` of one measurement is ``run_cases`` of it on its
+    problem; any ``ctx`` is ignored."""
+    pb, m = problem
     spec = resolve_solver("ddrm")
-    batch = run_batch(spec, m, prior, sched, 5, 1000, ctx=ctx)
+    batch = run_batch(spec, m, pb.prior, pb.sched, 5, 1000)
     assert batch.samples.shape == (5, 16)
     assert len(batch.seeds) == 5
-    rerun = run_batch(spec, m, prior, sched, 5, 1000, ctx=ctx)
+    rerun = run_batch(spec, m, pb.prior, pb.sched, 5, 1000, ctx=object())
     assert np.array_equal(batch.samples, rerun.samples)
+    assert np.array_equal(batch.samples, _batch(spec, pb, m, 5, 1000).samples)
     # row k equals a standalone call with the derived seed
     k = 3
-    x, _ = sample_one(spec, m, prior, sched, derive_seed(1000, [("row", k)]), ctx=ctx)
+    x, _ = sample_one(spec, pb, m, derive_seed(1000, [("row", k)]))
     assert np.array_equal(batch.samples[k], x)
 
 
 def test_run_batch_validation(problem):
-    prior, sched, m, ctx = problem
+    pb, m = problem
     with pytest.raises(ValueError, match="K"):
-        run_batch(resolve_solver("ddrm"), m, prior, sched, 0, 1, ctx=ctx)
+        run_batch(resolve_solver("ddrm"), m, pb.prior, pb.sched, 0, 1)
 
 
 def test_sample_one_dimension_check(toy_prior, sched_small):
     A = build_operator("identity", 8)
     m = synthesize_measurement(A, np.zeros(8), 1.0, 1)
     with pytest.raises(ValueError, match="dimension"):
-        sample_one(resolve_solver("ddrm"), m, toy_prior, sched_small, 0)
+        sample_one(resolve_solver("ddrm"), _problem(toy_prior, sched_small, m), m, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +665,7 @@ def test_divergence_status_strings(toy_prior, sched12, name, overrides, status):
     A = build_operator("identity", 16)
     m = synthesize_measurement(A, np.zeros(16), 1.0, 1)
     with np.errstate(all="ignore"):
-        x, got = sample_one(resolve_solver(name, overrides), m, toy_prior, sched12, 5)
+        x, got = sample_one(resolve_solver(name, overrides), _problem(toy_prior, sched12, m), m, 5)
     assert got == status
     assert np.all(np.isnan(x))
 
@@ -661,7 +673,7 @@ def test_divergence_status_strings(toy_prior, sched12, name, overrides, status):
 def test_fps_divergence_status_string(toy_prior, sched12):
     A = build_operator("binary_svd", 16, obs_count=8)
     m = synthesize_measurement(A, np.zeros(16), 1.0, 1)
-    x, status = sample_one(resolve_solver("fps_smc"), m, toy_prior, sched12, 5)
+    x, status = sample_one(resolve_solver("fps_smc"), _problem(toy_prior, sched12, m), m, 5)
     assert status == "diverged(step=0; pseudo-inverse of zero singular values)"
     assert np.all(np.isnan(x))
 
@@ -680,11 +692,12 @@ def test_pnpdm_overflowing_case_diverges_alone(toy_prior, sched12, x_step):
     """A z-step data term that overflows ends its rows at step 0; the other
     case of the same chunk finishes with the rows it has on its own."""
     ms = _overflow_and_normal_cases(toy_prior)
+    pb = _problem(toy_prior, sched12, ms[0])
     spec = resolve_solver("pnpdm", {"x_step": x_step, "gibbs_iters": 3})
     with np.errstate(all="ignore"):
-        huge, normal = run_cases(spec, ms, toy_prior, sched12, 3, [5, 6])
+        huge, normal = run_cases(spec, pb, ms, 3, [5, 6])
     assert huge.statuses == ["diverged(step=0)"] * 3 and np.isnan(huge.samples).all()
-    alone = run_batch(spec, ms[1], toy_prior, sched12, 3, 6)
+    alone = _batch(spec, pb, ms[1], 3, 6)
     assert normal.statuses == ["ok"] * 3
     assert np.array_equal(normal.samples, alone.samples)
 
@@ -694,58 +707,62 @@ def test_reference_exact_non_finite_posterior_diverges(toy_prior, sched12):
     ``diverged`` status, never NaN rows marked ``ok``."""
     ms = _overflow_and_normal_cases(toy_prior)
     with np.errstate(all="ignore"):
-        huge, normal = run_cases(resolve_solver("reference_exact"), ms, toy_prior, sched12, 4,
-                                 [5, 6])
+        huge, normal = run_cases(resolve_solver("reference_exact"),
+                                 _problem(toy_prior, sched12, ms[0]), ms, 4, [5, 6])
     assert huge.statuses == ["diverged(step=0; posterior is not finite)"] * 4
     assert np.isnan(huge.samples).all()
     assert normal.statuses == ["ok"] * 4 and np.isfinite(normal.samples).all()
 
 
-def test_context_reuse_across_operators(toy_prior, sched12):
-    identity = build_operator("identity", 16)
-    binary = build_operator("binary_svd", 16, obs_count=8)
-    ctx = SamplingContext.build(toy_prior, sched12)
-    for n, A in enumerate((identity, binary, identity)):
-        m = synthesize_measurement(A, sample_mixture(toy_prior, 1, n)[0], 1.0, n)
+def test_problem_reuse_across_solvers(toy_prior, sched12):
+    """One problem per operator, shared by every solver and by a later pass
+    after another problem ran, gives the bits of a fresh problem per call."""
+    problems = [Problem(toy_prior, sched12, A, 1.0) for A in
+                (build_operator("identity", 16), build_operator("binary_svd", 16, obs_count=8))]
+    for n, pb in enumerate(problems + problems[:1]):
+        m = synthesize_measurement(pb.operator, sample_mixture(toy_prior, 1, n)[0], 1.0, n)
         for name in SOLVER_NAMES:
             spec = resolve_solver(name)
-            shared = run_batch(spec, m, toy_prior, sched12, 2, 7, ctx=ctx)
-            fresh = run_batch(spec, m, toy_prior, sched12, 2, 7)
+            shared = _batch(spec, pb, m, 2, 7)
+            fresh = _batch(spec, _problem(toy_prior, sched12, m), m, 2, 7)
             assert shared.statuses == fresh.statuses, (n, name)
             assert np.array_equal(shared.samples, fresh.samples, equal_nan=True), (n, name)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        ctx.kernel = None
+        problems[0].kernel = None
 
 
-def test_context_builds_the_kernel_on_first_use(toy_prior, sched12):
+def test_problem_builds_the_kernel_and_posterior_on_first_use(toy_prior, sched12):
     m = synthesize_measurement(build_operator("identity", 16), np.zeros(16), 1.0, 1)
-    ctx = SamplingContext.build(toy_prior, sched12)
-    run_batch(resolve_solver("reference_exact"), m, toy_prior, sched12, 2, 7, ctx=ctx)
-    assert "kernel" not in vars(ctx)
-    run_batch(resolve_solver("dps"), m, toy_prior, sched12, 2, 7, ctx=ctx)
-    kernel = vars(ctx)["kernel"]
-    assert isinstance(kernel, ReverseKernel) and ctx.kernel is kernel
+    pb = _problem(toy_prior, sched12, m)
+    assert not {"kernel", "posterior"} & set(vars(pb))
+    _batch(resolve_solver("reference_exact"), pb, m, 2, 7)
+    assert "kernel" not in vars(pb) and "posterior" in vars(pb)
+    _batch(resolve_solver("dps"), pb, m, 2, 7)
+    kernel = vars(pb)["kernel"]
+    assert isinstance(kernel, ReverseKernel) and pb.kernel is kernel
 
 
-def test_context_for_another_problem_rejected(toy_prior, sched12):
-    m = synthesize_measurement(build_operator("identity", 16), np.zeros(16), 1.0, 1)
-    ctx = SamplingContext.build(toy_prior, sched12)
-    other_prior = dataclasses.replace(toy_prior)
-    for prior, sched in ((toy_prior, build_schedule(0.01, 10.0, 30)), (other_prior, sched12)):
-        with pytest.raises(ValueError, match="ctx"):
-            run_batch(resolve_solver("ddrm"), m, prior, sched, 3, 7, ctx=ctx)
-        with pytest.raises(ValueError, match="ctx"):
-            sample_one(resolve_solver("ddrm"), m, prior, sched, 7, ctx=ctx)
+def test_measurement_of_another_problem_rejected(toy_prior, sched12):
+    """A measurement of another operator object, or of another sigma_y, is
+    not one of the problem's."""
+    pb = Problem(toy_prior, sched12, build_operator("identity", 16), 1.0)
+    for A, sigma_y in ((build_operator("identity", 16), 1.0), (pb.operator, 0.5)):
+        m = synthesize_measurement(A, np.zeros(16), sigma_y, 1)
+        with pytest.raises(ValueError, match="problem's operator and sigma_y"):
+            run_cases(resolve_solver("ddrm"), pb, [m], 3, [7])
+        with pytest.raises(ValueError, match="problem's operator and sigma_y"):
+            sample_one(resolve_solver("ddrm"), pb, m, 7)
 
 
 def test_mcg_diff_rejects_non_binary_operator(toy_prior, sched12):
     A = LinearOperatorSVD(np.eye(16), 0.5 * np.ones(16), np.eye(16))
     m = synthesize_measurement(A, np.zeros(16), 1.0, 1)
+    pb = _problem(toy_prior, sched12, m)
     spec = resolve_solver("mcg_diff")
     with pytest.raises(ValueError, match="binary"):
-        run_batch(spec, m, toy_prior, sched12, 2, 3)
+        _batch(spec, pb, m, 2, 3)
     with pytest.raises(ValueError, match="binary"):
-        sample_one(spec, m, toy_prior, sched12, 3)
+        sample_one(spec, pb, m, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -758,9 +775,8 @@ _OPERATORS = {
 }
 
 
-def _standalone_rows(spec, m, prior, sched, base_seed, K, ctx):
-    return [sample_one(spec, m, prior, sched, derive_seed(base_seed, [("row", k)]), ctx=ctx)
-            for k in range(K)]
+def _standalone_rows(spec, problem, m, base_seed, K):
+    return [sample_one(spec, problem, m, derive_seed(base_seed, [("row", k)])) for k in range(K)]
 
 
 # sha256 of the K = 16 pnpdm batch with the conjugate x-step, by operator
@@ -791,11 +807,11 @@ _SOLVER_CASES = [
 def test_batch_rows_equal_standalone_draws(toy_prior, sched12, name, overrides, pinned, op):
     A = _OPERATORS[op]()
     m = synthesize_measurement(A, sample_mixture(toy_prior, 1, 21)[0], 1.0, 22)
-    ctx = SamplingContext.build(toy_prior, sched12)
+    pb = _problem(toy_prior, sched12, m)
     spec = resolve_solver(name, overrides)
-    alone = _standalone_rows(spec, m, toy_prior, sched12, 31, 16, ctx)
+    alone = _standalone_rows(spec, pb, m, 31, 16)
     for K in (1, 3, 16):
-        batch = run_batch(spec, m, toy_prior, sched12, K, 31, ctx=ctx)
+        batch = _batch(spec, pb, m, K, 31)
         for k in range(K):
             x, status = alone[k]
             assert batch.statuses[k] == status, (K, k)
@@ -814,11 +830,11 @@ def test_run_cases_same_bits_without_the_compiled_loop(toy_prior, sched12, name,
     A = _OPERATORS[op]()
     ms = [synthesize_measurement(A, sample_mixture(toy_prior, 1, 40 + n)[0], 1.0, 50 + n)
           for n in range(2)]
-    ctx = SamplingContext.build(toy_prior, sched12)
+    pb = _problem(toy_prior, sched12, ms[0])
     spec = resolve_solver(name, overrides)
-    default = run_cases(spec, ms, toy_prior, sched12, 3, [7, 8], ctx=ctx)
+    default = run_cases(spec, pb, ms, 3, [7, 8])
     monkeypatch.setattr(diffuq.seeding, "_rowdraws", lambda: None)
-    numpy_path = run_cases(spec, ms, toy_prior, sched12, 3, [7, 8], ctx=ctx)
+    numpy_path = run_cases(spec, pb, ms, 3, [7, 8])
     for a, b in zip(default, numpy_path):
         assert a.statuses == b.statuses
         assert a.samples.tobytes() == b.samples.tobytes()
@@ -841,9 +857,9 @@ def test_failed_build_falls_back_and_samples_the_same(toy_prior, sched12, monkey
     cache, and the rows then draw on the numpy path with the same bits."""
     A = _OPERATORS["binary_obs8"]()
     m = synthesize_measurement(A, sample_mixture(toy_prior, 1, 61)[0], 1.0, 62)
-    ctx = SamplingContext.build(toy_prior, sched12)
+    pb = _problem(toy_prior, sched12, m)
     specs = [resolve_solver(name) for name in ("reddiff", "mcg_diff", "daps")]
-    want = [run_batch(spec, m, toy_prior, sched12, 4, 9, ctx=ctx).samples for spec in specs]
+    want = [_batch(spec, pb, m, 4, 9).samples for spec in specs]
     shutil.rmtree(fresh_rowdraws, ignore_errors=True)
     diffuq.seeding._rowdraws.cache_clear()
     monkeypatch.setenv("CC", str(fresh_rowdraws / "no-such-compiler"))
@@ -851,7 +867,7 @@ def test_failed_build_falls_back_and_samples_the_same(toy_prior, sched12, monkey
         assert diffuq.seeding._rowdraws() is None
     assert not any(fresh_rowdraws.iterdir())
     for spec, samples in zip(specs, want):
-        batch = run_batch(spec, m, toy_prior, sched12, 4, 9, ctx=ctx)
+        batch = _batch(spec, pb, m, 4, 9)
         assert batch.statuses == ["ok"] * 4
         assert batch.samples.tobytes() == samples.tobytes()
 
@@ -877,11 +893,11 @@ def test_diverged_rows_leave_the_batch_alone(toy_prior, sched12):
     some rows overflow near the end and the others finish."""
     A = build_operator("identity", 16)
     m = synthesize_measurement(A, sample_mixture(toy_prior, 1, 11)[0], 0.1, 12)
-    ctx = SamplingContext.build(toy_prior, sched12)
+    pb = _problem(toy_prior, sched12, m)
     spec = resolve_solver("reddiff", {"opt_steps": 125})
     with np.errstate(all="ignore"):
-        batch = run_batch(spec, m, toy_prior, sched12, 16, 5, ctx=ctx)
-        alone = _standalone_rows(spec, m, toy_prior, sched12, 5, 16, ctx)
+        batch = _batch(spec, pb, m, 16, 5)
+        alone = _standalone_rows(spec, pb, m, 5, 16)
     assert set(batch.statuses) == {"ok", "diverged(step=120)", "diverged(step=121)"}
     for k, (x, status) in enumerate(alone):
         assert batch.statuses[k] == status
@@ -909,12 +925,12 @@ def test_smc_rows_equal_standalone_draws_at_few_particles(toy_prior, sched12, mo
     monkeypatch.setattr(diffuq.gmm, "_vecmat_rows", counting_vecmat_rows)
     A = _OPERATORS[op]()
     m = synthesize_measurement(A, sample_mixture(toy_prior, 1, 23)[0], 1.0, 24)
-    ctx = SamplingContext.build(toy_prior, sched12)
+    pb = _problem(toy_prior, sched12, m)
     spec = resolve_solver(name, {"particles": particles})
-    alone = _standalone_rows(spec, m, toy_prior, sched12, 41, 16, ctx)
+    alone = _standalone_rows(spec, pb, m, 41, 16)
     for K in (1, 3, 16):
         singletons.clear()
-        batch = run_batch(spec, m, toy_prior, sched12, K, 41, ctx=ctx)
+        batch = _batch(spec, pb, m, K, 41)
         for k in range(K):
             x, status = alone[k]
             assert batch.statuses[k] == status, (K, k)

@@ -24,6 +24,13 @@ GENERATOR_CALLS = {"default_rng", "Generator", "PCG64", "SeedSequence"}
 # config calls them, and keeps what they build for the harness
 PROBLEM_BUILDERS = {"build_toy_prior", "build_schedule"}
 
+# the only functions that may build a problem's constants: ``Problem`` keeps
+# its exact posterior and reverse kernel, and every user shares them; pnpdm's
+# conjugate x-step factors its identity-operator posterior once per setup,
+# and ``exact_posterior`` is the one-measurement call
+CONSTANT_SITES = {"_Posterior": {"Problem.posterior", "_sample_pnpdm", "exact_posterior"},
+                  "ReverseKernel": {"Problem.kernel"}}
+
 # modules that build and load native code; only ``seeding`` (the compiled
 # row loop) may import them
 NATIVE_MODULES = {"ctypes", "subprocess", "tempfile", "sysconfig"}
@@ -84,6 +91,14 @@ def test_only_run_cases_makes_row_streams():
 def test_only_the_config_makes_the_cases():
     calls = _package_calls({"synthesize_measurement"})
     assert {name for name, _, _, _ in calls} == {"config.py"}
+
+
+def test_only_the_problem_builds_its_posterior_and_kernel():
+    calls = _package_calls(set(CONSTANT_SITES))
+    assert not [f"{name}:{line} {callee}() in {function}" for name, function, line, callee in calls
+                if function not in CONSTANT_SITES[callee]]
+    assert {(callee, function) for _, function, _, callee in calls} == {
+        (callee, site) for callee, sites in CONSTANT_SITES.items() for site in sites}
 
 
 def _imports(tree) -> set:
