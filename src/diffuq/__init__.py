@@ -15,8 +15,10 @@ import os
 # matrices, where OpenBLAS's own threads only contend with each other and
 # with other processes (one fps_smc batch ran 4.7 times slower with the
 # default thread count on a busy 2-vCPU host). OpenBLAS reads the variable
-# when numpy loads it, so this holds only if diffuq is imported first.
-if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+# when it loads; an OpenBLAS that numpy or scipy loaded before diffuq is set
+# to one thread through ``seeding.one_blas_thread`` below.
+_OWN_BLAS_THREADS = "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ
+if _OWN_BLAS_THREADS:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .gmm import (
@@ -68,6 +70,9 @@ from .diagnostics import (
 )
 from .config import ExperimentConfig, config_from_dict, load_config
 from .harness import ResultRow, experiment_oracle, run_experiment, write_report
+
+if _OWN_BLAS_THREADS:
+    seeding.one_blas_thread()
 
 __all__ = [
     "GaussianMixture",

@@ -1,6 +1,6 @@
-/* Row-wise draws for diffuq: row k of each call draws from the bit generator
- * gens[k] with numpy's own distribution functions, so every row gets the
- * numbers and the end state of the matching numpy Generator method on that
+/* Row-wise draws and solves for diffuq. Row k of each draw draws from the bit
+ * generator gens[k] with numpy's own distribution functions, so every row gets
+ * the numbers and the end state of the matching numpy Generator method on that
  * generator alone. No generator lock is taken; the caller draws on one thread.
  * Built and loaded by seeding._rowdraws, linked against numpy's libnpyrandom.a. */
 #include "numpy/random/distributions.h"
@@ -20,4 +20,26 @@ void uniforms(bitgen_t **gens, npy_intp rows, npy_intp n, double *out) {
 void below(bitgen_t **gens, npy_intp rows, uint64_t high, uint64_t *out) {
     for (npy_intp k = 0; k < rows; k++)
         random_bounded_uint64_fill(gens[k], 0, high - 1, 1, false, out + k);
+}
+
+/* LAPACK's dpotrs, as scipy.linalg.cython_lapack exports it */
+typedef void potrs_t(char *uplo, int *n, int *nrhs, double *a, int *lda, double *b, int *ldb,
+                     int *info);
+
+/* Solves b[k, c] (rows x comps x d) in place on the lower Cholesky factor
+ * factors[levels[k], c] (column-major d x d blocks), one right-hand side per
+ * call, the call scipy.linalg.lapack.dpotrs makes for a (d,) vector; returns
+ * the first nonzero info, or 0 */
+int potrs_rows(potrs_t *potrs, double *factors, npy_intp comps, int d, npy_intp *levels,
+               npy_intp rows, double *b) {
+    char uplo = 'L';
+    int nrhs = 1, info = 0;
+    for (npy_intp k = 0; k < rows; k++)
+        for (npy_intp c = 0; c < comps; c++) {
+            potrs(&uplo, &d, &nrhs, factors + (levels[k] * comps + c) * d * d, &d,
+                  b + (k * comps + c) * d, &d, &info);
+            if (info)
+                return info;
+        }
+    return 0;
 }

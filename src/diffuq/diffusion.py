@@ -28,12 +28,12 @@ from .gmm import (
     _inverse_cdf,
     _log_normalised,
     _mixture_logpdfs_rows,
-    _mixtures_logpdfs_rows,
+    _MixtureStack,
     _precisions,
     _score_and_denoise,
     _vecmat_sets,
 )
-from .seeding import _Streams
+from .seeding import _Streams, potrs_rows
 
 __all__ = [
     "NoiseSchedule",
@@ -123,6 +123,12 @@ class ReverseKernel:
     - ``_chol[i, c]``: Cholesky factor of the transition covariance (all
       levels but the last, whose transition is the Tweedie denoise).
 
+    For ``score_rows``, whose rows each sit at their own level, it also
+    stacks the per-level constants once: ``_stack`` (a ``gmm._MixtureStack``
+    of the noisy marginals, for the responsibilities) and ``_cho_stack``
+    (L, C, d, d), each ``_cho[i][c]`` factor stored column-major, for the
+    compiled solve.
+
     ``denoise`` and ``score_and_denoise_rows`` give the same bits as
     ``gmm.denoise_batch`` and ``gmm.score_and_denoise`` at ``grid[level]``.
 
@@ -141,6 +147,8 @@ class ReverseKernel:
         self._noisy = [noisy_marginal(prior, s) for s in grid[:-1]]
         self._cho = [_cho_factors(noisy) for noisy in self._noisy]
         self._prec = [_precisions(cfs, d) for cfs in self._cho]
+        self._stack = _MixtureStack(self._noisy)
+        self._cho_stack = np.stack([[cf[0].T for cf in cfs] for cfs in self._cho])
         # denoising posterior per (level, component): x0 | x_i, c
         self._B = np.empty((len(grid) - 1, C, d, d))  # mean slope
         self._a = np.empty((len(grid) - 1, C, d))  # mean offset
@@ -234,19 +242,34 @@ class ReverseKernel:
         """Score of the noisy prior at each row of the (K, d) array ``X``, at
         that row's own level ``levels[k]``: the bits of the score of
         ``gmm.denoise_batch`` at that row alone and ``grid[levels[k]]``.
-        Each row's solve is one ``potrs`` on its level's factor; a
+
+        ``levels`` holds K integers (any integer dtype) in
+        0..``last_nonzero_index``; any other level raises a ValueError that
+        names the range. The responsibilities index the stacked per-level
+        constants by level. Each (row, component) solve is one LAPACK
+        ``potrs`` on its level's factor: all of them in one call into the
+        compiled row loop (``seeding.potrs_rows``) or, without it, one
+        ``scipy.linalg.lapack.dpotrs`` call each. Both call scipy's LAPACK
+        build with the same arguments, so both give the same bits. A
         non-finite row raises the ValueError that ``cho_solve`` raises."""
-        means = self.prior.means
-        lp = _mixtures_logpdfs_rows([self._noisy[level] for level in levels], X)
+        levels = np.asarray(levels)
+        last = self.sched.last_nonzero_index
+        if (levels.dtype.kind not in "iu" or levels.shape != (len(X),)
+                or len(X) and (levels.min() < 0 or levels.max() > last)):
+            raise ValueError(f"levels must be {len(X)} integers in 0..{last} (one nonzero grid"
+                             f" level per row), got {levels!r}")
+        levels = levels.astype(np.intp)
+        lp = self._stack.logpdfs_rows(X, levels)
         resp = np.exp(_log_normalised(lp, self.prior.weights))
+        sols = np.subtract(X[:, None, :], self.prior.means)  # (K, C, d)
+        _check_finite(sols)
+        if not potrs_rows(self._cho_stack, levels, sols):
+            for k, level in enumerate(levels):
+                for c, cf in enumerate(self._cho[level]):
+                    sols[k, c] = _cho_solve_vec(cf, sols[k, c])
         score = np.zeros_like(X)
         for c in range(self.prior.n_components):
-            diffs = X - means[c]
-            _check_finite(diffs)
-            g = np.empty_like(X)
-            for k, level in enumerate(levels):
-                g[k] = _cho_solve_vec(self._cho[level][c], diffs[k])
-            score += resp[:, c : c + 1] * -g
+            score += resp[:, c : c + 1] * -sols[:, c]
         return score
 
     def score_and_denoise_rows(self, X: np.ndarray, level: int):

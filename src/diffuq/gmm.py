@@ -350,17 +350,31 @@ def _mixture_logpdfs_rows(noisy: GaussianMixture, X: np.ndarray) -> np.ndarray:
                                    noisy._chols)
 
 
-def _mixtures_logpdfs_rows(noisy: list, X: np.ndarray) -> np.ndarray:
-    """``_component_logpdfs_rows`` with row k of the (K, d) array ``X``
-    under the mixture ``noisy[k]``; the mixtures share their means."""
-    K, means = len(X), noisy[0].means
-    logdets = np.concatenate([n._logdets for n in noisy]).reshape(K, -1)
-    if any(n._band is None for n in noisy):
-        chols = np.concatenate([n._chols for n in noisy]).reshape(K, *means.shape, -1)
-        return _component_logpdfs_rows(means, None, None, logdets, X, chols)
-    udiag = np.concatenate([n._udiag for n in noisy]).reshape(K, -1)
-    return _component_logpdfs_rows(means, np.concatenate([n._band for n in noisy]), udiag,
-                                   logdets, X)
+class _MixtureStack:
+    """Mixtures that share their means, stacked for row-wise log-densities:
+    ``logpdfs_rows(X, which)`` is ``_component_logpdfs_rows`` with row k of
+    the (K, d) array ``X`` under the mixture ``which[k]``. The stacks are
+    built once: ``_logdets`` (L, C) and either the band forms ``_band``
+    (L, C * d, d) and ``_udiag`` (L, C * d), or, when some mixture has no
+    band form, the Cholesky factors ``_chols`` (L, C, d, d), whose stacked
+    solve gives the band solve's bits."""
+
+    def __init__(self, mixtures):
+        self.means = mixtures[0].means
+        self._logdets = np.stack([m._logdets for m in mixtures])
+        self._band = self._udiag = self._chols = None
+        if any(m._band is None for m in mixtures):
+            self._chols = np.stack([m._chols for m in mixtures])
+        else:
+            self._band = np.stack([m._band for m in mixtures])
+            self._udiag = np.stack([m._udiag for m in mixtures])
+
+    def logpdfs_rows(self, X: np.ndarray, which: np.ndarray) -> np.ndarray:
+        if self._band is None:
+            return _component_logpdfs_rows(self.means, None, None, self._logdets[which], X,
+                                           self._chols[which])
+        return _component_logpdfs_rows(self.means, self._band[which].reshape(-1, X.shape[1]),
+                                       self._udiag[which], self._logdets[which], X)
 
 
 def mixture_logpdf(gmm: GaussianMixture, x: np.ndarray) -> float | np.ndarray:

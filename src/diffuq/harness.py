@@ -225,6 +225,8 @@ def write_report(rows, out_dir, cfg: ExperimentConfig | None = None,
         "scipy": scipy.__version__,
         "blas": {mod.__name__: _blas_build(mod) for mod in (numpy, scipy)},
         "thread_env": {k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")},
+        # the thread counts numpy's and scipy's OpenBLAS run (null: not readable)
+        "blas_threads": seeding.blas_threads(),
         # which path drew the rows' numbers (see seeding._Streams); both give the same bits
         "row_draws": row_draws or seeding.row_draws(),
         "written_at": time.time(),

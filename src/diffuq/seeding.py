@@ -1,4 +1,4 @@
-"""Deterministic seeds and the row streams they make.
+"""Deterministic seeds, the row streams they make, and the compiled row loop.
 
 All experiment randomness flows from one 64-bit master seed through
 ``derive_seed``, an avalanche-style mixer (splitmix64 finalizer with
@@ -9,6 +9,11 @@ A batch of K rows seeds row k with ``derive_seed(base, [("row", k)])`` and
 draws it from ``np.random.default_rng`` of that seed. ``row_seeds`` and
 ``streams`` make a batch's seeds and row streams (``_Streams``, which make
 every per-row draw) in one vectorised pass over the rows, with the same bits.
+
+This is the one module that builds and loads native code: the compiled row
+loop (``_rowdraws``), which draws the rows' numbers and solves reddiff's
+per-row scores (``potrs_rows``), and the thread count of numpy's and
+scipy's OpenBLAS (``one_blas_thread``, ``blas_threads``).
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import importlib
 import math
 import os
 import platform
@@ -29,7 +35,8 @@ from pathlib import Path
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["derive_seed", "row_seeds", "streams", "row_draws"]
+__all__ = ["derive_seed", "row_seeds", "streams", "row_draws", "potrs_rows", "one_blas_thread",
+           "blas_threads"]
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -143,7 +150,7 @@ def streams(seeds) -> "_Streams":
     for words in _pcg64_words(seeds):
         bitgen = np.random.PCG64(_Words(words))
         rngs.append(np.random.Generator(bitgen))
-        pointers.append(_bitgen_pointer(bitgen.capsule, b"BitGenerator"))
+        pointers.append(_capsule_pointer(bitgen.capsule, b"BitGenerator"))
     return _Streams(rngs, np.array(pointers, dtype=np.uintp))
 
 
@@ -155,16 +162,23 @@ def streams(seeds) -> "_Streams":
 # the list.
 
 _ROWDRAWS_SOURCE = Path(__file__).with_name("_rowdraws.c")
-# ``PyCapsule_GetPointer``: the ``bitgen_t *`` that a bit generator's capsule holds
-_bitgen_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+# ``PyCapsule_GetPointer`` and ``PyCapsule_GetName``: the pointer a capsule
+# holds (the ``bitgen_t *`` of a bit generator, a LAPACK routine of scipy's)
+# and the name it must be asked for
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
     ("PyCapsule_GetPointer", ctypes.pythonapi))
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
 
 
 @functools.cache
 def _rowdraws():
     """The compiled row loop of ``_rowdraws.c`` as a ctypes library, or None
     (with a RuntimeWarning that says why) when it cannot be built or loaded;
-    decided once per process, at its first streams. It is compiled with
+    decided once per process, at its first streams or ``potrs_rows``. The
+    library holds, as ``dpotrs``, the address of scipy's own LAPACK
+    ``dpotrs`` (the routine ``scipy.linalg.lapack.dpotrs`` calls), taken
+    from ``scipy.linalg.cython_lapack``'s capsule. It is compiled with
     ``$CC`` (default ``cc``) against numpy's ``libnpyrandom.a`` into
     ``$XDG_CACHE_HOME/diffuq`` (default ``~/.cache/diffuq``), keyed by the
     source, numpy, the interpreter and the machine, under a temporary name
@@ -195,19 +209,28 @@ def _rowdraws():
         for name, count in (("normals", size), ("uniforms", size), ("below", ctypes.c_uint64)):
             getattr(lib, name).argtypes = [ptr, size, count, ptr]
             getattr(lib, name).restype = None
+        lib.potrs_rows.argtypes = [ptr, ptr, size, ctypes.c_int, ptr, size, ptr]
+        lib.potrs_rows.restype = ctypes.c_int
+        from scipy.linalg import cython_lapack
+
+        capsule = cython_lapack.__pyx_capi__["dpotrs"]
+        lib.dpotrs = _capsule_pointer(capsule, _capsule_name(capsule))
         return lib
     except subprocess.CalledProcessError as exc:
         why = f"the compiler failed: {exc.stderr.decode(errors='replace').strip()[:500]}"
-    except (OSError, subprocess.SubprocessError, AttributeError, RuntimeError, ValueError) as exc:
+    except (OSError, subprocess.SubprocessError, AttributeError, RuntimeError, ValueError,
+            ImportError, KeyError) as exc:
         why = f"{type(exc).__name__}: {exc}"
-    warnings.warn(f"diffuq draws its rows through numpy; the compiled row loop is unavailable"
-                  f" ({why})", RuntimeWarning, stacklevel=3)
+    warnings.warn(f"diffuq draws its rows through numpy and solves its per-row scores one scipy"
+                  f" call at a time; the compiled row loop is unavailable ({why})",
+                  RuntimeWarning, stacklevel=3)
     return None
 
 
 def row_draws() -> str | None:
-    """The draw path of this process's row streams, "compiled" or "numpy"
-    (None before it makes any); never builds the loop."""
+    """The path of this process's row draws and per-row score solves,
+    "compiled" or "numpy" (None before it takes either); never builds the
+    loop."""
     if not _rowdraws.cache_info().currsize:
         return None
     return "numpy" if _rowdraws() is None else "compiled"
@@ -217,6 +240,62 @@ def _address(a: np.ndarray) -> int:
     """The address of the data of the C-contiguous, writable, nonempty array
     ``a``; about a fifth of the cost of ``a.ctypes.data``."""
     return ctypes.addressof(ctypes.c_char.from_buffer(a))
+
+
+def potrs_rows(factors: np.ndarray, levels: np.ndarray, b: np.ndarray) -> bool:
+    """Solve each system ``b[k, c]`` of the C-contiguous (K, C, d) array
+    ``b`` in place on the lower Cholesky factor ``factors[levels[k], c]``
+    of the C-contiguous (L, C, d, d) stack, each factor stored column-major,
+    in one call into the compiled row loop; False, with ``b`` untouched,
+    when the loop is unavailable. Each system is scipy's LAPACK ``dpotrs``
+    call of ``scipy.linalg.lapack.dpotrs(factor, b[k, c], lower=1)``, so it
+    gets that call's bits. ``levels`` is a (K,) intp array in [0, L), which
+    the caller checks; a nonzero ``info`` raises the ValueError of
+    ``gmm._cho_solve_vec``."""
+    lib = _rowdraws()
+    if lib is None:
+        return False
+    if b.size:
+        info = lib.potrs_rows(lib.dpotrs, _address(factors), b.shape[1], b.shape[2],
+                              _address(levels), len(b), _address(b))
+        if info:
+            raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return True
+
+
+# numpy's and scipy's OpenBLAS builds (the ILP64 one numpy links and the LP64
+# one scipy links): an extension module of each package that links it, and
+# the suffix of its ``scipy_openblas_*_num_threads`` functions
+_OPENBLAS = {"numpy": ("numpy._core._multiarray_umath", "64_"),
+             "scipy": ("scipy.linalg._fblas", "")}
+
+
+def _openblas(package: str, verb: str):
+    """``scipy_openblas_<verb>_num_threads`` of ``package``'s OpenBLAS as a
+    ctypes function, or None when that package links none with it."""
+    module, suffix = _OPENBLAS[package]
+    try:
+        lib = ctypes.CDLL(importlib.import_module(module).__file__)
+        return getattr(lib, f"scipy_openblas_{verb}_num_threads{suffix}")
+    except (ImportError, OSError, AttributeError):
+        return None
+
+
+def one_blas_thread() -> None:
+    """Run numpy's and scipy's OpenBLAS on one thread, whether they were
+    loaded before or after this call; a build without the setter is left
+    alone."""
+    for package in _OPENBLAS:
+        setter = _openblas(package, "set")
+        if setter is not None:
+            setter(1)
+
+
+def blas_threads() -> dict:
+    """The thread count numpy's and scipy's OpenBLAS each report, None for
+    a build without the getter."""
+    return {package: None if (getter := _openblas(package, "get")) is None else getter()
+            for package in _OPENBLAS}
 
 
 class _Streams:
@@ -234,7 +313,7 @@ class _Streams:
         self.rngs = list(rngs)
         self._lib = _rowdraws()
         if self._lib is not None and pointers is None:
-            pointers = np.array([_bitgen_pointer(rng.bit_generator.capsule, b"BitGenerator")
+            pointers = np.array([_capsule_pointer(rng.bit_generator.capsule, b"BitGenerator")
                                  for rng in self.rngs], dtype=np.uintp)
         self._point(None if self._lib is None else pointers)
 

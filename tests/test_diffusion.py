@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import diffuq.diffusion
+import diffuq.seeding
 from diffuq.diffusion import (
     NoiseSchedule,
     ReverseKernel,
@@ -16,6 +18,7 @@ from diffuq.gmm import (
     mixture_moments,
     score_and_denoise,
 )
+from diffuq.seeding import _rowdraws
 
 
 def gaussian_prior(mu, cov):
@@ -175,3 +178,80 @@ def test_kernel_factors_are_the_gaussian_conditional(kernel_small, toy_prior, sc
         chol = kernel_small._chol[level, c]
         assert np.allclose(chol @ chol.T, cond_cov, rtol=0, atol=1e-12)
         assert np.array_equal(chol, np.tril(chol))
+
+
+# ---------------------------------------------------------------------------
+# score_rows: every row at its own level, solved in one compiled call
+# ---------------------------------------------------------------------------
+
+def _score_rows_per_call(kernel, X, levels):
+    """``score_rows`` with the compiled row loop forced off: one
+    ``_cho_solve_vec`` (``scipy.linalg.lapack.dpotrs``) per (row, component)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diffuq.seeding, "_rowdraws", lambda: None)
+        return kernel.score_rows(X, levels)
+
+
+def _no_per_call_solve(*args):
+    raise AssertionError("the compiled path called _cho_solve_vec")
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(1, 600), seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-3.0, 3.0),
+       spread=st.floats(0.0, 3.0), dtype=st.sampled_from([np.int64, np.uint64]))
+@example(K=1, seed=0, log_scale=0.0, spread=0.0, dtype=np.int64)
+@example(K=600, seed=1, log_scale=3.0, spread=3.0, dtype=np.uint64)
+@example(K=600, seed=2, log_scale=-3.0, spread=3.0, dtype=np.int64)
+def test_compiled_and_per_call_score_rows_agree(kernel_small, K, seed, log_scale, spread, dtype):
+    """The compiled ``score_rows`` gives every row the bits of the per-row
+    ``_cho_solve_vec`` loop, and calls no ``_cho_solve_vec``: at every level
+    (each appears once K > 30; 0 and the last whenever K >= 2), for rows
+    whose scales span up to six decades, with int64 and uint64 levels."""
+    if _rowdraws() is None:
+        pytest.skip("the compiled row loop does not build here")
+    rng = np.random.default_rng(seed)
+    last = kernel_small.sched.last_nonzero_index
+    levels = rng.permutation(np.resize(rng.permutation(last + 1), K)).astype(dtype)
+    if K >= 2:
+        levels[rng.choice(K, size=2, replace=False)] = [0, last]
+    scales = 10.0 ** (log_scale + spread * rng.uniform(-1.0, 1.0, size=(K, 1)))
+    X = scales * rng.standard_normal((K, 16))
+    want = _score_rows_per_call(kernel_small, X, levels)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diffuq.diffusion, "_cho_solve_vec", _no_per_call_solve)
+        got = kernel_small.score_rows(X, levels)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "per_call"])
+def test_score_rows_non_finite_row_raises_on_both_paths(kernel_small, compiled):
+    """A non-finite row raises the ValueError of ``cho_solve``'s
+    ``check_finite`` on the compiled path and on the per-call path."""
+    if compiled and _rowdraws() is None:
+        pytest.skip("the compiled row loop does not build here")
+    score_rows = kernel_small.score_rows if compiled else (
+        lambda X, levels: _score_rows_per_call(kernel_small, X, levels))
+    for bad in (np.inf, -np.inf, np.nan):
+        X = np.ones((3, 16))
+        X[1, 5] = bad
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            score_rows(X, np.array([0, 3, 30]))
+
+
+@pytest.mark.parametrize("levels", [
+    np.array([0, -1]),
+    np.array([0, 31]),
+    np.array([2**64 - 1, 0], dtype=np.uint64),
+    np.array([0.0, 1.0]),
+    np.array([True, False]),
+    np.array([0]),
+], ids=["negative", "too_large", "huge_uint64", "float", "bool", "one_short"])
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "per_call"])
+def test_score_rows_rejects_bad_levels(kernel_small, levels, compiled):
+    """A level that is not an integer in 0..last_nonzero_index (or a count
+    of levels that is not one per row) raises a ValueError that names the
+    range, on both paths, before any solve could read past the factors."""
+    score_rows = kernel_small.score_rows if compiled else (
+        lambda X, levels: _score_rows_per_call(kernel_small, X, levels))
+    with pytest.raises(ValueError, match=r"integers in 0\.\.30"):
+        score_rows(np.ones((2, 16)), levels)

@@ -25,7 +25,7 @@ from diffuq.gmm import (
     _logsumexp,
     _mixture_logpdfs_rows,
     _mixture_rows,
-    _mixtures_logpdfs_rows,
+    _MixtureStack,
     _sample_mixture_rows,
     _vecmat_rows,
 )
@@ -566,7 +566,7 @@ def test_component_logpdfs_rows_per_row_factors_match_solve(seed, C, d, K):
     which = rng.integers(len(levels), size=K)
     noisy = [levels[i] for i in which]
     X = 3.0 * rng.standard_normal((K, d))
-    got = _mixtures_logpdfs_rows(noisy, X)
+    got = _MixtureStack(levels).logpdfs_rows(X, which)
     chols = np.stack([n._chols for n in noisy])
     logdets = np.stack([n._logdets for n in noisy])
     assert np.array_equal(got, _solve_logpdfs_rows(gmm.means, chols, logdets, X))
@@ -640,8 +640,8 @@ def test_component_logpdfs_rows_non_finite_rows_stay_apart(toy_prior):
     assert np.array_equal(got[others], want[others])
     assert np.isnan(got[[1, 4]]).all()
     noisy = [noisy_marginal(toy_prior, s) for s in (0.1, 0.7, 5.0, 0.1, 2.0, 30.0)]
-    want = _mixtures_logpdfs_rows(noisy, X)
-    got = _mixtures_logpdfs_rows(noisy, bad)
+    stack, which = _MixtureStack(noisy), np.arange(len(noisy))
+    want, got = stack.logpdfs_rows(X, which), stack.logpdfs_rows(bad, which)
     assert np.array_equal(got[others], want[others])
     assert np.isnan(got[[1, 4]]).all()
 

@@ -135,6 +135,8 @@ def test_manifest_records_blas_builds_and_thread_variables(tmp_path, small_rows,
     assert manifest["thread_env"]["OMP_NUM_THREADS"] == "1"
     assert manifest["thread_env"] == {k: v for k, v in os.environ.items()
                                       if k.endswith("_NUM_THREADS")}
+    assert manifest["blas_threads"] == diffuq.seeding.blas_threads()
+    assert set(manifest["blas_threads"]) == {"numpy", "scipy"}
 
 
 def test_manifest_records_the_row_draw_path(tmp_path, small_rows, monkeypatch):
@@ -349,6 +351,28 @@ def test_import_runs_blas_on_one_thread_by_default(env, want):
     run = subprocess.run([sys.executable, "-c", code], env={**base, **env}, capture_output=True,
                          text=True, timeout=120, check=True)
     assert run.stdout.split() == [str(v) for v in want]
+
+
+@pytest.mark.parametrize("env", [{}, {"OPENBLAS_NUM_THREADS": "2"}], ids=["unset", "set"])
+def test_import_sets_blas_threads_loaded_before_it(env):
+    """Imported after numpy and scipy have loaded their OpenBLAS builds,
+    diffuq sets both to one thread unless OPENBLAS_NUM_THREADS or
+    OMP_NUM_THREADS is set, and then leaves them at what the variable chose
+    (capped at the usable CPUs). Runs in a new interpreter, because this one
+    imported diffuq first. A build without the thread functions reads None."""
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = str(Path(diffuq.solvers.__file__).resolve().parents[1])
+    code = ("import json, numpy, scipy.linalg, diffuq.seeding; "
+            "print(json.dumps(diffuq.seeding.blas_threads()))")
+    run = subprocess.run([sys.executable, "-c", code], env={**base, **env}, capture_output=True,
+                         text=True, timeout=120, check=True)
+    got = json.loads(run.stdout)
+    want = min(int(env.get("OPENBLAS_NUM_THREADS", 1)), len(os.sched_getaffinity(0)))
+    assert set(got) == {"numpy", "scipy"}
+    assert all(count in (want, None) for count in got.values()), got
+    if _openblas_threads() is not None:
+        assert got["numpy"] == want
 
 
 def _openblas_threads():
