@@ -37,12 +37,13 @@ _SIGMA_RANGE = (1e-100, 1e100)
 # them a prior of d = 33,909 asked for 8.6 GiB at load time.
 _MAX_D = 256
 _MAX_STEPS = 10_000
-# ``ReverseKernel`` holds about seven (steps + 1, C, d, d) float64 arrays
-# (covariances, Cholesky factors, cho_factors, precisions, the transition
-# slopes and factors, the LU bands), so the caps above alone would let
-# d = 256 with 10,000 steps ask for about 70 GB. (steps + 1) * d^2 <= 2^24
-# keeps the kernel under 7 * C * 2^24 * 8 bytes, about 2 GB for the toy
-# prior's C = 2 components.
+# ``ReverseKernel`` holds six (steps + 1, C, d, d) float64 arrays (the
+# noisy prior's numpy Cholesky factors, LU bands, cho_factors and
+# precisions, and the transition slopes and factors), so the caps above
+# alone would let d = 256 with 10,000 steps ask for about 63 GB.
+# (steps + 1) * d^2 <= 2^24 keeps the kernel under 6 * C * 2^24 * 8 bytes,
+# about 1.6 GB for the toy prior's C = 2 components (its build briefly holds
+# two more: the stacked covariances and their LU factors).
 _MAX_KERNEL_ENTRIES = 2**24
 _OPERATOR_DEFAULTS = {
     "exp1_identity": {"kind": "identity"},

@@ -12,28 +12,20 @@ accumulating per-step discretization bias.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gmm import (
     GaussianMixture,
-    noisy_marginal,
     _alone,
-    _check_finite,
-    _cho_factors,
-    _cho_solve_vec,
-    _component_logpdfs,
-    _denoise_batch,
     _inverse_cdf,
     _log_normalised,
-    _mixture_logpdfs_rows,
-    _MixtureStack,
-    _precisions,
-    _score_and_denoise,
+    _NoisyTable,
     _vecmat_sets,
 )
-from .seeding import _Streams, potrs_rows
+from .seeding import _Streams
 
 __all__ = [
     "NoiseSchedule",
@@ -70,6 +62,8 @@ def build_schedule(sigma_min: float, sigma_max: float, steps: int,
     """
     if not (0 < sigma_min < sigma_max):
         raise ValueError("require 0 < sigma_min < sigma_max")
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     t = np.arange(steps + 1) / steps
@@ -103,6 +97,19 @@ def level_index_for_sigma(sched: NoiseSchedule, rho: float) -> int:
     return int(np.max(np.flatnonzero(nonzero >= rho)))
 
 
+def _row_levels(sched: NoiseSchedule, levels, K: int) -> np.ndarray:
+    """``levels`` as a (K,) intp array of nonzero grid levels, one per row.
+    Anything but K integers (any integer dtype) in 0..``last_nonzero_index``
+    raises a ValueError that names the range."""
+    levels = np.asarray(levels)
+    last = sched.last_nonzero_index
+    if (levels.dtype.kind not in "iu" or levels.shape != (K,)
+            or K and (levels.min() < 0 or levels.max() > last)):
+        raise ValueError(f"levels must be {K} integers in 0..{last} (one nonzero grid"
+                         f" level per row), got {levels!r}")
+    return levels.astype(np.intp)
+
+
 class ReverseKernel:
     """Precomputed exact reverse transitions for one (prior, schedule) pair.
 
@@ -111,23 +118,14 @@ class ReverseKernel:
     conditional covariance is fixed, so the per-step work is a responsibility
     evaluation plus one matrix-vector product.
 
-    Everything that depends only on the grid level is built once here. Per
-    nonzero level ``i`` and component ``c`` the kernel holds:
+    Everything that depends only on the grid level is built once here:
+    ``_table``, a ``gmm._NoisyTable`` of the noisy marginal at every nonzero
+    level (the factors of the responsibilities, the score and the denoiser
+    Jacobian), and per nonzero level ``i`` and component ``c``:
 
-    - ``_noisy[i]``: the noisy marginal at ``grid[i]``, a ``GaussianMixture``
-      that keeps each covariance's log-determinant and the LU factors of its
-      Cholesky factor for the responsibilities;
-    - ``_cho[i][c]``: ``cho_factor`` of that covariance, for the score;
-    - ``_prec[i][c]``: its inverse, for the denoiser Jacobian;
     - ``_B[i, c]``, ``_a[i, c]``: slope and offset of the transition mean;
     - ``_chol[i, c]``: Cholesky factor of the transition covariance (all
       levels but the last, whose transition is the Tweedie denoise).
-
-    For ``score_rows``, whose rows each sit at their own level, it also
-    stacks the per-level constants once: ``_stack`` (a ``gmm._MixtureStack``
-    of the noisy marginals, for the responsibilities) and ``_cho_stack``
-    (L, C, d, d), each ``_cho[i][c]`` factor stored column-major, for the
-    compiled solve.
 
     ``denoise`` and ``score_and_denoise_rows`` give the same bits as
     ``gmm.denoise_batch`` and ``gmm.score_and_denoise`` at ``grid[level]``.
@@ -144,11 +142,7 @@ class ReverseKernel:
         self.sched = sched
         d, C = prior.dim, prior.n_components
         grid = sched.grid
-        self._noisy = [noisy_marginal(prior, s) for s in grid[:-1]]
-        self._cho = [_cho_factors(noisy) for noisy in self._noisy]
-        self._prec = [_precisions(cfs, d) for cfs in self._cho]
-        self._stack = _MixtureStack(self._noisy)
-        self._cho_stack = np.stack([[cf[0].T for cf in cfs] for cfs in self._cho])
+        self._table = _NoisyTable(prior, grid[:-1])
         # denoising posterior per (level, component): x0 | x_i, c
         self._B = np.empty((len(grid) - 1, C, d, d))  # mean slope
         self._a = np.empty((len(grid) - 1, C, d))  # mean offset
@@ -174,13 +168,12 @@ class ReverseKernel:
                     self._a[i, c] = a0
 
     def log_responsibilities(self, X: np.ndarray, level: int) -> np.ndarray:
-        noisy = self._noisy[level]
-        return _log_normalised(_component_logpdfs(noisy, np.atleast_2d(X)), noisy.weights)
+        return _log_normalised(self._table.logpdfs(np.atleast_2d(X), level), self.prior.weights)
 
     def log_responsibilities_rows(self, X: np.ndarray, level: int) -> np.ndarray:
         """``log_responsibilities`` of each row of the (K, d) array ``X`` on its own."""
-        noisy = self._noisy[level]
-        return _log_normalised(_mixture_logpdfs_rows(noisy, X), noisy.weights)
+        return _log_normalised(self._table.logpdfs_rows(X, np.full(len(X), level)),
+                               self.prior.weights)
 
     def step(self, X: np.ndarray, level: int, rng: np.random.Generator) -> np.ndarray:
         """One ancestral transition from grid[level] to grid[level+1].
@@ -231,12 +224,12 @@ class ReverseKernel:
     def denoise(self, X: np.ndarray, level: int) -> np.ndarray:
         """Tweedie posterior mean E[x0 | x_level] for an (n, d) batch."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return _denoise_batch(self._noisy[level], self._cho[level], X, self.sched.grid[level])[1]
+        return self._table.denoise(X, level, self._table.logpdfs(X, level))[1]
 
     def denoise_rows(self, X: np.ndarray, level: int) -> np.ndarray:
         """``denoise`` of each row of the (K, d) array ``X`` on its own."""
-        return _denoise_batch(self._noisy[level], self._cho[level], X,
-                              self.sched.grid[level], rows=True)[1]
+        lp = self._table.logpdfs_rows(X, np.full(len(X), level))
+        return self._table.denoise(X, level, lp)[1]
 
     def score_rows(self, X: np.ndarray, levels: np.ndarray) -> np.ndarray:
         """Score of the noisy prior at each row of the (K, d) array ``X``, at
@@ -245,36 +238,10 @@ class ReverseKernel:
 
         ``levels`` holds K integers (any integer dtype) in
         0..``last_nonzero_index``; any other level raises a ValueError that
-        names the range. The responsibilities index the stacked per-level
-        constants by level. Each (row, component) solve is one LAPACK
-        ``potrs`` on its level's factor: all of them in one call into the
-        compiled row loop (``seeding.potrs_rows``) or, without it, one
-        ``scipy.linalg.lapack.dpotrs`` call each. Both call scipy's LAPACK
-        build with the same arguments, so both give the same bits. A
-        non-finite row raises the ValueError that ``cho_solve`` raises."""
-        levels = np.asarray(levels)
-        last = self.sched.last_nonzero_index
-        if (levels.dtype.kind not in "iu" or levels.shape != (len(X),)
-                or len(X) and (levels.min() < 0 or levels.max() > last)):
-            raise ValueError(f"levels must be {len(X)} integers in 0..{last} (one nonzero grid"
-                             f" level per row), got {levels!r}")
-        levels = levels.astype(np.intp)
-        lp = self._stack.logpdfs_rows(X, levels)
-        resp = np.exp(_log_normalised(lp, self.prior.weights))
-        sols = np.subtract(X[:, None, :], self.prior.means)  # (K, C, d)
-        _check_finite(sols)
-        if not potrs_rows(self._cho_stack, levels, sols):
-            for k, level in enumerate(levels):
-                for c, cf in enumerate(self._cho[level]):
-                    sols[k, c] = _cho_solve_vec(cf, sols[k, c])
-        score = np.zeros_like(X)
-        for c in range(self.prior.n_components):
-            score += resp[:, c : c + 1] * -sols[:, c]
-        return score
+        names the range. See ``gmm._NoisyTable.score_rows`` for the solves."""
+        return self._table.score_rows(X, _row_levels(self.sched, levels, len(X)))
 
     def score_and_denoise_rows(self, X: np.ndarray, level: int):
         """``gmm.score_and_denoise`` of the prior at each row of the (K, d)
         array ``X`` and sigma_t = ``grid[level]``."""
-        return _score_and_denoise(self._noisy[level], self._cho[level], self._prec[level],
-                                  X, self.sched.grid[level])
-
+        return self._table.score_and_denoise(X, level)

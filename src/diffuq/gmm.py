@@ -19,6 +19,8 @@ from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgetrf, dpotrs
 from scipy.special import ndtr
 
+from .seeding import potrs_rows
+
 __all__ = [
     "GaussianMixture",
     "ToyPriorSpec",
@@ -99,6 +101,17 @@ def _cho_solve_vec(cf: tuple, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _points(x, d: int, ndims: tuple) -> np.ndarray:
+    """``x`` as a float array of points in R^d: one (d,) point if ``ndims``
+    holds 1, an (n, d) batch if it holds 2. Any other shape raises a
+    ValueError that names the expected ones."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in ndims or x.shape[-1] != d:
+        want = " or ".join(f"({d},)" if n == 1 else f"(n, {d})" for n in ndims)
+        raise ValueError(f"points have shape {x.shape}, expected {want}")
+    return x
+
+
 def _check_finite(b: np.ndarray) -> None:
     """The ValueError of ``cho_solve``'s ``check_finite`` on a non-finite ``b``."""
     if not np.isfinite(b).all():
@@ -148,15 +161,9 @@ class GaussianMixture:
     means: np.ndarray  # (C, d)
     covs: np.ndarray  # (C, d, d)
     # lower Cholesky factor (C, d, d) and log-determinant (C,) of each
-    # covariance, kept from the positive-definiteness check, and the
-    # ``dgetrf`` of the Cholesky factors in band form (see ``_lu_band``):
-    # ``_band`` (C * d, d) and ``_udiag`` (C * d,). ``_band`` is None when
-    # ``dgetrf`` swaps rows on any factor (scipy's and numpy's LAPACK builds
-    # then disagree in the last bit for some d >= 7) or d > ``_BAND_MAX_D``.
+    # covariance, kept from the positive-definiteness check
     _chols: np.ndarray = field(init=False, compare=False, repr=False)
     _logdets: np.ndarray = field(init=False, compare=False, repr=False)
-    _band: np.ndarray | None = field(init=False, compare=False, repr=False)
-    _udiag: np.ndarray | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -187,9 +194,6 @@ class GaussianMixture:
         object.__setattr__(self, "covs", c)
         object.__setattr__(self, "_chols", chols)
         object.__setattr__(self, "_logdets", logdets)
-        band, udiag = _lu_band(chols)
-        object.__setattr__(self, "_band", band)
-        object.__setattr__(self, "_udiag", udiag)
 
     @property
     def n_components(self) -> int:
@@ -250,23 +254,19 @@ def build_toy_prior(spec: ToyPriorSpec) -> GaussianMixture:
     )
 
 
-def _component_logpdfs(gmm: GaussianMixture, x: np.ndarray) -> np.ndarray:
-    """log N(x; mu_c, Sigma_c) for each component; x is (d,) or (n, d).
-
-    Returns (C,) or (n, C).
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = np.atleast_2d(x)
-    d = gmm.dim
-    out = np.empty((X.shape[0], gmm.n_components))
+def _component_logpdfs(means, chols, logdets, X: np.ndarray) -> np.ndarray:
+    """(n, C) log N(X[i]; mu_c, Sigma_c) of the (n, d) array ``X``, given the
+    means (C, d), the lower Cholesky factors ``chols`` (C, d, d) of the
+    covariances and their log-determinants (C,)."""
+    d = X.shape[1]
+    out = np.empty((X.shape[0], len(means)))
     # one stacked solve runs the same per-component LAPACK call as C solves
-    diffs = (X[None, :, :] - gmm.means[:, None, :]).transpose(0, 2, 1)  # (C, d, n)
-    sols = np.linalg.solve(gmm._chols, diffs)
-    for c in range(gmm.n_components):
+    diffs = (X[None, :, :] - means[:, None, :]).transpose(0, 2, 1)  # (C, d, n)
+    sols = np.linalg.solve(chols, diffs)
+    for c in range(len(means)):
         maha = np.add.reduce(sols[c] ** 2, axis=0)
-        out[:, c] = -0.5 * (maha + gmm._logdets[c] + d * np.log(2.0 * np.pi))
-    return out[0] if single else out
+        out[:, c] = -0.5 * (maha + logdets[c] + d * np.log(2.0 * np.pi))
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -280,101 +280,24 @@ def _band_index(d: int) -> np.ndarray:
 
 
 def _lu_band(chols: np.ndarray):
-    """The ``dgetrf`` of each (d, d) lower Cholesky factor of ``chols`` in
-    band form: ``band[c * d + j, i]`` is entry (j + i, j) of factor c's unit
-    lower factor (0 past its last row) and ``udiag[c * d + j]`` entry (j, j)
-    of its upper factor, which is all of it: the LU of a lower triangular
-    matrix has a diagonal upper factor. ``(None, None)`` if ``dgetrf`` swaps
-    rows on any factor or d > ``_BAND_MAX_D``."""
-    C, d, _ = chols.shape
+    """The ``dgetrf`` of each (d, d) lower Cholesky factor of the (L, C, d, d)
+    stack ``chols`` in band form: ``band[l, c * d + j, i]`` is entry
+    (j + i, j) of factor (l, c)'s unit lower factor (0 past its last row)
+    and ``udiag[l, c * d + j]`` entry (j, j) of its upper factor, which is
+    all of it: the LU of a lower triangular matrix has a diagonal upper
+    factor. ``(None, None)`` if ``dgetrf`` swaps rows on any factor or
+    d > ``_BAND_MAX_D``."""
+    L, C, d, _ = chols.shape
     if d > _BAND_MAX_D:
         return None, None
-    lus = np.zeros((C, d * d + 1))  # each LU factor transposed, then a zero
-    pivs = np.empty((C, d), dtype=np.int32)
-    for k, chol in enumerate(chols):
+    lus = np.zeros((L * C, d * d + 1))  # each LU factor transposed, then a zero
+    pivs = np.empty((L * C, d), dtype=np.int32)
+    for k, chol in enumerate(chols.reshape(L * C, d, d)):
         lu, pivs[k], _ = dgetrf(chol)
         lus[k, :-1] = lu.T.ravel()
     if (pivs != np.arange(d)).any():
         return None, None
-    return lus[:, _band_index(d)].reshape(C * d, d), lus[:, :-1:d + 1].reshape(C * d)
-
-
-def _component_logpdfs_rows(means, band, udiag, logdets, X: np.ndarray,
-                            chols=None) -> np.ndarray:
-    """(K, C) log N(X[k]; mu_c, Sigma_c) with row k's bits independent of K.
-
-    ``band`` (K * C * d, d) stacks the band forms (see ``_lu_band``) of the
-    rows' components, row by row: ``np.tile`` of a mixture's ``_band`` for
-    rows of one mixture. ``udiag`` is that mixture's ``_udiag``, or (K,
-    C * d) for rows that each have their own mixture, and ``logdets`` (C,)
-    or (K, C) likewise.
-
-    One ``dtbsv`` solves every (row, component) system: the band holds the
-    unit lower factors block-diagonally, and its zeros between blocks keep
-    the systems apart. OpenBLAS runs the single-right-hand-side ``getrs``
-    of the ``gesv`` that ``np.linalg.solve`` runs on a Cholesky factor as a
-    unit lower ``trsv`` then an upper one, and ``tbsv`` makes the lower
-    one's axpy updates in the same order, so each system gets the bits of
-    ``np.linalg.solve`` on its factor; with a pairwise sum per row, each row
-    gets the bits of ``_component_logpdfs`` on that row alone. A system
-    that is not finite would spread NaN through the zeros into the next
-    one, so it is solved as zeros and comes out NaN.
-
-    Without ``band`` (a mixture that has no band form), the ``chols``
-    ((C, d, d), or (K, C, d, d) per row) are solved by one stacked
-    ``np.linalg.solve``.
-    """
-    K, d = X.shape
-    sols = np.empty((K, len(means), d))
-    np.subtract(X[:, None, :], means, out=sols)
-    if band is None:
-        sols = np.linalg.solve(chols, sols[..., None])[..., 0]
-    else:
-        bad = None
-        if not np.isfinite(sols).all():
-            bad = ~np.isfinite(sols).all(axis=-1)
-            sols[bad] = 0.0
-        flat = dtbsv(d - 1, band.T, sols.reshape(-1), lower=1, diag=1, overwrite_x=1)
-        sols = (flat.reshape(K, -1) / udiag).reshape(sols.shape)
-        if bad is not None:
-            sols[bad] = np.nan
-    maha = np.add.reduce(sols**2, axis=-1)
-    return -0.5 * (maha + logdets + d * np.log(2.0 * np.pi))
-
-
-def _mixture_logpdfs_rows(noisy: GaussianMixture, X: np.ndarray) -> np.ndarray:
-    """``_component_logpdfs_rows`` of each row of the (K, d) array ``X``
-    under the one mixture ``noisy``."""
-    band = None if noisy._band is None else np.tile(noisy._band, (len(X), 1))
-    return _component_logpdfs_rows(noisy.means, band, noisy._udiag, noisy._logdets, X,
-                                   noisy._chols)
-
-
-class _MixtureStack:
-    """Mixtures that share their means, stacked for row-wise log-densities:
-    ``logpdfs_rows(X, which)`` is ``_component_logpdfs_rows`` with row k of
-    the (K, d) array ``X`` under the mixture ``which[k]``. The stacks are
-    built once: ``_logdets`` (L, C) and either the band forms ``_band``
-    (L, C * d, d) and ``_udiag`` (L, C * d), or, when some mixture has no
-    band form, the Cholesky factors ``_chols`` (L, C, d, d), whose stacked
-    solve gives the band solve's bits."""
-
-    def __init__(self, mixtures):
-        self.means = mixtures[0].means
-        self._logdets = np.stack([m._logdets for m in mixtures])
-        self._band = self._udiag = self._chols = None
-        if any(m._band is None for m in mixtures):
-            self._chols = np.stack([m._chols for m in mixtures])
-        else:
-            self._band = np.stack([m._band for m in mixtures])
-            self._udiag = np.stack([m._udiag for m in mixtures])
-
-    def logpdfs_rows(self, X: np.ndarray, which: np.ndarray) -> np.ndarray:
-        if self._band is None:
-            return _component_logpdfs_rows(self.means, None, None, self._logdets[which], X,
-                                           self._chols[which])
-        return _component_logpdfs_rows(self.means, self._band[which].reshape(-1, X.shape[1]),
-                                       self._udiag[which], self._logdets[which], X)
+    return lus[:, _band_index(d)].reshape(L, C * d, d), lus[:, :-1:d + 1].reshape(L, C * d)
 
 
 def mixture_logpdf(gmm: GaussianMixture, x: np.ndarray) -> float | np.ndarray:
@@ -382,11 +305,11 @@ def mixture_logpdf(gmm: GaussianMixture, x: np.ndarray) -> float | np.ndarray:
 
     ``x`` may be a single (d,) point or an (n, d) batch.
     """
-    x = np.asarray(x, dtype=float)
+    x = _points(x, gmm.dim, (1, 2))
     if not np.all(np.isfinite(x)):
         raise ValueError("x contains non-finite entries")
-    lp = _component_logpdfs(gmm, x)
-    return _logsumexp(lp + np.log(gmm.weights), axis=-1)
+    lp = _component_logpdfs(gmm.means, gmm._chols, gmm._logdets, np.atleast_2d(x))
+    return _logsumexp((lp[0] if x.ndim == 1 else lp) + np.log(gmm.weights), axis=-1)
 
 
 def sample_mixture(gmm: GaussianMixture, n: int, seed) -> np.ndarray:
@@ -452,60 +375,145 @@ def _log_normalised(lp: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return lp - _logsumexp(lp, axis=-1, keepdims=True)
 
 
-def _responsibilities(noisy: GaussianMixture, x: np.ndarray, rows: bool = False) -> np.ndarray:
-    """Component responsibilities at ``x``; with ``rows``, those of each row of
-    the (K, d) array ``x`` with the bits it has on its own."""
-    lp = _mixture_logpdfs_rows(noisy, x) if rows else _component_logpdfs(noisy, x)
-    return np.exp(_log_normalised(lp, noisy.weights))
+class _NoisyTable:
+    """The noisy marginals of the mixture ``prior`` at the levels ``sigmas``
+    (sigma_t >= 0 each): Sigma_c -> Sigma_c + sigma_l^2 I for level l, with
+    each constant held once, stacked on a leading level axis:
 
+    - ``_chols`` (L, C, d, d) and ``_logdets`` (L, C): numpy's lower
+      Cholesky factor and log-determinant of each covariance, as
+      ``GaussianMixture`` computes them, for the log-densities;
+    - ``_band`` (L, C * d, d) and ``_udiag`` (L, C * d): the band form of
+      the ``dgetrf`` of those factors (see ``_lu_band``), for the row-wise
+      log-densities; both None when ``dgetrf`` swaps rows on any factor
+      (scipy's and numpy's LAPACK builds then disagree in the last bit for
+      some d >= 7) or d > ``_BAND_MAX_D``;
+    - ``_cho`` (L, C, d, d): scipy's ``cho_factor`` of each covariance,
+      stored column-major, for the score: ``_cho[l, c].T`` is the factor
+      ``dpotrs`` takes, and the stack is the one ``seeding.potrs_rows``
+      reads;
+    - ``_precs`` (L, C, d, d): the inverse covariances, for the denoiser
+      Jacobian, made at their first use.
 
-def _cho_factors(noisy: GaussianMixture) -> tuple:
-    """``cho_factor`` of each component covariance."""
-    return tuple(cho_factor(cov, lower=True) for cov in noisy.covs)
+    ``sigmas[l]`` is kept as given: the covariances and the denoiser use
+    its own square.
+    """
 
+    def __init__(self, prior: GaussianMixture, sigmas):
+        d = prior.dim
+        self.weights, self.means, self.sigmas = prior.weights, prior.means, sigmas
+        covs = np.stack([prior.covs + s**2 * np.eye(d) for s in sigmas])
+        self._chols = np.linalg.cholesky(covs)
+        self._logdets = 2.0 * np.log(np.diagonal(self._chols, axis1=-2, axis2=-1)).sum(axis=-1)
+        self._band, self._udiag = _lu_band(self._chols)
+        self._cho = np.stack([[cho_factor(cov, lower=True)[0].T for cov in level]
+                              for level in covs])
 
-def _precisions(cfs: tuple, d: int) -> tuple:
-    """Inverse covariance of each component from its ``cho_factor``."""
-    return tuple(cho_solve(cf, np.eye(d)) for cf in cfs)
+    @functools.cached_property
+    def _precs(self) -> np.ndarray:
+        eye = np.eye(self.means.shape[1])
+        return np.stack([[_cho_solve_vec((f.T, True), eye) for f in level]
+                         for level in self._cho])
 
+    def logpdfs(self, X: np.ndarray, level: int) -> np.ndarray:
+        """(n, C) component log-densities of the particles ``X`` (n, d) at
+        ``level``: one stacked ``np.linalg.solve`` for all of them."""
+        return _component_logpdfs(self.means, self._chols[level], self._logdets[level], X)
 
-def _score_and_denoise(noisy: GaussianMixture, cfs: tuple, precs: tuple,
-                       X: np.ndarray, sigma_t: float):
-    """``score_and_denoise`` at each row of a (K, d) array of points of the
-    noisy marginal at ``sigma_t``, given its component factors and
-    precisions. Row k has the bits of a call on that row alone."""
-    K, d = X.shape
-    resp = _responsibilities(noisy, X, rows=True)
-    score = np.zeros((K, d))
-    hess = np.zeros((K, d, d))
-    for c, (cf, prec) in enumerate(zip(cfs, precs)):
-        diffs = X - noisy.means[c]
-        _check_finite(diffs)
-        g = -_cho_solve_vec(cf, diffs.T).T
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite score contribution from component {c}")
-        score += resp[:, c : c + 1] * g
-        hess += resp[:, c, None, None] * (-prec + g[:, :, None] * g[:, None, :])
-    hess -= score[:, :, None] * score[:, None, :]
-    x_hat0 = X + sigma_t**2 * score
-    jacobian = np.eye(d) + sigma_t**2 * hess
-    return score, x_hat0, jacobian
+    def logpdfs_rows(self, X: np.ndarray, levels: np.ndarray) -> np.ndarray:
+        """(K, C) component log-densities of each row of the (K, d) array
+        ``X`` at its own level ``levels[k]`` (a (K,) integer array), with
+        row k's bits independent of K.
 
+        One ``dtbsv`` solves every (row, component) system: the band forms
+        of the rows' levels, stacked, hold the unit lower factors
+        block-diagonally, and their zeros between blocks keep the systems
+        apart. OpenBLAS runs the single-right-hand-side ``getrs`` of the
+        ``gesv`` that ``np.linalg.solve`` runs on a Cholesky factor as a
+        unit lower ``trsv`` then an upper one, and ``tbsv`` makes the lower
+        one's axpy updates in the same order, so each system gets the bits
+        of ``np.linalg.solve`` on its factor; with a pairwise sum per row,
+        each row gets the bits of ``logpdfs`` on that row alone. A system
+        that is not finite would spread NaN through the zeros into the next
+        one, so it is solved as zeros and comes out NaN. Without the band
+        form, one stacked ``np.linalg.solve`` on the rows' Cholesky factors.
+        """
+        K, d = X.shape
+        sols = np.empty((K, len(self.means), d))
+        np.subtract(X[:, None, :], self.means, out=sols)
+        if self._band is None:
+            sols = np.linalg.solve(self._chols.take(levels, axis=0), sols[..., None])[..., 0]
+        else:
+            bad = None
+            if not np.isfinite(sols).all():
+                bad = ~np.isfinite(sols).all(axis=-1)
+                sols[bad] = 0.0
+            band = self._band.take(levels, axis=0).reshape(-1, d)
+            flat = dtbsv(d - 1, band.T, sols.reshape(-1), lower=1, diag=1, overwrite_x=1)
+            sols = (flat.reshape(K, -1) / self._udiag.take(levels, axis=0)).reshape(sols.shape)
+            if bad is not None:
+                sols[bad] = np.nan
+        maha = np.add.reduce(sols**2, axis=-1)
+        return -0.5 * (maha + self._logdets.take(levels, axis=0) + d * np.log(2.0 * np.pi))
 
-def _denoise_batch(noisy: GaussianMixture, cfs: tuple, X: np.ndarray, sigma_t: float,
-                   rows: bool = False):
-    """``denoise_batch`` of an (n, d) batch, given the noisy marginal at
-    ``sigma_t`` and its component factors; with ``rows``, each row has the
-    bits it has on its own. The score's solve already does: the columns of a
-    multi-right-hand-side ``cho_solve`` do not depend on their count."""
-    resp = _responsibilities(noisy, X, rows)  # (n, C)
-    score = np.zeros_like(X)
-    for c, cf in enumerate(cfs):
-        diffs = X - noisy.means[c]
-        _check_finite(diffs)
-        g = -_cho_solve_vec(cf, diffs.T).T
-        score += resp[:, c : c + 1] * g
-    return score, X + sigma_t**2 * score
+    def _gradients(self, X: np.ndarray, level: int):
+        """-Sigma_c^-1 (X[k] - mu_c) at ``level`` for each component c, an
+        (n, d) array each: one ``dpotrs`` with the rows as right-hand sides,
+        whose columns do not depend on their count."""
+        for c, mean in enumerate(self.means):
+            diffs = X - mean
+            _check_finite(diffs)
+            yield -_cho_solve_vec((self._cho[level, c].T, True), diffs.T).T
+
+    def denoise(self, X: np.ndarray, level: int, lp: np.ndarray):
+        """The score and the Tweedie denoiser ``X + sigma^2 score`` at each
+        row of the (n, d) array ``X`` at ``level``, given the rows' component
+        log-densities ``lp`` (n, C) there."""
+        resp = np.exp(_log_normalised(lp, self.weights))
+        score = np.zeros_like(X)
+        for c, g in enumerate(self._gradients(X, level)):
+            score += resp[:, c : c + 1] * g
+        return score, X + self.sigmas[level] ** 2 * score
+
+    def score_and_denoise(self, X: np.ndarray, level: int):
+        """The score, the Tweedie denoiser and its Jacobian
+        ``I + sigma^2 Hessian(log p)`` at each row of the (K, d) array ``X``
+        at ``level``, each row with the bits it has on its own."""
+        K, d = X.shape
+        resp = np.exp(_log_normalised(self.logpdfs_rows(X, np.full(K, level)), self.weights))
+        score = np.zeros((K, d))
+        hess = np.zeros((K, d, d))
+        precs = self._precs[level]
+        for c, g in enumerate(self._gradients(X, level)):
+            if not np.all(np.isfinite(g)):
+                raise ValueError(f"non-finite score contribution from component {c}")
+            score += resp[:, c : c + 1] * g
+            hess += resp[:, c, None, None] * (-precs[c] + g[:, :, None] * g[:, None, :])
+        hess -= score[:, :, None] * score[:, None, :]
+        s2 = self.sigmas[level] ** 2
+        return score, X + s2 * score, np.eye(d) + s2 * hess
+
+    def score_rows(self, X: np.ndarray, levels: np.ndarray) -> np.ndarray:
+        """The score at each row of the (K, d) array ``X`` at its own level
+        ``levels[k]`` (a (K,) intp array of this table's levels, which the
+        caller checks), each row with the bits of ``denoise`` on that row
+        alone. Each (row, component) solve is one LAPACK ``potrs`` on its
+        level's factor: all of them in one call into the compiled row loop
+        (``seeding.potrs_rows``) or, without it, one
+        ``scipy.linalg.lapack.dpotrs`` call each. Both call scipy's LAPACK
+        build with the same arguments, so both give the same bits. A
+        non-finite row raises the ValueError that ``cho_solve`` raises."""
+        resp = np.exp(_log_normalised(self.logpdfs_rows(X, levels), self.weights))
+        sols = np.subtract(X[:, None, :], self.means)  # (K, C, d)
+        _check_finite(sols)
+        if not potrs_rows(self._cho, levels, sols):
+            for k, level in enumerate(levels):
+                for c, factor in enumerate(self._cho[level]):
+                    sols[k, c] = _cho_solve_vec((factor.T, True), sols[k, c])
+        score = np.zeros_like(X)
+        for c in range(len(self.means)):
+            score += resp[:, c : c + 1] * -sols[:, c]
+        return score
 
 
 def score_and_denoise(gmm: GaussianMixture, x: np.ndarray, sigma_t: float):
@@ -518,10 +526,8 @@ def score_and_denoise(gmm: GaussianMixture, x: np.ndarray, sigma_t: float):
     """
     if sigma_t <= 0:
         raise ValueError("sigma_t must be > 0")
-    noisy = noisy_marginal(gmm, sigma_t)
-    cfs = _cho_factors(noisy)
-    score, x_hat0, jacobian = _score_and_denoise(noisy, cfs, _precisions(cfs, gmm.dim),
-                                                 np.asarray(x, dtype=float)[None], sigma_t)
+    x = _points(x, gmm.dim, (1,))
+    score, x_hat0, jacobian = _NoisyTable(gmm, (sigma_t,)).score_and_denoise(x[None], 0)
     return score[0], x_hat0[0], jacobian[0]
 
 
@@ -529,9 +535,9 @@ def denoise_batch(gmm: GaussianMixture, X: np.ndarray, sigma_t: float):
     """Vectorized (score, x_hat0) over an (n, d) batch. No Jacobians."""
     if sigma_t <= 0:
         raise ValueError("sigma_t must be > 0")
-    noisy = noisy_marginal(gmm, sigma_t)
-    return _denoise_batch(noisy, _cho_factors(noisy),
-                          np.atleast_2d(np.asarray(X, dtype=float)), sigma_t)
+    X = np.atleast_2d(_points(X, gmm.dim, (1, 2)))
+    table = _NoisyTable(gmm, (sigma_t,))
+    return table.denoise(X, 0, table.logpdfs(X, 0))
 
 
 class _Posterior:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from .diffusion import NoiseSchedule, ReverseKernel, level_index_for_sigma
+from .diffusion import NoiseSchedule, ReverseKernel, level_index_for_sigma, _row_levels
 from .gmm import (
     GaussianMixture,
     exact_posterior,
@@ -332,10 +332,12 @@ def reddiff_update(mu, y, A: LinearOperatorSVD, sigma_y: float,
 
     Data term ||y - A mu||^2 / (2 sigma_y^2) plus a score-matching
     regularizer at each row's level with unit weighting and a detached
-    (analytic) noise prediction.
+    (analytic) noise prediction. A level that is not an integer in
+    0..``last_nonzero_index`` raises ``score_rows``' ValueError.
     """
     if step_size <= 0:
         raise ValueError("step_size must be > 0")
+    levels = _row_levels(kernel.sched, levels, len(mu))
     sigma = kernel.sched.grid[levels][:, None]
     score = kernel.score_rows(mu + sigma * eps, levels)
     eps_hat = -sigma * score

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import diffuq.diffusion
+import diffuq.gmm
 import diffuq.seeding
 from diffuq.diffusion import (
     NoiseSchedule,
@@ -61,6 +61,15 @@ def test_schedule_validation():
         build_schedule(0.01, 10.0, 0)
     with pytest.raises(ValueError, match="spacing"):
         build_schedule(0.01, 10.0, 10, spacing="linear")
+
+
+@pytest.mark.parametrize("steps", [2.5, 3.0, True, "3"])
+def test_schedule_steps_must_be_an_integer(steps):
+    """A non-integer step count (or a bool) is rejected with a ValueError
+    that names ``steps``, not turned into a grid."""
+    with pytest.raises(ValueError, match="steps must be an integer"):
+        build_schedule(0.01, 10.0, steps)
+    assert build_schedule(0.01, 10.0, np.int64(3)).grid.shape == (5,)
 
 
 def test_level_index_endpoints(sched_small):
@@ -180,6 +189,41 @@ def test_kernel_factors_are_the_gaussian_conditional(kernel_small, toy_prior, sc
         assert np.array_equal(chol, np.tril(chol))
 
 
+def _array_bytes(obj, owners=None, seen=None) -> int:
+    """The bytes of the distinct ndarray buffers reachable from ``obj``
+    through attributes, lists, tuples and dicts; a view counts as the array
+    that owns its memory."""
+    owners = {} if owners is None else owners
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        owners[id(obj)] = obj.nbytes
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            _array_bytes(item, owners, seen)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            _array_bytes(item, owners, seen)
+    elif hasattr(obj, "__dict__"):
+        _array_bytes(vars(obj), owners, seen)
+    return sum(owners.values())
+
+
+def test_kernel_holds_each_per_level_constant_once(toy_prior):
+    """At 100 steps the kernel holds about six (L, C, d, d) float64 stacks:
+    the noisy prior's numpy Cholesky factors, band LU factors, cho_factors
+    and precisions, the transition slopes and the transition factors. A
+    second copy of any of them would pass 6.25 stacks."""
+    kernel = ReverseKernel(toy_prior, build_schedule(0.01, 10.0, 100))
+    kernel.score_and_denoise_rows(np.ones((2, 16)), 3)  # makes the precisions
+    L, C, d = 101, toy_prior.n_components, toy_prior.dim
+    assert _array_bytes(kernel) <= 6.25 * L * C * d * d * 8
+
+
 # ---------------------------------------------------------------------------
 # score_rows: every row at its own level, solved in one compiled call
 # ---------------------------------------------------------------------------
@@ -204,7 +248,7 @@ def _no_per_call_solve(*args):
 @example(K=600, seed=2, log_scale=-3.0, spread=3.0, dtype=np.int64)
 def test_compiled_and_per_call_score_rows_agree(kernel_small, K, seed, log_scale, spread, dtype):
     """The compiled ``score_rows`` gives every row the bits of the per-row
-    ``_cho_solve_vec`` loop, and calls no ``_cho_solve_vec``: at every level
+    ``_cho_solve_vec`` loop, and calls no ``gmm._cho_solve_vec``: at every level
     (each appears once K > 30; 0 and the last whenever K >= 2), for rows
     whose scales span up to six decades, with int64 and uint64 levels."""
     if _rowdraws() is None:
@@ -218,7 +262,7 @@ def test_compiled_and_per_call_score_rows_agree(kernel_small, K, seed, log_scale
     X = scales * rng.standard_normal((K, 16))
     want = _score_rows_per_call(kernel_small, X, levels)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(diffuq.diffusion, "_cho_solve_vec", _no_per_call_solve)
+        mp.setattr(diffuq.gmm, "_cho_solve_vec", _no_per_call_solve)
         got = kernel_small.score_rows(X, levels)
     assert np.array_equal(got, want)
 

@@ -23,9 +23,8 @@ from diffuq.gmm import (
     _Posterior,
     _inverse_cdf,
     _logsumexp,
-    _mixture_logpdfs_rows,
     _mixture_rows,
-    _MixtureStack,
+    _NoisyTable,
     _sample_mixture_rows,
     _vecmat_rows,
 )
@@ -240,6 +239,22 @@ def test_denoise_batch_matches_single(toy_prior, rng):
         s, xh, _ = score_and_denoise(toy_prior, x, 0.9)
         assert np.allclose(score_b[k], s)
         assert np.allclose(xhat_b[k], xh)
+
+
+@pytest.mark.parametrize("call, shape, want", [
+    (lambda g, x: score_and_denoise(g, x, 1.0), (2, 16), r"expected \(16,\)$"),
+    (lambda g, x: score_and_denoise(g, x, 1.0), (15,), r"expected \(16,\)$"),
+    (lambda g, x: denoise_batch(g, x, 1.0), (2, 3, 16), r"expected \(16,\) or \(n, 16\)"),
+    (lambda g, x: denoise_batch(g, x, 1.0), (15,), r"expected \(16,\) or \(n, 16\)"),
+    (mixture_logpdf, (15,), r"expected \(16,\) or \(n, 16\)"),
+    (mixture_logpdf, (2, 3, 16), r"expected \(16,\) or \(n, 16\)"),
+], ids=["score_and_denoise_batch", "score_and_denoise_short", "denoise_batch_3d",
+        "denoise_batch_short", "mixture_logpdf_short", "mixture_logpdf_3d"])
+def test_references_reject_points_of_the_wrong_shape(toy_prior, call, shape, want):
+    """Points of the wrong shape raise a ValueError that names the shape
+    expected, not a broadcasting or unpacking error."""
+    with pytest.raises(ValueError, match=want):
+        call(toy_prior, np.zeros(shape))
 
 
 def test_kept_factors_match_fresh_cholesky(toy_prior, rng):
@@ -539,6 +554,12 @@ def _solve_logpdfs_rows(means, chols, logdets, X):
     return -0.5 * (maha + logdets + d * np.log(2.0 * np.pi))
 
 
+def _one_level_logpdfs_rows(gmm, X):
+    """The row-wise component log-pdfs under ``gmm`` itself: a one-level
+    table at sigma 0, whose covariances are the mixture's."""
+    return _NoisyTable(gmm, (0.0,)).logpdfs_rows(X, np.zeros(len(X), dtype=np.intp))
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), C=st.integers(1, 3), d=st.integers(1, 16),
        K=st.integers(1, 6))
@@ -550,7 +571,7 @@ def test_component_logpdfs_rows_match_solve(seed, C, d, K):
     rng = np.random.default_rng(seed)
     gmm = _random_mixture(rng, C, d)
     X = 3.0 * rng.standard_normal((K, d))
-    got = _mixture_logpdfs_rows(gmm, X)
+    got = _one_level_logpdfs_rows(gmm, X)
     assert np.array_equal(got, _solve_logpdfs_rows(gmm.means, gmm._chols, gmm._logdets, X))
 
 
@@ -562,11 +583,11 @@ def test_component_logpdfs_rows_per_row_factors_match_solve(seed, C, d, K):
     noisy marginal at its own level, against a (K, C, d, d) stacked solve."""
     rng = np.random.default_rng(seed)
     gmm = _random_mixture(rng, C, d)
-    levels = [noisy_marginal(gmm, s) for s in (0.0, 0.3, 2.0, 9.0)]
-    which = rng.integers(len(levels), size=K)
-    noisy = [levels[i] for i in which]
+    sigmas = (0.0, 0.3, 2.0, 9.0)
+    which = rng.integers(len(sigmas), size=K)
+    noisy = [noisy_marginal(gmm, sigmas[i]) for i in which]
     X = 3.0 * rng.standard_normal((K, d))
-    got = _MixtureStack(levels).logpdfs_rows(X, which)
+    got = _NoisyTable(gmm, sigmas).logpdfs_rows(X, which)
     chols = np.stack([n._chols for n in noisy])
     logdets = np.stack([n._logdets for n in noisy])
     assert np.array_equal(got, _solve_logpdfs_rows(gmm.means, chols, logdets, X))
@@ -582,18 +603,17 @@ def test_component_logpdfs_rows_match_solve_when_lu_pivots(d):
     L[3, 0] = 4.0
     gmm = GaussianMixture(np.ones(1), rng.standard_normal((1, d)), (L @ L.T)[None])
     assert dgetrf(gmm._chols[0])[1][0] == 3
-    assert gmm._band is None
+    assert _NoisyTable(gmm, (0.0,))._band is None
     X = 3.0 * rng.standard_normal((50, d))
-    got = _mixture_logpdfs_rows(gmm, X)
+    got = _one_level_logpdfs_rows(gmm, X)
     assert np.array_equal(got, _solve_logpdfs_rows(gmm.means, gmm._chols, gmm._logdets, X))
 
 
 def test_toy_prior_marginals_keep_lu_factors(toy_prior):
     """No noisy marginal of the toy prior pivots, so every row-wise solve on
     it takes the band ``dtbsv`` path."""
-    for sigma in np.geomspace(1e-3, 1e3, 25):
-        noisy = noisy_marginal(toy_prior, sigma)
-        assert noisy._band is not None and noisy._band.shape == (32, 16)
+    table = _NoisyTable(toy_prior, np.geomspace(1e-3, 1e3, 25))
+    assert table._band is not None and table._band.shape == (25, 32, 16)
 
 
 @pytest.mark.parametrize("C", [1, 3])
@@ -603,9 +623,9 @@ def test_component_logpdfs_rows_one_dimension(C):
     rng = np.random.default_rng(5)
     gmm = GaussianMixture(np.full(C, 1.0 / C), rng.standard_normal((C, 1)),
                           rng.uniform(0.1, 4.0, (C, 1, 1)))
-    assert gmm._band.shape == (C, 1)
+    assert _NoisyTable(gmm, (0.0,))._band.shape == (1, C, 1)
     X = 3.0 * rng.standard_normal((7, 1))
-    got = _mixture_logpdfs_rows(gmm, X)
+    got = _one_level_logpdfs_rows(gmm, X)
     assert np.array_equal(got, _solve_logpdfs_rows(gmm.means, gmm._chols, gmm._logdets, X))
 
 
@@ -618,9 +638,9 @@ def test_component_logpdfs_rows_band_limit(d):
     L = np.tril(rng.uniform(-0.1, 0.1, (2, d, d))) + np.eye(d)
     gmm = GaussianMixture(np.array([0.4, 0.6]), rng.standard_normal((2, d)),
                           L @ L.transpose(0, 2, 1))
-    assert (gmm._band is None) == (d > _BAND_MAX_D)
+    assert (_NoisyTable(gmm, (0.0,))._band is None) == (d > _BAND_MAX_D)
     X = 3.0 * rng.standard_normal((5, d))
-    got = _mixture_logpdfs_rows(gmm, X)
+    got = _one_level_logpdfs_rows(gmm, X)
     assert np.array_equal(got, _solve_logpdfs_rows(gmm.means, gmm._chols, gmm._logdets, X))
 
 
@@ -636,12 +656,12 @@ def test_component_logpdfs_rows_non_finite_rows_stay_apart(toy_prior):
     bad[4, 0] = np.nan
     others = [0, 2, 3, 5]
     gmm = noisy_marginal(toy_prior, 0.7)
-    want, got = _mixture_logpdfs_rows(gmm, X), _mixture_logpdfs_rows(gmm, bad)
+    want, got = _one_level_logpdfs_rows(gmm, X), _one_level_logpdfs_rows(gmm, bad)
     assert np.array_equal(got[others], want[others])
     assert np.isnan(got[[1, 4]]).all()
-    noisy = [noisy_marginal(toy_prior, s) for s in (0.1, 0.7, 5.0, 0.1, 2.0, 30.0)]
-    stack, which = _MixtureStack(noisy), np.arange(len(noisy))
-    want, got = stack.logpdfs_rows(X, which), stack.logpdfs_rows(bad, which)
+    table = _NoisyTable(toy_prior, (0.1, 0.7, 5.0, 0.1, 2.0, 30.0))
+    which = np.arange(6)
+    want, got = table.logpdfs_rows(X, which), table.logpdfs_rows(bad, which)
     assert np.array_equal(got[others], want[others])
     assert np.isnan(got[[1, 4]]).all()
 

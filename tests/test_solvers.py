@@ -14,10 +14,12 @@ from diffuq.gmm import _logsumexp
 from diffuq.diffusion import ReverseKernel, build_schedule
 from diffuq.gmm import (
     GaussianMixture,
-    _responsibilities,
+    _component_logpdfs,
+    _log_normalised,
     denoise_batch,
     exact_posterior,
     mixture_moments,
+    noisy_marginal,
     sample_mixture,
     score_and_denoise,
 )
@@ -207,8 +209,8 @@ def test_conjugate_denoising_weights_match_importance_sampling(toy_prior):
     n = 200_000
     X = z + rho * rng.standard_normal((n, 16))
     comp_rng = np.random.default_rng(78)
-    from diffuq.gmm import _component_logpdfs
-    lp = _component_logpdfs(toy_prior, X) + np.log(toy_prior.weights)
+    lp = _component_logpdfs(toy_prior.means, toy_prior._chols, toy_prior._logdets, X)
+    lp = lp + np.log(toy_prior.weights)
     # average component responsibilities under the proposal = posterior weights
     from scipy.special import logsumexp
     tot = logsumexp(lp, axis=1)
@@ -425,6 +427,19 @@ def test_reddiff_deterministic(toy_prior):
     a, b = (reddiff_update(np.zeros((1, 16)), y, A, 1.0, kernel, 0.25, 0.5,
                            *_reddiff_draws(kernel, np.random.default_rng(55))) for _ in range(2))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("level", [-1, 11, 12, 1.0, True],
+                         ids=["negative", "last_plus_1", "last_plus_2", "float", "bool"])
+def test_reddiff_update_rejects_bad_levels(toy_prior, level):
+    """A level that is not an integer in 0..last_nonzero_index raises the
+    ValueError of ``score_rows``, which names the range, before reddiff
+    reads the level's sigma from the grid."""
+    kernel = ReverseKernel(toy_prior, build_schedule(0.01, 10.0, 10))
+    A = build_operator("identity", 16)
+    with pytest.raises(ValueError, match=r"integers in 0\.\.10"):
+        reddiff_update(np.zeros((1, 16)), np.ones(16), A, 1.0, kernel, 0.25, 0.5,
+                       np.array([level]), np.zeros((1, 16)))
 
 
 def test_reddiff_score_from_batch_core_matches_single_point(toy_prior, rng):
@@ -968,8 +983,9 @@ def test_rowwise_primitives_match_single_rows(kernel12, K, seed, log_scale, leve
     rng = np.random.default_rng(seed)
     X = 10.0**log_scale * rng.standard_normal((K, 16))
     seeds = rng.integers(0, 2**32, size=K)
-    noisy = kernel12._noisy[level]
-    resp = _responsibilities(noisy, X, rows=True)
+    noisy = noisy_marginal(kernel12.prior, kernel12.sched.grid[level])
+    lp = kernel12._table.logpdfs_rows(X, np.full(K, level))
+    resp = np.exp(_log_normalised(lp, noisy.weights))
     logr = kernel12.log_responsibilities_rows(X, level)
     den = kernel12.denoise_rows(X, level)
     stepped = kernel12.step_rows(X, level, _Streams([np.random.default_rng(s) for s in seeds]))
@@ -979,7 +995,8 @@ def test_rowwise_primitives_match_single_rows(kernel12, K, seed, log_scale, leve
     grid = kernel12.sched.grid
     for k in range(K):
         row = X[k : k + 1]
-        assert np.array_equal(resp[k], _responsibilities(noisy, X[k]))
+        lp = _component_logpdfs(noisy.means, noisy._chols, noisy._logdets, row)
+        assert np.array_equal(resp[k], np.exp(_log_normalised(lp, noisy.weights))[0])
         assert np.array_equal(logr[k], kernel12.log_responsibilities(row, level)[0])
         assert np.array_equal(den[k], kernel12.denoise(row, level)[0])
         assert np.array_equal(stepped[k],

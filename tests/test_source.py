@@ -31,6 +31,14 @@ PROBLEM_BUILDERS = {"build_toy_prior", "build_schedule"}
 CONSTANT_SITES = {"_Posterior": {"Problem.posterior", "_sample_pnpdm", "exact_posterior"},
                   "ReverseKernel": {"Problem.kernel"}}
 
+# the noisy prior's per-level constants live in one ``gmm._NoisyTable``: the
+# kernel builds one for its levels, and the two one-level references build
+# their own; only the table factors a noisy covariance (``cho_factor``
+# elsewhere factors the exact posterior's and pnpdm's z-step systems)
+NOISY_SITES = {"_NoisyTable": {"ReverseKernel.__init__", "denoise_batch", "score_and_denoise"},
+               "_lu_band": {"_NoisyTable.__init__"},
+               "cho_factor": {"_NoisyTable.__init__", "_Posterior.__init__", "_z_step_sampler"}}
+
 # modules that build and load native code; only ``seeding`` (the compiled
 # row loop) may import them
 NATIVE_MODULES = {"ctypes", "subprocess", "tempfile", "sysconfig"}
@@ -93,12 +101,22 @@ def test_only_the_config_makes_the_cases():
     assert {name for name, _, _, _ in calls} == {"config.py"}
 
 
-def test_only_the_problem_builds_its_posterior_and_kernel():
-    calls = _package_calls(set(CONSTANT_SITES))
+def _only_in(sites: dict) -> None:
+    """Each callee of ``sites`` is called in every function it names and in
+    no other."""
+    calls = _package_calls(set(sites))
     assert not [f"{name}:{line} {callee}() in {function}" for name, function, line, callee in calls
-                if function not in CONSTANT_SITES[callee]]
+                if function not in sites[callee]]
     assert {(callee, function) for _, function, _, callee in calls} == {
-        (callee, site) for callee, sites in CONSTANT_SITES.items() for site in sites}
+        (callee, site) for callee, names in sites.items() for site in names}
+
+
+def test_only_the_problem_builds_its_posterior_and_kernel():
+    _only_in(CONSTANT_SITES)
+
+
+def test_only_the_noisy_table_factors_the_noisy_prior():
+    _only_in(NOISY_SITES)
 
 
 def _imports(tree) -> set:
