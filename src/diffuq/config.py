@@ -274,10 +274,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
     experiment = data["experiment"]
     _check_experiment(experiment)
-    try:
-        sigma_y = float(data["sigma_y"])
-    except (TypeError, ValueError):
+    if not _real(data["sigma_y"]):
         raise ValueError(f"sigma_y must be a number, got {data['sigma_y']!r}")
+    sigma_y = float(data["sigma_y"])
     prior_args = _mapping(data, "prior")
     bad = set(prior_args) - {f.name for f in dataclasses.fields(ToyPriorSpec)}
     if bad:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .gmm import (
     GaussianMixture,
-    _alone,
+    _component_draws,
     _inverse_cdf,
     _log_normalised,
     _NoisyTable,
@@ -53,6 +53,11 @@ class NoiseSchedule:
         return len(self.grid) - 2
 
 
+def _integral(value) -> bool:
+    """Whether ``value`` is an integer (Python's or numpy's), not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def build_schedule(sigma_min: float, sigma_max: float, steps: int,
                    spacing: str = "geometric", exponent: float = 7.0) -> NoiseSchedule:
     """Build the noise grid; endpoints are exact.
@@ -62,7 +67,7 @@ def build_schedule(sigma_min: float, sigma_max: float, steps: int,
     """
     if not (0 < sigma_min < sigma_max):
         raise ValueError("require 0 < sigma_min < sigma_max")
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+    if not _integral(steps):
         raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -121,11 +126,11 @@ class ReverseKernel:
     Everything that depends only on the grid level is built once here:
     ``_table``, a ``gmm._NoisyTable`` of the noisy marginal at every nonzero
     level (the factors of the responsibilities, the score and the denoiser
-    Jacobian), and per nonzero level ``i`` and component ``c``:
+    Jacobian), and per transition ``i`` (every nonzero level but the last,
+    whose step is the Tweedie denoise) and component ``c``, as stacks:
 
     - ``_B[i, c]``, ``_a[i, c]``: slope and offset of the transition mean;
-    - ``_chol[i, c]``: Cholesky factor of the transition covariance (all
-      levels but the last, whose transition is the Tweedie denoise).
+    - ``_chol[i, c]``: Cholesky factor of the transition covariance.
 
     ``denoise`` and ``score_and_denoise_rows`` give the same bits as
     ``gmm.denoise_batch`` and ``gmm.score_and_denoise`` at ``grid[level]``.
@@ -140,39 +145,38 @@ class ReverseKernel:
     def __init__(self, prior: GaussianMixture, sched: NoiseSchedule):
         self.prior = prior
         self.sched = sched
-        d, C = prior.dim, prior.n_components
         grid = sched.grid
         self._table = _NoisyTable(prior, grid[:-1])
-        # denoising posterior per (level, component): x0 | x_i, c
-        self._B = np.empty((len(grid) - 1, C, d, d))  # mean slope
-        self._a = np.empty((len(grid) - 1, C, d))  # mean offset
-        self._chol = np.empty((len(grid) - 2, C, d, d))  # transition noise
-        prior_prec = [np.linalg.inv(cov) for cov in prior.covs]
-        prior_nat = [np.linalg.solve(cov, mu) for cov, mu in zip(prior.covs, prior.means)]
-        for i, s in enumerate(grid[:-1]):
-            for c in range(C):
-                prec = prior_prec[c] + np.eye(d) / s**2
-                cov0 = np.linalg.inv(prec)  # Cov(x0 | x_i, c)
-                B0 = cov0 / s**2
-                a0 = cov0 @ prior_nat[c]
-                if i < len(grid) - 2:
-                    lam = grid[i + 1] ** 2 / s**2
-                    # x_{i-1} | x_i, c: mean = (1-lam) E[x0|x_i,c] + lam x_i
-                    self._B[i, c] = (1 - lam) * B0 + lam * np.eye(d)
-                    self._a[i, c] = (1 - lam) * a0
-                    cov = grid[i + 1] ** 2 * (1 - lam) * np.eye(d) + (1 - lam) ** 2 * cov0
-                    self._chol[i, c] = np.linalg.cholesky(cov)
-                else:
-                    # bookkeeping only; final sigma -> 0 uses a Tweedie denoise
-                    self._B[i, c] = B0
-                    self._a[i, c] = a0
+        # transition i: sigma_i -> sigma_{i+1}; the squares are libm's pow,
+        # the bits of a scalar ``s**2`` (an array's ``x**2`` is x * x)
+        s2 = np.float_power(grid[:-2], 2)[:, None, None, None]
+        next2 = np.float_power(grid[1:-1], 2)[:, None, None, None]
+        eye = np.eye(prior.dim)
+        # x0 | x_i, c: covariance cov0, mean cov0 (x_i / s^2 + Sigma_c^-1 mu_c)
+        cov0 = np.linalg.inv(np.linalg.inv(prior.covs) + eye / s2)
+        nat = np.linalg.solve(prior.covs, prior.means[..., None])
+        # x_{i+1} | x_i, c: mean (1-lam) E[x0|x_i,c] + lam x_i
+        lam = next2 / s2
+        self._B = (1 - lam) * (cov0 / s2) + lam * eye  # mean slope
+        self._a = (1 - lam)[..., 0] * (cov0 @ nat)[..., 0]  # mean offset
+        self._chol = np.linalg.cholesky(  # transition noise
+            next2 * (1 - lam) * eye + np.float_power(1 - lam, 2) * cov0)
+
+    def _level(self, level) -> int:
+        """``level``, checked with no numpy call (the samplers call it per
+        step): an integer, not a bool, in 0..``last_nonzero_index``."""
+        last = self.sched.last_nonzero_index
+        if not (_integral(level) and 0 <= level <= last):
+            raise ValueError(f"level must be an integer in 0..{last}, got {level!r}")
+        return level
 
     def log_responsibilities(self, X: np.ndarray, level: int) -> np.ndarray:
+        level = self._level(level)
         return _log_normalised(self._table.logpdfs(np.atleast_2d(X), level), self.prior.weights)
 
     def log_responsibilities_rows(self, X: np.ndarray, level: int) -> np.ndarray:
         """``log_responsibilities`` of each row of the (K, d) array ``X`` on its own."""
-        return _log_normalised(self._table.logpdfs_rows(X, np.full(len(X), level)),
+        return _log_normalised(self._table.logpdfs_rows(X, np.full(len(X), self._level(level))),
                                self.prior.weights)
 
     def step(self, X: np.ndarray, level: int, rng: np.random.Generator) -> np.ndarray:
@@ -190,7 +194,7 @@ class ReverseKernel:
         all K * n particles, whose column bits do not depend on their count."""
         K, n, d = X.shape
         flat = X.reshape(K * n, d)
-        if level == self.sched.last_nonzero_index:
+        if self._level(level) == self.sched.last_nonzero_index:
             return self.denoise(flat, level).reshape(X.shape)
         logr = self.log_responsibilities(flat, level)
         return self._transition(flat, level, logr, rngs.uniforms(n).ravel(),
@@ -200,35 +204,28 @@ class ReverseKernel:
     def step_rows(self, X: np.ndarray, level: int, rngs) -> np.ndarray:
         """``step`` of each row of the (K, d) array ``X`` with its own row of
         the streams ``rngs``: one uniform, then d normals per row."""
-        if level == self.sched.last_nonzero_index:
+        if self._level(level) == self.sched.last_nonzero_index:
             return self.denoise_rows(X, level)
         logr = self.log_responsibilities_rows(X, level)
         return self._transition(X, level, logr, rngs.uniforms(), rngs.normals(X.shape[1]))
 
     def _transition(self, X, level, logr, u, noise, sets=None):
-        """Draw each row's component by inverse CDF of its responsibilities at
-        ``u``, then its conditional Gaussian; ``sets`` labels the particle
-        set of each row (see ``_vecmat_sets``), and without it each row is a
-        set of its own."""
-        comp = _inverse_cdf(np.cumsum(np.exp(logr), axis=1), u)
-        out = np.empty_like(X)
-        for c in range(self.prior.n_components):
-            rows = np.flatnonzero(comp == c)
-            if not rows.size:
-                continue
-            alone = True if sets is None else _alone(sets[rows])
-            mean = _vecmat_sets(X[rows], self._B[level, c].T, alone) + self._a[level, c]
-            out[rows] = mean + _vecmat_sets(noise[rows], self._chol[level, c].T, alone)
-        return out
+        """Each row's component by inverse CDF of its responsibilities at ``u``,
+        then its conditional Gaussian (``gmm._component_draws``, with ``sets``)."""
+        B, a = self._B[level], self._a[level]
+        return _component_draws(
+            _inverse_cdf(np.cumsum(np.exp(logr), axis=1), u), noise, self._chol[level],
+            lambda c, rows, alone: _vecmat_sets(X[rows], B[c].T, alone) + a[c], sets)
 
     def denoise(self, X: np.ndarray, level: int) -> np.ndarray:
         """Tweedie posterior mean E[x0 | x_level] for an (n, d) batch."""
+        level = self._level(level)
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return self._table.denoise(X, level, self._table.logpdfs(X, level))[1]
 
     def denoise_rows(self, X: np.ndarray, level: int) -> np.ndarray:
         """``denoise`` of each row of the (K, d) array ``X`` on its own."""
-        lp = self._table.logpdfs_rows(X, np.full(len(X), level))
+        lp = self._table.logpdfs_rows(X, np.full(len(X), self._level(level)))
         return self._table.denoise(X, level, lp)[1]
 
     def score_rows(self, X: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -244,4 +241,4 @@ class ReverseKernel:
     def score_and_denoise_rows(self, X: np.ndarray, level: int):
         """``gmm.score_and_denoise`` of the prior at each row of the (K, d)
         array ``X`` and sigma_t = ``grid[level]``."""
-        return self._table.score_and_denoise(X, level)
+        return self._table.score_and_denoise(X, self._level(level))

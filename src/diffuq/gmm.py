@@ -91,6 +91,20 @@ def _vecmat_sets(X: np.ndarray, M: np.ndarray, alone) -> np.ndarray:
     return out
 
 
+def _component_draws(comp, noise, chols, mean, sets=None) -> np.ndarray:
+    """Each row's draw from its component: the rows ``rows`` with ``comp == c``
+    get ``mean(c, rows, alone) + noise[rows] @ chols[c].T``, ``alone`` flagging
+    the rows alone in their particle set of ``sets`` (all of them without
+    ``sets``); products by ``_vecmat_sets``, so each set has its own bits."""
+    out = np.empty(noise.shape)
+    for c, chol in enumerate(chols):
+        rows = np.flatnonzero(comp == c)
+        if rows.size:
+            alone = True if sets is None else _alone(sets[rows])
+            out[rows] = mean(c, rows, alone) + _vecmat_sets(noise[rows], chol.T, alone)
+    return out
+
+
 def _cho_solve_vec(cf: tuple, b: np.ndarray) -> np.ndarray:
     """``cho_solve(cf, b)`` for a (d,) or (d, n) right-hand side: the same
     LAPACK ``potrs`` call and bits, without scipy's per-call wrapper. The
@@ -350,13 +364,8 @@ def _mixture_rows(weights, means, chols, rngs) -> np.ndarray:
     cdf = weights.cumsum(axis=-1)
     cdf /= cdf[:, -1:]
     comp = _inverse_cdf(cdf, rngs.uniforms())
-    noise = rngs.normals(chols.shape[-1])
-    out = np.empty(noise.shape)
-    for c, chol in enumerate(chols):
-        mask = comp == c
-        if mask.any():
-            out[mask] = means[mask, c] + _vecmat_rows(noise[mask], chol.T)
-    return out
+    return _component_draws(comp, rngs.normals(chols.shape[-1]), chols,
+                            lambda c, rows, alone: means[rows, c])
 
 
 def noisy_marginal(gmm: GaussianMixture, sigma_t: float) -> GaussianMixture:
@@ -402,7 +411,8 @@ class _NoisyTable:
     def __init__(self, prior: GaussianMixture, sigmas):
         d = prior.dim
         self.weights, self.means, self.sigmas = prior.weights, prior.means, sigmas
-        covs = np.stack([prior.covs + s**2 * np.eye(d) for s in sigmas])
+        # libm's pow, the bits of a scalar ``s**2`` (an array's ``x**2`` is x * x)
+        covs = prior.covs + np.float_power(sigmas, 2)[:, None, None, None] * np.eye(d)
         self._chols = np.linalg.cholesky(covs)
         self._logdets = 2.0 * np.log(np.diagonal(self._chols, axis1=-2, axis2=-1)).sum(axis=-1)
         self._band, self._udiag = _lu_band(self._chols)

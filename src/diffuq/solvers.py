@@ -24,14 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from .diffusion import NoiseSchedule, ReverseKernel, level_index_for_sigma, _row_levels
+from .diffusion import (NoiseSchedule, ReverseKernel, level_index_for_sigma, _integral,
+                        _row_levels)
 from .gmm import (
     GaussianMixture,
     exact_posterior,
     _Posterior,
     _as_rng,
-    _alone,
     _cho_solve_vec,
+    _component_draws,
     _inverse_cdf,
     _logsumexp,
     _matvec_rows,
@@ -719,7 +720,7 @@ def _sample_fps_smc(spec, problem, ms):
     # per transition between nonzero levels, built as stacks over the
     # (level, component) axes
     n_trans = n_levels - 1
-    trans_cov = kernel._chol[:n_trans] @ kernel._chol[:n_trans].swapaxes(-1, -2)
+    trans_cov = kernel._chol @ kernel._chol.swapaxes(-1, -2)
     trans_cov_inv = np.linalg.inv(trans_cov)
     # per-spectral-coordinate measurement-noise variance at the target
     # level: sigma_y^2 I + sigma_{i+1}^2 A A^T
@@ -792,16 +793,13 @@ def _sample_fps_smc(spec, problem, ms):
             noise = out.rngs.normals((n_p, d)).reshape(K * n_p, d)
             pull = _matvec_rows(A.V, p_ob)  # V (precision-weighted pseudo-observation)
             sets = np.repeat(np.arange(K), n_p)
-            X_new = np.empty((K * n_p, d))
-            for c in range(C):
-                rows = np.flatnonzero(comp == c)
-                if not rows.size:
-                    continue
-                alone = _alone(sets[rows])
+
+            def mean_post(c, rows, alone):
                 nat = (_vecmat_sets(means[c].reshape(K * n_p, d)[rows], trans_cov_inv[i, c].T,
                                     alone) + pull[sets[rows]])
-                mean_post = _vecmat_sets(nat, post_cov[i, c].T, alone)
-                X_new[rows] = mean_post + _vecmat_sets(noise[rows], post_chol[i, c].T, alone)
+                return _vecmat_sets(nat, post_cov[i, c].T, alone)
+
+            X_new = _component_draws(comp, noise, post_chol[i], mean_post, sets)
             X, log_w, yb_path = out.finite(X_new.reshape(K, n_p, d), i, log_w, yb_path,
                                            why="pseudo-inverse of zero singular values")
 
@@ -908,10 +906,12 @@ def run_cases(spec: SolverSpec, problem: Problem, ms, K: int, base_seeds) -> lis
     row k a standalone ``sample_one`` with its seed. Each batch's
     ``wall_time`` is its share (1 / len(ms)) of the call.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    if not _integral(K) or K < 1:
+        raise ValueError(f"K must be an integer >= 1, got {K!r}")
     if not ms or len(base_seeds) != len(ms):
         raise ValueError("give one base seed per measurement, and at least one measurement")
+    if not all(map(_integral, base_seeds)):
+        raise ValueError(f"base seeds must be integers, got {list(base_seeds)!r}")
     t0 = time.perf_counter()
     rows = _setup(spec, problem, ms)
     seeds = np.array([row_seeds(base, K) for base in base_seeds])

@@ -53,6 +53,20 @@ def test_sigma_y_must_be_finite_positive(bad):
         config_from_dict(dict(MINIMAL, sigma_y=bad))
 
 
+@pytest.mark.parametrize("bad", [True, "0.5"], ids=["bool", "string"])
+def test_sigma_y_bool_or_string_rejected(tmp_path, bad):
+    """A YAML ``sigma_y: true`` or ``"0.5"`` is not a number, as for
+    ``ExperimentConfig(sigma_y=...)``: it fails rather than loading as
+    1.0 or 0.5."""
+    with pytest.raises(ValueError, match=f"sigma_y must be a number, got {bad!r}"):
+        load_config(write(tmp_path, dict(MINIMAL, sigma_y=bad)))
+
+
+def test_sigma_y_int_loads_as_float(tmp_path):
+    cfg = load_config(write(tmp_path, dict(MINIMAL, sigma_y=2)))
+    assert type(cfg.sigma_y) is float and cfg.sigma_y == 2.0
+
+
 def test_unknown_solver_lists_all_names(tmp_path):
     data = dict(MINIMAL, solvers=["dsp"])
     with pytest.raises(ValueError) as err:

@@ -18,7 +18,7 @@ from diffuq.gmm import (
     mixture_moments,
     score_and_denoise,
 )
-from diffuq.seeding import _rowdraws
+from diffuq.seeding import _rowdraws, _Streams
 
 
 def gaussian_prior(mu, cov):
@@ -167,14 +167,18 @@ def kernel_small(toy_prior, sched_small):
 
 
 @settings(max_examples=40, deadline=None)
-@given(level=st.integers(0, 30), c=st.integers(0, 1))
+@given(level=st.integers(0, 29), c=st.integers(0, 1))
 def test_kernel_factors_are_the_gaussian_conditional(kernel_small, toy_prior, sched_small,
                                                      level, c):
-    """``_B``, ``_a`` and ``_chol`` of a level and component are the mean
-    slope, mean offset and covariance factor of x_{i+1} | x_i, c, conditioned
-    densely from the joint of x_{i+1} = x0 + sigma_{i+1} z and
+    """``_B``, ``_a`` and ``_chol`` of a transition and component are the
+    mean slope, mean offset and covariance factor of x_{i+1} | x_i, c,
+    conditioned densely from the joint of x_{i+1} = x0 + sigma_{i+1} z and
     x_i = x_{i+1} + sqrt(sigma_i^2 - sigma_{i+1}^2) z' with x0 ~ N(mu_c, Sigma_c).
-    At the last level sigma_{i+1} = 0 and the conditional is x0 | x_i, c."""
+    The kernel holds one transition per nonzero level but the last, whose
+    step is the Tweedie denoise."""
+    n_trans = len(sched_small.grid) - 2
+    assert (kernel_small._B.shape[0] == kernel_small._a.shape[0]
+            == kernel_small._chol.shape[0] == n_trans)
     mu, cov = toy_prior.means[c], toy_prior.covs[c]
     s_i, s_next = sched_small.grid[level], sched_small.grid[level + 1]
     eye = np.eye(16)
@@ -182,11 +186,98 @@ def test_kernel_factors_are_the_gaussian_conditional(kernel_small, toy_prior, sc
     slope = np.linalg.solve(cov + s_i**2 * eye, cross).T  # cross (Sigma + s_i^2 I)^-1
     assert np.allclose(kernel_small._B[level, c], slope, rtol=0, atol=1e-12)
     assert np.allclose(kernel_small._a[level, c], mu - slope @ mu, rtol=0, atol=1e-12)
-    if level < sched_small.last_nonzero_index:
-        cond_cov = cross - slope @ cross
-        chol = kernel_small._chol[level, c]
-        assert np.allclose(chol @ chol.T, cond_cov, rtol=0, atol=1e-12)
-        assert np.array_equal(chol, np.tril(chol))
+    cond_cov = cross - slope @ cross
+    chol = kernel_small._chol[level, c]
+    assert np.allclose(chol @ chol.T, cond_cov, rtol=0, atol=1e-12)
+    assert np.array_equal(chol, np.tril(chol))
+
+
+def _loop_transitions(prior, grid):
+    """The kernel's transition stacks built one (level, component) at a time
+    with scalar arithmetic, the reference the stacked build must equal."""
+    n_trans, (C, d) = len(grid) - 2, prior.means.shape
+    B, chol = np.empty((2, n_trans, C, d, d))
+    a = np.empty((n_trans, C, d))
+    for i in range(n_trans):
+        s, s_next = grid[i], grid[i + 1]
+        lam = s_next**2 / s**2
+        for c in range(C):
+            cov0 = np.linalg.inv(np.linalg.inv(prior.covs[c]) + np.eye(d) / s**2)
+            a0 = cov0 @ np.linalg.solve(prior.covs[c], prior.means[c])
+            B[i, c] = (1 - lam) * (cov0 / s**2) + lam * np.eye(d)
+            a[i, c] = (1 - lam) * a0
+            chol[i, c] = np.linalg.cholesky(s_next**2 * (1 - lam) * np.eye(d)
+                                            + (1 - lam) ** 2 * cov0)
+    return B, a, chol
+
+
+@pytest.mark.parametrize("spec, steps, spacing, sigma_min, sigma_max", [
+    (ToyPriorSpec(), 40, "geometric", 0.001, 50.0),
+    (ToyPriorSpec(), 100, "geometric", 0.001, 50.0),
+    (ToyPriorSpec(d=8, structured_dim=5, bimodal_coord=2, rho_ar=0.3), 7, "polynomial",
+     0.001, 50.0),
+    (ToyPriorSpec(rho_ar=0.95, sigma_w_sq=0.01), 1000, "geometric", 0.001, 50.0),
+    (ToyPriorSpec(), 190, "geometric", 0.01, 10.0),
+], ids=["toy40", "toy100", "d8_poly7", "ar95_1000", "toy190"])
+def test_stacked_transitions_equal_the_per_level_loop(spec, steps, spacing, sigma_min,
+                                                      sigma_max):
+    """The stacked build gives the bits of the scalar loop: its squares are
+    libm's ``pow``, as a scalar ``s**2`` is. An array's ``x**2`` rounds
+    ``x * x``, which differs in the last place on 18 of the squares of the
+    190-step grid."""
+    prior = build_toy_prior(spec)
+    kernel = ReverseKernel(prior, build_schedule(sigma_min, sigma_max, steps, spacing=spacing))
+    for got, want in zip((kernel._B, kernel._a, kernel._chol),
+                         _loop_transitions(prior, kernel.sched.grid)):
+        assert np.array_equal(got, want)
+
+
+def _level_calls(X):
+    """Each public kernel method that takes a level, called on the (K, d)
+    array ``X`` at a level."""
+    def rngs(n):
+        return _Streams([np.random.default_rng(k) for k in range(n)])
+
+    return {
+        "step": lambda kernel, level: kernel.step(X, level, np.random.default_rng(0)),
+        "step_sets": lambda kernel, level: kernel.step_sets(X[None], level, rngs(1)),
+        "step_rows": lambda kernel, level: kernel.step_rows(X, level, rngs(len(X))),
+        "denoise": lambda kernel, level: kernel.denoise(X, level),
+        "denoise_rows": lambda kernel, level: kernel.denoise_rows(X, level),
+        "log_responsibilities": lambda kernel, level: kernel.log_responsibilities(X, level),
+        "log_responsibilities_rows":
+            lambda kernel, level: kernel.log_responsibilities_rows(X, level),
+        "score_and_denoise_rows": lambda kernel, level: kernel.score_and_denoise_rows(X, level),
+    }
+
+
+@pytest.fixture(scope="module")
+def kernel10(toy_prior):
+    return ReverseKernel(toy_prior, build_schedule(0.01, 10.0, 10))
+
+
+@pytest.mark.parametrize("level", [-1, 11, 12, 2.0, True],
+                         ids=["negative", "L", "L_plus_1", "float", "bool"])
+@pytest.mark.parametrize("method", list(_level_calls(None)))
+def test_kernel_methods_reject_bad_levels(kernel10, method, level):
+    """Every kernel method that takes a level raises a ValueError that names
+    the range 0..last_nonzero_index for a level outside it or not an integer:
+    numpy would wrap -1 to another level's factors, and index past the last
+    level with a bare IndexError."""
+    with pytest.raises(ValueError, match=r"level must be an integer in 0\.\.10"):
+        _level_calls(np.ones((2, 16)))[method](kernel10, level)
+
+
+@pytest.mark.parametrize("method", list(_level_calls(None)))
+def test_kernel_methods_take_numpy_integer_levels(kernel10, method):
+    """A numpy integer level gives the bits of the same Python int, at an
+    inner level and at the last, whose step is the Tweedie denoise."""
+    call = _level_calls(np.random.default_rng(3).standard_normal((2, 16)))[method]
+    for level, np_level in ((4, np.int64(4)), (10, np.uint8(10))):
+        want, got = call(kernel10, level), call(kernel10, np_level)
+        for w, g in zip(want if isinstance(want, tuple) else (want,),
+                        got if isinstance(got, tuple) else (got,)):
+            assert np.array_equal(w, g)
 
 
 def _array_bytes(obj, owners=None, seen=None) -> int:

@@ -653,6 +653,27 @@ def test_run_batch_validation(problem):
         run_batch(resolve_solver("ddrm"), m, pb.prior, pb.sched, 0, 1)
 
 
+@pytest.mark.parametrize("K, base_seed, match", [
+    (2.5, 1, "K must be an integer >= 1, got 2.5"),
+    (True, 1, "K must be an integer >= 1, got True"),
+    (3, 1.5, r"base seeds must be integers, got \[1.5\]"),
+    (3, True, r"base seeds must be integers, got \[True\]"),
+], ids=["float_K", "bool_K", "float_seed", "bool_seed"])
+def test_run_cases_rejects_non_integer_K_and_seeds(problem, K, base_seed, match):
+    """K = 2.5 raised numpy's TypeError, and K = True or a base seed of 1.5
+    or True drew the rows of 1; each now raises a ValueError."""
+    pb, m = problem
+    with pytest.raises(ValueError, match=match):
+        run_cases(resolve_solver("ddrm"), pb, [m], K, [base_seed])
+
+
+def test_run_cases_takes_numpy_integers(problem):
+    pb, m = problem
+    want = _batch(resolve_solver("ddrm"), pb, m, 3, 11)
+    got, = run_cases(resolve_solver("ddrm"), pb, [m], np.int64(3), [np.uint64(11)])
+    assert np.array_equal(got.samples, want.samples) and got.seeds == want.seeds
+
+
 def test_sample_one_dimension_check(toy_prior, sched_small):
     A = build_operator("identity", 8)
     m = synthesize_measurement(A, np.zeros(8), 1.0, 1)

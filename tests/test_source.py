@@ -119,6 +119,13 @@ def test_only_the_noisy_table_factors_the_noisy_prior():
     _only_in(NOISY_SITES)
 
 
+def test_only_component_draws_groups_particle_sets():
+    """The kernel's transitions, fps_smc's propagation and the mixture rows
+    draw each component's Gaussian through ``gmm._component_draws``, the one
+    place that finds which rows are alone in their particle set."""
+    _only_in({"_alone": {"_component_draws"}})
+
+
 def _imports(tree) -> set:
     """The top-level names of the modules that ``tree`` imports."""
     names = set()
