@@ -43,3 +43,25 @@ int potrs_rows(potrs_t *potrs, double *factors, npy_intp comps, int d, npy_intp 
         }
     return 0;
 }
+
+/* BLAS's dtrsv, as scipy.linalg.cython_blas exports it */
+typedef void trsv_t(char *uplo, char *trans, char *diag, int *n, double *a, int *lda, double *x,
+                    int *incx);
+
+/* Solves b[k, c] (rows x comps x d) in place on the LU factor
+ * lus[levels[k], c] (column-major d x d blocks in getrf's packed form) of a
+ * lower triangular matrix whose getrf swaps no rows, so its upper factor is
+ * its diagonal: the unit lower trsv, then the division by that diagonal, of
+ * the one-column getrs that np.linalg.solve runs */
+void trsv_rows(trsv_t *trsv, double *lus, npy_intp comps, int d, npy_intp *levels,
+               npy_intp rows, double *b) {
+    char uplo = 'L', trans = 'N', unit = 'U';
+    int inc = 1;
+    for (npy_intp k = 0; k < rows; k++)
+        for (npy_intp c = 0; c < comps; c++) {
+            double *lu = lus + (levels[k] * comps + c) * d * d, *x = b + (k * comps + c) * d;
+            trsv(&uplo, &trans, &unit, &d, lu, &d, x, &inc);
+            for (int i = 0; i < d; i++)
+                x[i] /= lu[i * d + i];
+        }
+}

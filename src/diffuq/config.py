@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -11,7 +10,7 @@ import numpy as np
 import yaml
 
 from .diffusion import build_schedule
-from .gmm import ToyPriorSpec, build_toy_prior, sample_mixture
+from .gmm import ToyPriorSpec, _finite, build_toy_prior, sample_mixture
 from .operators import build_operator, synthesize_measurement
 from .seeding import derive_seed
 from .solvers import Problem, SolverSpec, resolve_solver
@@ -38,13 +37,19 @@ _SIGMA_RANGE = (1e-100, 1e100)
 _MAX_D = 256
 _MAX_STEPS = 10_000
 # ``ReverseKernel`` holds six (steps + 1, C, d, d) float64 arrays (the
-# noisy prior's numpy Cholesky factors, LU bands, cho_factors and
+# noisy prior's numpy Cholesky factors, LU factors, cho_factors and
 # precisions, and the transition slopes and factors), so the caps above
 # alone would let d = 256 with 10,000 steps ask for about 63 GB.
 # (steps + 1) * d^2 <= 2^24 keeps the kernel under 6 * C * 2^24 * 8 bytes,
 # about 1.6 GB for the toy prior's C = 2 components (its build briefly holds
-# two more: the stacked covariances and their LU factors).
+# two more: the stacked covariances and the LU factors before they are
+# stored column-major).
 _MAX_KERNEL_ENTRIES = 2**24
+# Each solver samples all n_cases * k_samples rows in one batch, each row with
+# its own generator (about 0.9 KB) and d samples, so this cap keeps a batch
+# near 1 GB for the toy prior; without it an n_cases of 10**9 spent hours
+# making its cases at load time.
+_MAX_ROWS = 2**20
 _OPERATOR_DEFAULTS = {
     "exp1_identity": {"kind": "identity"},
     "exp2_binary": {"kind": "binary_svd", "obs_count": 8,
@@ -86,6 +91,9 @@ class ExperimentConfig:
             raise ValueError("n_cases must be >= 1")
         if self.k_samples < 2:
             raise ValueError("k_samples must be >= 2")
+        if self.n_cases * self.k_samples > _MAX_ROWS:
+            raise ValueError(f"n_cases * k_samples (the rows each solver samples at once) must be"
+                             f" <= {_MAX_ROWS:,}, got {self.n_cases} * {self.k_samples}")
         if not self.solvers:
             raise ValueError("at least one solver is required")
         if self.experiment == "exp1_identity" and self.operator.get("kind") != "identity":
@@ -170,7 +178,7 @@ class ExperimentConfig:
         sched = self.schedule
         for key in ("sigma_min", "sigma_max", "exponent"):
             value = sched.get(key, 1.0)
-            if not (_real(value) and math.isfinite(value)):
+            if not (_real(value) and _finite(value)):
                 raise ValueError(f"schedule {key} must be a finite number, got {value!r}")
         steps = _integer("schedule steps", sched.get("steps"))
         if steps > _MAX_STEPS:
@@ -216,7 +224,7 @@ def _check_sigma(key: str, value) -> None:
 
 def _integer(key: str, value) -> int:
     """``value`` as an int; a value that is not an integral number is rejected."""
-    if not (_real(value) and float(value).is_integer()):
+    if not (_real(value) and value % 1 == 0):  # no float(), which overflows past its range
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
@@ -276,6 +284,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     _check_experiment(experiment)
     if not _real(data["sigma_y"]):
         raise ValueError(f"sigma_y must be a number, got {data['sigma_y']!r}")
+    _check_sigma("sigma_y", data["sigma_y"])
     sigma_y = float(data["sigma_y"])
     prior_args = _mapping(data, "prior")
     bad = set(prior_args) - {f.name for f in dataclasses.fields(ToyPriorSpec)}

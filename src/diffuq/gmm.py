@@ -9,17 +9,16 @@ conjugate posteriors for linear-Gaussian measurements.
 from __future__ import annotations
 
 import functools
-import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.blas import dtbsv
-from scipy.linalg.lapack import dgetrf, dpotrs
+from scipy.linalg.lapack import dpotrs
 from scipy.special import ndtr
 
-from .seeding import potrs_rows
+from .seeding import potrs_rows, trsv_rows
 
 __all__ = [
     "GaussianMixture",
@@ -38,10 +37,12 @@ _SYM_TOL = 1e-12
 _WEIGHT_TOL = 1e-12
 # posterior weights below this clamp to zero before renormalization
 _WEIGHT_FLOOR = 1e-300
-# OpenBLAS runs ``trsv``, and so ``getrs``, in blocks of this many columns
-# with a gemv between blocks, where ``tbsv`` runs only axpy updates; the
-# band solve has ``getrs``'s bits up to this dimension
-_BAND_MAX_D = 64
+
+
+# whether the real ``value`` is a finite float64, found without ``float()``,
+# which raises OverflowError on an int past the float range
+def _finite(value) -> bool:
+    return abs(value) <= sys.float_info.max
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -233,7 +234,7 @@ class ToyPriorSpec:
         for key, value in vars(self).items():
             integral = key in ("d", "structured_dim", "bimodal_coord")
             ok = (isinstance(value, numbers.Integral) if integral
-                  else isinstance(value, numbers.Real) and math.isfinite(value))
+                  else isinstance(value, numbers.Real) and _finite(value))
             if isinstance(value, bool) or not ok:
                 want = "an integer" if integral else "a finite number"
                 raise ValueError(f"prior {key} must be {want}, got {value!r}")
@@ -283,35 +284,19 @@ def _component_logpdfs(means, chols, logdets, X: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _band_index(d: int) -> np.ndarray:
-    """Flat indices that gather the (d, d) band form from a transposed
-    (d, d) factor followed by one zero: entry (j, i) is row j + i of
-    column j, or the zero past the factor when j + i >= d."""
-    j = np.arange(d)[:, None]
-    rows = j + np.arange(d)
-    return np.where(rows < d, j * d + rows, d * d).ravel()
-
-
-def _lu_band(chols: np.ndarray):
-    """The ``dgetrf`` of each (d, d) lower Cholesky factor of the (L, C, d, d)
-    stack ``chols`` in band form: ``band[l, c * d + j, i]`` is entry
-    (j + i, j) of factor (l, c)'s unit lower factor (0 past its last row)
-    and ``udiag[l, c * d + j]`` entry (j, j) of its upper factor, which is
-    all of it: the LU of a lower triangular matrix has a diagonal upper
-    factor. ``(None, None)`` if ``dgetrf`` swaps rows on any factor or
-    d > ``_BAND_MAX_D``."""
-    L, C, d, _ = chols.shape
-    if d > _BAND_MAX_D:
-        return None, None
-    lus = np.zeros((L * C, d * d + 1))  # each LU factor transposed, then a zero
-    pivs = np.empty((L * C, d), dtype=np.int32)
-    for k, chol in enumerate(chols.reshape(L * C, d, d)):
-        lu, pivs[k], _ = dgetrf(chol)
-        lus[k, :-1] = lu.T.ravel()
-    if (pivs != np.arange(d)).any():
-        return None, None
-    return lus[:, _band_index(d)].reshape(L, C * d, d), lus[:, :-1:d + 1].reshape(L, C * d)
+def _getrf_lus(chols: np.ndarray, diag: np.ndarray) -> np.ndarray | None:
+    """The packed ``getrf`` of each lower triangular factor of the stack
+    ``chols`` (..., d, d) with positive diagonals ``diag``, column-major: each
+    column times the reciprocal of its diagonal entry (``getrf``'s scaling;
+    a division differs in the last bit), with the diagonal, its upper
+    factor, kept. None if ``getrf`` would swap rows on any factor, where a
+    sub-diagonal entry exceeds its column's diagonal in magnitude (``idamax``
+    keeps the first of equal entries, so a tie swaps none)."""
+    if (np.abs(chols) > diag[..., None, :]).any():
+        return None
+    lus = chols * (1.0 / diag)[..., None, :]
+    lus[..., np.arange(diag.shape[-1]), np.arange(diag.shape[-1])] = diag
+    return np.ascontiguousarray(lus.swapaxes(-1, -2))
 
 
 def mixture_logpdf(gmm: GaussianMixture, x: np.ndarray) -> float | np.ndarray:
@@ -392,11 +377,10 @@ class _NoisyTable:
     - ``_chols`` (L, C, d, d) and ``_logdets`` (L, C): numpy's lower
       Cholesky factor and log-determinant of each covariance, as
       ``GaussianMixture`` computes them, for the log-densities;
-    - ``_band`` (L, C * d, d) and ``_udiag`` (L, C * d): the band form of
-      the ``dgetrf`` of those factors (see ``_lu_band``), for the row-wise
-      log-densities; both None when ``dgetrf`` swaps rows on any factor
-      (scipy's and numpy's LAPACK builds then disagree in the last bit for
-      some d >= 7) or d > ``_BAND_MAX_D``;
+    - ``_lus`` (L, C, d, d): those factors' packed ``getrf`` (``_getrf_lus``),
+      for the row-wise log-densities; None when ``getrf`` would swap rows on
+      any factor (scipy's and numpy's LAPACK builds then disagree in the
+      last bit for some d >= 7);
     - ``_cho`` (L, C, d, d): scipy's ``cho_factor`` of each covariance,
       stored column-major, for the score: ``_cho[l, c].T`` is the factor
       ``dpotrs`` takes, and the stack is the one ``seeding.potrs_rows``
@@ -414,8 +398,9 @@ class _NoisyTable:
         # libm's pow, the bits of a scalar ``s**2`` (an array's ``x**2`` is x * x)
         covs = prior.covs + np.float_power(sigmas, 2)[:, None, None, None] * np.eye(d)
         self._chols = np.linalg.cholesky(covs)
-        self._logdets = 2.0 * np.log(np.diagonal(self._chols, axis1=-2, axis2=-1)).sum(axis=-1)
-        self._band, self._udiag = _lu_band(self._chols)
+        diag = np.diagonal(self._chols, axis1=-2, axis2=-1)
+        self._logdets = 2.0 * np.log(diag).sum(axis=-1)
+        self._lus = _getrf_lus(self._chols, diag)
         self._cho = np.stack([[cho_factor(cov, lower=True)[0].T for cov in level]
                               for level in covs])
 
@@ -435,35 +420,27 @@ class _NoisyTable:
         ``X`` at its own level ``levels[k]`` (a (K,) integer array), with
         row k's bits independent of K.
 
-        One ``dtbsv`` solves every (row, component) system: the band forms
-        of the rows' levels, stacked, hold the unit lower factors
-        block-diagonally, and their zeros between blocks keep the systems
-        apart. OpenBLAS runs the single-right-hand-side ``getrs`` of the
-        ``gesv`` that ``np.linalg.solve`` runs on a Cholesky factor as a
-        unit lower ``trsv`` then an upper one, and ``tbsv`` makes the lower
-        one's axpy updates in the same order, so each system gets the bits
-        of ``np.linalg.solve`` on its factor; with a pairwise sum per row,
-        each row gets the bits of ``logpdfs`` on that row alone. A system
-        that is not finite would spread NaN through the zeros into the next
-        one, so it is solved as zeros and comes out NaN. Without the band
-        form, one stacked ``np.linalg.solve`` on the rows' Cholesky factors.
+        OpenBLAS runs the one-column ``getrs`` of the ``gesv`` that
+        ``np.linalg.solve`` runs on a Cholesky factor as a unit lower
+        ``trsv`` then an upper one, here on the diagonal, so a ``trsv`` on
+        the level's ``_lus`` and a division by their diagonal give each
+        (row, component) system its bits: all of a call's systems in one
+        call into the compiled row loop (``seeding.trsv_rows``), or
+        without it or ``_lus`` one stacked ``np.linalg.solve``. With a
+        pairwise sum per row, each row gets the bits of ``logpdfs`` on that
+        row alone. A system whose difference from the mean is not finite
+        comes out NaN.
         """
-        K, d = X.shape
-        sols = np.empty((K, len(self.means), d))
-        np.subtract(X[:, None, :], self.means, out=sols)
-        if self._band is None:
+        d = X.shape[1]
+        sols = np.subtract(X[:, None, :], self.means)  # (K, C, d)
+        bad = None
+        if not np.isfinite(sols).all():
+            bad = ~np.isfinite(sols).all(axis=-1)
+        if self._lus is None or trsv_rows(self._lus, levels, sols) is None:  # else in place
             sols = np.linalg.solve(self._chols.take(levels, axis=0), sols[..., None])[..., 0]
-        else:
-            bad = None
-            if not np.isfinite(sols).all():
-                bad = ~np.isfinite(sols).all(axis=-1)
-                sols[bad] = 0.0
-            band = self._band.take(levels, axis=0).reshape(-1, d)
-            flat = dtbsv(d - 1, band.T, sols.reshape(-1), lower=1, diag=1, overwrite_x=1)
-            sols = (flat.reshape(K, -1) / self._udiag.take(levels, axis=0)).reshape(sols.shape)
-            if bad is not None:
-                sols[bad] = np.nan
         maha = np.add.reduce(sols**2, axis=-1)
+        if bad is not None:
+            maha[bad] = np.nan
         return -0.5 * (maha + self._logdets.take(levels, axis=0) + d * np.log(2.0 * np.pi))
 
     def _gradients(self, X: np.ndarray, level: int):
@@ -514,9 +491,9 @@ class _NoisyTable:
         build with the same arguments, so both give the same bits. A
         non-finite row raises the ValueError that ``cho_solve`` raises."""
         resp = np.exp(_log_normalised(self.logpdfs_rows(X, levels), self.weights))
-        sols = np.subtract(X[:, None, :], self.means)  # (K, C, d)
+        sols = np.subtract(X[:, None, :], self.means)  # (K, C, d), solved in place
         _check_finite(sols)
-        if not potrs_rows(self._cho, levels, sols):
+        if potrs_rows(self._cho, levels, sols) is None:
             for k, level in enumerate(levels):
                 for c, factor in enumerate(self._cho[level]):
                     sols[k, c] = _cho_solve_vec((factor.T, True), sols[k, c])

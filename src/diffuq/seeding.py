@@ -11,9 +11,10 @@ draws it from ``np.random.default_rng`` of that seed. ``row_seeds`` and
 every per-row draw) in one vectorised pass over the rows, with the same bits.
 
 This is the one module that builds and loads native code: the compiled row
-loop (``_rowdraws``), which draws the rows' numbers and solves reddiff's
-per-row scores (``potrs_rows``), and the thread count of numpy's and
-scipy's OpenBLAS (``one_blas_thread``, ``blas_threads``).
+loop (``_rowdraws``), which draws the rows' numbers and solves the per-row
+systems of the row-wise responsibilities (``trsv_rows``) and of reddiff's
+scores (``potrs_rows``), and the thread count of numpy's and scipy's
+OpenBLAS (``one_blas_thread``, ``blas_threads``).
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from pathlib import Path
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["derive_seed", "row_seeds", "streams", "row_draws", "potrs_rows", "one_blas_thread",
-           "blas_threads"]
+__all__ = ["derive_seed", "row_seeds", "streams", "row_draws", "potrs_rows", "trsv_rows",
+           "one_blas_thread", "blas_threads"]
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -163,7 +164,7 @@ def streams(seeds) -> "_Streams":
 
 _ROWDRAWS_SOURCE = Path(__file__).with_name("_rowdraws.c")
 # ``PyCapsule_GetPointer`` and ``PyCapsule_GetName``: the pointer a capsule
-# holds (the ``bitgen_t *`` of a bit generator, a LAPACK routine of scipy's)
+# holds (the ``bitgen_t *`` of a bit generator, a BLAS or LAPACK routine of scipy's)
 # and the name it must be asked for
 _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
     ("PyCapsule_GetPointer", ctypes.pythonapi))
@@ -175,10 +176,11 @@ _capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
 def _rowdraws():
     """The compiled row loop of ``_rowdraws.c`` as a ctypes library, or None
     (with a RuntimeWarning that says why) when it cannot be built or loaded;
-    decided once per process, at its first streams or ``potrs_rows``. The
-    library holds, as ``dpotrs``, the address of scipy's own LAPACK
-    ``dpotrs`` (the routine ``scipy.linalg.lapack.dpotrs`` calls), taken
-    from ``scipy.linalg.cython_lapack``'s capsule. It is compiled with
+    decided once per process, at its first streams or row solve (the first
+    row-wise responsibilities build it too). The library holds, as
+    ``dpotrs`` and ``dtrsv``, the addresses of scipy's own LAPACK ``dpotrs``
+    and BLAS ``dtrsv``, taken from the capsules of ``scipy.linalg``'s
+    ``cython_lapack`` and ``cython_blas``. It is compiled with
     ``$CC`` (default ``cc``) against numpy's ``libnpyrandom.a`` into
     ``$XDG_CACHE_HOME/diffuq`` (default ``~/.cache/diffuq``), keyed by the
     source, numpy, the interpreter and the machine, under a temporary name
@@ -209,28 +211,29 @@ def _rowdraws():
         for name, count in (("normals", size), ("uniforms", size), ("below", ctypes.c_uint64)):
             getattr(lib, name).argtypes = [ptr, size, count, ptr]
             getattr(lib, name).restype = None
-        lib.potrs_rows.argtypes = [ptr, ptr, size, ctypes.c_int, ptr, size, ptr]
-        lib.potrs_rows.restype = ctypes.c_int
-        from scipy.linalg import cython_lapack
+        for name, result in (("potrs_rows", ctypes.c_int), ("trsv_rows", None)):
+            getattr(lib, name).argtypes = [ptr, ptr, size, ctypes.c_int, ptr, size, ptr]
+            getattr(lib, name).restype = result
+        from scipy.linalg import cython_blas, cython_lapack
 
-        capsule = cython_lapack.__pyx_capi__["dpotrs"]
-        lib.dpotrs = _capsule_pointer(capsule, _capsule_name(capsule))
+        for module, name in ((cython_lapack, "dpotrs"), (cython_blas, "dtrsv")):
+            capsule = module.__pyx_capi__[name]
+            setattr(lib, name, _capsule_pointer(capsule, _capsule_name(capsule)))
         return lib
     except subprocess.CalledProcessError as exc:
         why = f"the compiler failed: {exc.stderr.decode(errors='replace').strip()[:500]}"
     except (OSError, subprocess.SubprocessError, AttributeError, RuntimeError, ValueError,
             ImportError, KeyError) as exc:
         why = f"{type(exc).__name__}: {exc}"
-    warnings.warn(f"diffuq draws its rows through numpy and solves its per-row scores one scipy"
-                  f" call at a time; the compiled row loop is unavailable ({why})",
+    warnings.warn(f"diffuq draws its rows and solves its per-row systems through numpy and"
+                  f" scipy calls; the compiled row loop is unavailable ({why})",
                   RuntimeWarning, stacklevel=3)
     return None
 
 
 def row_draws() -> str | None:
-    """The path of this process's row draws and per-row score solves,
-    "compiled" or "numpy" (None before it takes either); never builds the
-    loop."""
+    """The path of this process's row draws and per-row solves, "compiled"
+    or "numpy" (None before it takes either); never builds the loop."""
     if not _rowdraws.cache_info().currsize:
         return None
     return "numpy" if _rowdraws() is None else "compiled"
@@ -242,25 +245,43 @@ def _address(a: np.ndarray) -> int:
     return ctypes.addressof(ctypes.c_char.from_buffer(a))
 
 
-def potrs_rows(factors: np.ndarray, levels: np.ndarray, b: np.ndarray) -> bool:
-    """Solve each system ``b[k, c]`` of the C-contiguous (K, C, d) array
-    ``b`` in place on the lower Cholesky factor ``factors[levels[k], c]``
-    of the C-contiguous (L, C, d, d) stack, each factor stored column-major,
-    in one call into the compiled row loop; False, with ``b`` untouched,
-    when the loop is unavailable. Each system is scipy's LAPACK ``dpotrs``
-    call of ``scipy.linalg.lapack.dpotrs(factor, b[k, c], lower=1)``, so it
-    gets that call's bits. ``levels`` is a (K,) intp array in [0, L), which
-    the caller checks; a nonzero ``info`` raises the ValueError of
-    ``gmm._cho_solve_vec``."""
+def _solve_rows(routine: str, factors: np.ndarray, levels, b) -> np.ndarray | None:
+    """The (K, C, d) systems ``b`` solved by the compiled loop's ``routine``
+    (``potrs_rows`` or ``trsv_rows``, which call scipy's routine of their
+    name with a ``d``, held by the library under that name), system (k, c)
+    on ``factors[levels[k], c]`` of the C-contiguous (L, C, d, d) stack of
+    column-major factors; None without the loop.
+    ``levels`` (in [0, L), which the caller checks) and ``b`` reach the loop
+    as C-contiguous intp and float64 arrays, copied into that form when
+    they are not, so ``b`` is solved in place only when it already is one.
+    A nonzero ``info`` raises the ValueError of ``gmm._cho_solve_vec``."""
     lib = _rowdraws()
     if lib is None:
-        return False
-    if b.size:
-        info = lib.potrs_rows(lib.dpotrs, _address(factors), b.shape[1], b.shape[2],
-                              _address(levels), len(b), _address(b))
-        if info:
-            raise ValueError(f"illegal value in {-info}th argument of internal potrs")
-    return True
+        return None
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    levels = np.ascontiguousarray(levels, dtype=np.intp)
+    K, C, d = b.shape
+    if levels.shape != (K,) or factors.shape[1:] != (C, d, d):
+        raise ValueError(f"{routine}: levels {levels.shape} and factors {factors.shape} misfit b")
+    if b.size and (info := getattr(lib, routine)(getattr(lib, "d" + routine[:-5]),
+                                                 _address(factors), C, d, _address(levels), K,
+                                                 _address(b))):
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return b
+
+
+def potrs_rows(factors: np.ndarray, levels, b) -> np.ndarray | None:
+    """``_solve_rows`` with scipy's LAPACK ``dpotrs`` on lower Cholesky
+    factors: each system gets the bits of ``scipy.linalg.lapack.dpotrs(
+    factor, b[k, c], lower=1)``."""
+    return _solve_rows("potrs_rows", factors, levels, b)
+
+
+def trsv_rows(lus: np.ndarray, levels, b) -> np.ndarray | None:
+    """``_solve_rows`` with scipy's BLAS ``dtrsv`` (lower, unit diagonal) on
+    ``getrf``'s packed LU factors of lower triangular matrices that it does
+    not pivot, then a division by their diagonal, the whole upper factor."""
+    return _solve_rows("trsv_rows", lus, levels, b)
 
 
 # numpy's and scipy's OpenBLAS builds (the ILP64 one numpy links and the LP64

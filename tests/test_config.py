@@ -1,10 +1,12 @@
 import copy
 import dataclasses
+import re
 
 import yaml
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from diffuq.cli import main
 from diffuq.config import ExperimentConfig, config_from_dict, config_to_dict, load_config
 from diffuq.harness import run_experiment
 from diffuq.solvers import SOLVER_NAMES
@@ -344,6 +346,62 @@ def test_extreme_noise_scales_rejected_at_config(key, value, match):
         config_from_dict(data)
 
 
+# an integer past the float range: ``float()`` of it raises OverflowError
+_BIG = 10**400
+
+
+def _big_config(path) -> dict:
+    """A small exp2 config with the key at ``path`` set to ``_BIG``."""
+    data = {"experiment": "exp2_binary", "master_seed": 1, "sigma_y": 1.0, "n_cases": 2,
+            "k_samples": 2, "solvers": ["reference_exact"]}
+    *parents, key = path
+    node = data
+    for parent in parents:
+        node = node.setdefault(parent, {})
+    node[key] = _BIG
+    return data
+
+
+@pytest.mark.parametrize("path, match", [
+    (("sigma_y",), r"sigma_y must lie within \[1e-100, 1e\+100\]"),
+    (("n_cases",), r"n_cases \* k_samples \(the rows each solver samples at once\) must be"
+                   r" <= 1,048,576"),
+    (("k_samples",), r"n_cases \* k_samples .* must be <= 1,048,576, got 2 \* 1000"),
+    (("schedule", "steps"), "schedule steps must be <= 10000"),
+    (("schedule", "sigma_min"), "schedule sigma_min must be a finite number"),
+    (("schedule", "sigma_max"), "schedule sigma_max must be a finite number"),
+    (("schedule", "exponent"), "schedule exponent must be a finite number"),
+    (("operator", "obs_count"), r"operator .* is invalid: obs_count 1000+ outside \[0, 16\]"),
+    (("prior", "rho_ar"), "prior rho_ar must be a finite number"),
+    (("prior", "sigma_w_sq"), "prior sigma_w_sq must be a finite number"),
+    (("prior", "mu_sep"), "prior mu_sep must be a finite number"),
+], ids=lambda v: ".".join(v) if isinstance(v, tuple) else None)
+def test_integers_past_the_float_range_fail_at_config(path, match, tmp_path, capsys):
+    """An integer too large for a float fails with the config's ValueError,
+    not an OverflowError, and ``diffuq oracle`` reports it in one error
+    line with exit status 2."""
+    data = _big_config(path)
+    with pytest.raises(ValueError, match=match):
+        config_from_dict(data)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["oracle", str(write(tmp_path, data))])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and re.search(match, errors[0]), err
+
+
+@pytest.mark.parametrize("path", [("master_seed",), ("operator", "seed")],
+                         ids=["master_seed", "operator.seed"])
+def test_seeds_past_the_float_range_load(path):
+    """A seed is any integer (``derive_seed`` and ``default_rng`` take one of
+    any size), so one too large for a float loads and survives the round
+    trip."""
+    cfg = config_from_dict(_big_config(path))
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
 def _grid_config(key, value):
     data = {"experiment": "exp1_identity", "master_seed": 3, "sigma_y": 1.0, "n_cases": 1,
             "k_samples": 2, "solvers": list(SOLVER_NAMES), "schedule": {"steps": 10}}
@@ -408,7 +466,7 @@ _ODD_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 300),
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([0, -0.0, 5e-324, 1e-300, 1e-101, 1e101, 1e300, 1.7e308, 10**4 + 1,
-                     1e9, 2**63, 2**70, "1.0", "", "pnpdm", "identity", "polynomial"]),
+                     1e9, 2**63, 2**70, 10**400, "1.0", "", "pnpdm", "identity", "polynomial"]),
     st.lists(st.integers(-3, 3), max_size=3),
     st.dictionaries(st.sampled_from(["name", "kind", "d", "x"]), st.integers(-3, 3), max_size=2),
 )

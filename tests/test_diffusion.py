@@ -306,7 +306,7 @@ def _array_bytes(obj, owners=None, seen=None) -> int:
 
 def test_kernel_holds_each_per_level_constant_once(toy_prior):
     """At 100 steps the kernel holds about six (L, C, d, d) float64 stacks:
-    the noisy prior's numpy Cholesky factors, band LU factors, cho_factors
+    the noisy prior's numpy Cholesky factors, LU factors, cho_factors
     and precisions, the transition slopes and the transition factors. A
     second copy of any of them would pass 6.25 stacks."""
     kernel = ReverseKernel(toy_prior, build_schedule(0.01, 10.0, 100))

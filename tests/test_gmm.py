@@ -7,6 +7,7 @@ from scipy.linalg.lapack import dgetrf
 from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import multivariate_normal
 
+import diffuq.seeding
 from diffuq.gmm import (
     GaussianMixture,
     ToyPriorSpec,
@@ -19,7 +20,7 @@ from diffuq.gmm import (
     noisy_marginal,
     sample_mixture,
     score_and_denoise,
-    _BAND_MAX_D,
+    _getrf_lus,
     _Posterior,
     _inverse_cdf,
     _logsumexp,
@@ -29,7 +30,7 @@ from diffuq.gmm import (
     _vecmat_rows,
 )
 from diffuq.operators import LinearOperatorSVD, _haar_orthogonal, build_operator
-from diffuq.seeding import _Streams
+from diffuq.seeding import _rowdraws, _Streams
 
 
 def single_gaussian(mu, cov):
@@ -560,19 +561,35 @@ def _one_level_logpdfs_rows(gmm, X):
     return _NoisyTable(gmm, (0.0,)).logpdfs_rows(X, np.zeros(len(X), dtype=np.intp))
 
 
+def _on_both_paths(call):
+    """``call()`` with the compiled row loop (where it builds) and with the
+    loop forced off, which takes the stacked ``np.linalg.solve``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diffuq.seeding, "_rowdraws", lambda: None)
+        stacked = call()
+    return call(), stacked
+
+
+def _assert_solve_bits(gmm, X):
+    """The one-level row-wise log-pdfs of ``X`` under ``gmm`` have the bits of
+    ``np.linalg.solve`` on the Cholesky factors, on both paths."""
+    want = _solve_logpdfs_rows(gmm.means, gmm._chols, gmm._logdets, X)
+    for got in _on_both_paths(lambda: _one_level_logpdfs_rows(gmm, X)):
+        assert np.array_equal(got, want)
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), C=st.integers(1, 3), d=st.integers(1, 16),
        K=st.integers(1, 6))
 @example(seed=105, C=2, d=7, K=1)  # a pivoting factor whose getrs bits differ
 def test_component_logpdfs_rows_match_solve(seed, C, d, K):
-    """The kept band form of the LU factors and one ``dtbsv`` for all the
-    (row, component) systems give the bits of ``np.linalg.solve`` on the
-    Cholesky factors."""
+    """A ``dtrsv`` on the kept LU factors and a division by their diagonal
+    for each (row, component) system give the bits of ``np.linalg.solve``
+    on the Cholesky factors."""
     rng = np.random.default_rng(seed)
     gmm = _random_mixture(rng, C, d)
     X = 3.0 * rng.standard_normal((K, d))
-    got = _one_level_logpdfs_rows(gmm, X)
-    assert np.array_equal(got, _solve_logpdfs_rows(gmm.means, gmm._chols, gmm._logdets, X))
+    _assert_solve_bits(gmm, X)
 
 
 @settings(max_examples=60, deadline=None)
@@ -587,68 +604,97 @@ def test_component_logpdfs_rows_per_row_factors_match_solve(seed, C, d, K):
     which = rng.integers(len(sigmas), size=K)
     noisy = [noisy_marginal(gmm, sigmas[i]) for i in which]
     X = 3.0 * rng.standard_normal((K, d))
-    got = _NoisyTable(gmm, sigmas).logpdfs_rows(X, which)
     chols = np.stack([n._chols for n in noisy])
     logdets = np.stack([n._logdets for n in noisy])
-    assert np.array_equal(got, _solve_logpdfs_rows(gmm.means, chols, logdets, X))
+    want = _solve_logpdfs_rows(gmm.means, chols, logdets, X)
+    for got in _on_both_paths(lambda: _NoisyTable(gmm, sigmas).logpdfs_rows(X, which)):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("d", [6, 16])
 def test_component_logpdfs_rows_match_solve_when_lu_pivots(d):
     """A Cholesky factor whose first column has a sub-diagonal entry larger
-    than its diagonal makes ``getrf`` swap rows; the mixture keeps no band
-    form, and the stacked solve it takes instead gives the same bits."""
+    than its diagonal makes ``getrf`` swap rows; the table keeps no unit
+    factors, and the stacked solve it takes instead gives the same bits."""
     rng = np.random.default_rng(3)
     L = np.tril(rng.uniform(0.5, 1.0, (d, d)))
     L[3, 0] = 4.0
     gmm = GaussianMixture(np.ones(1), rng.standard_normal((1, d)), (L @ L.T)[None])
     assert dgetrf(gmm._chols[0])[1][0] == 3
-    assert _NoisyTable(gmm, (0.0,))._band is None
-    X = 3.0 * rng.standard_normal((50, d))
-    got = _one_level_logpdfs_rows(gmm, X)
-    assert np.array_equal(got, _solve_logpdfs_rows(gmm.means, gmm._chols, gmm._logdets, X))
+    assert _NoisyTable(gmm, (0.0,))._lus is None
+    _assert_solve_bits(gmm, 3.0 * rng.standard_normal((50, d)))
 
 
 def test_toy_prior_marginals_keep_lu_factors(toy_prior):
     """No noisy marginal of the toy prior pivots, so every row-wise solve on
-    it takes the band ``dtbsv`` path."""
+    it takes the compiled ``dtrsv`` path where the loop builds."""
     table = _NoisyTable(toy_prior, np.geomspace(1e-3, 1e3, 25))
-    assert table._band is not None and table._band.shape == (25, 32, 16)
+    assert table._lus is not None and table._lus.shape == (25, 2, 16, 16)
+    if _rowdraws() is not None:
+        b = np.ones((3, 2, 16))
+        assert diffuq.seeding.trsv_rows(table._lus, np.arange(3), b) is b
 
 
 @pytest.mark.parametrize("C", [1, 3])
 def test_component_logpdfs_rows_one_dimension(C):
-    """At d = 1 the band has width 0 and the solve is the division by the
-    upper factor alone."""
+    """At d = 1 the LU factor is the Cholesky factor, and the solve is the
+    division by it alone."""
     rng = np.random.default_rng(5)
     gmm = GaussianMixture(np.full(C, 1.0 / C), rng.standard_normal((C, 1)),
                           rng.uniform(0.1, 4.0, (C, 1, 1)))
-    assert _NoisyTable(gmm, (0.0,))._band.shape == (1, C, 1)
-    X = 3.0 * rng.standard_normal((7, 1))
-    got = _one_level_logpdfs_rows(gmm, X)
-    assert np.array_equal(got, _solve_logpdfs_rows(gmm.means, gmm._chols, gmm._logdets, X))
+    assert np.array_equal(_NoisyTable(gmm, (0.0,))._lus, gmm._chols[None])
+    _assert_solve_bits(gmm, 3.0 * rng.standard_normal((7, 1)))
 
 
-@pytest.mark.parametrize("d", [64, 65])
-def test_component_logpdfs_rows_band_limit(d):
-    """Past ``_BAND_MAX_D`` the mixture keeps no band form (OpenBLAS's
-    ``trsv`` switches to blocks there and ``tbsv`` does not), and both
-    sides of the limit give the bits of ``np.linalg.solve``."""
+@pytest.mark.parametrize("d", [64, 65, 128, 256])
+def test_component_logpdfs_rows_large_dimensions(d):
+    """Past d = 64, where OpenBLAS's ``trsv`` switches to blocks with a gemv
+    between them, a ``dtrsv`` per system still gives the bits of
+    ``np.linalg.solve``, up to the config's largest d."""
     rng = np.random.default_rng(9)
     L = np.tril(rng.uniform(-0.1, 0.1, (2, d, d))) + np.eye(d)
     gmm = GaussianMixture(np.array([0.4, 0.6]), rng.standard_normal((2, d)),
                           L @ L.transpose(0, 2, 1))
-    assert (_NoisyTable(gmm, (0.0,))._band is None) == (d > _BAND_MAX_D)
-    X = 3.0 * rng.standard_normal((5, d))
-    got = _one_level_logpdfs_rows(gmm, X)
-    assert np.array_equal(got, _solve_logpdfs_rows(gmm.means, gmm._chols, gmm._logdets, X))
+    assert _NoisyTable(gmm, (0.0,))._lus is not None
+    _assert_solve_bits(gmm, 3.0 * rng.standard_normal((5, d)))
+
+
+def _lower_factors(draw, count, d):
+    """``count`` random (d, d) lower triangular factors and their positive
+    diagonals, with up to three sub-diagonal entries tied with their
+    column's diagonal in magnitude or larger than it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    chols = np.tril(rng.uniform(-1.0, 1.0, (count, d, d)), -1)
+    diag = rng.uniform(0.3, 2.0, (count, d))
+    chols[:, np.arange(d), np.arange(d)] = diag
+    for _ in range(draw(st.integers(0, 3)) if d > 1 else 0):
+        n, j = rng.integers(count), rng.integers(d - 1)
+        i = rng.integers(j + 1, d)
+        chols[n, i, j] = rng.choice([-1.0, 1.0]) * diag[n, j] * draw(
+            st.sampled_from([1.0, 1.0, 1.5]))
+    return chols, diag
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), d=st.sampled_from([1, 2, 3, 7, 16, 33, 64]), count=st.integers(1, 4))
+def test_lu_factors_are_getrf_factors(data, d, count):
+    """``_getrf_lus`` is None exactly when scipy's ``dgetrf`` swaps rows on
+    some factor (ties do not swap), and otherwise holds, column-major, each
+    factor's packed ``dgetrf`` in every entry."""
+    chols, diag = _lower_factors(data.draw, count, d)
+    want = [dgetrf(chol) for chol in chols]
+    lus = _getrf_lus(chols, diag)
+    assert (lus is None) == any((piv != np.arange(d)).any() for _, piv, _ in want)
+    if lus is not None:
+        for lu, (getrf, _, info) in zip(lus, want):
+            assert info == 0
+            assert np.array_equal(lu.T, getrf)
 
 
 def test_component_logpdfs_rows_non_finite_rows_stay_apart(toy_prior):
     """An ``inf`` row and a ``NaN`` row give NaN log-pdfs and leave every
-    other row the bits of the all-finite call: the band's zeros between
-    systems would otherwise spread NaN into the next row. Both the one-level
-    and the per-row-level form."""
+    other row the bits of the all-finite call, with the compiled loop and
+    with the stacked solve. Both the one-level and the per-row-level form."""
     rng = np.random.default_rng(17)
     X = 3.0 * rng.standard_normal((6, 16))
     bad = X.copy()
@@ -656,14 +702,13 @@ def test_component_logpdfs_rows_non_finite_rows_stay_apart(toy_prior):
     bad[4, 0] = np.nan
     others = [0, 2, 3, 5]
     gmm = noisy_marginal(toy_prior, 0.7)
-    want, got = _one_level_logpdfs_rows(gmm, X), _one_level_logpdfs_rows(gmm, bad)
-    assert np.array_equal(got[others], want[others])
-    assert np.isnan(got[[1, 4]]).all()
     table = _NoisyTable(toy_prior, (0.1, 0.7, 5.0, 0.1, 2.0, 30.0))
     which = np.arange(6)
-    want, got = table.logpdfs_rows(X, which), table.logpdfs_rows(bad, which)
-    assert np.array_equal(got[others], want[others])
-    assert np.isnan(got[[1, 4]]).all()
+    for call in (lambda Y: _one_level_logpdfs_rows(gmm, Y),
+                 lambda Y: table.logpdfs_rows(Y, which)):
+        for want, got in zip(*(_on_both_paths(lambda: call(Y)) for Y in (X, bad))):
+            assert np.array_equal(got[others], want[others])
+            assert np.isnan(got[[1, 4]]).all()
 
 
 _WEIGHT_ENTRY = st.sampled_from([0.0, 1e-300, 1e-200, 1e-17, 1e-9, 0.3, 1.0, 5.0])

@@ -152,3 +152,50 @@ def test_compiled_and_numpy_row_draws_agree(K, seed, L, d, highs, data):
         assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
     assert len(compiled) == len(numpy_path) == mask.sum()
     assert [r.bit_generator.state for r in rngs_c] == [r.bit_generator.state for r in rngs_n]
+
+
+# ---------------------------------------------------------------------------
+# the compiled row solves: one guard hands the loop intp levels and float64 rows
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def row_table(toy_prior):
+    from diffuq.gmm import _NoisyTable
+
+    return _NoisyTable(toy_prior, np.geomspace(10.0, 0.01, 12))
+
+
+def _row_solves(table):
+    return {"potrs_rows": lambda levels, b: diffuq.seeding.potrs_rows(table._cho, levels, b),
+            "trsv_rows": lambda levels, b: diffuq.seeding.trsv_rows(table._lus, levels, b)}
+
+
+@pytest.mark.parametrize("form", ["uint8", "int32", "strided", "strided_rows"])
+@pytest.mark.parametrize("routine", ["potrs_rows", "trsv_rows"])
+def test_row_solves_take_any_integer_levels(row_table, routine, form):
+    """Both compiled row solves give uint8, int32 and strided levels, and a
+    strided right-hand side, the bits of the call on C-contiguous intp
+    levels and rows: the loop itself reads only that form."""
+    if _rowdraws() is None:
+        pytest.skip("the compiled row loop does not build here")
+    rng = np.random.default_rng(4)
+    levels = rng.integers(0, 12, size=9).astype(np.intp)
+    b = 3.0 * rng.standard_normal((9, 2, 16))
+    solve = _row_solves(row_table)[routine]
+    want = solve(levels, b.copy())
+    odd = {"uint8": levels.astype(np.uint8), "int32": levels.astype(np.int32),
+           "strided": np.repeat(levels, 2)[::2]}.get(form, levels)
+    rows = np.repeat(b, 2, axis=0)[::2] if form == "strided_rows" else b.copy()
+    got = solve(odd, rows)
+    assert want is not None and np.array_equal(got, want)
+    assert np.array_equal(solve(levels[:0], b[:0]), b[:0])
+
+
+@pytest.mark.parametrize("routine", ["potrs_rows", "trsv_rows"])
+def test_row_solves_reject_mismatched_shapes(row_table, routine):
+    """A levels array that is not one per row fails before the loop reads
+    past it."""
+    if _rowdraws() is None:
+        pytest.skip("the compiled row loop does not build here")
+    with pytest.raises(ValueError, match=r"levels \(2,\) and factors .* misfit b"):
+        _row_solves(row_table)[routine](np.zeros(2, dtype=np.intp), np.ones((3, 2, 16)))

@@ -34,10 +34,18 @@ CONSTANT_SITES = {"_Posterior": {"Problem.posterior", "_sample_pnpdm", "exact_po
 # the noisy prior's per-level constants live in one ``gmm._NoisyTable``: the
 # kernel builds one for its levels, and the two one-level references build
 # their own; only the table factors a noisy covariance (``cho_factor``
-# elsewhere factors the exact posterior's and pnpdm's z-step systems)
+# elsewhere factors the exact posterior's and pnpdm's z-step systems), and
+# only its row-wise methods run the compiled row solves on its factors
 NOISY_SITES = {"_NoisyTable": {"ReverseKernel.__init__", "denoise_batch", "score_and_denoise"},
-               "_lu_band": {"_NoisyTable.__init__"},
+               "_getrf_lus": {"_NoisyTable.__init__"},
+               "trsv_rows": {"_NoisyTable.logpdfs_rows"},
+               "potrs_rows": {"_NoisyTable.score_rows"},
                "cho_factor": {"_NoisyTable.__init__", "_Posterior.__init__", "_z_step_sampler"}}
+
+# routines nothing may call: the row-wise log-densities rest on scipy's
+# ``dtrsv`` (the compiled row loop) and numpy's ``gesv`` alone, and each
+# further routine is one more on which the byte-identical results depend
+BARRED_ROUTINES = {"dgetrf", "dtbsv"}
 
 # modules that build and load native code; only ``seeding`` (the compiled
 # row loop) may import them
@@ -117,6 +125,13 @@ def test_only_the_problem_builds_its_posterior_and_kernel():
 
 def test_only_the_noisy_table_factors_the_noisy_prior():
     _only_in(NOISY_SITES)
+
+
+def test_package_calls_no_barred_routine():
+    assert not _package_calls(BARRED_ROUTINES)
+    package = Path(diffuq.__file__).parent
+    sources = [path.read_text() for path in [*package.glob("*.py"), *package.glob("*.c")]]
+    assert not [name for name in BARRED_ROUTINES for text in sources if name in text]
 
 
 def test_only_component_draws_groups_particle_sets():
