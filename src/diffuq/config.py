@@ -13,16 +13,12 @@ from .diffusion import build_schedule
 from .gmm import ToyPriorSpec, _finite, build_toy_prior, sample_mixture
 from .operators import build_operator, synthesize_measurement
 from .seeding import derive_seed
-from .solvers import Problem, SolverSpec, resolve_solver
+from .solvers import ROW_BUDGET, Problem, SolverSpec, resolve_solver
 
 __all__ = ["ExperimentConfig", "load_config", "config_to_dict", "config_from_dict"]
 
 _EXPERIMENTS = ("exp1_identity", "exp2_binary", "sweep")
 
-_TOP_KEYS = {
-    "experiment", "master_seed", "sigma_y", "n_cases", "k_samples",
-    "prior", "operator", "schedule", "solvers", "sweep_axis",
-}
 # Both sample-count naming conventions are accepted.
 _ALIASES = {"k_measurements": "n_cases", "n_samples": "k_samples"}
 
@@ -48,7 +44,9 @@ _MAX_KERNEL_ENTRIES = 2**24
 # Each solver samples all n_cases * k_samples rows in one batch, each row with
 # its own generator (about 0.9 KB) and d samples, so this cap keeps a batch
 # near 1 GB for the toy prior; without it an n_cases of 10**9 spent hours
-# making its cases at load time.
+# making its cases at load time. It also caps the particles (rows times
+# particles) of one ``run_cases`` chunk of the particle samplers, which
+# without it let ``particles: 10**30`` load and crash the run.
 _MAX_ROWS = 2**20
 _OPERATOR_DEFAULTS = {
     "exp1_identity": {"kind": "identity"},
@@ -62,7 +60,9 @@ _OPERATOR_KEYS = {"kind", "obs_count", "basis_mode", "seed"}
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A validated experiment. The checks keep what they build, in derived
+    """A validated experiment, however it is built: the operator and
+    schedule keys it leaves out take their defaults, and ``sigma_y`` is
+    stored as a float. The checks keep what they build, in derived
     fields: ``problem``, the ``solvers.Problem`` that every solver and the
     oracle share, ``runs`` (see ``_resolve_runs``) and, once every check has
     passed, ``cases`` (see ``_experiment_cases``)."""
@@ -75,7 +75,7 @@ class ExperimentConfig:
     k_samples: int = 100
     prior: ToyPriorSpec = field(default_factory=ToyPriorSpec)
     operator: dict = field(default_factory=dict)
-    schedule: dict = field(default_factory=lambda: dict(_SCHEDULE_DEFAULTS))
+    schedule: dict = field(default_factory=dict)
     sweep_axis: dict | None = None  # {"solver": name, "name": hp, "values": [...]}
     problem: Problem = field(init=False, compare=False, repr=False)
     runs: tuple = field(init=False, compare=False, repr=False)
@@ -83,8 +83,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self._check_kinds()
-        _check_experiment(self.experiment)
         _check_sigma("sigma_y", self.sigma_y)
+        object.__setattr__(self, "sigma_y", float(self.sigma_y))
         for key in ("master_seed", "n_cases", "k_samples"):
             object.__setattr__(self, key, _integer(key, getattr(self, key)))
         if self.n_cases < 1:
@@ -96,7 +96,9 @@ class ExperimentConfig:
                              f" <= {_MAX_ROWS:,}, got {self.n_cases} * {self.k_samples}")
         if not self.solvers:
             raise ValueError("at least one solver is required")
-        if self.experiment == "exp1_identity" and self.operator.get("kind") != "identity":
+        object.__setattr__(self, "operator",
+                           {**_OPERATOR_DEFAULTS[self.experiment], **self.operator})
+        if self.experiment == "exp1_identity" and self.operator["kind"] != "identity":
             raise ValueError("exp1_identity forces the identity operator")
         sched = self._check_schedule()
         if self.prior.d > _MAX_D:
@@ -133,6 +135,7 @@ class ExperimentConfig:
         object.__setattr__(self, "problem", problem)
         object.__setattr__(self, "runs", self._resolve_runs())
         self._check_rho_coupling()
+        self._check_particles()
         object.__setattr__(self, "cases", _experiment_cases(problem, self.n_cases,
                                                             self.master_seed))
 
@@ -158,10 +161,12 @@ class ExperimentConfig:
         return runs
 
     def _check_kinds(self):
-        """Each field built by hand has the kind the checks below read; a
-        value of another kind fails here, naming its key."""
+        """Each field has the kind the checks below read; a value of another
+        kind fails here, naming its key."""
+        if not (isinstance(self.experiment, str) and self.experiment in _EXPERIMENTS):
+            raise ValueError(f"experiment must be one of {_EXPERIMENTS}, got {self.experiment!r}")
         if not _real(self.sigma_y):
-            raise ValueError(f"sigma_y must be a finite number > 0, got {self.sigma_y!r}")
+            raise ValueError(f"sigma_y must be a number, got {self.sigma_y!r}")
         if not isinstance(self.prior, ToyPriorSpec):
             raise ValueError(f"prior must be a ToyPriorSpec, got {self.prior!r}")
         for key in ("operator", "schedule"):
@@ -174,13 +179,17 @@ class ExperimentConfig:
             raise ValueError(f"sweep_axis must be a mapping or None, got {self.sweep_axis!r}")
 
     def _check_schedule(self):
-        """The built schedule; a value of the wrong kind fails here, naming its key."""
-        sched = self.schedule
+        """The built schedule, of the defaults updated by ``schedule``; a value
+        of the wrong kind fails here, naming its key."""
+        sched = {**_SCHEDULE_DEFAULTS, **self.schedule}
+        bad = set(sched) - {"sigma_min", "sigma_max", "steps", "spacing", "exponent"}
+        if bad:
+            raise ValueError(f"unknown schedule keys: {sorted(bad)}")
         for key in ("sigma_min", "sigma_max", "exponent"):
             value = sched.get(key, 1.0)
             if not (_real(value) and _finite(value)):
                 raise ValueError(f"schedule {key} must be a finite number, got {value!r}")
-        steps = _integer("schedule steps", sched.get("steps"))
+        steps = _integer("schedule steps", sched["steps"])
         if steps > _MAX_STEPS:
             raise ValueError(f"schedule steps must be <= {_MAX_STEPS}, got {sched['steps']!r}")
         sched = {**sched, "steps": steps}
@@ -206,14 +215,26 @@ class ExperimentConfig:
                     f" [sigma_min, sigma_max] = [{lo}, {hi}], got {rho!r}"
                 )
 
+    def _check_particles(self):
+        """A particle sampler holds each of its ``run_cases`` chunks' rows
+        times ``particles`` particles at once; that count must stay within
+        ``_MAX_ROWS``, for every value it runs with."""
+        rows = min(self.n_cases, max(1, ROW_BUDGET // self.k_samples)) * self.k_samples
+        for _, specs in self.runs:
+            for s in specs:
+                n_p = s.hyperparameters.get("particles", 0)
+                if rows * n_p > _MAX_ROWS:
+                    raise ValueError(
+                        f"solver {s.name} hyperparameter 'particles' times the {rows} rows of"
+                        f" one batch must be <= {_MAX_ROWS:,}, got {n_p!r}"
+                    )
+
+
+_TOP_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig) if f.init}
+
 
 def _real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _check_experiment(experiment) -> None:
-    if not (isinstance(experiment, str) and experiment in _EXPERIMENTS):
-        raise ValueError(f"experiment must be one of {_EXPERIMENTS}, got {experiment!r}")
 
 
 def _check_sigma(key: str, value) -> None:
@@ -280,37 +301,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if req not in data:
             raise ValueError(f"config missing required field {req!r}")
 
-    experiment = data["experiment"]
-    _check_experiment(experiment)
-    if not _real(data["sigma_y"]):
-        raise ValueError(f"sigma_y must be a number, got {data['sigma_y']!r}")
-    _check_sigma("sigma_y", data["sigma_y"])
-    sigma_y = float(data["sigma_y"])
     prior_args = _mapping(data, "prior")
     bad = set(prior_args) - {f.name for f in dataclasses.fields(ToyPriorSpec)}
     if bad:
         raise ValueError(f"unknown prior keys: {sorted(bad)}")
-    schedule = dict(_SCHEDULE_DEFAULTS)
-    sched_args = _mapping(data, "schedule")
-    bad = set(sched_args) - {"sigma_min", "sigma_max", "steps", "spacing", "exponent"}
-    if bad:
-        raise ValueError(f"unknown schedule keys: {sorted(bad)}")
-    schedule.update(sched_args)
-    operator = dict(_OPERATOR_DEFAULTS.get(experiment, {}))
-    operator.update(_mapping(data, "operator"))
-
-    return ExperimentConfig(
-        experiment=experiment,
-        master_seed=data["master_seed"],
-        sigma_y=sigma_y,
-        solvers=_parse_solvers(data["solvers"]),
-        n_cases=data.get("n_cases", 20),
-        k_samples=data.get("k_samples", 100),
-        prior=ToyPriorSpec(**prior_args),
-        operator=operator,
-        schedule=schedule,
-        sweep_axis=data.get("sweep_axis"),
-    )
+    return ExperimentConfig(**{**data, "prior": ToyPriorSpec(**prior_args),
+                               "operator": _mapping(data, "operator"),
+                               "schedule": _mapping(data, "schedule"),
+                               "solvers": _parse_solvers(data["solvers"])})
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

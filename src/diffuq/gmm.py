@@ -320,13 +320,9 @@ def sample_mixture(gmm: GaussianMixture, n: int, seed) -> np.ndarray:
         raise ValueError("n must be >= 1")
     rng = _as_rng(seed)
     comp = rng.choice(gmm.n_components, size=n, p=gmm.weights)
-    noise = rng.standard_normal((n, gmm.dim))
-    out = np.empty(noise.shape)
-    for c, chol in enumerate(gmm._chols):
-        mask = comp == c
-        if mask.any():
-            out[mask] = gmm.means[c] + noise[mask] @ chol.T
-    return out
+    # the n draws are one particle set: each component's rows take one product
+    return _component_draws(comp, rng.standard_normal((n, gmm.dim)), gmm._chols,
+                            lambda c, rows, alone: gmm.means[c], np.zeros(n, dtype=np.intp))
 
 
 def _sample_mixture_rows(gmm: GaussianMixture, rngs) -> np.ndarray:

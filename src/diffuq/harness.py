@@ -62,7 +62,6 @@ class ResultRow:
     seed: int
     wall_time: float = 0.0
     batch: SampleBatch | None = None
-    x_star: np.ndarray | None = None
 
 
 def _digest(hp: dict) -> str:
@@ -100,7 +99,7 @@ def _result_row(experiment: str, case_id: int, sweep_param: str, sweep_value: st
         experiment=experiment, solver=spec.name, family=spec.family, case_id=case_id,
         sweep_param=sweep_param, sweep_value=sweep_value,
         hyperparameters_digest=_digest(spec.hyperparameters), seed=seed,
-        wall_time=batch.wall_time, batch=batch, x_star=m.x_star, **out,
+        wall_time=batch.wall_time, batch=batch, **out,
     )
 
 
@@ -198,14 +197,11 @@ def write_report(rows, out_dir, cfg: ExperimentConfig | None = None,
     paths = {}
 
     csv_path = os.path.join(out_dir, "results.csv")
+    columns = CSV_HEADER.split(",")
     with open(csv_path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in rows:
-            fields = [r.experiment, r.solver, r.family, r.case_id, r.sweep_param,
-                      r.sweep_value, r.coverage, r.mean_width, r.var_obs,
-                      r.var_null, r.ratio, r.rmse_mean, r.failure_rate,
-                      r.hyperparameters_digest, r.seed]
-            fh.write(",".join(_fmt(v) for v in fields) + "\n")
+            fh.write(",".join(_fmt(getattr(r, key)) for key in columns) + "\n")
     paths["results.csv"] = csv_path
 
     summary = {"solvers": _summarize(rows)}
@@ -252,7 +248,7 @@ def write_report(rows, out_dir, cfg: ExperimentConfig | None = None,
                 os.path.join(sample_dir, _batch_filename(index, r)),
                 samples=r.batch.samples,
                 statuses=np.array(r.batch.statuses),
-                x_star=r.x_star,
+                x_star=r.batch.measurement.x_star,
                 y=r.batch.measurement.y,
                 meta=np.array(json.dumps({
                     "experiment": r.experiment, "solver": r.solver, "case_id": r.case_id,

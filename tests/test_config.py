@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import re
+from pathlib import Path
 
 import yaml
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import event, given, settings, strategies as st
 from diffuq.cli import main
 from diffuq.config import ExperimentConfig, config_from_dict, config_to_dict, load_config
 from diffuq.harness import run_experiment
-from diffuq.solvers import SOLVER_NAMES
+from diffuq.solvers import SOLVER_NAMES, resolve_solver
 
 MINIMAL = {
     "experiment": "exp1_identity",
@@ -309,7 +310,7 @@ def _init_args(cfg) -> dict:
     ("prior", {"d": 16}, "prior must be a ToyPriorSpec, got {'d': 16}"),
     ("operator", None, "operator must be a mapping, got None"),
     ("schedule", None, "schedule must be a mapping, got None"),
-    ("sigma_y", "1", "sigma_y must be a finite number > 0, got '1'"),
+    ("sigma_y", "1", "sigma_y must be a number, got '1'"),
     ("solvers", ("dps",), r"solvers must be a tuple of SolverSpec, got \('dps',\)"),
     ("sweep_axis", ["pnpdm"], r"sweep_axis must be a mapping or None, got \['pnpdm'\]"),
 ], ids=["prior", "operator", "schedule", "sigma_y", "solvers", "sweep_axis"])
@@ -322,13 +323,86 @@ def test_direct_construction_checks_field_kinds(field, value, match):
         ExperimentConfig(**fields)
 
 
-def test_direct_construction_schedule_missing_keys_named():
+def test_direct_construction_schedule_keeps_its_defaults():
+    """A partial hand-built schedule takes the defaults of the keys it
+    leaves out, as a YAML one does; only an explicit bad value fails."""
     fields = dict(_init_args(config_from_dict(MINIMAL)), schedule={"steps": 10})
-    with pytest.raises(ValueError, match="schedule .* is invalid: .*sigma_min"):
-        ExperimentConfig(**fields)
-    fields["schedule"] = {"sigma_min": 0.01, "sigma_max": 10.0}
+    assert ExperimentConfig(**fields).schedule == dict(config_from_dict(MINIMAL).schedule,
+                                                       steps=10)
+    fields["schedule"] = {"steps": None}
     with pytest.raises(ValueError, match="schedule steps must be an integer, got None"):
         ExperimentConfig(**fields)
+
+
+# per experiment, a partial operator of keys it may set
+_PARTIAL_OPERATORS = {"exp1_identity": {"kind": "identity"}, "exp2_binary": {"obs_count": 4},
+                      "sweep": {"kind": "binary_svd", "obs_count": 4}}
+
+
+@pytest.mark.parametrize("section", ["none", "schedule", "operator"])
+@pytest.mark.parametrize("experiment", ["exp1_identity", "exp2_binary", "sweep"])
+def test_hand_built_config_resolves_as_loaded(experiment, section):
+    """``ExperimentConfig`` built from the required fields alone (and a
+    partial section) resolves to what ``config_from_dict`` of the same keys
+    does: the same defaults, and ``sigma_y`` stored as a float."""
+    extra = {"none": {}, "schedule": {"schedule": {"sigma_max": 5.0, "steps": 12}},
+             "operator": {"operator": _PARTIAL_OPERATORS[experiment]}}[section]
+    built = ExperimentConfig(experiment=experiment, master_seed=7, sigma_y=2,
+                             solvers=(resolve_solver("reference_exact"),), n_cases=2, **extra)
+    loaded = config_from_dict({"experiment": experiment, "master_seed": 7, "sigma_y": 2,
+                               "solvers": ["reference_exact"], "n_cases": 2, **extra})
+    assert config_to_dict(built) == config_to_dict(loaded)
+    assert built == loaded and type(built.sigma_y) is float
+
+
+def _particles_config(particles, solver="mcg_diff", **extra) -> dict:
+    """An exp1 config of one case of two rows on 5 steps, so one ``run_cases``
+    chunk of 2 rows, with one particle sampler."""
+    return {"experiment": "exp1_identity", "master_seed": 1, "sigma_y": 1.0, "n_cases": 1,
+            "k_samples": 2, "schedule": {"steps": 5}, **extra,
+            "solvers": [{"name": solver, "hyperparameters": {"particles": particles}}]}
+
+
+@pytest.mark.parametrize("solver", ["fps_smc", "mcg_diff"])
+def test_particles_capped_per_batch(solver):
+    """A chunk's rows times ``particles`` may reach 2^20 (2 * 2^19 loads: the
+    config allocates no particle), one more fails at the config, and so do
+    the 10**30 particles that crashed a run in the row draws."""
+    assert config_from_dict(_particles_config(2**19, solver)).solvers[0].name == solver
+    for particles in (2**19 + 1, 10**30):
+        with pytest.raises(ValueError, match=rf"solver {solver} hyperparameter 'particles'"
+                                             rf" times the 2 rows .* got {particles}"):
+            config_from_dict(_particles_config(particles, solver))
+    axis = {"solver": solver, "name": "particles", "values": [8, 10**30]}
+    with pytest.raises(ValueError, match=f"got {10**30}"):
+        config_from_dict(_particles_config(16, solver, sweep_axis=axis))
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_particles_past_the_cap_are_one_cli_error_line(command, tmp_path, capsys):
+    big = 10**30
+    out = tmp_path / "out"
+    argv = [command, str(write(tmp_path, _particles_config(big if command == "run" else 16))),
+            "--out", str(out)]
+    if command == "sweep":
+        argv += ["--solver", "mcg_diff", "--param", "particles", "--values", f"8,{big}"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "'particles' times the 2 rows" in errors[0], err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_shipped_configs_and_the_particle_sweep_load():
+    """Both shipped configs, and exp2 swept over the README's 8,16,64
+    particles, pass the particle cap."""
+    root = Path(__file__).resolve().parents[1] / "configs"
+    assert load_config(root / "exp1.yaml").experiment == "exp1_identity"
+    axis = {"solver": "mcg_diff", "name": "particles", "values": [8, 16, 64]}
+    swept = dataclasses.replace(load_config(root / "exp2.yaml"), sweep_axis=axis)
+    assert [value for value, _ in swept.runs] == [8, 16, 64]
 
 
 @pytest.mark.parametrize("key, value, match", [

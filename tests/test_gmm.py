@@ -148,6 +148,21 @@ def test_sampling_deterministic(toy_prior):
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 17, 100, 1000])
+def test_sampling_matches_the_per_component_products(toy_prior, n):
+    """``sample_mixture`` of n >= 2 draws has, bit for bit, each component's
+    rows from one ``noise[mask] @ chol.T`` product, a lone row included."""
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        comp = rng.choice(toy_prior.n_components, size=n, p=toy_prior.weights)
+        noise = rng.standard_normal((n, toy_prior.dim))
+        want = np.empty(noise.shape)
+        for c, chol in enumerate(toy_prior._chols):
+            mask = comp == c
+            want[mask] = toy_prior.means[c] + noise[mask] @ chol.T
+        assert sample_mixture(toy_prior, n, seed).tobytes() == want.tobytes()
+
+
 def test_sampling_symmetry_coordinate7(toy_prior):
     X = sample_mixture(toy_prior, 100_000, 11)
     # Var of coordinate 7 = 1 + mu_sep^2 = 5

@@ -51,28 +51,43 @@ BARRED_ROUTINES = {"dgetrf", "dtbsv"}
 # row loop) may import them
 NATIVE_MODULES = {"ctypes", "subprocess", "tempfile", "sysconfig"}
 
+# a config's defaults: only ``ExperimentConfig``'s methods read them, so a
+# hand-built config and a loaded one resolve alike
+CONFIG_DEFAULTS = {"_SCHEDULE_DEFAULTS", "_OPERATOR_DEFAULTS"}
 
-def _calls(node, names, function=None, cls=None):
+
+def _callee(node):
+    """The name of the function or method that ``node`` calls, if a call."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "attr", getattr(node.func, "id", None))
+    return None
+
+
+def _read(node):
+    """The name that ``node`` reads, if a read of a plain name."""
+    return node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) else None
+
+
+def _calls(node, names, function=None, cls=None, name_of=_callee):
     """(innermost enclosing function or None, line, name) of each call under
-    ``node`` of a function or method named in ``names``; a method is named
-    ``Class.method``."""
+    ``node`` of a function or method named in ``names`` (each read of such a
+    name, with ``name_of=_read``); a method is named ``Class.method``."""
     if isinstance(node, ast.ClassDef):
         cls = node.name
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         function = f"{cls}.{node.name}" if cls else node.name
         cls = None
-    if isinstance(node, ast.Call):
-        name = getattr(node.func, "attr", getattr(node.func, "id", None))
-        if name in names:
-            yield function, node.lineno, name
+    name = name_of(node)
+    if name in names:
+        yield function, node.lineno, name
     for child in ast.iter_child_nodes(node):
-        yield from _calls(child, names, function, cls)
+        yield from _calls(child, names, function, cls, name_of)
 
 
-def _package_calls(names) -> list:
-    """(file, function, line, name) of each such call in the package."""
+def _package_calls(names, name_of=_callee) -> list:
+    """(file, function, line, name) of each such call (or read) in the package."""
     return [(path.name, *call) for path in sorted(Path(diffuq.__file__).parent.glob("*.py"))
-            for call in _calls(ast.parse(path.read_text()), names)]
+            for call in _calls(ast.parse(path.read_text()), names, name_of=name_of)]
 
 
 def _outside(calls, sites) -> list:
@@ -107,6 +122,14 @@ def test_only_run_cases_makes_row_streams():
 def test_only_the_config_makes_the_cases():
     calls = _package_calls({"synthesize_measurement"})
     assert {name for name, _, _, _ in calls} == {"config.py"}
+
+
+def test_only_the_config_methods_read_its_defaults():
+    reads = _package_calls(CONFIG_DEFAULTS, _read)
+    assert {name for name, _, _, _ in reads} == {"config.py"}
+    assert {callee for _, _, _, callee in reads} == CONFIG_DEFAULTS
+    assert not [f"{name}:{line} {callee} in {function}" for name, function, line, callee in reads
+                if not (function or "").startswith("ExperimentConfig.")]
 
 
 def _only_in(sites: dict) -> None:
