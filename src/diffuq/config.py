@@ -41,12 +41,12 @@ _MAX_STEPS = 10_000
 # two more: the stacked covariances and the LU factors before they are
 # stored column-major).
 _MAX_KERNEL_ENTRIES = 2**24
-# Each solver samples all n_cases * k_samples rows in one batch, each row with
-# its own generator (about 0.9 KB) and d samples, so this cap keeps a batch
-# near 1 GB for the toy prior; without it an n_cases of 10**9 spent hours
-# making its cases at load time. It also caps the particles (rows times
-# particles) of one ``run_cases`` chunk of the particle samplers, which
-# without it let ``particles: 10**30`` load and crash the run.
+# The config makes all n_cases cases at load, and each solver's samples
+# array holds every one of its n_cases * k_samples rows; without this cap an
+# n_cases of 10**9 spent hours making its cases at load time. It also caps
+# the particles (rows times particles) of one ``run_cases`` chunk of the
+# particle samplers, which without it let ``particles: 10**30`` load and
+# crash the run.
 _MAX_ROWS = 2**20
 _OPERATOR_DEFAULTS = {
     "exp1_identity": {"kind": "identity"},
@@ -219,14 +219,14 @@ class ExperimentConfig:
         """A particle sampler holds each of its ``run_cases`` chunks' rows
         times ``particles`` particles at once; that count must stay within
         ``_MAX_ROWS``, for every value it runs with."""
-        rows = min(self.n_cases, max(1, ROW_BUDGET // self.k_samples)) * self.k_samples
+        rows = min(self.n_cases * self.k_samples, ROW_BUDGET)
         for _, specs in self.runs:
             for s in specs:
                 n_p = s.hyperparameters.get("particles", 0)
                 if rows * n_p > _MAX_ROWS:
                     raise ValueError(
                         f"solver {s.name} hyperparameter 'particles' times the {rows} rows of"
-                        f" one batch must be <= {_MAX_ROWS:,}, got {n_p!r}"
+                        f" one chunk must be <= {_MAX_ROWS:,}, got {n_p!r}"
                     )
 
 

@@ -691,22 +691,6 @@ def _picks(out: _Rows, X, log_w, step: int):
     return out.done(X[np.arange(len(X)), _inverse_cdf(cdf, out.rngs.uniforms())])
 
 
-def _particle_rows(batch, n_p: int):
-    """``rows`` of an SMC sampler whose ``batch(rngs, cases)`` advances every
-    row's ``n_p`` particles as one (K, n_p, d) iterate. Its solves run over
-    all K * n_p particles, which gives each row its own bits only when a row
-    has two particles or more (a one-column solve differs), so
-    single-particle rows run one batch each."""
-    if n_p > 1:
-        return batch
-
-    def rows(rngs, cases):
-        runs = [batch(rngs.take([k]), cases[k : k + 1]) for k in range(len(rngs))]
-        return np.concatenate([X for X, _ in runs]), [s for _, st in runs for s in st]
-
-    return rows
-
-
 def _sample_fps_smc(spec, problem, ms):
     n_p = spec.hyperparameters["particles"]
     kernel, grid = problem.kernel, problem.sched.grid
@@ -810,7 +794,7 @@ def _sample_fps_smc(spec, problem, ms):
                  - log_potential(X, last, yb_path[:, last]))
         return _picks(out, xhat0, log_w, last)
 
-    return _particle_rows(batch, n_p)
+    return batch
 
 
 def _sample_mcg_diff(spec, problem, ms):
@@ -840,7 +824,7 @@ def _sample_mcg_diff(spec, problem, ms):
             log_w = log_w + log_potential(X, sigma_y**2 + grid[i + 1] ** 2, out.yb_obs) - g_old
         return _picks(out, X, log_w, len(grid) - 1)
 
-    return _particle_rows(batch, n_p)
+    return batch
 
 
 # Every solver is declared here once: name -> (family, default
@@ -864,11 +848,11 @@ _SOLVERS = {
                 _sample_reddiff),
 }
 
-# ``run_cases`` advances whole cases together in chunks of at most this many
-# rows (a case with more rows goes alone). Larger chunks share each step's
-# Python and numpy dispatch among more rows, but mcg_diff with 64
-# particles slows down past about 500 rows (14.4 to 17.9 ms per row at
-# 1000), and every row holds a generator until its chunk ends;
+# ``run_cases`` advances a batch's rows, case after case, in flat chunks of
+# at most this many rows, so a case may span two chunks. Larger chunks
+# share each step's Python and numpy dispatch among more rows, but mcg_diff
+# with 64 particles slows down past about 500 rows (14.4 to 17.9 ms per row
+# at 1000), and every row holds a generator until its chunk ends;
 # BENCH_pr10.json holds the sweep that chose the value.
 ROW_BUDGET = 500
 
@@ -900,11 +884,12 @@ def run_cases(spec: SolverSpec, problem: Problem, ms, K: int, base_seeds) -> lis
     k of case n draws from ``default_rng(derive_seed(base_seeds[n], [("row",
     k)]))``, through ``seeding.streams``.
 
-    The solver sets up once, then advances the rows of whole cases together
-    in chunks of at most ``ROW_BUDGET`` rows. A row's bits do not depend on
-    the other rows, so every batch equals ``run_cases`` of its case alone and
-    row k a standalone ``sample_one`` with its seed. Each batch's
-    ``wall_time`` is its share (1 / len(ms)) of the call.
+    The solver sets up once, then advances the cases' rows, in order, in
+    chunks of at most ``ROW_BUDGET`` rows, so a case may span two chunks. A
+    row's bits do not depend on the other rows, so every batch equals
+    ``run_cases`` of its case alone and row k a standalone ``sample_one``
+    with its seed. Each batch's ``wall_time`` is its share (1 / len(ms)) of
+    the call.
     """
     if not _integral(K) or K < 1:
         raise ValueError(f"K must be an integer >= 1, got {K!r}")
@@ -915,12 +900,13 @@ def run_cases(spec: SolverSpec, problem: Problem, ms, K: int, base_seeds) -> lis
     t0 = time.perf_counter()
     rows = _setup(spec, problem, ms)
     seeds = np.array([row_seeds(base, K) for base in base_seeds])
-    per_chunk = max(1, ROW_BUDGET // K)
-    samples, statuses = np.empty((len(ms) * K, problem.prior.dim)), []
-    for a in range(0, len(ms), per_chunk):
-        chunk = range(a, min(a + per_chunk, len(ms)))
-        samples[a * K : chunk.stop * K], st = rows(streams(seeds[a : chunk.stop].ravel()),
-                                                   np.repeat(chunk, K))
+    flat, cases = seeds.ravel(), np.repeat(np.arange(len(ms)), K)
+    # a one-particle row's solves would share columns with the other rows',
+    # and a one-column solve has other bits
+    size = 1 if spec.hyperparameters.get("particles") == 1 else ROW_BUDGET
+    samples, statuses = np.empty((len(flat), problem.prior.dim)), []
+    for a in range(0, len(flat), size):
+        samples[a : a + size], st = rows(streams(flat[a : a + size]), cases[a : a + size])
         statuses += st
     share = (time.perf_counter() - t0) / len(ms)
     return [SampleBatch(solver=spec, measurement=m, samples=samples[n * K : (n + 1) * K],

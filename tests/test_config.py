@@ -367,12 +367,18 @@ def _particles_config(particles, solver="mcg_diff", **extra) -> dict:
 def test_particles_capped_per_batch(solver):
     """A chunk's rows times ``particles`` may reach 2^20 (2 * 2^19 loads: the
     config allocates no particle), one more fails at the config, and so do
-    the 10**30 particles that crashed a run in the row draws."""
+    the 10**30 particles that crashed a run in the row draws. A case of
+    1,000 rows runs in chunks of ``ROW_BUDGET`` = 500 rows, so it takes
+    2^20 // 500 = 2,097 particles."""
     assert config_from_dict(_particles_config(2**19, solver)).solvers[0].name == solver
     for particles in (2**19 + 1, 10**30):
         with pytest.raises(ValueError, match=rf"solver {solver} hyperparameter 'particles'"
                                              rf" times the 2 rows .* got {particles}"):
             config_from_dict(_particles_config(particles, solver))
+    loaded = config_from_dict(_particles_config(2_097, solver, k_samples=1000))
+    assert loaded.solvers[0].hyperparameters["particles"] == 2_097
+    with pytest.raises(ValueError, match="times the 500 rows .* got 2098"):
+        config_from_dict(_particles_config(2_098, solver, k_samples=1000))
     axis = {"solver": solver, "name": "particles", "values": [8, 10**30]}
     with pytest.raises(ValueError, match=f"got {10**30}"):
         config_from_dict(_particles_config(16, solver, sweep_axis=axis))

@@ -271,11 +271,14 @@ def test_rows_that_leave_mid_run_take_their_measurement():
 
 
 def test_cases_span_several_batches(monkeypatch):
-    """With room for two cases per row chunk, each solver sets up once and
-    advances its three cases in two chunks, and each case still gets its
-    one-case rows."""
+    """With room for seven rows per chunk, each solver sets up once and
+    advances its three cases of three rows as one flat chunk of rows 0-6 and
+    one of rows 7-8, so case 2 spans both chunks and still gets its
+    one-case rows. A one-particle SMC sampler runs one row per call."""
     monkeypatch.setattr(diffuq.solvers, "ROW_BUDGET", 7)
-    cfg = config_from_dict(dict(BATCHED, solvers=["pnpdm", "mcg_diff", "reddiff"]))
+    names = ("pnpdm", "mcg_diff", "reddiff")
+    one_particle = {"name": "fps_smc", "hyperparameters": {"particles": 1}}
+    cfg = config_from_dict(dict(BATCHED, solvers=[*names, one_particle]))
     calls = []
     setup = diffuq.solvers._setup
 
@@ -284,15 +287,18 @@ def test_cases_span_several_batches(monkeypatch):
         calls.append((spec.name, "setup", len(ms)))
 
         def counting_rows(rngs, cases):
-            calls.append((spec.name, "rows", sorted(set(cases))))
+            calls.append((spec.name, "rows", list(cases)))
             return rows(rngs, cases)
 
         return counting_rows
 
     monkeypatch.setattr(diffuq.solvers, "_setup", counting_setup)
     rows = run_experiment(cfg)
-    assert calls == [c for name in ("pnpdm", "mcg_diff", "reddiff")
-                     for c in ((name, "setup", 3), (name, "rows", [0, 1]), (name, "rows", [2]))]
+    assert calls == [c for name in names
+                     for c in ((name, "setup", 3), (name, "rows", [0, 0, 0, 1, 1, 1, 2]),
+                               (name, "rows", [2, 2]))] + [
+        ("fps_smc", "setup", 3), *[("fps_smc", "rows", [n]) for n in (0, 0, 0, 1, 1, 1, 2, 2, 2)]]
+    assert max(len(cases) for _, kind, cases in calls if kind == "rows") <= 7
     monkeypatch.setattr(diffuq.solvers, "_setup", setup)
     _assert_rows_equal_one_case_batches(cfg, rows)
 

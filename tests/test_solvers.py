@@ -950,7 +950,11 @@ def test_smc_rows_equal_standalone_draws_at_few_particles(toy_prior, sched12, mo
                                                           name, particles, op):
     """With few particles a component is often drawn by one particle of a
     row; that particle's products take the row-wise (gemv) path, which the
-    batch must run for it while the row's other particles share a gemm."""
+    batch must run for it while the row's other particles share a gemm.
+    One-particle rows run one row per ``rows`` call: on ``sigma_min = 1``
+    the responsibilities do not saturate, so a one-particle row that shared
+    its solves' columns with other rows would show a one-column solve's
+    other bits."""
     singletons = []
     vecmat_rows = diffuq.gmm._vecmat_rows
 
@@ -961,18 +965,19 @@ def test_smc_rows_equal_standalone_draws_at_few_particles(toy_prior, sched12, mo
     monkeypatch.setattr(diffuq.gmm, "_vecmat_rows", counting_vecmat_rows)
     A = _OPERATORS[op]()
     m = synthesize_measurement(A, sample_mixture(toy_prior, 1, 23)[0], 1.0, 24)
-    pb = _problem(toy_prior, sched12, m)
     spec = resolve_solver(name, {"particles": particles})
-    alone = _standalone_rows(spec, pb, m, 41, 16)
-    for K in (1, 3, 16):
-        singletons.clear()
-        batch = _batch(spec, pb, m, K, 41)
-        for k in range(K):
-            x, status = alone[k]
-            assert batch.statuses[k] == status, (K, k)
-            assert np.array_equal(batch.samples[k], x, equal_nan=True), (K, k)
-    if batch.statuses != ["diverged(step=0; pseudo-inverse of zero singular values)"] * 16:
-        assert sum(singletons) > 0, "no (row, level, component) subset of one particle"
+    for sched in (sched12, build_schedule(1.0, 10.0, 8)):
+        pb = _problem(toy_prior, sched, m)
+        alone = _standalone_rows(spec, pb, m, 41, 16)
+        for K in (1, 3, 16):
+            singletons.clear()
+            batch = _batch(spec, pb, m, K, 41)
+            for k in range(K):
+                x, status = alone[k]
+                assert batch.statuses[k] == status, (sched.sigma_min, K, k)
+                assert np.array_equal(batch.samples[k], x, equal_nan=True), (sched.sigma_min, K, k)
+        if batch.statuses != ["diverged(step=0; pseudo-inverse of zero singular values)"] * 16:
+            assert sum(singletons) > 0, "no (row, level, component) subset of one particle"
 
 
 def test_rows_finite_drops_companions_with_their_row():
