@@ -92,8 +92,9 @@ class ExperimentConfig:
         if self.k_samples < 2:
             raise ValueError("k_samples must be >= 2")
         if self.n_cases * self.k_samples > _MAX_ROWS:
-            raise ValueError(f"n_cases * k_samples (the rows each solver samples at once) must be"
-                             f" <= {_MAX_ROWS:,}, got {self.n_cases} * {self.k_samples}")
+            raise ValueError(f"n_cases * k_samples (the rows a solver's samples array holds, of"
+                             f" cases all made at load) must be <= {_MAX_ROWS:,}, got"
+                             f" {self.n_cases} * {self.k_samples}")
         if not self.solvers:
             raise ValueError("at least one solver is required")
         object.__setattr__(self, "operator",
@@ -179,9 +180,11 @@ class ExperimentConfig:
             raise ValueError(f"sweep_axis must be a mapping or None, got {self.sweep_axis!r}")
 
     def _check_schedule(self):
-        """The built schedule, of the defaults updated by ``schedule``; a value
-        of the wrong kind fails here, naming its key."""
-        sched = {**_SCHEDULE_DEFAULTS, **self.schedule}
+        """The built schedule, of the defaults updated by ``schedule`` (a numpy
+        scalar stored as the Python number it equals); a value of the wrong
+        kind fails here, naming its key."""
+        sched = {**_SCHEDULE_DEFAULTS, **{key: value.item() if isinstance(value, np.generic)
+                                          else value for key, value in self.schedule.items()}}
         bad = set(sched) - {"sigma_min", "sigma_max", "steps", "spacing", "exponent"}
         if bad:
             raise ValueError(f"unknown schedule keys: {sorted(bad)}")

@@ -232,6 +232,9 @@ class ToyPriorSpec:
 
     def __post_init__(self):
         for key, value in vars(self).items():
+            if isinstance(value, np.generic):  # stored as the Python number it equals
+                value = value.item()
+                object.__setattr__(self, key, value)
             integral = key in ("d", "structured_dim", "bimodal_coord")
             ok = (isinstance(value, numbers.Integral) if integral
                   else isinstance(value, numbers.Real) and _finite(value))

@@ -145,14 +145,9 @@ class _Words(ISeedSequence):
 
 def streams(seeds) -> "_Streams":
     """The row streams of the 64-bit ``seeds``: row k's generator in the
-    state of ``np.random.default_rng(seeds[k])``, and its ``bitgen_t``
-    pointer, taken in the same pass."""
-    rngs, pointers = [], []
-    for words in _pcg64_words(seeds):
-        bitgen = np.random.PCG64(_Words(words))
-        rngs.append(np.random.Generator(bitgen))
-        pointers.append(_capsule_pointer(bitgen.capsule, b"BitGenerator"))
-    return _Streams(rngs, np.array(pointers, dtype=np.uintp))
+    state of ``np.random.default_rng(seeds[k])``."""
+    return _Streams([np.random.Generator(np.random.PCG64(_Words(words)))
+                     for words in _pcg64_words(seeds)])
 
 
 # Per-row draws. Row k of a K-row batch draws from its own generator
@@ -325,38 +320,27 @@ class _Streams:
     Each draw gives row k the numbers of the matching ``np.random.Generator``
     method on ``rngs[k]`` alone and leaves it in the same state. With the
     compiled row loop (``_rowdraws``) a draw is one C call over the rows'
-    ``bitgen_t`` pointers (given, or taken here), without the generator lock
-    (sampling runs on one thread); without it, one numpy call per row. The
-    streams hold the generators, which keep the pointers valid.
+    ``bitgen_t`` pointers, taken from the generators here, once, without
+    the generator lock (sampling runs on one thread); without it, one numpy
+    call per row. The path is decided here and never changes: narrowing the
+    rows (``take``) makes new streams. The streams hold the generators,
+    which keep the pointers valid.
     """
 
-    def __init__(self, rngs, pointers=None):
+    def __init__(self, rngs):
         self.rngs = list(rngs)
         self._lib = _rowdraws()
-        if self._lib is not None and pointers is None:
-            pointers = np.array([_capsule_pointer(rng.bit_generator.capsule, b"BitGenerator")
-                                 for rng in self.rngs], dtype=np.uintp)
-        self._point(None if self._lib is None else pointers)
-
-    def _point(self, pointers) -> None:
-        """Hold the rows' ``bitgen_t`` pointers (None: the numpy path) and
-        the address of their array."""
-        self._pointers = pointers
-        self._at = None if pointers is None else pointers.ctypes.data
+        self._pointers = None if self._lib is None else np.array(
+            [_capsule_pointer(rng.bit_generator.capsule, b"BitGenerator") for rng in self.rngs],
+            dtype=np.uintp)
+        self._at = None if self._pointers is None else self._pointers.ctypes.data
 
     def __len__(self) -> int:
         return len(self.rngs)
 
     def take(self, rows) -> "_Streams":
         """The streams of the rows at the indices ``rows``."""
-        return _Streams([self.rngs[k] for k in rows],
-                        None if self._pointers is None else self._pointers[rows])
-
-    def keep(self, mask) -> None:
-        """Drop the rows where the boolean ``mask`` is False."""
-        self.rngs = [rng for rng, keep in zip(self.rngs, mask) if keep]
-        if self._pointers is not None:
-            self._point(self._pointers[mask])
+        return _Streams([self.rngs[k] for k in rows])
 
     def normals(self, shape=()) -> np.ndarray:
         """(K, *shape) standard normals; row k is ``rngs[k].standard_normal(shape)``."""

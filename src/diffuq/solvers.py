@@ -53,7 +53,6 @@ from .seeding import _Streams, row_seeds, streams
 
 __all__ = [
     "SOLVER_NAMES",
-    "SOLVER_FAMILIES",
     "SolverSpec",
     "SampleBatch",
     "Problem",
@@ -435,7 +434,8 @@ class _Rows:
     the row's case in ``cases``, and each is an attribute (``out.y``). A row
     whose iterate turns non-finite gets a NaN result row and its
     ``diverged(step=...)`` status, and leaves with its generator and
-    constants; the others keep going.
+    constants; the others keep going, on the streams ``take`` makes of
+    their generators.
     """
 
     def __init__(self, rngs, dim: int, cases=None, **per_case):
@@ -463,7 +463,7 @@ class _Rows:
             for k in self.index[~ok]:
                 self.statuses[k] = f"diverged(step={step}{'; ' + why if why else ''})"
             self.index = self.index[ok]
-            self.rngs.keep(ok)
+            self.rngs = self.rngs.take(np.flatnonzero(ok))
             for key in self._per_row:
                 setattr(self, key, getattr(self, key)[ok])
             X, companions = X[ok], tuple(a[ok] for a in companions)
@@ -816,12 +816,15 @@ def _sample_mcg_diff(spec, problem, ms):
     def batch(rngs, cases):
         out = _Rows(rngs, A.d, cases, yb_obs=yb_obs)
         X = problem.sched.sigma_max * out.rngs.normals((n_p, A.d))
-        log_w = log_potential(X, sigma_y**2 + grid[0] ** 2, out.yb_obs)
+        g = log_potential(X, sigma_y**2 + grid[0] ** 2, out.yb_obs)
+        log_w = g.copy()
         for i in out.steps(len(grid) - 1):
-            log_w[_resample(log_w - _logsumexp(log_w, axis=-1, keepdims=True), out.rngs, X)] = 0.0
-            g_old = log_potential(X, sigma_y**2 + grid[i] ** 2, out.yb_obs)
-            X, log_w, g_old = out.finite(kernel.step_sets(X, i, out.rngs), i, log_w, g_old)
-            log_w = log_w + log_potential(X, sigma_y**2 + grid[i + 1] ** 2, out.yb_obs) - g_old
+            # ``g``, the potential of level i, moves with the resampled particles
+            log_w[_resample(log_w - _logsumexp(log_w, axis=-1, keepdims=True), out.rngs, X,
+                            g)] = 0.0
+            X, log_w, g_old = out.finite(kernel.step_sets(X, i, out.rngs), i, log_w, g)
+            g = log_potential(X, sigma_y**2 + grid[i + 1] ** 2, out.yb_obs)
+            log_w = log_w + g - g_old
         return _picks(out, X, log_w, len(grid) - 1)
 
     return batch
@@ -859,7 +862,6 @@ ROW_BUDGET = 500
 # float hyperparameters that must be > 0, not merely >= 0
 _POSITIVE = {("pnpdm", "rho_coupling"), ("reddiff", "step_size"), ("diffpir", "lambda_reg")}
 
-SOLVER_FAMILIES = {name: family for name, (family, _, _) in _SOLVERS.items()}
 SOLVER_NAMES = tuple(_SOLVERS)
 
 

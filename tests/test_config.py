@@ -1,15 +1,19 @@
 import copy
 import dataclasses
+import json
 import re
+import warnings
 from pathlib import Path
 
+import numpy as np
 import yaml
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from diffuq.cli import main
 from diffuq.config import ExperimentConfig, config_from_dict, config_to_dict, load_config
-from diffuq.harness import run_experiment
+from diffuq.gmm import ToyPriorSpec
+from diffuq.harness import run_experiment, write_report
 from diffuq.solvers import SOLVER_NAMES, resolve_solver
 
 MINIMAL = {
@@ -355,6 +359,29 @@ def test_hand_built_config_resolves_as_loaded(experiment, section):
     assert built == loaded and type(built.sigma_y) is float
 
 
+def test_numpy_numbers_in_prior_and_schedule_write_the_python_manifest(tmp_path):
+    """numpy scalars in ``prior`` and ``schedule`` are stored as the Python
+    numbers they equal: the run writes its report with no warning, and the
+    manifest ``config`` is that of the same config of Python numbers."""
+    def config(num):
+        return ExperimentConfig(
+            experiment="exp1_identity", master_seed=3, sigma_y=1.0, n_cases=1, k_samples=2,
+            solvers=(resolve_solver("reference_exact"),),
+            prior=ToyPriorSpec(d=num(np.int64, 16), rho_ar=num(np.float32, 0.5)),
+            schedule={"sigma_min": num(np.float32, 0.25), "steps": num(np.int64, 5)})
+
+    manifests = []
+    for num in (lambda kind, value: kind(value), lambda kind, value: value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = config(num)
+            write_report(run_experiment(cfg), tmp_path / str(len(manifests)), cfg)
+        manifests.append(json.loads((tmp_path / str(len(manifests)) / "manifest.json")
+                                    .read_text())["config"])
+    assert manifests[0] == manifests[1]
+    assert type(cfg.prior.rho_ar) is float and type(cfg.schedule["steps"]) is int
+
+
 def _particles_config(particles, solver="mcg_diff", **extra) -> dict:
     """An exp1 config of one case of two rows on 5 steps, so one ``run_cases``
     chunk of 2 rows, with one particle sampler."""
@@ -444,8 +471,8 @@ def _big_config(path) -> dict:
 
 @pytest.mark.parametrize("path, match", [
     (("sigma_y",), r"sigma_y must lie within \[1e-100, 1e\+100\]"),
-    (("n_cases",), r"n_cases \* k_samples \(the rows each solver samples at once\) must be"
-                   r" <= 1,048,576"),
+    (("n_cases",), r"n_cases \* k_samples \(the rows a solver's samples array holds, of cases"
+                   r" all made at load\) must be <= 1,048,576"),
     (("k_samples",), r"n_cases \* k_samples .* must be <= 1,048,576, got 2 \* 1000"),
     (("schedule", "steps"), "schedule steps must be <= 10000"),
     (("schedule", "sigma_min"), "schedule sigma_min must be a finite number"),

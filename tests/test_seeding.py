@@ -123,35 +123,40 @@ def test_compiled_and_numpy_row_draws_agree(K, seed, L, d, highs, data):
     """The compiled row loop and the numpy path give every row the same
     numbers and leave its generator in the same state, ``has_uint32``
     buffer included: bounded integers of each range, interleaved with
-    uniforms and with normals of shape (), (d,) and (L, d), then again after
-    rows are taken and dropped."""
+    uniforms and with normals of shape (), (d,) and (L, d), then again on
+    the streams ``take`` makes of some rows and of the rows a mask keeps;
+    every draw of the numpy side runs with the loop unloaded."""
     if _rowdraws() is None:
         pytest.skip("the compiled row loop does not build here")
     seeds = np.random.default_rng(seed).integers(0, 2**63, size=K, dtype=np.uint64)
-    compiled, numpy_path = streams(seeds), _numpy_streams(seeds)
-    assert compiled._pointers is not None and numpy_path._pointers is None
+    picks = np.array(data.draw(st.lists(st.integers(0, K - 1), max_size=8)), dtype=int)
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=K, max_size=K)))
 
-    def draws(rows):
+    def draws(rows, compiled):
+        assert (rows._pointers is not None) == compiled
         out = []
         for high in highs:
             out += [rows.below(high), rows.uniforms(), rows.normals(()), rows.below(high),
                     rows.normals(d), rows.uniforms(L), rows.normals((L, d))]
         return out
 
-    rows = np.array(data.draw(st.lists(st.integers(0, K - 1), max_size=8)), dtype=int)
-    mask = np.array(data.draw(st.lists(st.booleans(), min_size=K, max_size=K)))
-    rngs_c, rngs_n = compiled.rngs, numpy_path.rngs
-    got, want = draws(compiled), draws(numpy_path)
-    got += draws(compiled.take(rows))
-    want += draws(numpy_path.take(rows))
-    compiled.keep(mask)
-    numpy_path.keep(mask)
-    got += draws(compiled)
-    want += draws(numpy_path)
-    for g, w in zip(got, want):
+    def run(compiled):
+        """Every draw of one path: all rows, the rows ``picks``, then the
+        rows that ``mask`` keeps; and the generators' end states."""
+        rows = streams(seeds)
+        out = draws(rows, compiled) + draws(rows.take(picks), compiled)
+        kept = rows.take(np.flatnonzero(mask))
+        out += draws(kept, compiled)
+        assert len(kept) == mask.sum()
+        return out, [r.bit_generator.state for r in rows.rngs]
+
+    got, states_c = run(compiled=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diffuq.seeding, "_rowdraws", lambda: None)
+        want, states_n = run(compiled=False)
+    for g, w in zip(got, want, strict=True):
         assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
-    assert len(compiled) == len(numpy_path) == mask.sum()
-    assert [r.bit_generator.state for r in rngs_c] == [r.bit_generator.state for r in rngs_n]
+    assert states_c == states_n
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,13 @@ def test_package_calls_no_barred_routine():
     assert not [name for name in BARRED_ROUTINES for text in sources if name in text]
 
 
+def test_only_the_streams_take_the_row_pointers():
+    """A row's ``bitgen_t`` pointer comes from its generator's capsule in
+    ``_Streams.__init__`` alone, once per streams object; the compiled loop's
+    own build reads scipy's capsules."""
+    _only_in({"_capsule_pointer": {"_rowdraws", "_Streams.__init__"}})
+
+
 def test_only_component_draws_groups_particle_sets():
     """The kernel's transitions, fps_smc's propagation and the mixture rows
     draw each component's Gaussian through ``gmm._component_draws``, the one
