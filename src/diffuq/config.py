@@ -153,6 +153,10 @@ class ExperimentConfig:
             raise ValueError(f"sweep_axis name must be a string, got {name!r}")
         if not isinstance(values, (list, tuple)) or not values:
             raise ValueError(f"sweep_axis values must be a nonempty list, got {values!r}")
+        if any(isinstance(value, np.generic) for value in values):  # stored as Python values
+            values = type(values)(value.item() if isinstance(value, np.generic) else value
+                                  for value in values)
+            object.__setattr__(self, "sweep_axis", {**self.sweep_axis, "values": values})
         known = any(s.name == solver for s in self.solvers)
         specs = self.solvers if known else (resolve_solver(solver),)  # a bad value is named first
         runs = tuple((value, tuple(resolve_solver(s.name, {**s.hyperparameters, name: value})

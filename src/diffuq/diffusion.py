@@ -17,15 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gmm import (
-    GaussianMixture,
-    _component_draws,
-    _inverse_cdf,
-    _log_normalised,
-    _NoisyTable,
-    _vecmat_sets,
-)
-from .seeding import _Streams
+from .gmm import GaussianMixture, _component_draws, _inverse_cdf, _NoisyTable, _vecmat_sets
+from .seeding import _Streams, _row_transitions
 
 __all__ = [
     "NoiseSchedule",
@@ -140,6 +133,11 @@ class ReverseKernel:
     where it draws: row k gets the bits of the same call on that row alone,
     whatever K is. ``step_sets`` does the same for a (K, n, d) array of
     particle sets, one stream per set.
+
+    With the compiled row loop, a row step runs in it whole but for numpy's
+    ``exp``, ``log1p`` and ``log``: the table's log-densities and
+    log-normalisation, then the transition, which reads ``_B``, ``_a`` and
+    ``_chol`` at the addresses the kernel takes once (``_at``).
     """
 
     def __init__(self, prior: GaussianMixture, sched: NoiseSchedule):
@@ -161,6 +159,9 @@ class ReverseKernel:
         self._a = (1 - lam)[..., 0] * (cov0 @ nat)[..., 0]  # mean offset
         self._chol = np.linalg.cholesky(  # transition noise
             next2 * (1 - lam) * eye + np.float_power(1 - lam, 2) * cov0)
+        # the addresses of the (C-contiguous) stacks, taken once for the
+        # compiled row loop
+        self._at = tuple(a.ctypes.data for a in (self._B, self._a, self._chol))
 
     def _level(self, level) -> int:
         """``level``, checked with no numpy call (the samplers call it per
@@ -172,12 +173,11 @@ class ReverseKernel:
 
     def log_responsibilities(self, X: np.ndarray, level: int) -> np.ndarray:
         level = self._level(level)
-        return _log_normalised(self._table.logpdfs(np.atleast_2d(X), level), self.prior.weights)
+        return self._table.log_normalised(self._table.logpdfs(np.atleast_2d(X), level))
 
     def log_responsibilities_rows(self, X: np.ndarray, level: int) -> np.ndarray:
         """``log_responsibilities`` of each row of the (K, d) array ``X`` on its own."""
-        return _log_normalised(self._table.logpdfs_rows(X, np.full(len(X), self._level(level))),
-                               self.prior.weights)
+        return self._table.log_normalised(self._table.logpdfs_rows(X, self._level(level)))
 
     def step(self, X: np.ndarray, level: int, rng: np.random.Generator) -> np.ndarray:
         """One ancestral transition from grid[level] to grid[level+1].
@@ -203,11 +203,16 @@ class ReverseKernel:
 
     def step_rows(self, X: np.ndarray, level: int, rngs) -> np.ndarray:
         """``step`` of each row of the (K, d) array ``X`` with its own row of
-        the streams ``rngs``: one uniform, then d normals per row."""
+        the streams ``rngs``: one uniform, then d normals per row. The
+        transition runs in the compiled row loop (``seeding._row_transitions``)
+        or, without it, in ``_transition``, with the same bits."""
         if self._level(level) == self.sched.last_nonzero_index:
             return self.denoise_rows(X, level)
         logr = self.log_responsibilities_rows(X, level)
-        return self._transition(X, level, logr, rngs.uniforms(), rngs.normals(X.shape[1]))
+        out = _row_transitions(self._at, self.prior.means.shape, int(level), logr, X, rngs)
+        if out is None:
+            out = self._transition(X, level, logr, rngs.uniforms(), rngs.normals(X.shape[1]))
+        return out
 
     def _transition(self, X, level, logr, u, noise, sets=None):
         """Each row's component by inverse CDF of its responsibilities at ``u``,
@@ -225,7 +230,7 @@ class ReverseKernel:
 
     def denoise_rows(self, X: np.ndarray, level: int) -> np.ndarray:
         """``denoise`` of each row of the (K, d) array ``X`` on its own."""
-        lp = self._table.logpdfs_rows(X, np.full(len(X), self._level(level)))
+        lp = self._table.logpdfs_rows(X, self._level(level))
         return self._table.denoise(X, level, lp)[1]
 
     def score_rows(self, X: np.ndarray, levels: np.ndarray) -> np.ndarray:

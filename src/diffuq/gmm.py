@@ -18,7 +18,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrs
 from scipy.special import ndtr
 
-from .seeding import potrs_rows, trsv_rows
+from .seeding import _row_logpdfs, _row_normalised, _set_logpdfs, potrs_rows
 
 __all__ = [
     "GaussianMixture",
@@ -389,11 +389,18 @@ class _NoisyTable:
 
     ``sigmas[l]`` is kept as given: the covariances and the denoiser use
     its own square.
+
+    The compiled row loop reads the stacks in place: the table takes the
+    addresses of ``_lus``, ``_logdets`` and the means (``_at``), of ``_cho``
+    and of the log weights once, and the loop offsets them by level. Each
+    method that runs in the loop falls back, without it (or, for the
+    log-densities, without ``_lus``), to the numpy code with the same bits.
     """
 
     def __init__(self, prior: GaussianMixture, sigmas):
         d = prior.dim
-        self.weights, self.means, self.sigmas = prior.weights, prior.means, sigmas
+        self.weights, self.sigmas = prior.weights, sigmas
+        self.means = np.ascontiguousarray(prior.means)
         # libm's pow, the bits of a scalar ``s**2`` (an array's ``x**2`` is x * x)
         covs = prior.covs + np.float_power(sigmas, 2)[:, None, None, None] * np.eye(d)
         self._chols = np.linalg.cholesky(covs)
@@ -402,6 +409,11 @@ class _NoisyTable:
         self._lus = _getrf_lus(self._chols, diag)
         self._cho = np.stack([[cho_factor(cov, lower=True)[0].T for cov in level]
                               for level in covs])
+        self._log_weights = np.log(self.weights)
+        self._dlog2pi = float(d * np.log(2.0 * np.pi))
+        self._at = None if self._lus is None else tuple(
+            a.ctypes.data for a in (self._lus, self._logdets, self.means))
+        self._cho_at, self._log_weights_at = self._cho.ctypes.data, self._log_weights.ctypes.data
 
     @functools.cached_property
     def _precs(self) -> np.ndarray:
@@ -411,32 +423,43 @@ class _NoisyTable:
 
     def logpdfs(self, X: np.ndarray, level: int) -> np.ndarray:
         """(n, C) component log-densities of the particles ``X`` (n, d) at
-        ``level``: one stacked ``np.linalg.solve`` for all of them."""
+        ``level``: per component one ``dtrsm`` over all of them in the
+        compiled row loop (``seeding._set_logpdfs``), or without it, without
+        ``_lus`` or on an entry that is not finite, one stacked
+        ``np.linalg.solve``, with the same bits."""
+        if self._at is not None and (out := _set_logpdfs(
+                self._at, self.means.shape, self._dlog2pi, int(level), X)) is not None:
+            return out
         return _component_logpdfs(self.means, self._chols[level], self._logdets[level], X)
 
-    def logpdfs_rows(self, X: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    def logpdfs_rows(self, X: np.ndarray, levels) -> np.ndarray:
         """(K, C) component log-densities of each row of the (K, d) array
-        ``X`` at its own level ``levels[k]`` (a (K,) integer array), with
-        row k's bits independent of K.
+        ``X`` at its own level ``levels[k]`` (a (K,) integer array, or one
+        level for every row), with row k's bits independent of K.
 
         OpenBLAS runs the one-column ``getrs`` of the ``gesv`` that
         ``np.linalg.solve`` runs on a Cholesky factor as a unit lower
         ``trsv`` then an upper one, here on the diagonal, so a ``trsv`` on
         the level's ``_lus`` and a division by their diagonal give each
-        (row, component) system its bits: all of a call's systems in one
-        call into the compiled row loop (``seeding.trsv_rows``), or
-        without it or ``_lus`` one stacked ``np.linalg.solve``. With a
-        pairwise sum per row, each row gets the bits of ``logpdfs`` on that
-        row alone. A system whose difference from the mean is not finite
-        comes out NaN.
+        (row, component) system its bits: the whole computation in one call
+        into the compiled row loop (``seeding._row_logpdfs``), or without it
+        or ``_lus`` one stacked ``np.linalg.solve``. With a pairwise sum per
+        row, each row gets the bits of ``logpdfs`` on that row alone. A
+        system whose difference from the mean is not finite comes out NaN.
         """
+        one = isinstance(levels, numbers.Integral)
+        if self._at is not None and (out := _row_logpdfs(
+                self._at, self.means.shape, self._dlog2pi, int(levels) if one else levels,
+                X)) is not None:
+            return out
+        if one:
+            levels = np.full(len(X), levels)
         d = X.shape[1]
         sols = np.subtract(X[:, None, :], self.means)  # (K, C, d)
         bad = None
         if not np.isfinite(sols).all():
             bad = ~np.isfinite(sols).all(axis=-1)
-        if self._lus is None or trsv_rows(self._lus, levels, sols) is None:  # else in place
-            sols = np.linalg.solve(self._chols.take(levels, axis=0), sols[..., None])[..., 0]
+        sols = np.linalg.solve(self._chols.take(levels, axis=0), sols[..., None])[..., 0]
         maha = np.add.reduce(sols**2, axis=-1)
         if bad is not None:
             maha[bad] = np.nan
@@ -451,11 +474,19 @@ class _NoisyTable:
             _check_finite(diffs)
             yield -_cho_solve_vec((self._cho[level, c].T, True), diffs.T).T
 
+    def log_normalised(self, lp: np.ndarray) -> np.ndarray:
+        """``_log_normalised`` of the (n, C) component log-densities ``lp``
+        with this table's weights: in the compiled row loop
+        (``seeding._row_normalised``) or, without it or where a row's
+        log-sum-exp is not finite, in numpy, with the same bits."""
+        out = _row_normalised(lp, self._log_weights_at)
+        return _log_normalised(lp, self.weights) if out is None else out
+
     def denoise(self, X: np.ndarray, level: int, lp: np.ndarray):
         """The score and the Tweedie denoiser ``X + sigma^2 score`` at each
         row of the (n, d) array ``X`` at ``level``, given the rows' component
         log-densities ``lp`` (n, C) there."""
-        resp = np.exp(_log_normalised(lp, self.weights))
+        resp = np.exp(self.log_normalised(lp))
         score = np.zeros_like(X)
         for c, g in enumerate(self._gradients(X, level)):
             score += resp[:, c : c + 1] * g
@@ -466,7 +497,7 @@ class _NoisyTable:
         ``I + sigma^2 Hessian(log p)`` at each row of the (K, d) array ``X``
         at ``level``, each row with the bits it has on its own."""
         K, d = X.shape
-        resp = np.exp(_log_normalised(self.logpdfs_rows(X, np.full(K, level)), self.weights))
+        resp = np.exp(self.log_normalised(self.logpdfs_rows(X, level)))
         score = np.zeros((K, d))
         hess = np.zeros((K, d, d))
         precs = self._precs[level]
@@ -489,10 +520,10 @@ class _NoisyTable:
         ``scipy.linalg.lapack.dpotrs`` call each. Both call scipy's LAPACK
         build with the same arguments, so both give the same bits. A
         non-finite row raises the ValueError that ``cho_solve`` raises."""
-        resp = np.exp(_log_normalised(self.logpdfs_rows(X, levels), self.weights))
+        resp = np.exp(self.log_normalised(self.logpdfs_rows(X, levels)))
         sols = np.subtract(X[:, None, :], self.means)  # (K, C, d), solved in place
         _check_finite(sols)
-        if potrs_rows(self._cho, levels, sols) is None:
+        if potrs_rows(self._cho, levels, sols, self._cho_at) is None:
             for k, level in enumerate(levels):
                 for c, factor in enumerate(self._cho[level]):
                     sols[k, c] = _cho_solve_vec((factor.T, True), sols[k, c])

@@ -11,10 +11,13 @@ draws it from ``np.random.default_rng`` of that seed. ``row_seeds`` and
 every per-row draw) in one vectorised pass over the rows, with the same bits.
 
 This is the one module that builds and loads native code: the compiled row
-loop (``_rowdraws``), which draws the rows' numbers and solves the per-row
-systems of the row-wise responsibilities (``trsv_rows``) and of reddiff's
-scores (``potrs_rows``), and the thread count of numpy's and scipy's
-OpenBLAS (``one_blas_thread``, ``blas_threads``).
+loop (``_rowdraws``), which draws the rows' numbers, runs the reverse
+kernel's per-step arithmetic (the row and particle-set log-densities
+``_row_logpdfs`` and ``_set_logpdfs``, the log-normalisation
+``_row_normalised`` and the transition ``_row_transitions``) and solves
+reddiff's per-row score systems (``potrs_rows``), each with the bits of the
+numpy code its caller falls back to; and the thread count of numpy's and
+scipy's OpenBLAS (``one_blas_thread``, ``blas_threads``).
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from pathlib import Path
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["derive_seed", "row_seeds", "streams", "row_draws", "potrs_rows", "trsv_rows",
-           "one_blas_thread", "blas_threads"]
+__all__ = ["derive_seed", "row_seeds", "streams", "row_draws", "potrs_rows", "one_blas_thread",
+           "blas_threads"]
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -166,23 +169,47 @@ _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c
 _capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
     ("PyCapsule_GetName", ctypes.pythonapi))
 
+# the argument types of the loop's routines: p a pointer, n an npy_intp, i
+# an int, u a uint64, x a double; each routine returns its first letter's type
+# (v none, i int)
+_SIGNATURES = {"normals": "vpnnp", "uniforms": "vpnnp", "below": "vpnup",
+               "potrs_rows": "ippnipnp", "row_logpdfs": "vppppnixpnnppp",
+               "set_logpdfs": "ipppppnixnippp", "normalise_shift": "ippnnpppp",
+               "normalise_sum": "vpnnpp", "normalise_finish": "ipnnppp",
+               "row_transitions": "vpppppninnpppp"}
+_CTYPES = {"v": None, "p": ctypes.c_void_p, "n": ctypes.c_ssize_t, "i": ctypes.c_int,
+           "u": ctypes.c_uint64, "x": ctypes.c_double}
+# scipy's routines the loop calls, by module
+_SCIPY_ROUTINES = (("cython_lapack", "dpotrs"), ("cython_blas", "dtrsv"),
+                   ("cython_blas", "dtrsm"), ("cython_blas", "dgemv"))
+
+
+def _compile_command() -> list:
+    """The command that compiles the loop, but for its output path: ``$CC``
+    (default ``cc``), without contraction into fused multiply-adds, which
+    would change the bits of numpy's separate products and sums."""
+    return [*(os.environ.get("CC") or "cc").split(), "-O2", "-ffp-contract=off", "-shared",
+            "-fPIC", f"-I{np.get_include()}", f"-I{sysconfig.get_paths()['include']}",
+            str(_ROWDRAWS_SOURCE),
+            str(Path(np.random.__file__).with_name("lib") / "libnpyrandom.a"), "-lm"]
+
 
 @functools.cache
 def _rowdraws():
     """The compiled row loop of ``_rowdraws.c`` as a ctypes library, or None
     (with a RuntimeWarning that says why) when it cannot be built or loaded;
-    decided once per process, at its first streams or row solve (the first
-    row-wise responsibilities build it too). The library holds, as
-    ``dpotrs`` and ``dtrsv``, the addresses of scipy's own LAPACK ``dpotrs``
-    and BLAS ``dtrsv``, taken from the capsules of ``scipy.linalg``'s
-    ``cython_lapack`` and ``cython_blas``. It is compiled with
-    ``$CC`` (default ``cc``) against numpy's ``libnpyrandom.a`` into
-    ``$XDG_CACHE_HOME/diffuq`` (default ``~/.cache/diffuq``), keyed by the
-    source, numpy, the interpreter and the machine, under a temporary name
-    first, so concurrent builds do not clash."""
+    decided once per process, at its first streams or row computation. The
+    library holds, under their names, the addresses of scipy's own LAPACK
+    ``dpotrs`` and BLAS ``dtrsv``, ``dtrsm`` and ``dgemv``, taken from the
+    capsules of ``scipy.linalg``'s ``cython_lapack`` and ``cython_blas``.
+    It is compiled by ``_compile_command`` against numpy's ``libnpyrandom.a``
+    into ``$XDG_CACHE_HOME/diffuq`` (default ``~/.cache/diffuq``), keyed by
+    the source, that command, numpy, the interpreter and the machine, under
+    a temporary name first, so concurrent builds do not clash."""
     try:
-        source = _ROWDRAWS_SOURCE.read_bytes()
-        key = hashlib.sha256(b"\0".join([source, np.__version__.encode(),
+        command = _compile_command()
+        key = hashlib.sha256(b"\0".join([_ROWDRAWS_SOURCE.read_bytes(), *map(str.encode, command),
+                                         np.__version__.encode(),
                                          sys.implementation.cache_tag.encode(),
                                          platform.machine().encode()])).hexdigest()[:16]
         cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "diffuq"
@@ -192,27 +219,18 @@ def _rowdraws():
             fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
             os.close(fd)
             try:
-                subprocess.run([*(os.environ.get("CC") or "cc").split(), "-O2", "-shared",
-                                "-fPIC", f"-I{np.get_include()}",
-                                f"-I{sysconfig.get_paths()['include']}", str(_ROWDRAWS_SOURCE),
-                                str(Path(np.random.__file__).with_name("lib") / "libnpyrandom.a"),
-                                "-lm", "-o", tmp], check=True, capture_output=True, timeout=300)
+                subprocess.run([*command, "-o", tmp], check=True, capture_output=True,
+                               timeout=300)
                 os.replace(tmp, path)
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
         lib = ctypes.CDLL(str(path))
-        size, ptr = ctypes.c_ssize_t, ctypes.c_void_p
-        for name, count in (("normals", size), ("uniforms", size), ("below", ctypes.c_uint64)):
-            getattr(lib, name).argtypes = [ptr, size, count, ptr]
-            getattr(lib, name).restype = None
-        for name, result in (("potrs_rows", ctypes.c_int), ("trsv_rows", None)):
-            getattr(lib, name).argtypes = [ptr, ptr, size, ctypes.c_int, ptr, size, ptr]
-            getattr(lib, name).restype = result
-        from scipy.linalg import cython_blas, cython_lapack
-
-        for module, name in ((cython_lapack, "dpotrs"), (cython_blas, "dtrsv")):
-            capsule = module.__pyx_capi__[name]
+        for name, (result, *args) in _SIGNATURES.items():
+            getattr(lib, name).argtypes = [_CTYPES[a] for a in args]
+            getattr(lib, name).restype = _CTYPES[result]
+        for module, name in _SCIPY_ROUTINES:
+            capsule = importlib.import_module(f"scipy.linalg.{module}").__pyx_capi__[name]
             setattr(lib, name, _capsule_pointer(capsule, _capsule_name(capsule)))
         return lib
     except subprocess.CalledProcessError as exc:
@@ -236,16 +254,27 @@ def row_draws() -> str | None:
 
 def _address(a: np.ndarray) -> int:
     """The address of the data of the C-contiguous, writable, nonempty array
-    ``a``; about a fifth of the cost of ``a.ctypes.data``."""
+    ``a``; about a fifth of the cost of ``a.ctypes.data``, which the
+    constant stacks take once instead."""
     return ctypes.addressof(ctypes.c_char.from_buffer(a))
 
 
-def _solve_rows(routine: str, factors: np.ndarray, levels, b) -> np.ndarray | None:
-    """The (K, C, d) systems ``b`` solved by the compiled loop's ``routine``
-    (``potrs_rows`` or ``trsv_rows``, which call scipy's routine of their
-    name with a ``d``, held by the library under that name), system (k, c)
-    on ``factors[levels[k], c]`` of the C-contiguous (L, C, d, d) stack of
-    column-major factors; None without the loop.
+def _rows(X: np.ndarray, d: int) -> np.ndarray:
+    """``X`` as the C-contiguous float64 (K, d) array the loop reads, copied
+    only when it is not one; another shape raises a ValueError."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != d:
+        raise ValueError(f"rows have shape {X.shape}, expected (K, {d})")
+    return X
+
+
+def potrs_rows(factors: np.ndarray, levels, b, at: int | None = None) -> np.ndarray | None:
+    """The (K, C, d) systems ``b`` solved by scipy's LAPACK ``dpotrs`` in the
+    compiled loop, system (k, c) on the lower Cholesky factor
+    ``factors[levels[k], c]`` of the C-contiguous (L, C, d, d) stack of
+    column-major factors, whose address ``at`` a caller that keeps the stack
+    passes; None without the loop. Each system gets the bits of
+    ``scipy.linalg.lapack.dpotrs(factor, b[k, c], lower=1)``.
     ``levels`` (in [0, L), which the caller checks) and ``b`` reach the loop
     as C-contiguous intp and float64 arrays, copied into that form when
     they are not, so ``b`` is solved in place only when it already is one.
@@ -257,26 +286,134 @@ def _solve_rows(routine: str, factors: np.ndarray, levels, b) -> np.ndarray | No
     levels = np.ascontiguousarray(levels, dtype=np.intp)
     K, C, d = b.shape
     if levels.shape != (K,) or factors.shape[1:] != (C, d, d):
-        raise ValueError(f"{routine}: levels {levels.shape} and factors {factors.shape} misfit b")
-    if b.size and (info := getattr(lib, routine)(getattr(lib, "d" + routine[:-5]),
-                                                 _address(factors), C, d, _address(levels), K,
-                                                 _address(b))):
+        raise ValueError(f"potrs_rows: levels {levels.shape} and factors {factors.shape}"
+                         " misfit b")
+    if b.size and (info := lib.potrs_rows(lib.dpotrs, _address(factors) if at is None else at,
+                                          C, d, _address(levels), K, _address(b))):
         raise ValueError(f"illegal value in {-info}th argument of internal potrs")
     return b
 
 
-def potrs_rows(factors: np.ndarray, levels, b) -> np.ndarray | None:
-    """``_solve_rows`` with scipy's LAPACK ``dpotrs`` on lower Cholesky
-    factors: each system gets the bits of ``scipy.linalg.lapack.dpotrs(
-    factor, b[k, c], lower=1)``."""
-    return _solve_rows("potrs_rows", factors, levels, b)
+def _row_logpdfs(at: tuple, shape: tuple, dlog2pi: float, levels, X) -> np.ndarray | None:
+    """The (K, C) component log-densities of the rows ``X`` (K, d), row k at
+    its level ``levels[k]`` (a (K,) array, or one level for every row), in
+    the compiled loop; None without it. ``at`` holds the addresses of a
+    ``gmm._NoisyTable``'s packed LU factors (L, C, d, d), log-determinants
+    (L, C) and means (C, d), whose ``shape`` is (C, d); ``dlog2pi`` is
+    ``d * log(2 pi)``. Each (row, component) system is scipy's BLAS
+    ``dtrsv`` (lower, unit diagonal) then a division by the diagonal, and
+    its squares add in numpy's pairwise order, so each row gets the bits of
+    the stacked ``np.linalg.solve`` on that row alone. A row whose
+    difference from a mean is not finite comes out NaN for that component.
+    Levels in [0, L) are the caller's to check."""
+    lib = _rowdraws()
+    if lib is None:
+        return None
+    C, d = shape
+    X = _rows(X, d)
+    K = len(X)
+    if isinstance(levels, int):  # one level for every row, read with a stride of 0
+        levels = ctypes.c_ssize_t(levels)
+        levels_at, step = ctypes.addressof(levels), 0
+    else:
+        levels = np.ascontiguousarray(levels, dtype=np.intp)
+        if levels.shape != (K,):
+            raise ValueError(f"_row_logpdfs: levels {levels.shape} misfit rows {X.shape}")
+        levels_at, step = K and _address(levels), 1
+    out = np.empty((K, C))
+    if K:
+        work = np.empty(d)
+        lib.row_logpdfs(lib.dtrsv, *at, C, d, dlog2pi, levels_at, step, K, _address(X),
+                         _address(work), _address(out))
+    return out
 
 
-def trsv_rows(lus: np.ndarray, levels, b) -> np.ndarray | None:
-    """``_solve_rows`` with scipy's BLAS ``dtrsv`` (lower, unit diagonal) on
-    ``getrf``'s packed LU factors of lower triangular matrices that it does
-    not pivot, then a division by their diagonal, the whole upper factor."""
-    return _solve_rows("trsv_rows", lus, levels, b)
+def _set_logpdfs(at: tuple, shape: tuple, dlog2pi: float, level: int, X) -> np.ndarray | None:
+    """The (n, C) component log-densities of the particles ``X`` (n, d) at
+    ``level``, in the compiled loop, with the arguments of ``_row_logpdfs``;
+    None without the loop, or when a difference from a mean or an entry of
+    a solution is not finite (the caller's stacked solve then gives those
+    bits). Per component, scipy's BLAS ``dtrsm`` (lower, unit diagonal)
+    solves all n columns, the product by the reciprocal of the diagonal
+    finishes the multi-column ``getrs`` of the ``gesv`` that
+    ``np.linalg.solve`` runs, and each column's squares add in index order,
+    the order of numpy's reduce over the particle axis. One particle takes
+    the one-column solve and the pairwise sum of ``_row_logpdfs``, as
+    ``np.linalg.solve`` and numpy's reduce do for it."""
+    lib = _rowdraws()
+    if lib is None:
+        return None
+    C, d = shape
+    X = _rows(X, d)
+    n = len(X)
+    out, work = np.empty((n, C)), np.empty(n * d + d)
+    if n and lib.set_logpdfs(lib.dtrsv, lib.dtrsm, *at, C, d, dlog2pi, level, n, _address(X),
+                             _address(work), _address(out)):
+        return None
+    return out
+
+
+def _row_normalised(lp: np.ndarray, log_weights_at: int) -> np.ndarray | None:
+    """``lp + log_weights - logsumexp(lp + log_weights, axis=-1)`` of the
+    (K, C) component log-densities ``lp``, the log responsibilities, in the
+    compiled loop with the log weights (C,) at ``log_weights_at``; None
+    without the loop or when a row's maximum or logsumexp is not finite,
+    where ``gmm._logsumexp`` takes its direct form. The loop runs
+    ``gmm._logsumexp``'s sequence of operations, in three passes around
+    numpy's own ``exp``, ``log1p`` and ``log``, on one workspace."""
+    lib = _rowdraws()
+    if lib is None:
+        return None
+    lp = np.ascontiguousarray(lp, dtype=np.float64)
+    K, C = lp.shape
+    out = np.empty((K, C))
+    if not K:
+        return out
+    work = np.empty(K * C + 3 * K)  # t (K, C), then s, m and the maxima (K,) each
+    t, s, m = work[:K * C], work[K * C:K * C + K], work[K * C + K:K * C + 2 * K]
+    at = _address(work)
+    t_at, s_at, m_at, mx_at = at, at + 8 * K * C, at + 8 * (K * C + K), at + 8 * (K * C + 2 * K)
+    out_at = _address(out)
+    if lib.normalise_shift(_address(lp), log_weights_at, K, C, out_at, t_at, mx_at, m_at):
+        return None
+    np.exp(t, out=t)
+    lib.normalise_sum(t_at, K, C, m_at, s_at)
+    np.log1p(s, out=s)
+    np.log(m, out=m)
+    if lib.normalise_finish(out_at, K, C, s_at, m_at, mx_at):
+        return None
+    return out
+
+
+def _row_transitions(at: tuple, shape: tuple, level: int, logr: np.ndarray, X, rngs
+                    ) -> np.ndarray | None:
+    """One reverse-kernel transition of each row of ``X`` (K, d) at
+    ``level``, in the compiled loop, row k drawing one uniform then d
+    normals from its own row of the streams ``rngs`` (a ``_Streams``); None
+    without the loop or when ``rngs`` draw through numpy. ``at`` holds the
+    addresses of a ``diffusion.ReverseKernel``'s mean slopes (L, C, d, d),
+    offsets (L, C, d) and transition factors (L, C, d, d), with
+    ``shape`` (C, d); ``logr`` (K, C) holds the rows' log
+    responsibilities. Row k picks the component by inverse CDF of the
+    running sum of numpy's ``exp(logr[k])`` at its uniform, capped at C - 1, then adds its
+    conditional mean and noise, each product one scipy BLAS ``dgemv``, the
+    routine of numpy's stacked vector-matrix product: the bits of the numpy
+    transition on that row alone."""
+    lib = _rowdraws()
+    if lib is None or rngs._at is None:
+        return None
+    C, d = shape
+    X = _rows(X, d)
+    K = len(X)
+    if len(rngs) != K or logr.shape != (K, C):
+        raise ValueError(f"_row_transitions: {len(rngs)} streams and logr {logr.shape} misfit"
+                         f" rows {X.shape}")
+    resp = np.ascontiguousarray(np.exp(logr))
+    out, work = np.empty((K, d)), np.empty(3 * d)
+    if K:
+        lib.row_transitions(rngs._at, lib.dgemv, *at, C, d, level, K, _address(X),
+                            _address(resp), _address(work), _address(out))
+    return out
 
 
 # numpy's and scipy's OpenBLAS builds (the ILP64 one numpy links and the LP64

@@ -79,7 +79,8 @@ class SolverSpec:
 
     Every hyperparameter of the solver must be given, and each value must
     pass the solver table's check (see ``resolve_solver``); values are kept
-    as given.
+    as given, but for a numpy scalar, kept (in a new mapping) as the Python
+    value it equals, so equal values have one ``hyperparameters_digest``.
     """
 
     name: str
@@ -90,6 +91,10 @@ class SolverSpec:
         hp = self.hyperparameters
         if not isinstance(hp, dict):
             raise ValueError(f"solver {self.name} hyperparameters must be a mapping, got {hp!r}")
+        if any(isinstance(value, np.generic) for value in hp.values()):
+            hp = {key: value.item() if isinstance(value, np.generic) else value
+                  for key, value in hp.items()}
+            object.__setattr__(self, "hyperparameters", hp)
         for key, value in hp.items():
             _check_hyperparameter(self.name, defaults, key, value)
         missing = [key for key in defaults if key not in hp]

@@ -382,6 +382,33 @@ def test_numpy_numbers_in_prior_and_schedule_write_the_python_manifest(tmp_path)
     assert type(cfg.prior.rho_ar) is float and type(cfg.schedule["steps"]) is int
 
 
+def test_numpy_numbers_in_solvers_and_sweep_write_the_python_manifest(tmp_path):
+    """numpy scalars in solver hyperparameters and sweep values are stored as
+    the Python values they equal: the run writes its report, with the
+    manifest ``config`` and ``results.csv`` of the same config of Python
+    values."""
+    def config(num):
+        return ExperimentConfig(
+            experiment="exp1_identity", master_seed=3, sigma_y=1.0, n_cases=1, k_samples=2,
+            schedule={"steps": 5},
+            solvers=(resolve_solver("mcg_diff", {"particles": num(np.int64, 3)}),
+                     resolve_solver("dps", {"guidance_scale": num(np.float32, 0.5)})),
+            sweep_axis={"solver": "mcg_diff", "name": "particles",
+                        "values": [num(np.int64, 2), 4]})
+
+    reports = []
+    for out, num in ((tmp_path / "numpy", lambda kind, value: kind(value)),
+                     (tmp_path / "python", lambda kind, value: value)):
+        cfg = config(num)
+        write_report(run_experiment(cfg), out, cfg)
+        reports.append((json.loads((out / "manifest.json").read_text())["config"],
+                        (out / "results.csv").read_bytes()))
+        if not reports[1:]:
+            assert type(cfg.sweep_axis["values"][0]) is int
+            assert type(cfg.solvers[1].hyperparameters["guidance_scale"]) is float
+    assert reports[0] == reports[1]
+
+
 def _particles_config(particles, solver="mcg_diff", **extra) -> dict:
     """An exp1 config of one case of two rows on 5 steps, so one ``run_cases``
     chunk of 2 rows, with one particle sampler."""

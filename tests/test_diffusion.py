@@ -18,7 +18,7 @@ from diffuq.gmm import (
     mixture_moments,
     score_and_denoise,
 )
-from diffuq.seeding import _rowdraws, _Streams
+from diffuq.seeding import _rowdraws, _Streams, streams
 
 
 def gaussian_prior(mu, cov):
@@ -313,6 +313,49 @@ def test_kernel_holds_each_per_level_constant_once(toy_prior):
     kernel.score_and_denoise_rows(np.ones((2, 16)), 3)  # makes the precisions
     L, C, d = 101, toy_prior.n_components, toy_prior.dim
     assert _array_bytes(kernel) <= 6.25 * L * C * d * d * 8
+
+
+# ---------------------------------------------------------------------------
+# step_rows: the whole transition in the compiled loop, with the numpy bits
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 40), C=st.integers(1, 4),
+       d=st.sampled_from([1, 3, 16]), log_scale=st.floats(-3.0, 2.0), spoiled=st.booleans())
+@example(seed=0, K=32, C=2, d=16, log_scale=0.0, spoiled=False)
+def test_compiled_step_rows_match_numpy(seed, K, C, d, log_scale, spoiled):
+    """``step_rows`` through a whole grid gives every row the samples and the
+    generator end state of the numpy path (the compiled loop forced off): the
+    row log-densities, the log-normalisation and the transition (one uniform
+    then d normals per row, the inverse-CDF pick and the two ``dgemv``) in
+    the loop. A NaN row stays NaN through the transitions on both paths."""
+    rng = np.random.default_rng(seed)
+    L = np.tril(rng.uniform(-0.3, 0.3, (C, d, d)), -1) + np.eye(d)
+    prior = GaussianMixture(rng.dirichlet(np.ones(C)), 2.0 * rng.standard_normal((C, d)),
+                            L @ L.transpose(0, 2, 1))
+    kernel = ReverseKernel(prior, build_schedule(0.01, 10.0, 12))
+    assert kernel._table._lus is not None
+    X0 = 10.0**log_scale * rng.standard_normal((K, d))
+    if spoiled:
+        X0[rng.integers(K)] = np.nan
+    seeds = rng.integers(0, 2**63, size=K, dtype=np.uint64)
+    last = kernel.sched.last_nonzero_index
+
+    def run():
+        rows, X, out = streams(seeds), X0, []
+        for level in range(last if spoiled else last + 1):  # a NaN row fails the denoise
+            X = kernel.step_rows(X, level, rows)
+            out.append(X)
+        return out, [rng.bit_generator.state for rng in rows.rngs]
+
+    compiled = run()
+    with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
+        mp.setattr(diffuq.seeding, "_rowdraws", lambda: None)
+        numpy_path = run()
+    for got, want in zip(compiled[0], numpy_path[0], strict=True):
+        assert got.tobytes() == want.tobytes()
+    assert compiled[1] == numpy_path[1]
+    assert np.isnan(compiled[0][-1]).any(axis=-1).sum() == spoiled
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,11 @@ from diffuq.gmm import (
     noisy_marginal,
     sample_mixture,
     score_and_denoise,
+    _component_logpdfs,
     _getrf_lus,
     _Posterior,
     _inverse_cdf,
+    _log_normalised,
     _logsumexp,
     _mixture_rows,
     _NoisyTable,
@@ -646,8 +648,8 @@ def test_toy_prior_marginals_keep_lu_factors(toy_prior):
     table = _NoisyTable(toy_prior, np.geomspace(1e-3, 1e3, 25))
     assert table._lus is not None and table._lus.shape == (25, 2, 16, 16)
     if _rowdraws() is not None:
-        b = np.ones((3, 2, 16))
-        assert diffuq.seeding.trsv_rows(table._lus, np.arange(3), b) is b
+        assert diffuq.seeding._row_logpdfs(table._at, table.means.shape, table._dlog2pi,
+                                          np.arange(3), np.ones((3, 16))).shape == (3, 2)
 
 
 @pytest.mark.parametrize("C", [1, 3])
@@ -766,3 +768,104 @@ def test_inverse_cdf_is_capped_searchsorted(data, K, n):
         assert got[k] == min(np.searchsorted(cum[k], u[k], side="right"), n - 1)
     want = np.minimum(np.searchsorted(cum[0], u, side="right"), n - 1)
     assert np.array_equal(_inverse_cdf(cum[0], u), want)
+
+
+# ---------------------------------------------------------------------------
+# the compiled loop's kernel arithmetic: the bits of the numpy path it replaces
+# ---------------------------------------------------------------------------
+
+_SIGMAS = (0.0, 0.3, 2.0, 9.0)
+
+
+def _unpivoted_table(rng, C, d):
+    """A table at ``_SIGMAS`` of a random C-component mixture in R^d whose
+    covariances' factors ``getrf`` does not pivot, so it keeps ``_lus`` and
+    the compiled loop solves on them."""
+    L = np.tril(rng.uniform(-0.1, 0.1, (C, d, d))) + np.eye(d)
+    gmm = GaussianMixture(rng.dirichlet(np.ones(C)), 2.0 * rng.standard_normal((C, d)),
+                          L @ L.transpose(0, 2, 1))
+    table = _NoisyTable(gmm, _SIGMAS)
+    assert table._lus is not None
+    return table
+
+
+def _spoil(rng, X, count):
+    """``X`` with ``count`` random entries set to inf, -inf or NaN."""
+    for _ in range(count):
+        X[rng.integers(len(X)), rng.integers(X.shape[1])] = rng.choice([np.inf, -np.inf, np.nan])
+    return X
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 7, 12, 16, 129, 256]),
+       C=st.integers(1, 3), K=st.integers(1, 9), log_scale=st.floats(-3.0, 2.0),
+       spoiled=st.integers(0, 3))
+@example(seed=0, d=256, C=2, K=9, log_scale=2.0, spoiled=0)
+@example(seed=1, d=129, C=3, K=4, log_scale=-3.0, spoiled=2)
+def test_compiled_row_logpdfs_match_numpy(seed, d, C, K, log_scale, spoiled):
+    """The compiled row log-densities (``trsv``, division, squares in numpy's
+    pairwise order) give the bits of the stacked ``np.linalg.solve`` path,
+    each row at its own level, at scales 1e-3 to 1e2, with rows that are not
+    finite coming out NaN on both; one level for every row gives the bits
+    of that level repeated."""
+    rng = np.random.default_rng(seed)
+    table = _unpivoted_table(rng, C, d)
+    levels = rng.integers(len(_SIGMAS), size=K)
+    X = _spoil(rng, 10.0**log_scale * rng.standard_normal((K, d)), spoiled)
+    compiled, numpy_path = _on_both_paths(lambda: table.logpdfs_rows(X, levels))
+    assert np.array_equal(compiled, numpy_path, equal_nan=True)
+    assert np.isnan(compiled).any(axis=-1).sum() == (~np.isfinite(X)).any(axis=-1).sum()
+    one = int(levels[0])
+    assert np.array_equal(table.logpdfs_rows(X, one), table.logpdfs_rows(X, np.full(K, one)),
+                          equal_nan=True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3, 17, 640]),
+       d=st.sampled_from([1, 7, 16, 129]), C=st.integers(1, 3),
+       log_scale=st.floats(-3.0, 2.0), spoiled=st.sampled_from([0, 0, 0, 1]))
+@example(seed=2, n=640, d=16, C=2, log_scale=0.0, spoiled=0)
+@example(seed=3, n=17, d=129, C=3, log_scale=2.0, spoiled=0)
+def test_compiled_set_logpdfs_match_stacked_solve(seed, n, d, C, log_scale, spoiled):
+    """The compiled particle-set log-densities (per component one ``dtrsm``
+    over all n columns, the reciprocal of the diagonal, squares added in
+    index order; one particle on the row path) give the bits of
+    ``_component_logpdfs``' stacked solve; a set with an entry that is not
+    finite takes that solve itself."""
+    rng = np.random.default_rng(seed)
+    table = _unpivoted_table(rng, C, d)
+    level = int(rng.integers(len(_SIGMAS)))
+    X = _spoil(rng, 10.0**log_scale * rng.standard_normal((n, d)), spoiled)
+    want = _component_logpdfs(table.means, table._chols[level], table._logdets[level], X)
+    for got in _on_both_paths(lambda: table.logpdfs(X, level)):
+        assert np.array_equal(got, want, equal_nan=True)
+    compiled = diffuq.seeding._set_logpdfs(table._at, table.means.shape, table._dlog2pi, level, X)
+    assert (compiled is None) == (spoiled or _rowdraws() is None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), C=st.integers(1, 20), K=st.integers(1, 6),
+       equal=st.booleans(), ties=st.booleans(),
+       specials=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 19),
+                                   st.sampled_from([np.inf, -np.inf, np.nan])), max_size=3))
+@example(seed=0, C=9, K=3, equal=True, ties=True, specials=[])
+@example(seed=1, C=3, K=2, equal=False, ties=False,
+         specials=[(0, 0, -np.inf), (0, 1, -np.inf), (0, 2, -np.inf)])
+def test_compiled_log_normalised_matches_numpy(seed, C, K, equal, ties, specials):
+    """The compiled log-normalisation gives the bits of ``_log_normalised``:
+    rows whose log-densities spread over up to four decades, rows with tied
+    maxima, rows with +-inf and NaN entries (or all -inf), and C from 1 to 20
+    (C >= 8 takes numpy's pairwise sum with eight accumulators)."""
+    rng = np.random.default_rng(seed)
+    lp = rng.uniform(-800.0, 50.0, (K, 1)) + 10.0 ** rng.uniform(-2.0, 2.0, (K, 1)) * (
+        rng.standard_normal((K, C)))
+    if ties:  # about half of each row's entries at the row's maximum
+        lp = np.where(rng.random((K, C)) < 0.5, lp.max(axis=-1, keepdims=True), lp)
+    for k, c, value in specials:
+        lp[k % K, c % C] = value
+    weights = np.full(C, 1.0 / C) if equal else rng.dirichlet(np.ones(C))
+    table = _NoisyTable(GaussianMixture(weights, np.zeros((C, 1)), np.ones((C, 1, 1))), (0.0,))
+    with np.errstate(invalid="ignore"):
+        want = _log_normalised(lp, weights)
+        got = table.log_normalised(lp)
+    assert np.array_equal(got, want, equal_nan=True)

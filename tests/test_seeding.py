@@ -171,36 +171,43 @@ def row_table(toy_prior):
 
 
 def _row_solves(table):
-    return {"potrs_rows": lambda levels, b: diffuq.seeding.potrs_rows(table._cho, levels, b),
-            "trsv_rows": lambda levels, b: diffuq.seeding.trsv_rows(table._lus, levels, b)}
+    """The compiled routines that take one level per row, each with the shape
+    of its right-hand side per row and the start of the error a misfit
+    levels array raises."""
+    return {"potrs_rows": (lambda levels, b: diffuq.seeding.potrs_rows(table._cho, levels, b),
+                           (2, 16), r"levels \(2,\) and factors .* misfit b"),
+            "_row_logpdfs": (lambda levels, X: diffuq.seeding._row_logpdfs(
+                table._at, table.means.shape, table._dlog2pi, levels, X),
+                            (16,), r"levels \(2,\) misfit rows \(3, 16\)")}
 
 
 @pytest.mark.parametrize("form", ["uint8", "int32", "strided", "strided_rows"])
-@pytest.mark.parametrize("routine", ["potrs_rows", "trsv_rows"])
+@pytest.mark.parametrize("routine", ["potrs_rows", "_row_logpdfs"])
 def test_row_solves_take_any_integer_levels(row_table, routine, form):
-    """Both compiled row solves give uint8, int32 and strided levels, and a
-    strided right-hand side, the bits of the call on C-contiguous intp
-    levels and rows: the loop itself reads only that form."""
+    """Both compiled row routines give uint8, int32 and strided levels, and
+    strided rows, the bits of the call on C-contiguous intp levels and rows:
+    the loop itself reads only that form."""
     if _rowdraws() is None:
         pytest.skip("the compiled row loop does not build here")
     rng = np.random.default_rng(4)
     levels = rng.integers(0, 12, size=9).astype(np.intp)
-    b = 3.0 * rng.standard_normal((9, 2, 16))
-    solve = _row_solves(row_table)[routine]
+    solve, shape, _ = _row_solves(row_table)[routine]
+    b = 3.0 * rng.standard_normal((9, *shape))
     want = solve(levels, b.copy())
     odd = {"uint8": levels.astype(np.uint8), "int32": levels.astype(np.int32),
            "strided": np.repeat(levels, 2)[::2]}.get(form, levels)
     rows = np.repeat(b, 2, axis=0)[::2] if form == "strided_rows" else b.copy()
     got = solve(odd, rows)
     assert want is not None and np.array_equal(got, want)
-    assert np.array_equal(solve(levels[:0], b[:0]), b[:0])
+    assert solve(levels[:0], b[:0]).shape == (0, *want.shape[1:])
 
 
-@pytest.mark.parametrize("routine", ["potrs_rows", "trsv_rows"])
+@pytest.mark.parametrize("routine", ["potrs_rows", "_row_logpdfs"])
 def test_row_solves_reject_mismatched_shapes(row_table, routine):
     """A levels array that is not one per row fails before the loop reads
     past it."""
     if _rowdraws() is None:
         pytest.skip("the compiled row loop does not build here")
-    with pytest.raises(ValueError, match=r"levels \(2,\) and factors .* misfit b"):
-        _row_solves(row_table)[routine](np.zeros(2, dtype=np.intp), np.ones((3, 2, 16)))
+    solve, shape, message = _row_solves(row_table)[routine]
+    with pytest.raises(ValueError, match=message):
+        solve(np.zeros(2, dtype=np.intp), np.ones((3, *shape)))

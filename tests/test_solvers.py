@@ -31,6 +31,7 @@ from diffuq.operators import (
     build_operator,
     synthesize_measurement,
 )
+from diffuq.harness import _digest
 from diffuq.seeding import _Streams, derive_seed
 from diffuq.solvers import (
     SOLVER_NAMES,
@@ -138,6 +139,23 @@ def test_solver_spec_keeps_values_as_given():
     hp = {"eta": 1, "eta_b": 0.5}
     spec = SolverSpec("ddrm", hp)
     assert spec.hyperparameters is hp and type(hp["eta"]) is int
+
+
+@pytest.mark.parametrize("name, key, value", [("mcg_diff", "particles", np.int64(4)),
+                                              ("dps", "guidance_scale", np.float32(0.5)),
+                                              ("ddrm", "eta", np.float64(0.25)),
+                                              ("pnpdm", "x_step", np.str_("conjugate"))])
+def test_solver_spec_stores_numpy_scalars_as_python_values(name, key, value):
+    """A numpy scalar passes the check its Python value passes, is stored as
+    that value, and gives the same ``hyperparameters_digest``."""
+    spec, plain = resolve_solver(name, {key: value}), resolve_solver(name, {key: value.item()})
+    assert spec == plain and type(spec.hyperparameters[key]) is type(value.item())
+    assert _digest(spec.hyperparameters) == _digest(plain.hyperparameters)
+
+
+def test_solver_spec_rejects_a_numpy_bool_as_its_python_value():
+    with pytest.raises(ValueError, match="'particles' must be an integer >= 1, got True"):
+        resolve_solver("mcg_diff", {"particles": np.bool_(True)})
     assert resolve_solver("ddrm", {"eta": 1}).hyperparameters == {"eta": 1, "eta_b": 1.0}
 
 
@@ -921,6 +939,18 @@ def test_row_loop_builds_into_the_cache_once(fresh_rowdraws):
     diffuq.seeding._rowdraws.cache_clear()
     assert diffuq.seeding._rowdraws() is not None
     assert list(fresh_rowdraws.iterdir()) == built and built[0].stat().st_mtime_ns == stamp
+
+
+@pytest.mark.skipif(shutil.which(os.environ.get("CC") or "cc") is None, reason="no C compiler")
+def test_row_loop_cache_key_holds_the_compile_command(fresh_rowdraws, monkeypatch):
+    """Another compiler command builds a library of its own: two values of
+    ``$CC`` give two cache files, and neither reuses the other's build."""
+    cc = os.environ.get("CC") or "cc"
+    for value in (cc, f"{cc} -g0"):
+        monkeypatch.setenv("CC", value)
+        diffuq.seeding._rowdraws.cache_clear()
+        assert diffuq.seeding._rowdraws() is not None
+    assert len([p for p in fresh_rowdraws.iterdir() if p.name.startswith("rowdraws-")]) == 2
 
 
 def test_diverged_rows_leave_the_batch_alone(toy_prior, sched12):

@@ -35,17 +35,26 @@ CONSTANT_SITES = {"_Posterior": {"Problem.posterior", "_sample_pnpdm", "exact_po
 # kernel builds one for its levels, and the two one-level references build
 # their own; only the table factors a noisy covariance (``cho_factor``
 # elsewhere factors the exact posterior's and pnpdm's z-step systems), and
-# only its row-wise methods run the compiled row solves on its factors
+# only its methods run the compiled loop's routines on its stacks, one
+# method each (and the kernel's row step its transition; ``potrs_rows``
+# calls the C routine of its own name)
 NOISY_SITES = {"_NoisyTable": {"ReverseKernel.__init__", "denoise_batch", "score_and_denoise"},
                "_getrf_lus": {"_NoisyTable.__init__"},
-               "trsv_rows": {"_NoisyTable.logpdfs_rows"},
-               "potrs_rows": {"_NoisyTable.score_rows"},
+               "_row_logpdfs": {"_NoisyTable.logpdfs_rows"},
+               "_set_logpdfs": {"_NoisyTable.logpdfs"},
+               "_row_normalised": {"_NoisyTable.log_normalised"},
+               "_row_transitions": {"ReverseKernel.step_rows"},
+               "potrs_rows": {"_NoisyTable.score_rows", "potrs_rows"},
                "cho_factor": {"_NoisyTable.__init__", "_Posterior.__init__", "_z_step_sampler"}}
 
 # routines nothing may call: the row-wise log-densities rest on scipy's
 # ``dtrsv`` (the compiled row loop) and numpy's ``gesv`` alone, and each
 # further routine is one more on which the byte-identical results depend
 BARRED_ROUTINES = {"dgetrf", "dtbsv"}
+
+# scipy's BLAS routines that only the compiled row loop calls, through the
+# addresses ``seeding`` takes from their capsules: no other module names them
+LOOP_ROUTINES = {"dgemv", "dtrsm", "dtrsv"}
 
 # modules that build and load native code; only ``seeding`` (the compiled
 # row loop) may import them
@@ -155,6 +164,25 @@ def test_package_calls_no_barred_routine():
     package = Path(diffuq.__file__).parent
     sources = [path.read_text() for path in [*package.glob("*.py"), *package.glob("*.c")]]
     assert not [name for name in BARRED_ROUTINES for text in sources if name in text]
+
+
+def _names(node):
+    """The name that ``node`` reads, sets or spells, if a plain name, an
+    attribute or a string constant."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else None
+
+
+def test_only_seeding_names_the_loop_routines():
+    """``dgemv``, ``dtrsm`` and ``dtrsv`` are reached through the compiled
+    loop alone: ``seeding`` takes their addresses and hands them to it, and
+    no other module names them in code."""
+    names = _package_calls(LOOP_ROUTINES, _names)
+    assert {name for name, _, _, _ in names} == {"seeding.py"}
+    assert {callee for _, _, _, callee in names} == LOOP_ROUTINES
 
 
 def test_only_the_streams_take_the_row_pointers():
